@@ -68,13 +68,15 @@ _BASELINE, _B_MODE, _Q_MODE = 0, 1, 2
 #: Extra perf row used while the co-runner is throttled (service owns the core).
 _THROTTLED_ROW = 3
 
-#: Servers advanced per inner chunk of a window.  Chunking keeps the
-#: ~dozen per-server temporaries of one window step inside the last-level
-#: cache at 100k–1M+ servers (the ``server_windows_per_s`` falloff in
-#: BENCH_fleet.json is a working-set effect); every chunked operation is
-#: element-wise, so integer aggregates are chunk-count-invariant and float
-#: window sums differ from the unchunked order only by summation-order
-#: noise.  Override with ``REPRO_FLEET_CHUNK`` for profiling.
+#: Servers advanced per inner chunk of a window.  Chunking bounds the
+#: per-server temporaries of one window step — about a dozen 8-byte
+#: vectors (the four-point tail sampler's indices, weights and gathered
+#: quantiles, the monitor's masks), ~0.5 MB each at this size — at
+#: 100k–1M+ servers; a smaller chunk keeps them in a core's cache and
+#: steps faster (DESIGN.md §9).  Every chunked operation is element-wise,
+#: so integer aggregates are chunk-count-invariant and float window sums
+#: differ from the unchunked order only by summation-order noise.
+#: Override with ``REPRO_FLEET_CHUNK`` for profiling.
 DEFAULT_CHUNK_SERVERS = 65536
 _CHUNK_ENV = "REPRO_FLEET_CHUNK"
 
@@ -112,37 +114,53 @@ def monitor_transition_vec(
 ) -> np.ndarray:
     """Element-wise :func:`~repro.core.monitor.monitor_transition`.
 
-    Updates the four state arrays in place and returns the mask of servers
-    that *ordered* a fresh throttle interval this window.  Equivalence with
-    the scalar transition is enforced by an exhaustive state-space test
-    (``tests/test_fleet.py``).
+    Updates the four state arrays in place (they may be views into larger
+    arrays) and returns the mask of servers that *ordered* a fresh
+    throttle interval this window.  Equivalence with the scalar transition
+    is enforced by an exhaustive state-space test (``tests/test_fleet.py``).
+
+    Most servers are neither mid-throttle nor violated, so that case runs
+    as one branchless pass over every server; the few others are gathered,
+    transitioned from their saved pre-window state and scattered back.
     """
-    throttling = throttle > 0
-    throttle[throttling] -= 1
-    active = ~throttling
+    special = np.flatnonzero((throttle > 0) | violated)
+    m = mode[special]
+    cs = compliant[special]
+    vs = violation[special]
+    tr = throttle[special]
 
-    hit = active & violated
-    compliant[hit] = 0
-    from_b = hit & (mode == _B_MODE)
-    mode[from_b] = _Q_MODE if q_mode_available else _BASELINE
-    violation[from_b] = 1
+    # Compliant window: the violation streak resets; slack extends the
+    # compliant streak (engaging B-mode once it is long enough), a tight
+    # window resets it and falls back to Baseline (mode index 0).
+    violation.fill(0)
+    compliant += 1
+    compliant *= slack
+    mode += (_B_MODE - mode) * (compliant >= config.engage_windows)
+    mode *= slack
+
+    # The gathered servers: mid-throttle ones count down with their state
+    # frozen, the others violated this window.
+    throttling = tr > 0
+    tr -= throttling
+    hit = ~throttling
+    cs[hit] = 0
+    from_b = hit & (m == _B_MODE)
+    m[from_b] = _Q_MODE if q_mode_available else _BASELINE
+    vs[from_b] = 1
     other = hit & ~from_b
-    violation[other] += 1
+    vs[other] += 1
     if q_mode_available:
-        mode[other & (mode == _BASELINE)] = _Q_MODE
-    ordered = other & (violation >= config.violation_windows_to_throttle)
-    violation[ordered] = 0
-    throttle[ordered] = config.throttle_windows
+        m[other & (m == _BASELINE)] = _Q_MODE
+    hit_ordered = other & (vs >= config.violation_windows_to_throttle)
+    vs[hit_ordered] = 0
+    tr[hit_ordered] = config.throttle_windows
 
-    ok = active & ~violated
-    violation[ok] = 0
-    slacking = ok & slack
-    compliant[slacking] += 1
-    engage = slacking & (mode != _B_MODE) & (compliant >= config.engage_windows)
-    mode[engage] = _B_MODE
-    tight = ok & ~slack
-    compliant[tight] = 0
-    mode[tight & (mode != _BASELINE)] = _BASELINE
+    mode[special] = m
+    compliant[special] = cs
+    violation[special] = vs
+    throttle[special] = tr
+    ordered = np.zeros(mode.shape, dtype=bool)
+    ordered[special] = hit_ordered
     return ordered
 
 
@@ -1061,10 +1079,11 @@ class FleetStepper:
                     },
                 )
             pidx4 = self._pidx4[1]
-            perf_flat = table.perf_rows.ravel()
-            batch_flat = table.batch_rows.ravel()
+            perf_table = table.perf_rows.ravel()
+            batch_table = table.batch_rows.ravel()
         else:
             pidx4 = None
+            perf_table, batch_table = engine._perf_rows, engine._batch_rows
         if tick is not None:
             t_loads = tick() - t0
             t_gather = t_tails = t_monitor = t_agg = 0.0
@@ -1085,17 +1104,16 @@ class FleetStepper:
             throttle = state.throttle[s0:s1]
             throttled_now = throttle > 0
             rows = np.where(throttled_now, _THROTTLED_ROW, mode)
-            if pidx4 is None:
-                perf = engine._perf_rows[rows]
-                srows = None if self._srows is None else self._srows[rows]
-                batch_chunk_sum = float(engine._batch_rows[rows].sum())
+            # Heterogeneous fleets index the raveled (profile, mode row)
+            # table: pre-scaled profile row + mode row.
+            flat = rows if pidx4 is None else pidx4[s0:s1] + rows
+            batch_chunk_sum = float(batch_table[flat].sum())
+            if self._srows is None:
+                # Only the exact DES path reads per-server perf factors;
+                # the surrogate samples from precomputed grid rows.
+                perf, srows = perf_table[flat], None
             else:
-                # The heterogeneous gather: profile row + mode column as
-                # one flat index into the raveled table.
-                flat = pidx4[s0:s1] + rows
-                perf = perf_flat[flat]
-                srows = None if self._srows is None else self._srows[flat]
-                batch_chunk_sum = float(batch_flat[flat].sum())
+                perf, srows = None, self._srows[flat]
             if tick is not None:
                 t1 = tick()
                 t_gather += t1 - t0
@@ -1153,8 +1171,7 @@ class FleetStepper:
         # time at 10k servers).  Holding the last chunk's arrays pins the
         # heap top so the arena is reused across windows.
         self._heap_pin = (
-            loads, u, rows, perf, srows, tails, violated, slack,
-            flat if pidx4 is not None else None,
+            loads, u, rows, flat, perf, srows, tails, violated, slack,
         )
         if prof is not None:
             prof.add("fleet.step.loads", t_loads)

@@ -168,12 +168,18 @@ class TailSurrogate:
         self, load: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         loads = np.asarray(self.loads)
-        li = np.clip(
-            np.searchsorted(loads, load, side="right") - 1, 0, len(loads) - 2
-        )
-        span = loads[li + 1] - loads[li]
-        weight = np.clip((load - loads[li]) / span, 0.0, 1.0)
-        return li, weight
+        # The bracketing interval clip(searchsorted(loads, load, "right")
+        # - 1, 0, L - 2) is the count of interior grid points <= load:
+        # one branchless compare pass per grid point, counted in the
+        # narrowest unsigned type, instead of a mispredicting binary
+        # search per server.
+        li = np.zeros(np.shape(load), dtype=np.min_scalar_type(len(loads)))
+        for point in loads[1:-1]:
+            li += load >= point
+        li = li.astype(np.intp)
+        weight = load - loads[li]
+        weight /= np.diff(loads)[li]
+        return li, np.clip(weight, 0.0, 1.0, out=weight)
 
     def _interpolate(self, table: np.ndarray, load, perf) -> np.ndarray:
         load = np.asarray(load, dtype=float)
@@ -196,40 +202,64 @@ class TailSurrogate:
     def sample(self, load, perf, u, rows=None) -> np.ndarray:
         """Draw window tails by inverse-CDF over uniforms ``u`` in [0, 1).
 
-        The quantile stacks at the two neighboring load grid points are
-        blended linearly (sortedness is preserved), then ``u`` picks an
-        order statistic with midpoint plotting positions — so the sampled
-        windows reproduce the calm/bursty mixture of the DES, not just its
-        mean.  ``u`` carries the caller's deterministic per-(server,
-        window) uniforms; a window's draw is exogenous arrival burstiness,
-        so the same ``u`` applies whichever mode the server is in.
+        ``u`` picks an order statistic pair ``(j0, j1)`` with midpoint
+        plotting positions, and each of the two is blended linearly
+        between the neighboring load grid points ``li`` and ``li + 1``
+        (blending preserves sortedness) — so the sampled windows reproduce
+        the calm/bursty mixture of the DES, not just its mean.  Only the
+        four quantiles a draw uses are gathered, ``q00 = (j0, li)``,
+        ``q01 = (j0, li + 1)``, ``q10 = (j1, li)`` and ``q11 = (j1, li + 1)``
+        of the server's row, and the tail is
+        ``v0 = q00*(1-w) + q01*w``, ``v1 = q10*(1-w) + q11*w``,
+        ``max(v0*(1-f) + v1*f, 0.5 × base_service_ms)`` with load weight
+        ``w`` and position fraction ``f``.  ``u`` carries the caller's
+        deterministic per-(server, window) uniforms; a window's draw is
+        exogenous arrival burstiness, so the same ``u`` applies whichever
+        mode the server is in.
 
         ``rows`` optionally carries precomputed grid-row indices for
-        ``perf`` (from :meth:`_row_indices` on the distinct factor set) —
-        the fleet stepper's perf vectors take only a handful of distinct
-        values, so gathering cached indices beats re-searching the grid
-        for every server every window.
+        ``perf`` (from :meth:`_row_indices` on the distinct factor set),
+        and ``perf`` is then not read — the fleet stepper's perf vectors
+        take only a handful of distinct values, so gathering cached
+        indices beats re-searching the grid for every server every window.
         """
         load = np.asarray(load, dtype=float)
         if rows is None:
             perf = np.broadcast_to(np.asarray(perf, dtype=float), load.shape)
             rows = self._row_indices(perf)
         li, weight = self._load_weights(load)
-        lower = self.quantiles_ms[rows, :, li]  # (n, n_reps)
-        upper = self.quantiles_ms[rows, :, li + 1]
-        stack = lower * (1.0 - weight)[:, None] + upper * weight[:, None]
-
-        n_reps = stack.shape[1]
+        _, n_reps, n_loads = self.quantiles_ms.shape
         position = np.clip(
             np.asarray(u, dtype=float) * n_reps - 0.5, 0.0, n_reps - 1.0
         )
-        j0 = np.floor(position).astype(np.int64)
-        j1 = np.minimum(j0 + 1, n_reps - 1)
+        # position >= 0, so truncation is the floor.
+        j0 = position.astype(np.int64)
         fraction = position - j0
-        v0 = np.take_along_axis(stack, j0[:, None], axis=1)[:, 0]
-        v1 = np.take_along_axis(stack, j1[:, None], axis=1)[:, 0]
-        tail = v0 * (1.0 - fraction) + v1 * fraction
-        return np.maximum(tail, 0.5 * self.qos.base_service_ms)
+
+        # Flat indices into the table's logical C order; ravel copies the
+        # (non-contiguous) fitted table, a few KB, and views a clone.
+        flat = self.quantiles_ms.ravel()
+        i0 = rows * (n_reps * n_loads)
+        i0 += li
+        i1 = np.minimum(j0, n_reps - 2)  # j1 = min(j0 + 1, n_reps - 1)
+        i1 += 1
+        i1 *= n_loads
+        i1 += i0
+        j0 *= n_loads
+        i0 += j0
+        rest = 1.0 - weight
+        v0 = flat[i0]
+        v0 *= rest
+        i0 += 1
+        v0 += flat[i0] * weight
+        v1 = flat[i1]
+        v1 *= rest
+        i1 += 1
+        v1 += flat[i1] * weight
+        v0 *= 1.0 - fraction
+        v1 *= fraction
+        v0 += v1
+        return np.maximum(v0, 0.5 * self.qos.base_service_ms, out=v0)
 
     # -- content-addressed persistence ---------------------------------
 

@@ -4,6 +4,8 @@ The load-bearing guarantees:
 
 * `monitor_transition_vec` is element-wise identical to the scalar
   `monitor_transition` (exhaustive state-space sweep);
+* the four-point `TailSurrogate.sample` is bit-identical to the
+  full-stack reference sampler `full_stack_sample`;
 * the `tail="exact"` fleet path is bit-compatible with the legacy
   per-object `ClusterSimulator` loop;
 * the surrogate path matches the exact path within the surrogate's
@@ -93,36 +95,114 @@ def surrogate(web_search_qos) -> TailSurrogate:
     return fit_tail_surrogate(web_search_qos, perf_factors, TEST_GRID)
 
 
+def full_stack_sample(surrogate, load, perf, u, rows=None) -> np.ndarray:
+    """Reference sampler: blends every server's whole quantile stack.
+
+    The original ``TailSurrogate.sample`` — a binary search for the load
+    interval, the full ``(n, n_reps)`` stacks at both neighboring load
+    points, then two order statistics picked out of the blend — kept as
+    the oracle the four-point production kernel must match bit for bit.
+    """
+    load = np.asarray(load, dtype=float)
+    if rows is None:
+        perf = np.broadcast_to(np.asarray(perf, dtype=float), load.shape)
+        rows = surrogate._row_indices(perf)
+    loads = np.asarray(surrogate.loads)
+    li = np.clip(
+        np.searchsorted(loads, load, side="right") - 1, 0, len(loads) - 2
+    )
+    span = loads[li + 1] - loads[li]
+    weight = np.clip((load - loads[li]) / span, 0.0, 1.0)
+    lower = surrogate.quantiles_ms[rows, :, li]
+    upper = surrogate.quantiles_ms[rows, :, li + 1]
+    stack = lower * (1.0 - weight)[:, None] + upper * weight[:, None]
+    n_reps = stack.shape[1]
+    position = np.clip(
+        np.asarray(u, dtype=float) * n_reps - 0.5, 0.0, n_reps - 1.0
+    )
+    j0 = np.floor(position).astype(np.int64)
+    j1 = np.minimum(j0 + 1, n_reps - 1)
+    fraction = position - j0
+    v0 = np.take_along_axis(stack, j0[:, None], axis=1)[:, 0]
+    v1 = np.take_along_axis(stack, j1[:, None], axis=1)[:, 0]
+    tail = v0 * (1.0 - fraction) + v1 * fraction
+    return np.maximum(tail, 0.5 * surrogate.qos.base_service_ms)
+
+
+def default_shape_surrogate(qos) -> TailSurrogate:
+    """Synthetic surrogate with the default grid's table layout.
+
+    Built the way :func:`fit_tail_surrogate` builds its table (``np.sort``
+    of a transposed ``(n_reps, n_perf, n_loads)`` surface), so it carries
+    the same non-C-contiguous strides at the default 13-load, 10-replicate
+    grid without running the DES.
+    """
+    loads = SurrogateGrid().loads
+    rng = np.random.default_rng(17)
+    surface = rng.lognormal(
+        mean=np.linspace(0.0, 3.0, len(loads)), sigma=0.8,
+        size=(10, 4, len(loads)),
+    )
+    return TailSurrogate(
+        qos=qos,
+        perf_factors=(0.5, 0.8, 1.0, 1.25),
+        loads=loads,
+        quantiles_ms=np.sort(np.transpose(surface, (1, 0, 2)), axis=1),
+        error_bound_ms=1.0,
+    )
+
+
 class TestMonitorTransitionVec:
-    def test_exhaustive_equivalence_with_scalar(self):
-        config = MonitorConfig(
+    @pytest.mark.parametrize("config", [
+        # All-ones thresholds: every window is an engage, order or expiry.
+        MonitorConfig(
+            engage_windows=1, violation_windows_to_throttle=1,
+            throttle_windows=1,
+        ),
+        MonitorConfig(
             engage_fraction=0.6, engage_windows=2,
             violation_windows_to_throttle=2, throttle_windows=3,
-        )
+        ),
+        MonitorConfig(),
+        MonitorConfig(
+            engage_windows=4, violation_windows_to_throttle=1,
+            throttle_windows=2,
+        ),
+    ], ids=["ones", "2-2-3", "default", "4-1-2"])
+    def test_exhaustive_equivalence_with_scalar(self, config):
+        # Streak and throttle ranges run at least 2 past every threshold.
         space = list(itertools.product(
-            range(3),            # mode
-            range(4),            # compliant streak
-            range(4),            # violation streak
-            range(3),            # throttle remaining
-            (False, True),       # violated
-            (False, True),       # slack
+            range(3),                                         # mode
+            range(config.engage_windows + 3),                 # compliant
+            range(config.violation_windows_to_throttle + 3),  # violation
+            range(config.throttle_windows + 3),               # throttle
+            (False, True),                                    # violated
+            (False, True),                                    # slack
         ))
+        n, pad = len(space), 5
+        columns = np.array(space, dtype=np.int64).T
         for q_mode_available in (True, False):
-            mode = np.array([s[0] for s in space], dtype=np.int64)
-            compliant = np.array([s[1] for s in space], dtype=np.int64)
-            violation = np.array([s[2] for s in space], dtype=np.int64)
-            throttle = np.array([s[3] for s in space], dtype=np.int64)
-            violated = np.array([s[4] for s in space])
-            slack = np.array([s[5] for s in space])
+            # The stepper hands the kernel chunk views of fleet-wide
+            # arrays: updates must land in the view and nowhere else.
+            backing = np.full((4, n + 2 * pad), -7, dtype=np.int64)
+            backing[:, pad:pad + n] = columns[:4]
+            mode, compliant, violation, throttle = (
+                row[pad:pad + n] for row in backing
+            )
+            violated = columns[4].astype(bool)
+            slack = columns[5].astype(bool)
             ordered = monitor_transition_vec(
                 mode, compliant, violation, throttle, violated, slack,
                 config, q_mode_available,
             )
+            assert ordered.shape == (n,) and ordered.dtype == bool
+            assert np.all(backing[:, :pad] == -7)
+            assert np.all(backing[:, pad + n:] == -7)
             for i, (m, cs, vs, tr, v, s) in enumerate(space):
                 state, _, want_ordered = monitor_transition(
                     MonitorState(m, cs, vs, tr), v, s, config, q_mode_available
                 )
-                got = (mode[i], compliant[i], violation[i], throttle[i])
+                got = tuple(backing[:, pad + i])
                 want = (state.mode, state.compliant_streak,
                         state.violation_streak, state.throttle_remaining)
                 assert got == want, (space[i], q_mode_available)
@@ -286,6 +366,52 @@ class TestSurrogate:
         tails = surrogate.sample(load, perf, u)
         assert np.all(np.diff(tails) >= 0.0)
         assert np.all(tails >= 0.5 * surrogate.qos.base_service_ms)
+
+    @pytest.mark.parametrize("table", ["fitted", "clone", "default_shape"])
+    def test_sample_matches_full_stack_oracle(self, surrogate, table):
+        if table == "fitted":
+            model = surrogate
+            # The fit stores np.sort of a transpose: not C-contiguous, so
+            # an index into the raw buffer would read the wrong quantiles.
+            assert not model.quantiles_ms.flags.c_contiguous
+        elif table == "clone":
+            model = TailSurrogate.from_values(surrogate.to_values())
+            assert model.quantiles_ms.flags.c_contiguous
+        else:
+            model = default_shape_surrogate(surrogate.qos)
+            assert model.quantiles_ms.strides == (104, 416, 8)
+        grid = np.asarray(model.loads)
+        n_reps = model.n_reps
+        rng = np.random.default_rng(23)
+        # Loads: outside the clamp range, exactly on and one ulp either
+        # side of every grid point, and random interior points.
+        load_set = np.concatenate([
+            [0.0, 0.01, np.nextafter(grid[0], 0.0), 1.25, 2.0],
+            grid,
+            np.nextafter(grid, -np.inf),
+            np.nextafter(grid, np.inf),
+            rng.uniform(0.0, 1.3, 16),
+        ])
+        # Uniforms: 0, exact plotting positions (u·R − 0.5 an integer),
+        # the largest double below 1, and random draws.
+        positions = (np.arange(n_reps) + 0.5) / n_reps
+        assert np.array_equal(
+            positions * n_reps - 0.5, np.arange(n_reps, dtype=float)
+        )
+        u_set = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)], positions, rng.random(8),
+        ])
+        n_rows = len(model.perf_factors)
+        load, u, rows = (
+            axis.ravel() for axis in np.meshgrid(
+                load_set, u_set, np.arange(n_rows), indexing="ij"
+            )
+        )
+        perf = np.asarray(model.perf_factors)[rows]
+        for kwargs in ({"rows": rows}, {}):
+            got = model.sample(load, perf, u, **kwargs)
+            want = full_stack_sample(model, load, perf, u, **kwargs)
+            assert got.tobytes() == want.tobytes(), kwargs
 
     def test_unknown_perf_row_raises(self, surrogate):
         with pytest.raises(KeyError, match="not in fitted rows"):
