@@ -6,13 +6,12 @@ times to ``benchmarks/results/BENCH_fleet.json`` so the fleet engine's
 perf trajectory is tracked across PRs.
 
 Windows advance in chunks of :data:`repro.fleet.DEFAULT_CHUNK_SERVERS`
-(the streaming path behind ``repro.service``).  ``server_windows_per_s``
-*falls off* past 10k servers: the tail-evaluation phase's per-chunk
-temporaries leave cache at the default 64k chunk (DESIGN.md §9).  The
-``chunk_probe`` payload section measures that phase with the
-``repro.obs`` profiler at the default and cache-sized chunks so the
-trajectory check tracks both the stability default and the tuned
-ceiling.
+(the streaming path behind ``repro.service``).  Past 10k servers a
+window steps in 64k-server chunks whose tail-evaluation temporaries
+spill out of a core's cache (DESIGN.md §9).  The ``chunk_probe`` payload
+section measures that phase with the ``repro.obs`` profiler at the
+default and cache-sized chunks so the trajectory check tracks both the
+stability default and the tuned ceiling.
 
 The tail-surrogate calibration (a one-off DES sweep, memoized in the
 result store) runs *outside* the timed region — the acceptance target is
