@@ -6,7 +6,10 @@ baselines under ``benchmarks/results/``:
 
 * ``BENCH_fleet.json`` — per-size ``server_windows_per_s`` from the
   fleet scaling benchmark.  A size present in both payloads may not
-  regress by more than ``--max-regression`` (default 25%).  The
+  regress by more than ``--max-regression`` (default 25%); neither may
+  ``surrogate_fit_s``, the process time of one cold tail-surrogate fit
+  (the queueing DES), where lower is better and a baseline that
+  predates the field skips the gate.  The
   10k-vs-100k falloff ratio (how much throughput the working-set jump
   costs — ROADMAP's memory-bandwidth trail) is recorded for both
   payloads and printed; it is informational, since the per-size gates
@@ -50,19 +53,27 @@ def load(path: Path) -> dict | None:
 
 
 def check_ratio(label: str, baseline: float, fresh: float,
-                max_regression: float, failures: list[str]) -> None:
-    """Flag ``label`` when ``fresh`` fell more than the margin below."""
+                max_regression: float, failures: list[str], *,
+                lower_is_better: bool = False, fmt: str = ",.0f") -> None:
+    """Flag ``label`` when ``fresh`` moved more than the margin the wrong way.
+
+    Higher is better by default (fresh may fall at most the margin
+    below the baseline); ``lower_is_better`` flips it (fresh may rise at
+    most the margin above).
+    """
     if baseline <= 0:
         return
     change = fresh / baseline - 1.0
+    regression = change if lower_is_better else -change
     marker = ""
-    if change < -max_regression:
+    if regression > max_regression:
+        sign = "+" if lower_is_better else "-"
         failures.append(
-            f"{label}: {baseline:,.0f} -> {fresh:,.0f} "
-            f"({change:+.1%}, allowed -{max_regression:.0%})"
+            f"{label}: {baseline:{fmt}} -> {fresh:{fmt}} "
+            f"({change:+.1%}, allowed {sign}{max_regression:.0%})"
         )
         marker = "  << REGRESSION"
-    print(f"  {label:32s} {baseline:>12,.0f} -> {fresh:>12,.0f} "
+    print(f"  {label:32s} {baseline:>12{fmt}} -> {fresh:>12{fmt}} "
           f"({change:+7.1%}){marker}")
 
 
@@ -78,6 +89,12 @@ def check_fleet(baseline: dict, fresh: dict, max_regression: float,
     for size in shared:
         check_ratio(f"fleet[{size}]", float(base_sws[size]),
                     float(fresh_sws[size]), max_regression, failures)
+
+    # Cold tail-surrogate fit, in process seconds: the queueing DES.
+    if "surrogate_fit_s" in baseline and "surrogate_fit_s" in fresh:
+        check_ratio("surrogate_fit_s", float(baseline["surrogate_fit_s"]),
+                    float(fresh["surrogate_fit_s"]), max_regression,
+                    failures, lower_is_better=True, fmt=".2f")
 
     # The 10k -> 100k falloff: the jump past cache residency.  >1 means
     # throughput fell with the larger working set.

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.workloads.profiles import QoSSpec
+from repro.workloads.profiles import TRACKED_PERCENTILES, QoSSpec
 
 __all__ = ["MMPPConfig", "LatencyStats", "ServiceSimulator"]
 
@@ -87,26 +87,53 @@ class LatencyStats:
         if queue_depths is not None and queue_depths.size:
             mean_depth = float(queue_depths.mean())
             p95_depth = float(np.percentile(queue_depths, 95))
+        # One call selects the same order statistics and interpolates them
+        # exactly as three single-percentile calls would.
+        p50, p95, p99 = np.percentile(latencies, TRACKED_PERCENTILES).tolist()
         return cls(
             n_requests=int(latencies.size),
             mean=float(latencies.mean()),
-            p50=float(np.percentile(latencies, 50)),
-            p95=float(np.percentile(latencies, 95)),
-            p99=float(np.percentile(latencies, 99)),
+            p50=p50,
+            p95=p95,
+            p99=p99,
             max=float(latencies.max()),
             mean_queue_depth=mean_depth,
             p95_queue_depth=p95_depth,
         )
 
     def percentile(self, q: float) -> float:
-        """Latency at a QoS percentile (50, 95 or 99 are precomputed)."""
-        if q == 50.0:
-            return self.p50
-        if q == 95.0:
-            return self.p95
-        if q == 99.0:
-            return self.p99
-        raise ValueError(f"percentile {q} not tracked; use 50, 95 or 99")
+        """Latency at one of the :data:`TRACKED_PERCENTILES` (50, 95, 99)."""
+        if q not in TRACKED_PERCENTILES:
+            raise ValueError(
+                f"percentile {q} not tracked; use one of {TRACKED_PERCENTILES}"
+            )
+        return (self.p50, self.p95, self.p99)[TRACKED_PERCENTILES.index(q)]
+
+
+def _queue_depths(arrivals: np.ndarray, done: np.ndarray) -> np.ndarray:
+    """Requests still in the system when each request arrives.
+
+    Request ``i`` finds ``#{j < i : done[j] > arrivals[i]}`` requests
+    ahead of it.  Arrivals are sorted and no request finishes before it
+    arrives, so a ``searchsorted`` over all completions counts the earlier
+    requests done by ``arrivals[i]`` plus any request ``j >= i`` that
+    finishes exactly at ``arrivals[i]``.  Such a request arrived at that
+    same instant and had a service time under half an ulp of its start.
+    The depth is ``i`` minus the count, plus those instant finishes,
+    counted as a suffix sum within each run of tied arrivals (normally
+    there are none).
+    """
+    n = arrivals.size
+    depths = np.arange(n) - np.searchsorted(np.sort(done), arrivals, side="right")
+    instant = done == arrivals
+    if instant.any():
+        # suffix[k] = #{j >= k : instant[j]}; a tie run ends where the
+        # next larger arrival begins.
+        suffix = np.zeros(n + 1, dtype=np.int64)
+        suffix[:n] = np.cumsum(instant[::-1])[::-1]
+        run_end = np.searchsorted(arrivals, arrivals, side="right")
+        depths += suffix[:n] - suffix[run_end]
+    return depths.astype(np.float64)
 
 
 class ServiceSimulator:
@@ -168,6 +195,13 @@ class ServiceSimulator:
         ``seed_offset`` selects an independent replication; the default keeps
         common random numbers across configurations, making comparisons
         paired (the binary searches in the slack analysis rely on this).
+
+        Requests are served first come, first served by the earliest-free
+        worker: one pass over Python floats with one ``heapreplace`` on the
+        worker heap per request.  Queue depths are counted afterwards from
+        the completion times (:func:`_queue_depths`).  This is the only
+        entry point into the DES: peak-load bisection, surrogate fits,
+        colocated servers and the exact fleet path all call it.
         """
         if arrival_rate_per_ms <= 0:
             raise ValueError("arrival rate must be positive")
@@ -177,23 +211,19 @@ class ServiceSimulator:
         arrivals = self._sample_arrivals(arrival_rate_per_ms, n_requests, rng)
         services = self._sample_services(perf_factor, n_requests, rng)
 
-        workers = [0.0] * self.n_workers
-        heapq.heapify(workers)
-        in_system: list[float] = []  # completion times of admitted requests
-        latencies = np.empty(n_requests)
-        depths = np.empty(n_requests)
-        for i in range(n_requests):
-            arrival = arrivals[i]
-            while in_system and in_system[0] <= arrival:
-                heapq.heappop(in_system)
-            depths[i] = len(in_system)
-            free_at = heapq.heappop(workers)
-            start = free_at if free_at > arrival else arrival
-            done = start + services[i]
-            heapq.heappush(workers, done)
-            heapq.heappush(in_system, done)
-            latencies[i] = done - arrival
-        return LatencyStats.from_latencies(latencies, depths)
+        workers = [0.0] * self.n_workers  # free-at times, a min-heap
+        finishes: list[float] = []
+        record = finishes.append
+        replace = heapq.heapreplace
+        for arrival, service in zip(arrivals.tolist(), services.tolist()):
+            free_at = workers[0]
+            finish = (free_at if free_at > arrival else arrival) + service
+            replace(workers, finish)
+            record(finish)
+        done = np.array(finishes)
+        return LatencyStats.from_latencies(
+            done - arrivals, _queue_depths(arrivals, done)
+        )
 
     # ------------------------------------------------------------------
 

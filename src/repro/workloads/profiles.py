@@ -28,6 +28,10 @@ from dataclasses import dataclass
 
 __all__ = ["WorkloadKind", "QoSSpec", "WorkloadProfile"]
 
+#: Latency percentiles the queueing DES reports (``LatencyStats.p50`` /
+#: ``p95`` / ``p99``), and so the only ones a QoS contract may target.
+TRACKED_PERCENTILES = (50.0, 95.0, 99.0)
+
 
 class WorkloadKind(enum.Enum):
     LATENCY_SENSITIVE = "latency-sensitive"
@@ -43,8 +47,9 @@ class QoSSpec:
     target_ms:
         Tail-latency target in milliseconds.
     percentile:
-        The percentile the target applies to (e.g. 99.0); Media Streaming
-        uses a delivery timeout, which we model as a high-percentile bound.
+        The percentile the target applies to, one of
+        :data:`TRACKED_PERCENTILES`; Media Streaming uses a delivery
+        timeout, which we model as a high-percentile bound.
     base_service_ms:
         Mean per-request service time on an uncontended full core.
     service_cv:
@@ -59,8 +64,11 @@ class QoSSpec:
     def __post_init__(self) -> None:
         if self.target_ms <= 0 or self.base_service_ms <= 0:
             raise ValueError("latency values must be positive")
-        if not 50.0 <= self.percentile <= 100.0:
-            raise ValueError(f"percentile must be in [50, 100], got {self.percentile}")
+        if self.percentile not in TRACKED_PERCENTILES:
+            raise ValueError(
+                f"percentile must be one of {TRACKED_PERCENTILES}, "
+                f"got {self.percentile}"
+            )
         if self.base_service_ms >= self.target_ms:
             raise ValueError("service time must be below the latency target")
 

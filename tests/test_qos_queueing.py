@@ -1,9 +1,23 @@
-"""Tests for the discrete-event queueing simulator."""
+"""Tests for the discrete-event queueing simulator.
+
+``ServiceSimulator.run`` is checked bit for bit against
+:func:`two_heap_loop`, the original per-request loop that kept a second
+heap of completion times to count queue depths.
+"""
+
+import dataclasses
+import heapq
 
 import numpy as np
 import pytest
 
-from repro.qos.queueing import LatencyStats, MMPPConfig, ServiceSimulator
+from repro.qos.queueing import (
+    LatencyStats,
+    MMPPConfig,
+    ServiceSimulator,
+    _queue_depths,
+)
+from repro.workloads.cloudsuite import CLOUDSUITE
 from repro.workloads.profiles import QoSSpec
 
 QOS = QoSSpec(target_ms=100.0, percentile=99.0, base_service_ms=8.0, service_cv=1.0)
@@ -11,6 +25,87 @@ QOS = QoSSpec(target_ms=100.0, percentile=99.0, base_service_ms=8.0, service_cv=
 
 def make_service(**kwargs) -> ServiceSimulator:
     return ServiceSimulator(QOS, n_workers=8, seed=1, **kwargs)
+
+
+def two_heap_loop(arrivals, services, n_workers):
+    """Reference DES: the original loop, kept as ``run``'s test-only oracle.
+
+    Reads numpy scalars, pops and pushes a worker heap and an
+    ``in_system`` heap of completion times per request, and counts the
+    queue depth as the ``in_system`` size once every request done by the
+    arrival has been popped.  Returns ``(done, latencies, depths)``.
+    """
+    n = len(arrivals)
+    workers = [0.0] * n_workers
+    heapq.heapify(workers)
+    in_system = []
+    done = np.empty(n)
+    latencies = np.empty(n)
+    depths = np.empty(n)
+    for i in range(n):
+        arrival = arrivals[i]
+        while in_system and in_system[0] <= arrival:
+            heapq.heappop(in_system)
+        depths[i] = len(in_system)
+        free_at = heapq.heappop(workers)
+        start = free_at if free_at > arrival else arrival
+        finish = start + services[i]
+        heapq.heappush(workers, finish)
+        heapq.heappush(in_system, finish)
+        done[i] = finish
+        latencies[i] = finish - arrival
+    return done, latencies, depths
+
+
+def two_heap_stats(arrivals, services, n_workers) -> LatencyStats:
+    """Oracle statistics: one single-percentile call per field."""
+    _, latencies, depths = two_heap_loop(arrivals, services, n_workers)
+    if latencies.size == 0:
+        raise ValueError("no latencies recorded")
+    return LatencyStats(
+        n_requests=int(latencies.size),
+        mean=float(latencies.mean()),
+        p50=float(np.percentile(latencies, 50)),
+        p95=float(np.percentile(latencies, 95)),
+        p99=float(np.percentile(latencies, 99)),
+        max=float(latencies.max()),
+        mean_queue_depth=float(depths.mean()),
+        p95_queue_depth=float(np.percentile(depths, 95)),
+    )
+
+
+def two_heap_run(sim, rate, perf_factor=1.0, n_requests=20000, seed_offset=0):
+    """``sim.run`` through the oracle loop, on the same random draws."""
+    rng = np.random.default_rng((sim.seed * 1_000_003 + seed_offset) & 0x7FFFFFFF)
+    arrivals = sim._sample_arrivals(rate, n_requests, rng)
+    services = sim._sample_services(perf_factor, n_requests, rng)
+    return two_heap_stats(arrivals, services, sim.n_workers)
+
+
+def two_heap_peak_load(sim, n_requests):
+    """``ServiceSimulator.peak_load``'s bisection over oracle runs."""
+    capacity = sim.n_workers / sim.qos.base_service_ms
+    lo, hi = capacity * 0.02, capacity * 0.999
+    assert sim.meets_qos(two_heap_run(sim, lo, n_requests=n_requests))
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if sim.meets_qos(two_heap_run(sim, mid, n_requests=n_requests)):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def stats_bits(stats: LatencyStats) -> bytes:
+    """Every field of ``stats`` as raw float64 bytes (n_requests is exact)."""
+    return np.array(dataclasses.astuple(stats), dtype=np.float64).tobytes()
+
+
+def with_draws(sim, arrivals, services) -> ServiceSimulator:
+    """``sim`` whose ``run`` serves the given arrays instead of sampling."""
+    sim._sample_arrivals = lambda rate, n, rng: arrivals
+    sim._sample_services = lambda perf, n, rng: services
+    return sim
 
 
 class TestMMPPConfig:
@@ -122,3 +217,72 @@ class TestPeakLoad:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             ServiceSimulator(QOS, n_workers=0)
+
+
+class TestTwoHeapOracle:
+    """``run`` against the original two-heap loop, byte for byte."""
+
+    @pytest.mark.parametrize("service", sorted(CLOUDSUITE))
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 8, 16])
+    def test_seeded_matrix(self, service, n_workers):
+        qos = CLOUDSUITE[service].qos
+        sim = ServiceSimulator(qos, n_workers=n_workers, seed=11 + n_workers)
+        capacity = n_workers / qos.base_service_ms
+        sizes = sorted({1, 2, n_workers - 1, n_workers, n_workers + 1, 2000})
+        for n_requests in sizes:
+            for load in (0.01, 0.3, 0.7, 0.95, 1.3):
+                for perf in (1.0, 0.63):
+                    for seed_offset in (0, 1, 7):
+                        args = (capacity * load, perf, n_requests, seed_offset)
+                        if n_requests == 0:
+                            with pytest.raises(ValueError):
+                                sim.run(*args)
+                            with pytest.raises(ValueError):
+                                two_heap_run(sim, *args)
+                            continue
+                        got = sim.run(*args)
+                        want = two_heap_run(sim, *args)
+                        assert stats_bits(got) == stats_bits(want), args
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_peak_load_bisection(self, seed):
+        sim = ServiceSimulator(QOS, n_workers=8, seed=seed)
+        want = two_heap_peak_load(sim, 6000)
+        assert np.float64(sim.peak_load(6000)).tobytes() == (
+            np.float64(want).tobytes()
+        )
+
+    def test_depths_with_ties_and_instant_finishes(self):
+        """Tied arrivals and services under half an ulp of their start.
+
+        ``1e-12`` ms added to ``1e6`` ms rounds back to ``1e6``, so those
+        requests finish at their own arrival.  The bare ``searchsorted``
+        count takes them as already gone for every earlier-indexed request
+        with the same arrival; ``_queue_depths`` must add them back.
+        """
+        rng = np.random.default_rng(2024)
+        instant_cases = 0
+        for _ in range(500):
+            n = int(rng.integers(1, 40))
+            arrivals = np.sort(rng.choice([1e6, 1e6 + 1.0, 2e6], size=n))
+            services = rng.choice([1e-12, 0.5, 2.0], size=n, p=[0.6, 0.2, 0.2])
+            n_workers = int(rng.integers(1, 5))
+            done, _, depths = two_heap_loop(arrivals, services, n_workers)
+            instant_cases += bool((done == arrivals).any())
+            got = _queue_depths(arrivals, done)
+            assert got.dtype == np.float64
+            assert got.tobytes() == depths.tobytes(), (arrivals, services)
+            sim = with_draws(
+                ServiceSimulator(QOS, n_workers=n_workers), arrivals, services
+            )
+            assert stats_bits(sim.run(1.0, n_requests=n)) == stats_bits(
+                two_heap_stats(arrivals, services, n_workers)
+            )
+        assert instant_cases > 400
+
+    def test_all_requests_finish_on_arrival(self):
+        arrivals = np.full(6, 1e6)
+        services = np.full(6, 1e-12)
+        done, _, depths = two_heap_loop(arrivals, services, 2)
+        assert (done == arrivals).all() and not depths.any()
+        assert not _queue_depths(arrivals, done).any()

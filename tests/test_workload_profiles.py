@@ -5,7 +5,13 @@ from dataclasses import replace
 import pytest
 
 from repro.workloads.cloudsuite import CLOUDSUITE, cloudsuite_profile
-from repro.workloads.profiles import QoSSpec, WorkloadKind, WorkloadProfile
+from repro.qos.queueing import ServiceSimulator
+from repro.workloads.profiles import (
+    TRACKED_PERCENTILES,
+    QoSSpec,
+    WorkloadKind,
+    WorkloadProfile,
+)
 from repro.workloads.registry import all_profiles, get_profile
 from repro.workloads.spec2006 import SPEC2006, SPEC2006_NAMES, spec_profile
 
@@ -27,6 +33,18 @@ class TestQoSSpec:
     def test_percentile_bounds(self):
         with pytest.raises(ValueError):
             QoSSpec(target_ms=10, percentile=40, base_service_ms=1)
+
+    @pytest.mark.parametrize("percentile", [99.9, 90.0, 100.0])
+    def test_percentile_must_be_tracked(self, percentile):
+        """A contract the DES cannot report fails when it is written,
+        not inside a later peak-load bisection."""
+        with pytest.raises(ValueError, match="percentile"):
+            QoSSpec(target_ms=100, percentile=percentile, base_service_ms=8)
+
+    @pytest.mark.parametrize("percentile", TRACKED_PERCENTILES)
+    def test_tracked_percentiles_reach_peak_load(self, percentile):
+        qos = QoSSpec(target_ms=100, percentile=percentile, base_service_ms=8)
+        assert ServiceSimulator(qos, seed=1).peak_load(n_requests=500) > 0
 
     def test_positive_latencies(self):
         with pytest.raises(ValueError):
