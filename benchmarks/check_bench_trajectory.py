@@ -14,11 +14,18 @@ baselines under ``benchmarks/results/``:
   costs — ROADMAP's memory-bandwidth trail) is recorded for both
   payloads and printed; it is informational, since the per-size gates
   already bound each end of the ratio.
-* ``BENCH_core.json`` — per-scenario ``fast_cps`` from the core engine
-  benchmark, same rule; plus the surrogate-tier sweep entry, gated on an
-  absolute floor (``min_warm_speedup``, committed inside the payload):
-  the warm fit-cached evaluation must stay at least that many times
-  faster than the quick-exact DES sweep.
+* ``BENCH_core.json`` — per-scenario fast/legacy ``speedup`` from the
+  core engine benchmark, same rule (both engines are timed in the same
+  run, so the ratio does not follow the host's speed); plus the
+  surrogate-tier sweep entry, gated on an absolute floor
+  (``min_warm_speedup``, committed inside the payload): the warm
+  fit-cached evaluation must stay at least that many times faster than
+  the quick-exact sweep.  Per-scenario ``fast_cps`` and
+  ``surrogate.exact_s`` (the wall time of the quick-exact sweep through
+  ``solo_uipc_many``/``pair_uipc_many``: trace generation, checkpoint
+  warming and ``FastCore``) are printed for information, absolute and
+  scaled by the reference kernel timed next to them (``ref_kernel_s``),
+  but not gated: both follow the host's speed.
 
 Usage (the CI flow: stash the committed results, rerun the benchmark —
 which rewrites the payloads in place — then compare)::
@@ -28,6 +35,9 @@ which rewrites the payloads in place — then compare)::
         pytest benchmarks/test_fleet_scaling.py -x -q -s -o addopts=
     python benchmarks/check_bench_trajectory.py \
         --baseline-fleet /tmp/baseline_fleet.json
+
+and likewise ``benchmarks/test_core_scaling.py`` with
+``--baseline-core`` for ``BENCH_core.json``.
 
 Absolute wall times are machine-dependent; the guard therefore compares
 each fresh number against the committed baseline *ratio-wise* and is
@@ -124,6 +134,30 @@ def check_fleet(baseline: dict, fresh: dict, max_regression: float,
                 )
 
 
+def report_timing(label: str, baseline: dict, fresh: dict, field: str, *,
+                  rate: bool) -> None:
+    """Print the change of ``field``: absolute and, where both entries
+    carry ``ref_kernel_s``, in units of the reference kernel timed next
+    to it (a rate times the kernel, a duration over it).
+
+    Information only.  On a shared host the kernel-scaled figures of
+    unchanged code still spread by more than the margin from run to run
+    (DESIGN.md §11), so neither form is gated.
+    """
+    base, new = float(baseline[field]), float(fresh[field])
+    if base <= 0:
+        return
+    fmt = ",.0f" if rate else ".2f"
+    line = (f"  {label:32s} {base:>12{fmt}} -> {new:>12{fmt}} "
+            f"({new / base - 1.0:+7.1%})")
+    base_kernel = float(baseline.get("ref_kernel_s") or 0.0)
+    new_kernel = float(fresh.get("ref_kernel_s") or 0.0)
+    if base_kernel > 0 and new_kernel > 0:
+        scale = new_kernel / base_kernel if rate else base_kernel / new_kernel
+        line += f", kernel-scaled {new / base * scale - 1.0:+7.1%}"
+    print(line)
+
+
 def check_core(baseline: dict, fresh: dict, max_regression: float,
                failures: list[str]) -> None:
     base_scenarios = baseline.get("scenarios", {})
@@ -132,12 +166,27 @@ def check_core(baseline: dict, fresh: dict, max_regression: float,
     if not shared:
         failures.append("core: no scenarios shared with the baseline")
         return
-    print(f"core fast_cps ({len(shared)} shared scenarios):")
+    # FastCore's throughput as its speedup over the legacy engine timed in
+    # the same run: a ratio that does not follow the host's speed.
+    print(f"core fast/legacy speedup ({len(shared)} shared scenarios):")
     for name in shared:
         check_ratio(f"core[{name}]",
-                    float(base_scenarios[name]["fast_cps"]),
-                    float(fresh_scenarios[name]["fast_cps"]),
-                    max_regression, failures)
+                    float(base_scenarios[name]["speedup"]),
+                    float(fresh_scenarios[name]["speedup"]),
+                    max_regression, failures, fmt=".2f")
+
+    # Wall-clock figures follow the host: printed, not gated.
+    print("core wall-clock figures (information only):")
+    for name in shared:
+        report_timing(f"core[{name}].fast_cps", base_scenarios[name],
+                      fresh_scenarios[name], "fast_cps", rate=True)
+
+    # The quick-exact sweep: sample set-up plus FastCore.
+    base_sweep = baseline.get("surrogate") or {}
+    fresh_sweep = fresh.get("surrogate") or {}
+    if "exact_s" in base_sweep and "exact_s" in fresh_sweep:
+        report_timing("surrogate.exact_s", base_sweep, fresh_sweep, "exact_s",
+                      rate=False)
 
     # Surrogate-tier sweep: the warm (fit-cached) evaluation must keep its
     # wall-clock advantage over the quick-exact DES sweep.  The floor is

@@ -11,6 +11,13 @@ compares each scenario's measured speedup (fast/legacy — a machine-relative
 ratio, so it transfers across hosts where absolute cycles/sec do not)
 against the committed value and fails on a >25 % regression.  Refresh the
 baseline by committing the regenerated file after an intentional change.
+
+Each scenario and the quick-exact sweep also record ``ref_kernel_s``: the
+median time of a fixed pure-Python loop, timed between that figure's own
+repeats.  ``benchmarks/check_bench_trajectory.py --baseline-core`` prints
+the wall-clock figures scaled by it next to the absolute ones; neither is
+gated, since on a shared host even the scaled figures of unchanged code
+move by more than the 25 % margin between runs.
 """
 
 from __future__ import annotations
@@ -67,6 +74,19 @@ SURROGATE_SOLO_WORKLOADS = ("web_search", "zeusmp")
 SURROGATE_PAIR = ("web_search", "zeusmp")
 MIN_SURROGATE_WARM_SPEEDUP = 5.0
 
+#: Reference-kernel runs per host-speed probe.
+KERNEL_PROBES = 4
+
+
+def _reference_kernel() -> float:
+    """Seconds a fixed pure-Python loop takes now: the host-speed probe
+    (the loop ``perfbench`` calibrates with)."""
+    start = time.perf_counter()
+    total = 0
+    for i in range(30000):
+        total += i * i
+    return time.perf_counter() - start
+
 
 def _traces(names):
     profiles = all_profiles()
@@ -79,14 +99,21 @@ def _traces(names):
     )
 
 
+def _probe(kernel_s: list[float]) -> None:
+    kernel_s.extend(_reference_kernel() for _ in range(KERNEL_PROBES))
+
+
 def _bench_scenario(names):
-    """Interleaved legacy/fast timing; returns (legacy_cps, fast_cps)."""
+    """Interleaved legacy/fast timing; returns (legacy_cps, fast_cps,
+    median reference-kernel seconds between the repeats)."""
     traces = _traces(names)
     config = CoreConfig() if len(names) > 1 else CoreConfig().single_thread(96)
     require_all = len(names) > 1
     timings = {SMTCore: [], FastCore: []}
     results = {}
+    kernel_s: list[float] = []
     for _ in range(REPEATS):
+        _probe(kernel_s)
         for cls in (SMTCore, FastCore):
             core = cls(config, traces)
             gc.collect()
@@ -104,9 +131,11 @@ def _bench_scenario(names):
         f"{'+'.join(names)}: engines diverged — FastCore must be "
         "bit-identical to SMTCore"
     )
+    _probe(kernel_s)
     return (
         statistics.median(timings[SMTCore]),
         statistics.median(timings[FastCore]),
+        statistics.median(kernel_s),
     )
 
 
@@ -134,7 +163,10 @@ def _sweep_surrogate_tier(tmp_path, monkeypatch) -> dict:
         sweep(fid)
         return time.perf_counter() - start
 
+    kernel_s: list[float] = []
+    _probe(kernel_s)
     exact_s = timed("exact", Fidelity.quick(42))
+    _probe(kernel_s)
     cold_s = timed("surrogate", Fidelity.surrogate(42))
     start = time.perf_counter()  # same store: fits are warm now
     sweep(Fidelity.surrogate(42))
@@ -146,6 +178,7 @@ def _sweep_surrogate_tier(tmp_path, monkeypatch) -> dict:
         "grid_points": len(solo_configs) * len(SURROGATE_SOLO_WORKLOADS)
         + len(pair_configs),
         "exact_s": round(exact_s, 3),
+        "ref_kernel_s": round(statistics.median(kernel_s), 7),
         "cold_s": round(cold_s, 3),
         "warm_s": round(warm_s, 4),
         "warm_speedup": round(exact_s / warm_s, 1),
@@ -170,13 +203,14 @@ def test_core_scaling(save_result, tmp_path, monkeypatch):
         scenarios = {}
         regressions = []
         for name, workloads in SCENARIOS:
-            legacy_cps, fast_cps = _bench_scenario(workloads)
+            legacy_cps, fast_cps, kernel_s = _bench_scenario(workloads)
             speedup = fast_cps / legacy_cps
             scenarios[name] = {
                 "workloads": list(workloads),
                 "legacy_cps": round(legacy_cps),
                 "fast_cps": round(fast_cps),
                 "speedup": round(speedup, 2),
+                "ref_kernel_s": round(kernel_s, 7),
             }
             prior = baseline.get(name, {}).get("speedup")
             if prior and speedup < prior * (1.0 - REGRESSION_TOLERANCE):

@@ -59,14 +59,23 @@ class SetAssociativeCache:
         return True
 
     def fill(self, block: int) -> None:
-        """Install ``block`` without counting an access (prefetch fills)."""
+        """Install ``block`` without counting an access (prefetch fills).
+
+        The block moves to (or is appended at) its set's MRU end, then the
+        set's LRU entry is evicted if the set overflowed.
+        """
         entries = self._sets[block & self._set_mask]
-        try:
+        if block in entries:
             entries.remove(block)
-        except ValueError:
-            if len(entries) >= self.ways:
-                del entries[0]
         entries.append(block)
+        if len(entries) > self.ways:
+            del entries[0]
+
+    def fill_many(self, blocks) -> None:
+        """:meth:`fill` each of ``blocks``, in order (checkpoint warming)."""
+        fill = self.fill
+        for block in blocks:
+            fill(block)
 
     def probe(self, block: int) -> bool:
         """Check residency without perturbing LRU state or statistics."""

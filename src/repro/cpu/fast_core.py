@@ -125,10 +125,6 @@ class FastCore(SMTCore):
         #: event-horizon property tests; ``None`` (default) costs one
         #: ``is None`` test per jump.
         self.jump_log: list[tuple[int, int, tuple[int, ...]]] | None = None
-        # Fetch-block pre-decode: ``pc >> 6`` is a pure function of the
-        # (immutable) trace and is compared on every dispatched µop, so it
-        # is computed once, vectorized — lazily, at the first simulate call.
-        self._fbs: list[list[int]] | None = None
 
     # ------------------------------------------------------------------
     # Event horizon
@@ -170,9 +166,6 @@ class FastCore(SMTCore):
             return SMTCore._simulate_until(
                 self, target_committed, max_cycles, require_all
             )
-        if self._fbs is None:
-            self._fbs = [(tr.pc >> 6).tolist() for tr in self.traces]
-
         threads = self._threads
         n = self.n_threads
         n2 = n == 2
@@ -311,9 +304,10 @@ class FastCore(SMTCore):
         targets0 = cur0.target
         sids0 = cur0.sid
         len0 = cur0.length
+        lim0 = cur0.decoded
         i0 = cur0.index
         cons0 = cur0.consumed
-        fbs0 = self._fbs[0]
+        fbs0 = cur0.fb
         q0 = ts0.rob_q
         pop0 = q0.popleft
         app0 = q0.append
@@ -371,9 +365,10 @@ class FastCore(SMTCore):
             targets1 = cur1.target
             sids1 = cur1.sid
             len1 = cur1.length
+            lim1 = cur1.decoded
             i1 = cur1.index
             cons1 = cur1.consumed
-            fbs1 = self._fbs[1]
+            fbs1 = cur1.fb
             q1 = ts1.rob_q
             pop1 = q1.popleft
             app1 = q1.append
@@ -1020,7 +1015,14 @@ class FastCore(SMTCore):
                             (0, seq, op, pcs0[i], cycle, ready, completion)
                         )
                     i += 1
-                    i0 = 0 if i == len0 else i
+                    if i == lim0:
+                        # Decoded end: wrap at the trace end, else decode
+                        # the next chunk (the lists grow in place).
+                        if i == len0:
+                            i = 0
+                        else:
+                            lim0 = cur0.refill()
+                    i0 = i
                     cons0 += 1
                     dbudget -= 1
                     dispatched_this += 1
@@ -1347,7 +1349,12 @@ class FastCore(SMTCore):
                             (1, seq, op, pcs1[i], cycle, ready, completion)
                         )
                     i += 1
-                    i1 = 0 if i == len1 else i
+                    if i == lim1:
+                        if i == len1:
+                            i = 0
+                        else:
+                            lim1 = cur1.refill()
+                    i1 = i
                     cons1 += 1
                     dbudget -= 1
                     dispatched_this += 1

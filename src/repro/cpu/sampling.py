@@ -16,7 +16,10 @@ which makes config-to-config comparisons paired and low-variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextvars
+from collections import OrderedDict
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +28,9 @@ from repro.cpu.fast_core import make_core
 from repro.cpu.isa import OpClass
 from repro.cpu.metrics import SimulationResult
 from repro.cpu.smt_core import SMTCore
-from repro.cpu.trace import Trace
+from repro.cpu.trace import _COLUMNS, Trace
+from repro.cpu.uncore import MemoryHierarchy
+from repro.obs.metrics import get_registry
 from repro.obs.sampler import attach_core_observers
 from repro.util.rng import derive_seed
 from repro.workloads.generator import MemoryMap, TraceGenerator
@@ -33,6 +38,7 @@ from repro.workloads.profiles import WorkloadProfile
 
 __all__ = [
     "SamplingConfig",
+    "shared_sampling_points",
     "sample_solo",
     "sample_colocation",
     "mean_uipc",
@@ -73,14 +79,14 @@ class SamplingConfig:
 
     @property
     def trace_length(self) -> int:
-        """Trace length per sample.
+        """Trace length per sample: ``6.9 x (warmup + measure) + 1024``.
 
         Warmup and measurement both run until *every* thread reaches the
         target, so a faster co-runner consumes a multiple of the nominal
-        instruction counts; the 6x headroom keeps replay from wrapping for
-        thread-speed ratios up to ~6 (beyond that, a wrap revisits lines the
-        checkpoint warming already installed, mildly flattering the fast
-        thread).
+        instruction counts; the 6.9x headroom keeps replay from wrapping
+        for thread-speed ratios up to ~6.9 (beyond that, a wrap revisits
+        lines the checkpoint warming already installed, mildly flattering
+        the fast thread).
         """
         return int(6.9 * (self.warmup_instructions + self.measure_instructions)) + 1024
 
@@ -89,42 +95,131 @@ class SamplingConfig:
         return self.measure_instructions * self.max_cycles_per_instruction
 
 
-def _trace_for(
+# ----------------------------------------------------------------------
+# Sampling points, shared within a sweep
+# ----------------------------------------------------------------------
+#
+# A sampling point is one (profile, seed, sample, trace length): its trace,
+# memory map and checkpoint-warming plans depend on nothing else, so every
+# configuration of a sweep can run on the same objects.  Inside
+# ``shared_sampling_points()`` they are built once and reused; outside, each
+# sample builds its own.  The scope is a context variable (threads never
+# share one) and an LRU of SCOPE_POINTS points, dropped on exit — a
+# process-global cache would keep set-up traces alive for a whole fleet day.
+
+#: Points one sweep scope keeps: the working set of one pair job at the
+#: full tier's four samples.  The serial engine runs the jobs over the same
+#: workloads back to back, so a pair's points stay for all its configurations.
+SCOPE_POINTS = 8
+
+_scope: contextvars.ContextVar[OrderedDict | None] = contextvars.ContextVar(
+    "repro_sampling_points", default=None
+)
+
+
+@contextmanager
+def shared_sampling_points():
+    """Share sampling points between the simulations run inside the block.
+
+    Reentrant: a nested scope uses the outer one's points.  Results are
+    bit-identical with or without a scope; only the set-up work differs,
+    counted by the ``sampling.points_built`` / ``sampling.points_reused``
+    metrics.
+    """
+    if _scope.get() is not None:
+        yield
+        return
+    points: OrderedDict = OrderedDict()
+    token = _scope.set(points)
+    try:
+        yield
+    finally:
+        _scope.reset(token)
+        points.clear()
+
+
+@dataclass(frozen=True)
+class _WarmPlan:
+    """What checkpoint warming installs for one point, thread and LLC.
+
+    Block lists are LLC block addresses (thread tag included), in install
+    order; ``branches`` holds ``(pc, bias_taken, target)`` per static branch.
+    """
+
+    code: list[int]
+    branches: list[tuple[int, bool, int]]
+    hot: list[int]
+    cold: list[int]
+
+
+@dataclass(eq=False)
+class _SamplingPoint:
+    trace: Trace
+    memmap: MemoryMap
+    #: (thread, line bytes, LLC bytes) -> _WarmPlan
+    plans: dict[tuple[int, int, int], _WarmPlan] = field(default_factory=dict)
+
+
+def _sampling_point(
     profile: WorkloadProfile, sampling: SamplingConfig, sample: int
-) -> tuple[Trace, MemoryMap]:
+) -> _SamplingPoint:
+    points = _scope.get()
+    key = (profile, sampling.seed, sample, sampling.trace_length)
+    if points is not None:
+        point = points.get(key)
+        if point is not None:
+            points.move_to_end(key)
+            get_registry().counter("sampling.points_reused").inc()
+            return point
     seed = derive_seed(sampling.seed, profile.name, "sample", sample)
     generator = TraceGenerator(profile, seed=seed)
-    return generator.generate(sampling.trace_length), generator.memory_map
+    trace = generator.generate(sampling.trace_length)
+    for column in _COLUMNS:
+        getattr(trace, column).flags.writeable = False
+    point = _SamplingPoint(trace, generator.memory_map)
+    get_registry().counter("sampling.points_built").inc()
+    if points is not None:
+        points[key] = point
+        if len(points) > SCOPE_POINTS:
+            points.popitem(last=False)
+    return point
 
 
-def _checkpoint_warm(
-    core: SMTCore,
+def _warm_plan(
+    point: _SamplingPoint,
+    hierarchy: MemoryHierarchy,
     thread: int,
-    trace: Trace,
-    memmap: MemoryMap,
     sampling: SamplingConfig,
     sample: int,
-) -> None:
-    """Install steady-state-resident lines of ``trace`` into the LLC.
+) -> _WarmPlan:
+    """The point's warm plan for ``thread`` under this hierarchy's LLC.
 
     Hot-region and code lines are always resident (tiny working sets).  Each
-    unique cold-region line is installed with the steady-state residency
+    unique cold-region line is resident with the steady-state residency
     probability of an LRU-managed partition: the fraction of the cold region
     that fits in the LLC space left after hot data and code.  Streaming lines
     are never resident (no reuse).
     """
-    hierarchy = core.hierarchy
-    llc_bytes = hierarchy.llc[thread].num_sets * hierarchy.llc[thread].ways * 64
+    llc = hierarchy.llc[thread]
+    llc_bytes = llc.num_sets * llc.ways * llc.line_bytes
     if len(hierarchy.llc) > 1 and hierarchy.llc[0] is hierarchy.llc[1]:
         # Shared LLC: each thread can count on roughly half the capacity.
         llc_bytes //= 2
+    key = (thread, hierarchy.line_bytes, llc_bytes)
+    plan = point.plans.get(key)
+    if plan is not None:
+        return plan
+    trace = point.trace
+    memmap = point.memmap
 
-    code_blocks = np.unique(trace.pc >> 6)
-    for block in code_blocks.tolist():
-        hierarchy.install_code(thread, int(block) << 6)
+    def blocks(lines: np.ndarray) -> list[int]:
+        # 64-byte line numbers -> the thread's LLC block addresses.
+        return hierarchy.blocks(thread, lines << 6)
 
-    # Warm the branch predictor: saturate each static branch's bimodal
-    # counter toward its dominant direction and install its BTB target.
+    code_lines = np.unique(trace.pc >> 6)
+
+    # Saturate each static branch's bimodal counter toward its dominant
+    # direction and install its last-seen taken target.
     is_branch = trace.op == OpClass.BRANCH
     br_pc = trace.pc[is_branch]
     br_taken = trace.taken[is_branch]
@@ -134,13 +229,11 @@ def _checkpoint_warm(
     counts = np.bincount(inverse)
     last_index = np.zeros(len(unique_pc), dtype=np.int64)
     last_index[inverse] = np.arange(len(br_pc))
-    for k in range(len(unique_pc)):
-        core.predictor.install(
-            thread,
-            int(unique_pc[k]),
-            bool(taken_votes[k] * 2 > counts[k]),
-            int(br_target[last_index[k]]),
-        )
+    branches = list(zip(
+        unique_pc.tolist(),
+        (taken_votes * 2 > counts).tolist(),
+        br_target[last_index].tolist(),
+    ))
 
     is_mem = (trace.op == OpClass.LOAD) | (trace.op == OpClass.STORE)
     addrs = trace.addr[is_mem]
@@ -148,20 +241,39 @@ def _checkpoint_warm(
     cold = np.unique(
         addrs[(addrs >= memmap.cold_start) & (addrs < memmap.cold_end)] >> 6
     )
-    for block in hot.tolist():
-        hierarchy.install_data(thread, int(block) << 6)
-
     hot_bytes = memmap.hot_end - memmap.hot_start
-    code_bytes = len(code_blocks) * 64
+    code_bytes = len(code_lines) * 64
     cold_region_bytes = max(memmap.cold_end - memmap.cold_start, 64)
     residency = min(1.0, max(llc_bytes - hot_bytes - code_bytes, 0) / cold_region_bytes)
+    resident = cold[:0]
     if residency > 0.0 and len(cold):
         rng = np.random.default_rng(
             derive_seed(sampling.seed, trace.name, "ckpt", sample, thread)
         )
         resident = cold[rng.random(len(cold)) < residency]
-        for block in resident.tolist():
-            hierarchy.install_data(thread, int(block) << 6)
+    plan = _WarmPlan(blocks(code_lines), branches, blocks(hot), blocks(resident))
+    point.plans[key] = plan
+    return plan
+
+
+def _checkpoint_warm(
+    core: SMTCore,
+    thread: int,
+    point: _SamplingPoint,
+    sampling: SamplingConfig,
+    sample: int,
+) -> None:
+    """Install the point's steady-state-resident lines (see :func:`_warm_plan`)
+    into ``thread``'s LLC partition, and its static branches into the
+    predictor: code, branches, hot lines, then resident cold lines."""
+    plan = _warm_plan(point, core.hierarchy, thread, sampling, sample)
+    llc = core.hierarchy.llc[thread]
+    llc.fill_many(plan.code)
+    install = core.predictor.install
+    for pc, bias_taken, target in plan.branches:
+        install(thread, pc, bias_taken, target)
+    llc.fill_many(plan.hot)
+    llc.fill_many(plan.cold)
 
 
 def sample_solo(
@@ -172,12 +284,12 @@ def sample_solo(
     """Run ``profile`` alone on the core, one result per sample."""
     results = []
     for s in range(sampling.n_samples):
-        trace, memmap = _trace_for(profile, sampling, s)
-        core = make_core(config, (trace,))
+        point = _sampling_point(profile, sampling, s)
+        core = make_core(config, (point.trace,))
         attach_core_observers(core, {"kind": "solo", "workloads": [profile.name],
                                      "sample": s})
         if sampling.checkpoint_warming:
-            _checkpoint_warm(core, 0, trace, memmap, sampling, s)
+            _checkpoint_warm(core, 0, point, sampling, s)
         results.append(
             core.run(
                 sampling.measure_instructions,
@@ -202,16 +314,16 @@ def sample_colocation(
     """
     results = []
     for s in range(sampling.n_samples):
-        trace0, memmap0 = _trace_for(profile0, sampling, s)
-        trace1, memmap1 = _trace_for(profile1, sampling, s)
-        core = make_core(config, (trace0, trace1))
+        point0 = _sampling_point(profile0, sampling, s)
+        point1 = _sampling_point(profile1, sampling, s)
+        core = make_core(config, (point0.trace, point1.trace))
         attach_core_observers(
             core, {"kind": "pair", "workloads": [profile0.name, profile1.name],
                    "sample": s},
         )
         if sampling.checkpoint_warming:
-            _checkpoint_warm(core, 0, trace0, memmap0, sampling, s)
-            _checkpoint_warm(core, 1, trace1, memmap1, sampling, s)
+            _checkpoint_warm(core, 0, point0, sampling, s)
+            _checkpoint_warm(core, 1, point1, sampling, s)
         results.append(
             core.run(
                 sampling.measure_instructions,

@@ -119,12 +119,25 @@ class Trace:
         return trace
 
 
+#: µops a cursor decodes per refill (and past its start): the decoded lists
+#: overshoot what the core reads by less than one chunk.
+CHUNK = 4096
+
+
 class TraceCursor:
     """Cyclic reader over a :class:`Trace`.
 
     Exposes the trace columns as plain Python lists (attribute access on
     NumPy scalars is an order of magnitude slower in the simulator's
-    per-µop hot loop).
+    per-µop hot loop), plus ``fb``, each µop's fetch block ``pc >> 6``.
+
+    The lists hold a decoded *prefix* of the trace, ``decoded`` µops long,
+    and the invariant is that ``index`` is always decoded: :meth:`advance`
+    refills when the index reaches the decoded end, and wraps to 0 at
+    ``length`` once everything is decoded.  Refills extend the lists in
+    place by :data:`CHUNK` µops, so references a hot loop holds stay
+    valid; a sample typically reads a fifth of its trace and never decodes
+    the rest.
     """
 
     def __init__(self, trace: Trace, start: int = 0):
@@ -132,15 +145,31 @@ class TraceCursor:
         self.length = len(trace)
         self.index = start % self.length
         self.consumed = 0
-        # Hot-loop friendly copies.
-        self.op = trace.op.tolist()
-        self.dep1 = trace.dep1.tolist()
-        self.dep2 = trace.dep2.tolist()
-        self.pc = trace.pc.tolist()
-        self.addr = trace.addr.tolist()
-        self.taken = trace.taken.tolist()
-        self.target = trace.target.tolist()
-        self.sid = trace.sid.tolist()
+        self.op: list[int] = []
+        self.dep1: list[int] = []
+        self.dep2: list[int] = []
+        self.pc: list[int] = []
+        self.addr: list[int] = []
+        self.taken: list[bool] = []
+        self.target: list[int] = []
+        self.sid: list[int] = []
+        self.fb: list[int] = []
+        self.decoded = 0
+        self._decode(self.index + CHUNK)
+
+    def _decode(self, end: int) -> None:
+        start = self.decoded
+        end = min(end, self.length)
+        trace = self.trace
+        for name in _COLUMNS:
+            getattr(self, name).extend(getattr(trace, name)[start:end].tolist())
+        self.fb.extend((trace.pc[start:end] >> 6).tolist())
+        self.decoded = end
+
+    def refill(self) -> int:
+        """Decode the next chunk (up to ``length``); returns the new end."""
+        self._decode(self.decoded + CHUNK)
+        return self.decoded
 
     def peek(self) -> int:
         """Index of the next µop to be consumed."""
@@ -149,8 +178,12 @@ class TraceCursor:
     def advance(self) -> int:
         """Consume one µop, returning its index within the trace."""
         i = self.index
-        self.index += 1
-        if self.index == self.length:
-            self.index = 0
+        nxt = i + 1
+        if nxt == self.decoded:
+            if nxt == self.length:
+                nxt = 0
+            else:
+                self.refill()
+        self.index = nxt
         self.consumed += 1
         return i

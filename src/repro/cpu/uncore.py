@@ -18,6 +18,8 @@ core.  Key modeling choices mirror the paper:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cpu.caches import MSHRFile, SetAssociativeCache
 from repro.cpu.config import CoreConfig
 from repro.cpu.prefetcher import StridePrefetcher
@@ -98,6 +100,11 @@ class MemoryHierarchy:
 
     def _block(self, thread: int, addr: int) -> int:
         return (addr >> self._block_shift) | (thread << (_THREAD_TAG_SHIFT - self._block_shift))
+
+    def blocks(self, thread: int, addrs: np.ndarray) -> list[int]:
+        """:meth:`_block` of each byte address in ``addrs`` (vectorized)."""
+        shift = self._block_shift
+        return ((addrs >> shift) | (thread << (_THREAD_TAG_SHIFT - shift))).tolist()
 
     def _miss_latency(self, thread: int, block: int) -> int:
         """Latency beyond L1 for a block, filling the LLC partition."""

@@ -38,6 +38,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.cpu.sampling import shared_sampling_points
 from repro.engine.store import ResultStore, default_store
 from repro.engine.telemetry import EngineStats
 
@@ -121,6 +122,21 @@ class _Attempt:
 def _run_job(job) -> tuple[float, ...]:
     """Worker-side entry point (module-level for picklability)."""
     return tuple(job.run())
+
+
+def _by_sampling_point(todo) -> list[_Attempt]:
+    """``todo`` with the jobs over the same workloads made adjacent, each
+    group where its first job was.
+
+    Figure grids iterate configuration-major, so in submission order a
+    workload's sampling points fall out of the sweep scope's LRU before its
+    next configuration runs.  Results are content-keyed: the order changes
+    none of them.
+    """
+    groups: dict[object, list[_Attempt]] = {}
+    for attempt in todo:
+        groups.setdefault(getattr(attempt.job, "workloads", None), []).append(attempt)
+    return [attempt for group in groups.values() for attempt in group]
 
 
 class ExecutionEngine:
@@ -255,13 +271,17 @@ class ExecutionEngine:
             })
             attempt.enqueued_us = tracer.now_us()
 
+    # A run's jobs sweep configurations over the same sampling points, so
+    # each point is built once per run when the jobs that share it run back
+    # to back (pool workers still build per job).
+    @shared_sampling_points()
     def _run_serial(self, todo, store, report, emit, in_process: bool = False) -> None:
         tracer = self._tracer
         prof = self._profiler
         mode = "in_process" if in_process else "serial"
         if tracer is not None and todo:
             tracer.thread_name(1, "serial executor")
-        for attempt in todo:
+        for attempt in _by_sampling_point(todo):
             attempt.lane = 1
             self._close_queue_span(attempt)
             attempt.started = time.perf_counter()

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from repro.cpu.config import CoreConfig, PartitionPolicy
-from repro.cpu.sampling import SamplingConfig
+from repro.cpu.sampling import SamplingConfig, shared_sampling_points
 from repro.cpu.surrogate import (
     UipcFitJob,
     UipcGrid,
@@ -372,6 +372,9 @@ def pair_uipc(
     return pair_uipc_many(ls_workload, batch_workload, (config,), effort)[0]
 
 
+# Every config of a sweep (and any surrogate fit) runs on the same sampling
+# points: build each once per call.
+@shared_sampling_points()
 def solo_uipc_many(
     workload: str, configs, effort: SamplingConfig | Fidelity
 ) -> tuple[float, ...]:
@@ -390,6 +393,7 @@ def solo_uipc_many(
     )
 
 
+@shared_sampling_points()
 def pair_uipc_many(
     ls_workload: str,
     batch_workload: str,

@@ -220,3 +220,22 @@ class TestGoldenDigests:
             "dominating_scenarios": list(result.dominating_scenarios),
         }
         _check_golden("ext_autotune_quick", payload)
+
+
+class TestGoldenDigestsWithoutSharedPoints:
+    """The fig06/fig09 slices with sampling-point sharing disabled.
+
+    ``solo_uipc_many``/``pair_uipc_many`` normally share each sampling
+    point across a sweep; with an LRU of no points every sample builds and
+    warms its own, and the digests must still match the committed files
+    byte for byte.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_shared_points(self, monkeypatch):
+        import repro.cpu.sampling as sampling
+
+        monkeypatch.setattr(sampling, "SCOPE_POINTS", 0)
+
+    test_fig06_quick_digest = TestGoldenDigests.test_fig06_quick_digest
+    test_fig09_quick_digest = TestGoldenDigests.test_fig09_quick_digest

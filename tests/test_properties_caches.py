@@ -8,6 +8,19 @@ from repro.cpu.caches import MSHRFile, SetAssociativeCache
 blocks = st.integers(min_value=0, max_value=4096)
 
 
+def evict_first_fill(cache: SetAssociativeCache, block: int) -> None:
+    """The earlier ``fill``: evict the LRU entry *before* appending a
+    missing block, found by catching ``list.remove``'s ValueError
+    (test-only oracle)."""
+    entries = cache._sets[block & cache._set_mask]
+    try:
+        entries.remove(block)
+    except ValueError:
+        if len(entries) >= cache.ways:
+            del entries[0]
+    entries.append(block)
+
+
 class TestCacheProperties:
     @given(st.lists(blocks, min_size=1, max_size=300))
     @settings(max_examples=60, deadline=None)
@@ -49,6 +62,30 @@ class TestCacheProperties:
         for block in accesses:
             cache.access(block)
         assert cache.probe(accesses[-1])
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=40), max_size=120),
+        st.lists(st.integers(min_value=0, max_value=40), max_size=120),
+        st.sampled_from([1, 2, 16]),
+    )
+    def test_fill_and_fill_many_match_evict_first_fill(self, prefill, fills, ways):
+        # Four sets, a block domain small enough to repeat blocks and
+        # overflow sets; ``prefill`` leaves the sets non-empty first.
+        oracle, one, bulk = (SetAssociativeCache(4 * ways * 64, 64, ways)
+                             for _ in range(3))
+        for cache in (oracle, one, bulk):
+            for block in prefill:
+                cache.access(block)
+        for block in fills:
+            evict_first_fill(oracle, block)
+            one.fill(block)
+        bulk.fill_many(fills)
+        assert one._sets == oracle._sets
+        assert bulk._sets == oracle._sets
+        assert (bulk.hits, bulk.misses) == (one.hits, one.misses) == (
+            oracle.hits, oracle.misses)
 
 
 class TestMSHRProperties:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cpu.isa import OpClass
-from repro.cpu.trace import Trace, TraceCursor
+from repro.cpu.trace import _COLUMNS, CHUNK, Trace, TraceCursor
 
 
 def make_trace(n=8, **overrides) -> Trace:
@@ -107,3 +107,95 @@ class TestTraceCursor:
         cursor = TraceCursor(make_trace(4))
         for name in ("op", "dep1", "dep2", "pc", "addr", "taken", "target", "sid"):
             assert isinstance(getattr(cursor, name), list)
+
+
+def random_trace(n, seed=0) -> Trace:
+    rng = np.random.default_rng(seed)
+    return make_trace(
+        n,
+        op=rng.integers(0, len(OpClass), n).astype(np.uint8),
+        dep1=rng.integers(0, 4, n),
+        dep2=rng.integers(0, 4, n),
+        pc=rng.integers(0, 1 << 40, n),
+        addr=rng.integers(0, 1 << 40, n),
+        taken=rng.random(n) < 0.5,
+        target=rng.integers(0, 1 << 40, n),
+        sid=rng.integers(0, 8, n),
+    )
+
+
+def assert_decoded_prefix(cursor: TraceCursor) -> None:
+    trace = cursor.trace
+    n = cursor.decoded
+    assert cursor.index < n <= cursor.length
+    for name in _COLUMNS:
+        assert getattr(cursor, name) == getattr(trace, name)[:n].tolist(), name
+    assert cursor.fb == (trace.pc[:n] >> 6).tolist()
+
+
+class TestLazyDecode:
+    def test_decoded_prefix_across_chunks_and_wrap(self):
+        trace = random_trace(3 * CHUNK + 123)
+        cursor = TraceCursor(trace)
+        assert cursor.decoded == CHUNK
+        lists = [getattr(cursor, name) for name in (*_COLUMNS, "fb")]
+        limits = set()
+        for step in range(2 * len(trace) + 5):
+            assert cursor.advance() == step % len(trace)
+            assert cursor.index < cursor.decoded
+            if cursor.decoded not in limits:
+                limits.add(cursor.decoded)
+                assert_decoded_prefix(cursor)
+        assert sorted(limits) == [CHUNK, 2 * CHUNK, 3 * CHUNK, len(trace)]
+        assert cursor.consumed == 2 * len(trace) + 5
+        # Refills extend the same list objects a hot loop may hold.
+        assert all(a is b for a, b in zip(
+            lists, [getattr(cursor, n) for n in (*_COLUMNS, "fb")]))
+
+    def test_start_beyond_the_first_chunk(self):
+        trace = random_trace(4 * CHUNK, seed=1)
+        start = CHUNK + 17
+        cursor = TraceCursor(trace, start=start)
+        assert cursor.decoded == start + CHUNK
+        assert_decoded_prefix(cursor)
+        assert cursor.op[cursor.peek()] == trace.op[start]
+        for step in range(4 * CHUNK):
+            assert cursor.advance() == (start + step) % len(trace)
+            assert cursor.index < cursor.decoded
+        assert_decoded_prefix(cursor)
+        assert cursor.decoded == len(trace)
+
+    def test_trace_shorter_than_one_chunk(self):
+        trace = random_trace(100, seed=2)
+        cursor = TraceCursor(trace, start=250)
+        assert cursor.decoded == len(trace)
+        assert_decoded_prefix(cursor)
+        assert [cursor.advance() for _ in range(3)] == [50, 51, 52]
+        assert cursor.refill() == len(trace)
+
+    def test_wrapping_pair_matches_reference_core(self):
+        # 1:16 fetch throttling drives the batch thread through its whole
+        # trace and around again (fig12's zeusmp reads ~130 % of its trace),
+        # crossing every decoded-chunk boundary on the way.
+        from repro.check.reference import ReferenceCore
+        from repro.cpu.fast_core import FastCore
+        from repro.experiments.common import config_fetch_throttle
+        from repro.workloads.generator import generate_trace
+        from repro.workloads.registry import get_profile
+
+        length = 2 * CHUNK + 500
+        traces = (
+            generate_trace(get_profile("web_search"), length, seed=5),
+            generate_trace(get_profile("zeusmp"), length, seed=6),
+        )
+        config = config_fetch_throttle(16)
+        fast = FastCore(config, traces)
+        a = fast.run(1500, warmup_instructions=500, require_all_threads=True)
+        b = ReferenceCore(config, traces).run(
+            1500, warmup_instructions=500, require_all_threads=True
+        )
+        assert a == b
+        cursor = fast._threads[1].cursor
+        assert cursor.consumed > length
+        assert cursor.decoded == length
+        assert_decoded_prefix(cursor)
