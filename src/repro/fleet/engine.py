@@ -72,8 +72,9 @@ _THROTTLED_ROW = 3
 #: per-server temporaries of one window step — about a dozen 8-byte
 #: vectors (the four-point tail sampler's indices, weights and gathered
 #: quantiles, the monitor's masks), ~0.5 MB each at this size — at
-#: 100k–1M+ servers; a smaller chunk keeps them in a core's cache and
-#: steps faster (DESIGN.md §9).  Every chunked operation is element-wise,
+#: 100k–1M+ servers.  A smaller chunk keeps them in a core's cache, but
+#: whole-day timings show no consistent speedup from it (DESIGN.md §9,
+#: per fleet size).  Every chunked operation is element-wise,
 #: so integer aggregates are chunk-count-invariant and float window sums
 #: differ from the unchunked order only by summation-order noise.
 #: Override with ``REPRO_FLEET_CHUNK`` for profiling.

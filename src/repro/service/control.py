@@ -9,10 +9,11 @@ carry ``ok`` plus either ``result`` or ``error``:
 ``{"cmd": "status"}``
     → live progress, configuration, and metrics-so-far.
 ``{"cmd": "whatif", "monitor": {"engage_fraction": 0.8}, "horizon": 6}``
-    → shadow-fleet metric diff; ``monitor`` keys are
-    :class:`~repro.core.monitor.MonitorConfig` field overrides, ``policy``
-    a balancing-policy name, ``placement`` a placement-policy name
-    (heterogeneous populations only), ``scenario`` an adversarial
+    → shadow-fleet metric diff over ``horizon`` windows (a JSON integer
+    of at least 1, default 12, clamped to the windows left); ``monitor``
+    keys are :class:`~repro.core.monitor.MonitorConfig` field overrides,
+    ``policy`` a balancing-policy name, ``placement`` a placement-policy
+    name (heterogeneous populations only), ``scenario`` an adversarial
     scenario — a preset name from
     :data:`repro.scenarios.SCENARIO_NAMES`, a spec dict, or ``null`` to
     project without the live scenario.
@@ -57,6 +58,20 @@ def monitor_from_payload(base: MonitorConfig, payload: dict) -> MonitorConfig:
     return dataclasses.replace(base, **payload)
 
 
+def horizon_from_payload(request: dict) -> int:
+    """The what-if horizon: a JSON integer (``4`` or ``4.0``), default 12.
+
+    Bools, fractional numbers and strings are rejected rather than
+    coerced, so ``2.7`` or ``true`` never silently becomes 2 or 1.
+    """
+    horizon = request.get("horizon", 12)
+    if isinstance(horizon, float) and horizon.is_integer():
+        horizon = int(horizon)
+    if isinstance(horizon, bool) or not isinstance(horizon, int):
+        raise ValueError(f"horizon must be a JSON integer, got {horizon!r}")
+    return horizon
+
+
 def handle_command(service, request: dict) -> dict:
     """Execute one control request against ``service``; never raises."""
     cmd = request.get("cmd") if isinstance(request, dict) else None
@@ -88,7 +103,7 @@ def handle_command(service, request: dict) -> dict:
                 monitor=monitor,
                 policy=request.get("policy"),
                 placement=request.get("placement"),
-                horizon=int(request.get("horizon", 12)),
+                horizon=horizon_from_payload(request),
                 **scenario_kwargs,
             )
         elif cmd == "checkpoint":

@@ -11,10 +11,14 @@ Around that loop it layers the three service-grade capabilities:
   :class:`~repro.obs.metrics.MetricsRegistry` (``fleet.*`` gauges and
   series), appended to a JSONL sink, and bracketed by Perfetto spans
   (``service.ingest`` / ``service.advance`` / ``service.publish``);
-* **what-if queries** — :meth:`whatif` deep-copies the fleet state, forks
-  a shadow engine under an alternate monitor/policy, runs both the live
-  and alternate configurations ``horizon`` windows ahead on the feed's
-  forecast, and returns a metric diff — the live arrays are never touched;
+* **what-if queries** — :meth:`whatif` forks a shadow engine under an
+  alternate monitor/policy/placement/scenario from a deep copy of the
+  fleet state, runs it ``horizon`` windows ahead on the feed's forecast,
+  and returns its metric diff against the live configuration over the
+  same windows.  The live side is read off one rolling projection that
+  carries the live configuration ahead of the fleet, so consecutive
+  queries step only the windows it has not covered yet (DESIGN.md §12)
+  — the live arrays are never touched;
 * **checkpoint/resume** — :meth:`checkpoint` writes the flattened state
   to the content-addressed result store; :meth:`resume` rebuilds a
   service that is bit-identical to one that never stopped;
@@ -39,7 +43,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, replace
 
-from repro.fleet.engine import FleetEngine, FleetState
+from repro.fleet.engine import FleetEngine, FleetState, FleetTimeline
 from repro.fleet.shard import _performance_payload
 from repro.obs.fleet import publish_fleet_window
 from repro.obs.recorder import FlightRecorder
@@ -107,6 +111,14 @@ class FleetService:
                 self.recorder.registry = registry
             self._stepper.capture_violators = self.recorder.top_k
         self._postmortem_path = postmortem_path
+        # The rolling live-configuration projection behind what-ifs (see
+        # _project_live): a stepper forked from the live state, and the
+        # loads it stepped for windows [self.window, its window).
+        self._projection = None
+        self._projected: list[float] = []
+        self._whatif_counts = {
+            "live_windows_stepped": 0, "live_windows_reused": 0,
+        }
         self._pending_alerts: list[dict] = []
         self._last_load: float | None = None
         self._gap_run = 0
@@ -197,6 +209,12 @@ class FleetService:
                 break
             with self._span("service.advance", window=k):
                 record = self._stepper.step(load)
+            # The projection stays valid only while the live fleet steps
+            # exactly the loads it projected, gap fills included.
+            if self._projected and self._projected[0] == load:
+                del self._projected[0]
+            else:
+                self._drop_projection()
             record["gap_filled"] = gap_filled
             with self._span("service.publish", window=k):
                 publish_fleet_window(self.registry, record)
@@ -258,6 +276,7 @@ class FleetService:
                 if self.engine.config.population else {}
             ),
             "metrics": sofar,
+            "whatif": dict(self._whatif_counts),
             **(
                 {"slo": self.slo.status()} if self.slo is not None else {}
             ),
@@ -275,6 +294,53 @@ class FleetService:
             load = self.feed.forecast(k, self._hour(k))
             loads.append(float(load) if load is not None else held)
         return loads
+
+    def _drop_projection(self) -> None:
+        self._projection = None
+        self._projected.clear()
+
+    def _project_live(self, loads: list[float]) -> FleetTimeline:
+        """The live configuration's timeline through ``window + len(loads)``.
+
+        One shadow stepper under the live engine carries the live
+        configuration ahead; a query steps only the windows it has not
+        projected yet.  Stepping is deterministic (every stream is a pure
+        function of ``(seed, label, window)``), so while the live fleet
+        steps exactly the loads it projected (checked in :meth:`advance`)
+        its rows from the live window on are the bits a fresh fork of the
+        live state would write.  A projected load that differs from the
+        fresh forecast for its window re-forks instead (DESIGN.md §12).
+        """
+        pending = self._projected
+        reused = min(len(pending), len(loads))
+        if self._projection is None or pending[:reused] != loads[:reused]:
+            self._drop_projection()
+            self._projection = self._fork(self.engine)
+            reused = 0
+        try:
+            for load in loads[len(pending):]:
+                self._projection.step(load)
+                pending.append(load)
+        except BaseException:
+            self._drop_projection()  # a half-stepped window is unusable
+            raise
+        for name, count in (
+            ("live_windows_stepped", len(loads) - reused),
+            ("live_windows_reused", reused),
+        ):
+            self._whatif_counts[name] += count
+            if self.registry is not None:
+                self.registry.counter(f"fleet.whatif.{name}").inc(count)
+        return self._projection.timeline
+
+    def _fork(self, engine: FleetEngine):
+        """A stepper under ``engine`` from a copy of the live state."""
+        return engine.stepper(
+            None,
+            tail=self.tail,
+            state=self.state.copy(),
+            chunk_size=self._chunk_size,
+        )
 
     def _shadow_engine(self, config, scenario=_UNSET) -> FleetEngine:
         """An engine clone under ``config`` sharing the fitted surrogate."""
@@ -301,10 +367,13 @@ class FleetService:
     ) -> dict:
         """Fork a shadow fleet under an alternate config; return the diff.
 
-        Both the live configuration and the alternate advance ``horizon``
-        windows from a deep copy of the current state, on the feed's
-        forecast loads, so the diff isolates the *configuration* effect
-        under identical traffic.  The live fleet is never perturbed.
+        The alternate advances ``horizon`` windows (at least 1, clamped
+        to the windows left) from a deep copy of the current state on the
+        feed's forecast loads; the live side over the same windows and
+        loads is read off the rolling live projection
+        (:meth:`_project_live`, bit-identical to a per-query fork).  The
+        diff thus isolates the *configuration* effect under identical
+        traffic, and the live fleet is never perturbed.
         ``placement`` requires a heterogeneous population.  ``scenario``
         (a spec, preset name, dict, or ``None`` to detach) projects the
         alternate under a different adversarial scenario — e.g. what-if
@@ -320,23 +389,16 @@ class FleetService:
             raise ValueError(
                 "placement what-ifs need a heterogeneous population"
             )
-        horizon = min(int(horizon), self.remaining)
-        if horizon <= 0:
+        horizon = int(horizon)
+        if horizon < 1:
+            raise ValueError(
+                f"horizon must be at least 1 window, got {horizon}"
+            )
+        horizon = min(horizon, self.remaining)
+        if horizon == 0:
             raise ValueError("no windows remaining to project over")
         loads = self._forecast_loads(horizon)
         k = self.window
-
-        def project(config, scenario_) -> dict:
-            shadow = self._shadow_engine(config, scenario_).stepper(
-                None,
-                tail=self.tail,
-                state=self.state.copy(),
-                chunk_size=self._chunk_size,
-            )
-            for load in loads:
-                shadow.step(load)
-            return shadow.timeline.slice_metrics(k, k + horizon)
-
         alt_scenario = (
             self.engine.scenario if scenario is _UNSET
             else as_scenario(scenario)
@@ -349,8 +411,11 @@ class FleetService:
             placement=placement if placement is not None else
             self.engine.config.placement,
         )
-        live = project(self.engine.config, self.engine.scenario)
-        alt = project(alt_config, alt_scenario)
+        shadow = self._fork(self._shadow_engine(alt_config, alt_scenario))
+        for load in loads:
+            shadow.step(load)
+        live = self._project_live(loads).slice_metrics(k, k + horizon)
+        alt = shadow.timeline.slice_metrics(k, k + horizon)
         diff = {
             key: alt[key] - live[key]
             for key in live
@@ -447,6 +512,7 @@ class FleetService:
             self.engine.config.placement,
         )
         self.engine = self._shadow_engine(config, new_scenario)
+        self._drop_projection()
         self._stepper = self.engine.stepper(
             None, tail=self.tail, state=self.state,
             chunk_size=self._chunk_size,

@@ -8,6 +8,10 @@ The load-bearing guarantees:
 * **what-if isolation** — a shadow query never perturbs the live fleet:
   the state arrays are bytewise unchanged and subsequent windows are
   bit-identical to a query-free run;
+* **what-if exactness** — every reply read off the rolling live
+  projection is byte-equal to the reply of a per-query fork of the live
+  state (`fresh_live_projection`, the oracle), across feeds with gaps and
+  without forecasts, populations, scenarios, reconfiguration and resume;
 * **graceful feed degradation** — gaps are filled by holding the last
   window, and a stall beyond `max_gap_windows` stops the service
   cleanly rather than free-running on stale data;
@@ -35,6 +39,7 @@ from repro.fleet import (
 )
 from repro.obs import MetricsRegistry, SpanTracer
 from repro.obs.sampler import JsonlSink
+from repro.scenarios import as_scenario
 from repro.service import (
     COMMANDS,
     ControlPlane,
@@ -489,6 +494,15 @@ class TestWhatIf:
         with pytest.raises(ValueError, match="no windows remaining"):
             service.whatif(policy="uniform")
 
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_rejected_with_windows_left(
+        self, surrogate, horizon
+    ):
+        service = make_service(surrogate)
+        service.advance(1)
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            service.whatif(policy="uniform", horizon=horizon)
+
 
 class TestReconfigure:
     def test_swaps_policy_keeping_state(self, surrogate):
@@ -506,6 +520,288 @@ class TestReconfigure:
         service = make_service(surrogate)
         with pytest.raises(ValueError):
             service.reconfigure()
+
+
+# ----------------------------------------------------------------------
+# The rolling live projection behind what-ifs
+# ----------------------------------------------------------------------
+
+
+def fresh_live_projection(service, loads):
+    """The per-query live projection, kept as the oracle.
+
+    Forks the live state under a clone of the live engine and steps every
+    window of the horizon, as every what-if did before the rolling
+    projection.
+    """
+    engine = service._shadow_engine(
+        service.engine.config, service.engine.scenario
+    )
+    shadow = engine.stepper(
+        None,
+        tail=service.tail,
+        state=service.state.copy(),
+        chunk_size=service._chunk_size,
+    )
+    for load in loads:
+        shadow.step(load)
+    return shadow.timeline
+
+
+class FreshProjectionService(FleetService):
+    """A service answering every what-if's live half from a fresh fork."""
+
+    def _project_live(self, loads):
+        return fresh_live_projection(self, loads)
+
+
+class VaryingNoForecastFeed(LoadFeed):
+    """A load that changes every window and a forecast that is always None."""
+
+    name = "no-forecast"
+
+    def load(self, window, hour):
+        return 0.3 + 0.05 * ((7 * window) % 11)
+
+    def forecast(self, window, hour):
+        return None
+
+
+#: 40-minute windows: a 36-window day, room for 30-window horizons.
+WHATIF_MINUTES = 40.0
+WHATIF_WINDOWS = 36
+WHATIF_HORIZONS = (5, 12, 30)
+
+
+def recorded_with_gaps() -> ReplayFeed:
+    """The web_search curve replayed with single and double gaps."""
+    _, curve = resolve_load_curve("web_search")
+    gaps = {3, 9, 10, 17, 25, 26, 33}
+    return ReplayFeed({
+        k: curve(k * WHATIF_MINUTES / 60.0)
+        for k in range(WHATIF_WINDOWS) if k not in gaps
+    })
+
+
+WHATIF_FEEDS = {
+    "curve": lambda: "web_search",
+    "replay-gaps": recorded_with_gaps,
+    "phases-jitter": lambda: PhaseFeed(
+        "flat@0.4x3,ramp@0.4-1.1x4,oscillate@0.5-0.9x6~90m",
+        seed=3, jitter=0.15,
+    ),
+    "no-forecast": VaryingNoForecastFeed,
+}
+
+
+def aggressor_model() -> ColocationPerformance:
+    """A second co-runner whose LS factors permute `performance_model`'s.
+
+    Its factors stay inside the module surrogate's fitted set, while each
+    mode maps to a different factor than the first profile's.
+    """
+    return ColocationPerformance(
+        ls_workload="web_search",
+        batch_workload="lbm",
+        ls_solo_uipc=0.6,
+        per_mode={
+            StretchMode.BASELINE: ModePerformance(0.46, 0.55),
+            StretchMode.B_MODE: ModePerformance(0.46, 0.62),
+            StretchMode.Q_MODE: ModePerformance(0.52, 0.45),
+        },
+    )
+
+
+def whatif_service(cls, surrogate, feed, mixed, **kwargs) -> FleetService:
+    """A stragglers-scenario service with a violation-rate SLO."""
+    cfg = dict(window_minutes=WHATIF_MINUTES)
+    corunners = None
+    if mixed:
+        cfg.update(population=("zeusmp", "lbm"), placement="random")
+        corunners = (performance_model(), aggressor_model())
+    engine = FleetEngine(
+        get_profile("web_search"),
+        performance_model(),
+        fleet_config(**cfg),
+        surrogate=surrogate,
+        corunners=corunners,
+        scenario=as_scenario("stragglers"),
+    )
+    kwargs.setdefault("slos", ["qos:violation_rate<0.05"])
+    return cls(engine, WHATIF_FEEDS[feed](), **kwargs)
+
+
+def alternates(mixed: bool):
+    """Endless what-if alternates: monitor, policy, scenario, placement."""
+    options = [
+        {"monitor": MonitorConfig(engage_fraction=0.7)},
+        {"policy": "uniform"},
+        {"scenario": None},
+        {"monitor": MonitorConfig(throttle_windows=3), "policy": "uniform"},
+    ]
+    if mixed:
+        options.append({"placement": "symbiosis"})
+    while True:
+        yield from options
+
+
+def reply_bytes(reply: dict) -> str:
+    return json.dumps(reply, sort_keys=True)
+
+
+def serve_and_compare(service, oracle, mixed, reconfigure_at=None):
+    """Serve both to the end of the day, comparing every what-if reply.
+
+    Every fourth window goes unqueried, so the projection also has to
+    survive (or be dropped by) two live windows in a row.
+    """
+    requests = alternates(mixed)
+    compared = 0
+    while not service.done:
+        if service.window == reconfigure_at:
+            for side in (service, oracle):
+                side.reconfigure(policy="power-of-two-choices")
+        horizons = WHATIF_HORIZONS if service.window % 4 != 3 else ()
+        for horizon in horizons:
+            request = next(requests)
+            got = service.whatif(horizon=horizon, **request)
+            want = oracle.whatif(horizon=horizon, **request)
+            assert reply_bytes(got) == reply_bytes(want), (
+                service.window, horizon, request
+            )
+            compared += 1
+        service.advance(1), oracle.advance(1)
+    assert timelines_equal(service.timeline, oracle.timeline)
+    return compared
+
+
+class TestRollingLiveProjection:
+    @pytest.mark.parametrize("mixed", [False, True], ids=["homog", "2-profile"])
+    @pytest.mark.parametrize("feed", sorted(WHATIF_FEEDS))
+    def test_replies_match_per_query_forks(self, surrogate, feed, mixed):
+        service = whatif_service(FleetService, surrogate, feed, mixed)
+        oracle = whatif_service(FreshProjectionService, surrogate, feed, mixed)
+        compared = serve_and_compare(
+            service, oracle, mixed, reconfigure_at=WHATIF_WINDOWS // 2
+        )
+        assert compared == WHATIF_WINDOWS * 3 // 4 * len(WHATIF_HORIZONS)
+        # Queries at one window always share the projection.
+        counts = service.status()["whatif"]
+        assert counts["live_windows_stepped"] > 0
+        assert counts["live_windows_reused"] > 0
+
+    def test_resumed_replies_match_per_query_forks(self, surrogate, tmp_path):
+        store = ResultStore(tmp_path)
+        first = whatif_service(
+            FleetService, surrogate, "replay-gaps", True, store=store
+        )
+        requests = alternates(True)
+        while first.window < WHATIF_WINDOWS // 2:
+            first.whatif(horizon=12, **next(requests))
+            first.advance(1)
+        key = first.checkpoint()["key"]
+        service, oracle = (
+            whatif_service(
+                cls, surrogate, "replay-gaps", True,
+                state=load_checkpoint(store, key),
+            )
+            for cls in (FleetService, FreshProjectionService)
+        )
+        serve_and_compare(service, oracle, True)
+        first.run()
+        assert timelines_equal(service.timeline, first.timeline)
+
+    @pytest.mark.parametrize("feed", sorted(WHATIF_FEEDS))
+    def test_queries_never_touch_the_live_fleet(self, surrogate, feed):
+        plain = whatif_service(FleetService, surrogate, feed, True)
+        plain.run()
+        service = whatif_service(FleetService, surrogate, feed, True)
+        requests = alternates(True)
+        while not service.done:
+            for horizon in (4, 1, 9):
+                before = service.state.copy()
+                service.whatif(horizon=horizon, **next(requests))
+                state = service.state
+                assert state.window == before.window
+                for field in ("mode", "compliant", "violation", "throttle"):
+                    assert np.array_equal(
+                        getattr(state, field), getattr(before, field)
+                    )
+                assert timelines_equal(state.timeline, before.timeline)
+            service.advance(1)
+        assert timelines_equal(service.timeline, plain.timeline)
+
+    @pytest.mark.parametrize("feed, reuses", [
+        ("curve", True), ("no-forecast", False),
+    ])
+    def test_live_window_counters(self, surrogate, feed, reuses):
+        horizon = 6
+        registry = MetricsRegistry()
+        service = whatif_service(
+            FleetService, surrogate, feed, False, registry=registry
+        )
+        queries = 0
+        while not service.done:
+            if service.remaining >= horizon:
+                service.whatif(policy="uniform", horizon=horizon)
+                queries += 1
+            service.advance(1)
+        assert queries == WHATIF_WINDOWS - horizon + 1
+        stepped = horizon + (queries - 1) if reuses else horizon * queries
+        expected = {
+            "live_windows_stepped": stepped,
+            "live_windows_reused": horizon * queries - stepped,
+        }
+        assert service.status()["whatif"] == expected
+        for name, value in expected.items():
+            assert registry.counter(f"fleet.whatif.{name}").value == value
+
+    def test_counters_are_noops_on_a_disabled_registry(self, surrogate):
+        registry = MetricsRegistry(enabled=False)
+        service = make_service(surrogate, registry=registry)
+        service.whatif(policy="uniform", horizon=3)
+        service.whatif(policy="uniform", horizon=3)
+        assert len(registry) == 0
+        assert service.status()["whatif"] == {
+            "live_windows_stepped": 3, "live_windows_reused": 3,
+        }
+
+    def test_delivered_load_off_the_forecast_reforks(self, surrogate):
+        """A live load that differs from the projected one drops the
+        projection, even when every later forecast still agrees."""
+
+        class SurpriseFeed(LoadFeed):
+            name = "surprise"
+
+            def load(self, window, hour):
+                return 1.1 if window == 2 else 0.4
+
+            def forecast(self, window, hour):
+                return 0.4
+
+        service, oracle = (
+            cls(make_engine(surrogate), SurpriseFeed())
+            for cls in (FleetService, FreshProjectionService)
+        )
+        for _ in range(4):
+            got = service.whatif(policy="uniform", horizon=5)
+            assert reply_bytes(got) == reply_bytes(
+                oracle.whatif(policy="uniform", horizon=5)
+            )
+            service.advance(1), oracle.advance(1)
+        # 5 + 1 + 1 stepped, then window 2's surprise forces a re-fork.
+        assert service.status()["whatif"] == {
+            "live_windows_stepped": 12, "live_windows_reused": 8,
+        }
+
+    def test_reconfigure_drops_the_projection(self, surrogate):
+        service = make_service(surrogate)
+        service.whatif(policy="uniform", horizon=4)
+        service.reconfigure(monitor=MonitorConfig(engage_fraction=0.8))
+        service.whatif(policy="uniform", horizon=4)
+        assert service.status()["whatif"] == {
+            "live_windows_stepped": 8, "live_windows_reused": 0,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -567,6 +863,32 @@ class TestControlPlane:
         response = handle_command(service, request_)
         assert not response["ok"]
         assert "error" in response
+
+    @pytest.mark.parametrize("horizon", [2.7, True, False, "3", None, [4]])
+    def test_whatif_horizon_must_be_a_json_integer(self, surrogate, horizon):
+        service = make_service(surrogate)
+        response = handle_command(service, {
+            "cmd": "whatif", "policy": "uniform", "horizon": horizon,
+        })
+        assert not response["ok"]
+        assert "horizon must be a JSON integer" in response["error"]
+
+    def test_whatif_horizon_accepts_integral_numbers(self, surrogate):
+        service = make_service(surrogate)
+        for horizon in (4, 4.0):
+            response = handle_command(service, {
+                "cmd": "whatif", "policy": "uniform", "horizon": horizon,
+            })
+            assert response["ok"], response
+            assert response["result"]["horizon"] == 4
+
+    def test_whatif_zero_horizon_gets_its_own_error(self, surrogate):
+        service = make_service(surrogate)
+        response = handle_command(service, {
+            "cmd": "whatif", "policy": "uniform", "horizon": 0,
+        })
+        assert not response["ok"]
+        assert "horizon must be at least 1 window" in response["error"]
 
     def test_drain_parses_ldjson(self, surrogate):
         stream = io.StringIO(

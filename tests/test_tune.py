@@ -103,25 +103,33 @@ class TestPortfolio:
             PortfolioEntry(scenario="calm", weight=0.0)
 
 
+@pytest.fixture(scope="module")
+def cold_tune(tmp_path_factory):
+    """One cold search on a fresh store, shared by the module: its result
+    and the store directory the warm re-runs read back."""
+    store_dir = tmp_path_factory.mktemp("tune-store")
+    return tiny_tune(ResultStore(store_dir)), store_dir
+
+
 class TestTuneMonitor:
-    def test_search_is_deterministic(self, tmp_path):
-        a = tiny_tune(ResultStore(tmp_path))
-        b = tiny_tune(ResultStore(tmp_path))
+    def test_search_is_deterministic(self, cold_tune):
+        a, store_dir = cold_tune
+        b = tiny_tune(ResultStore(store_dir))
         assert a.best.monitor == b.best.monitor
         assert a.best.score == b.best.score
         assert [c.monitor for c in a.candidates] == [
             c.monitor for c in b.candidates
         ]
 
-    def test_warm_rerun_simulates_nothing(self, tmp_path):
-        cold = tiny_tune(ResultStore(tmp_path))
+    def test_warm_rerun_simulates_nothing(self, cold_tune):
+        cold, store_dir = cold_tune
         assert cold.fleet_runs > 0
-        warm = tiny_tune(ResultStore(tmp_path))
+        warm = tiny_tune(ResultStore(store_dir))
         assert warm.fleet_runs == 0
         assert warm.cached_runs == cold.fleet_runs + cold.cached_runs
 
-    def test_default_is_evaluated_and_never_beaten_silently(self, tmp_path):
-        result = tiny_tune(ResultStore(tmp_path))
+    def test_default_is_evaluated_and_never_beaten_silently(self, cold_tune):
+        result, _ = cold_tune
         assert result.default.monitor == MonitorConfig()
         assert result.default in result.candidates
         assert result.best.score >= result.default.score
@@ -130,16 +138,16 @@ class TestTuneMonitor:
             result.best.score > result.default.score
         )
 
-    def test_outcomes_cover_the_portfolio(self, tmp_path):
-        result = tiny_tune(ResultStore(tmp_path))
+    def test_outcomes_cover_the_portfolio(self, cold_tune):
+        result, _ = cold_tune
         for cand in result.candidates:
             assert [o.scenario for o in cand.outcomes] == [
                 "calm", "stragglers"
             ]
             assert all(o.budget_burn >= 0.0 for o in cand.outcomes)
 
-    def test_format_smoke(self, tmp_path):
-        text = tiny_tune(ResultStore(tmp_path)).format()
+    def test_format_smoke(self, cold_tune):
+        text = cold_tune[0].format()
         assert "tuned monitor vs default" in text
         assert "dominates default on:" in text
         assert "stragglers" in text
