@@ -8,6 +8,8 @@ event-horizon structure itself via seeded property loops (plain
 ``repro.util.rng`` seeding — no hypothesis, so failures replay exactly).
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -40,6 +42,34 @@ def _random_config(rng):
         enable_prefetcher=rng.random() < 0.75,
     )
     return config.with_rob_partition(*rng.choice(SPLITS))
+
+
+#: SHA-256 of ``json.dumps(core.event_log)`` — the per-µop
+#: ``(thread, seq, op, pc, dispatch, ready, completion)`` stream — and its
+#: length, for one pair and one solo run (see :func:`_event_log_run`).
+#: Both the per-cycle ``SMTCore`` loop and FastCore produced these digests
+#: when they were pinned; ``ReferenceCore`` keeps no event log, so the
+#: digests are what compares FastCore's per-µop stream with another loop.
+EVENT_LOG_DIGESTS = {
+    "pair": (2012, "1e1eff205f7b4ef350960ac9d3b6b3dbb2756ad94e738f2582e81a3e89941606"),
+    "solo": (610, "5014136c4a9d08fa9ddca7cae717718dff165395f678c43af3e34d3f166a94a6"),
+}
+
+
+def _event_log_run(cls, case):
+    """Run ``case`` on a fresh ``cls`` core with the event log attached."""
+    if case == "pair":
+        traces = _traces(random.Random(7), 2)
+        core = cls(CoreConfig().with_rob_partition(56, 136), traces)
+        core.event_log = []
+        result = core.run(400, warmup_instructions=200,
+                          require_all_threads=True)
+    else:
+        traces = _traces(random.Random(8), 1)
+        core = cls(CoreConfig().single_thread(48), traces)
+        core.event_log = []
+        result = core.run(500, warmup_instructions=100)
+    return core, result
 
 
 class TestEngineSelection:
@@ -98,6 +128,14 @@ class TestBitIdentitySmoke:
         legacy = SMTCore(CoreConfig().single_thread(48), traces)
         assert fast.run(500, warmup_instructions=100) == \
             legacy.run(500, warmup_instructions=100)
+
+    @pytest.mark.parametrize("cls", [FastCore, SMTCore],
+                             ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("case", sorted(EVENT_LOG_DIGESTS))
+    def test_event_log_matches_pinned_digest(self, case, cls):
+        core, __ = _event_log_run(cls, case)
+        digest = hashlib.sha256(json.dumps(core.event_log).encode()).hexdigest()
+        assert (len(core.event_log), digest) == EVENT_LOG_DIGESTS[case]
 
     def test_repro_check_attaches_checker_to_fast_core(self, monkeypatch):
         """REPRO_CHECK=1 must reach FastCore through the sampling path."""
