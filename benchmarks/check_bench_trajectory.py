@@ -14,9 +14,11 @@ baselines under ``benchmarks/results/``:
   costs — ROADMAP's memory-bandwidth trail) is recorded for both
   payloads and printed; it is informational, since the per-size gates
   already bound each end of the ratio.
-* ``BENCH_core.json`` — per-scenario fast/legacy ``speedup`` from the
-  core engine benchmark, same rule (both engines are timed in the same
-  run, so the ratio does not follow the host's speed); plus the
+* ``BENCH_core.json`` — per-scenario ``speedup`` of ``FastCore`` over
+  the ``ReferenceCore`` oracle from the core benchmark, same rule (both
+  cores are timed in the same run, so the ratio does not follow the
+  host's speed; a baseline without ``ref_cps`` timed another reference
+  and has nothing to compare); plus the
   surrogate-tier sweep entry, gated on an absolute floor
   (``min_warm_speedup``, committed inside the payload): the warm
   fit-cached evaluation must stay at least that many times faster than
@@ -162,13 +164,19 @@ def check_core(baseline: dict, fresh: dict, max_regression: float,
                failures: list[str]) -> None:
     base_scenarios = baseline.get("scenarios", {})
     fresh_scenarios = fresh.get("scenarios", {})
-    shared = sorted(set(base_scenarios) & set(fresh_scenarios))
+    # Only speedups over the same oracle compare: both payloads must have
+    # timed ReferenceCore (``ref_cps``).
+    shared = sorted(
+        name for name in set(base_scenarios) & set(fresh_scenarios)
+        if "ref_cps" in base_scenarios[name] and "ref_cps" in fresh_scenarios[name]
+    )
     if not shared:
-        failures.append("core: no scenarios shared with the baseline")
+        failures.append("core: no ReferenceCore-timed scenarios shared "
+                        "with the baseline")
         return
-    # FastCore's throughput as its speedup over the legacy engine timed in
-    # the same run: a ratio that does not follow the host's speed.
-    print(f"core fast/legacy speedup ({len(shared)} shared scenarios):")
+    # FastCore's throughput as its speedup over ReferenceCore timed in the
+    # same run: a ratio that does not follow the host's speed.
+    print(f"core fast/ref speedup ({len(shared)} shared scenarios):")
     for name in shared:
         check_ratio(f"core[{name}]",
                     float(base_scenarios[name]["speedup"]),

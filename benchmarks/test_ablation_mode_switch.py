@@ -10,7 +10,7 @@ the throughput cost stays small even then.
 from repro.core.partitioning import BASELINE, DEFAULT_B_MODE
 from repro.core.stretch import StretchCore, StretchMode
 from repro.cpu.config import CoreConfig
-from repro.cpu.smt_core import SMTCore
+from repro.cpu.fast_core import FastCore
 from repro.workloads.generator import generate_trace
 from repro.workloads.registry import get_profile
 
@@ -19,15 +19,15 @@ INSTRUCTIONS_PER_PHASE = 2000
 
 
 def run_ablation(sampling):
-    def make_core():
+    def new_core():
         ws = generate_trace(get_profile("web_search"),
                             PHASES * INSTRUCTIONS_PER_PHASE * 8, seed=3)
         zm = generate_trace(get_profile("zeusmp"),
                             PHASES * INSTRUCTIONS_PER_PHASE * 8, seed=3)
-        return SMTCore(CoreConfig(), (ws, zm))
+        return FastCore(CoreConfig(), (ws, zm))
 
     # Static B-mode run (one switch at the start).
-    static = StretchCore(make_core())
+    static = StretchCore(new_core())
     static.set_mode(StretchMode.B_MODE)
     static_committed = static_cycles = 0
     for __ in range(PHASES):
@@ -36,7 +36,7 @@ def run_ablation(sampling):
         static_cycles += result.cycles
 
     # Pathological switching: flip the mode between every phase.
-    flappy = StretchCore(make_core())
+    flappy = StretchCore(new_core())
     flappy.set_mode(StretchMode.B_MODE)
     flappy_committed = flappy_cycles = 0
     for phase in range(PHASES):

@@ -1,13 +1,14 @@
-"""Core engine benchmark: legacy ``SMTCore`` vs ``FastCore`` cycles/sec.
+"""Core benchmark: ``FastCore`` vs the ``ReferenceCore`` oracle, cycles/sec.
 
-Times both execution engines on the same traces across the four corners of
-the workload space — solo/pair × compute-bound/memory-bound — with GC
-disabled and interleaved repeats (median of ``REPEATS``), asserting
-bit-identical ``SimulationResult``s along the way, and persists the
-throughput numbers to ``benchmarks/results/BENCH_core.json``.
+Times the production loop and the unoptimized per-cycle oracle on the same
+traces across the four corners of the workload space — solo/pair ×
+compute-bound/memory-bound — with GC disabled and interleaved repeats
+(median of ``REPEATS``), asserting bit-identical ``SimulationResult``s
+along the way, and persists the throughput numbers to
+``benchmarks/results/BENCH_core.json``.
 
 The JSON doubles as the CI perf baseline: before overwriting it, the test
-compares each scenario's measured speedup (fast/legacy — a machine-relative
+compares each scenario's measured speedup (fast/ref — a machine-relative
 ratio, so it transfers across hosts where absolute cycles/sec do not)
 against the committed value and fails on a >25 % regression.  Refresh the
 baseline by committing the regenerated file after an intentional change.
@@ -28,9 +29,9 @@ import statistics
 import time
 from pathlib import Path
 
+from repro.check.reference import ReferenceCore
 from repro.cpu.config import CoreConfig
 from repro.cpu.fast_core import FastCore
-from repro.cpu.smt_core import SMTCore
 from repro.engine.store import reset_default_stores
 from repro.experiments.common import (
     Fidelity,
@@ -104,17 +105,17 @@ def _probe(kernel_s: list[float]) -> None:
 
 
 def _bench_scenario(names):
-    """Interleaved legacy/fast timing; returns (legacy_cps, fast_cps,
+    """Interleaved reference/fast timing; returns (ref_cps, fast_cps,
     median reference-kernel seconds between the repeats)."""
     traces = _traces(names)
     config = CoreConfig() if len(names) > 1 else CoreConfig().single_thread(96)
     require_all = len(names) > 1
-    timings = {SMTCore: [], FastCore: []}
+    timings = {ReferenceCore: [], FastCore: []}
     results = {}
     kernel_s: list[float] = []
     for _ in range(REPEATS):
         _probe(kernel_s)
-        for cls in (SMTCore, FastCore):
+        for cls in (ReferenceCore, FastCore):
             core = cls(config, traces)
             gc.collect()
             start = time.perf_counter()
@@ -127,13 +128,13 @@ def _bench_scenario(names):
             elapsed = time.perf_counter() - start
             timings[cls].append(core.cycle / elapsed)
             results[cls] = (result, core.cycle)
-    assert results[SMTCore] == results[FastCore], (
+    assert results[ReferenceCore] == results[FastCore], (
         f"{'+'.join(names)}: engines diverged — FastCore must be "
-        "bit-identical to SMTCore"
+        "bit-identical to ReferenceCore"
     )
     _probe(kernel_s)
     return (
-        statistics.median(timings[SMTCore]),
+        statistics.median(timings[ReferenceCore]),
         statistics.median(timings[FastCore]),
         statistics.median(kernel_s),
     )
@@ -187,12 +188,15 @@ def _sweep_surrogate_tier(tmp_path, monkeypatch) -> dict:
 
 
 def _load_baseline() -> dict:
+    """Committed scenarios measured against ReferenceCore (``ref_cps``);
+    a payload from another reference engine has no comparable speedup."""
     if not BENCH_PATH.exists():
         return {}
     try:
-        return json.loads(BENCH_PATH.read_text()).get("scenarios", {})
+        scenarios = json.loads(BENCH_PATH.read_text()).get("scenarios", {})
     except (json.JSONDecodeError, AttributeError):
         return {}
+    return {name: s for name, s in scenarios.items() if "ref_cps" in s}
 
 
 def test_core_scaling(save_result, tmp_path, monkeypatch):
@@ -203,11 +207,11 @@ def test_core_scaling(save_result, tmp_path, monkeypatch):
         scenarios = {}
         regressions = []
         for name, workloads in SCENARIOS:
-            legacy_cps, fast_cps, kernel_s = _bench_scenario(workloads)
-            speedup = fast_cps / legacy_cps
+            ref_cps, fast_cps, kernel_s = _bench_scenario(workloads)
+            speedup = fast_cps / ref_cps
             scenarios[name] = {
                 "workloads": list(workloads),
-                "legacy_cps": round(legacy_cps),
+                "ref_cps": round(ref_cps),
                 "fast_cps": round(fast_cps),
                 "speedup": round(speedup, 2),
                 "ref_kernel_s": round(kernel_s, 7),
@@ -234,7 +238,7 @@ def test_core_scaling(save_result, tmp_path, monkeypatch):
     save_result(
         "core_scaling",
         "\n".join(
-            f"{name}: legacy {s['legacy_cps']}/s fast {s['fast_cps']}/s "
+            f"{name}: ref {s['ref_cps']}/s fast {s['fast_cps']}/s "
             f"= {s['speedup']}x"
             for name, s in scenarios.items()
         )
@@ -246,11 +250,11 @@ def test_core_scaling(save_result, tmp_path, monkeypatch):
     )
 
     assert not regressions, "; ".join(regressions)
-    # Absolute floor: the fast engine must never lose to the legacy one by
-    # more than timing noise, on any scenario shape.
+    # Absolute floor: the production loop must never lose to the
+    # unoptimized oracle, on any scenario shape.
     for name, s in scenarios.items():
         assert s["speedup"] > 1.0, (
-            f"{name}: FastCore slower than legacy ({s['speedup']}x)"
+            f"{name}: FastCore slower than ReferenceCore ({s['speedup']}x)"
         )
     assert surrogate["warm_speedup"] >= MIN_SURROGATE_WARM_SPEEDUP, (
         f"warm surrogate sweep only {surrogate['warm_speedup']}x faster "

@@ -1,17 +1,15 @@
-"""Differential oracle: seeded config sweeps through all core implementations.
+"""Differential oracle: seeded config sweeps through both core implementations.
 
 Runs the same (workloads, core configuration, instruction budget) through
-the three-way engine matrix — :class:`~repro.cpu.fast_core.FastCore` (the
-event-skipping default), :class:`~repro.cpu.smt_core.SMTCore` (the
-instrumented per-cycle legacy loop) and
-:class:`~repro.check.reference.ReferenceCore` (the deliberately naive
-oracle) — and demands **bit-identical**
+:class:`~repro.cpu.fast_core.FastCore` (the event-skipping production loop)
+and :class:`~repro.check.reference.ReferenceCore` (the deliberately naive
+per-cycle oracle) and demands **bit-identical**
 :class:`~repro.cpu.metrics.SimulationResult`\\ s — every counter, cycle count
 and histogram bucket.  Because the cores share the microarchitectural
 components and differ only in the scheduling loop, any mismatch localizes a
-bug to one of the optimized paths (ring-buffer dataflow, idle fast-forward
-and event-horizon jumps, slot interleaving, batched gap accounting) or to
-the reference itself.
+bug to one of FastCore's optimized paths (ring-buffer dataflow,
+event-horizon jumps, slot interleaving, batched gap accounting, inlined
+caches and predictor) or to the reference itself.
 
 The sweep dimensions cover what the paper's experiments exercise: solo and
 colocated runs, partitioned/shared ROB-LSQ with skewed splits, all three
@@ -36,7 +34,6 @@ from repro.check.reference import ReferenceCore
 from repro.cpu.config import CacheConfig, CoreConfig, PartitionPolicy
 from repro.cpu.fast_core import FastCore
 from repro.cpu.metrics import SimulationResult
-from repro.cpu.smt_core import SMTCore
 from repro.obs.metrics import get_registry
 from repro.workloads.generator import generate_trace
 from repro.workloads.registry import all_profiles, get_profile
@@ -60,7 +57,7 @@ _MAX_CYCLES = 2_000_000
 
 @dataclass(frozen=True)
 class DifferentialCase:
-    """One seeded configuration to push through all three engines."""
+    """One seeded configuration to push through both engines."""
 
     case_id: int
     workloads: tuple[str, ...]
@@ -265,7 +262,7 @@ def compare_results(a: SimulationResult, b: SimulationResult) -> list[str]:
     return diffs
 
 
-def _make_core(cls, case: DifferentialCase, check_invariants: bool):
+def _build_core(cls, case: DifferentialCase, check_invariants: bool):
     traces = tuple(
         generate_trace(get_profile(name), case.trace_length, seed=s)
         for name, s in zip(case.workloads, case.trace_seeds)
@@ -276,23 +273,22 @@ def _make_core(cls, case: DifferentialCase, check_invariants: bool):
     return core
 
 
-#: Engine matrix the sweep proves bit-identical, fastest first.
-_ENGINES = (("fast", FastCore), ("smt", SMTCore), ("ref", ReferenceCore))
+#: Engine pair the sweep proves bit-identical: production loop, oracle.
+_ENGINES = (("fast", FastCore), ("ref", ReferenceCore))
 
 
 def run_case(
     case: DifferentialCase, check_invariants: bool = False
 ) -> list[str]:
-    """Run one case through all three cores; return the list of differences.
+    """Run one case through both cores; return the list of differences.
 
-    Comparisons are chained (``fast`` vs ``smt``, ``smt`` vs ``ref``) so a
-    report names the engine pair that disagrees and therefore which loop to
-    suspect.
+    Each difference is prefixed ``fast/ref`` and, for cases with mode
+    switches, with the measurement window it appeared in.
     """
     diffs = []
     results = {}
     for key, cls in _ENGINES:
-        core = _make_core(cls, case, check_invariants)
+        core = _build_core(cls, case, check_invariants)
         windows = [
             core.run(
                 case.measure,

@@ -15,9 +15,8 @@ after every simulated cycle and asserts they agree:
 * **Capacity conservation** — ``total_usage == sum(usage)`` and
   ``usage(t) <= limit(t)`` for both structures.
 * **Monotonic clock** — the cycle counter only moves forward.
-* **Event-respecting jumps** — a multi-cycle clock advance (legacy idle
-  fast-forward or a FastCore event-horizon jump) never passes an enabling
-  event: no ROB-head completion, front-end refill or squash resolution
+* **Event-respecting jumps** — a multi-cycle clock advance (a FastCore
+  event-horizon jump) never passes an enabling event: no ROB-head completion, front-end refill or squash resolution
   may lie strictly inside the skipped span.
 * **Cursor progress** — committed + in-flight (non-ghost) µops account for
   every µop consumed from the trace; nothing is lost or double-counted
@@ -106,15 +105,15 @@ class InvariantChecker:
         threads = core._threads
         n = core.n_threads
 
-        # Multi-cycle jumps (idle fast-forward, event-horizon skips) may
-        # only land *on* the next enabling event, never beyond it: after a
-        # jump from ``prev_cycle`` to ``cycle`` no ROB-head completion
-        # (commit is in-order, so only the head enables progress),
-        # front-end refill or squash resolution may lie strictly inside the
-        # skipped span — each would have changed the machine state
-        # mid-jump.  Sampler window edges are deliberately not a law here:
-        # the legacy loop takes the sample after landing, which is
-        # timing-neutral, while FastCore clamps the jump at the edge.
+        # Multi-cycle jumps (FastCore's event-horizon skips) may only land
+        # *on* the next enabling event, never beyond it: after a jump from
+        # ``prev_cycle`` to ``cycle`` no ROB-head completion (commit is
+        # in-order, so only the head enables progress), front-end refill or
+        # squash resolution may lie strictly inside the skipped span — each
+        # would have changed the machine state mid-jump.  Sampler window
+        # edges are deliberately not a law here: stopping at one is
+        # timing-neutral, so they bound jumps only to keep windows exact
+        # (FastCore clamps its jump at the edge; ReferenceCore never jumps).
         if prev_cycle is not None and cycle > prev_cycle + 1:
             for t in range(n):
                 ts = threads[t]

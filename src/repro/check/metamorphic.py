@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cpu.config import CoreConfig
-from repro.cpu.fast_core import make_core
+from repro.cpu.fast_core import FastCore
 from repro.workloads.generator import generate_trace
 from repro.workloads.registry import get_profile
 
@@ -73,7 +73,7 @@ def _uipc(
         generate_trace(get_profile(name), length, seed=s)
         for name, s in zip(workloads, seeds)
     )
-    core = make_core(config, traces)
+    core = FastCore(config, traces)
     # Fixed-work windows (require_all_threads): every thread commits exactly
     # ``measure`` µops, so each relation compares the same region of the
     # primary's trace across configurations.  A first-to-finish window keyed

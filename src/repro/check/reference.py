@@ -1,7 +1,7 @@
 """A deliberately simple reference implementation of the SMT timing model.
 
 :class:`ReferenceCore` re-implements the dual-thread out-of-order timing
-model of :class:`repro.cpu.smt_core.SMTCore` as a plain cycle-by-cycle loop:
+model of :class:`repro.cpu.fast_core.FastCore` as a plain cycle-by-cycle loop:
 
 * **no ring buffer** — producer completion times live in an ordinary dict
   keyed by µop sequence number (dependency distances are clamped to
@@ -15,13 +15,12 @@ model of :class:`repro.cpu.smt_core.SMTCore` as a plain cycle-by-cycle loop:
 
 It reuses the same microarchitectural components (partitioned ROB/LSQ,
 memory hierarchy, branch predictor, fetch policies, trace cursors), so the
-engines differ only in the scheduling loop — exactly the code the ring
-masks, fast-forward, and :class:`~repro.cpu.fast_core.FastCore`'s
-event-horizon jumps optimize.  The contract, enforced by
-:mod:`repro.check.differential` and ``tests/test_check_reference.py``, is
-**bit-identical** :class:`~repro.cpu.metrics.SimulationResult`\\ s across
-all three engines: every counter, every cycle count, every histogram
-bucket.  Any future hot-path optimization must preserve that equivalence.
+engines differ only in the scheduling loop — exactly the code FastCore's
+ring masks, event-horizon jumps, batched gap accounting and inlined caches
+optimize.  The contract, enforced by :mod:`repro.check.differential` and
+``tests/test_check_reference.py``, is **bit-identical**
+:class:`~repro.cpu.metrics.SimulationResult`\\ s across both engines:
+every counter, every cycle count, every histogram bucket.  Any future hot-path optimization must preserve that equivalence.
 
 An :class:`~repro.check.invariants.InvariantChecker` can be attached to a
 ``ReferenceCore`` too (``core.checker = ...``), which cross-validates the
@@ -74,7 +73,7 @@ class _RefThread:
 
 
 class ReferenceCore:
-    """Unoptimized per-cycle twin of :class:`~repro.cpu.smt_core.SMTCore`."""
+    """Unoptimized per-cycle twin of :class:`~repro.cpu.fast_core.FastCore`."""
 
     def __init__(self, config: CoreConfig, traces: tuple[Trace, ...]):
         if not 1 <= len(traces) <= 2:
@@ -156,7 +155,7 @@ class ReferenceCore:
     ) -> SimulationResult:
         """Simulate until thread(s) commit ``instructions`` measured µops.
 
-        Mirrors :meth:`SMTCore.run` (same window semantics, same warmup
+        Mirrors :meth:`FastCore.run` (same window semantics, same warmup
         behavior) so results are directly comparable.
         """
         if instructions <= 0:

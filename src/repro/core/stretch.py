@@ -25,7 +25,7 @@ from repro.core.partitioning import (
     DEFAULT_Q_MODE,
     PartitionScheme,
 )
-from repro.cpu.smt_core import SMTCore
+from repro.cpu.fast_core import FastCore
 
 __all__ = ["StretchMode", "ControlRegister", "StretchCore"]
 
@@ -68,7 +68,7 @@ class StretchCore:
 
     def __init__(
         self,
-        core: SMTCore,
+        core: FastCore,
         b_mode: PartitionScheme = DEFAULT_B_MODE,
         q_mode: PartitionScheme | None = DEFAULT_Q_MODE,
     ):

@@ -27,9 +27,9 @@ from repro.cpu.config import (
     PartitionPolicy,
     UncoreConfig,
 )
-from repro.cpu.fast_core import CORE_ENV, ENGINES, FastCore, make_core, resolve_engine
+from repro.cpu.fast_core import FastCore
 from repro.cpu.isa import OpClass
-from repro.cpu.smt_core import SMTCore, SimulationResult, ThreadResult
+from repro.cpu.metrics import SimulationResult, ThreadResult
 
 # NOTE: repro.cpu.sampling is intentionally not re-exported here: it depends
 # on repro.workloads, which itself imports repro.cpu (trace/isa definitions).
@@ -42,12 +42,7 @@ __all__ = [
     "PartitionPolicy",
     "UncoreConfig",
     "OpClass",
-    "CORE_ENV",
-    "ENGINES",
     "FastCore",
-    "make_core",
-    "resolve_engine",
-    "SMTCore",
     "SimulationResult",
     "ThreadResult",
 ]

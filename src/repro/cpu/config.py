@@ -133,20 +133,10 @@ class CoreConfig:
     private_bp: bool = False
     #: Stride prefetching at the L1-D (Table II); disable for ablations.
     enable_prefetcher: bool = True
-    #: Execution engine: ``"fast"`` (event-skipping :class:`FastCore`, the
-    #: default) or ``"legacy"`` (instrumented per-cycle loop).  Both produce
-    #: bit-identical results — enforced by the three-way differential sweep —
-    #: so the engine is an implementation choice, not a timing parameter:
-    #: it is excluded from ``repr``/equality and therefore from the
-    #: content-addressed result-store keys.  Overridable per-process via the
-    #: ``REPRO_CORE`` environment variable (see :mod:`repro.cpu.fast_core`).
-    engine: str = field(default="fast", repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.width <= 0:
             raise ValueError("core width must be positive")
-        if self.engine not in ("fast", "legacy"):
-            raise ValueError(f"unknown core engine {self.engine!r}")
         if any(l > self.rob_entries for l in self.rob_limits):
             raise ValueError(
                 f"a ROB limit register in {self.rob_limits} exceeds capacity {self.rob_entries}"

@@ -1,25 +1,37 @@
-"""Event-skipping fast execution path for the SMT core (:class:`FastCore`).
+"""Dual-thread SMT out-of-order core timing simulator (:class:`FastCore`).
 
-``SMTCore._simulate_until`` is the hot loop under every figure harness: a
-pure-Python per-cycle scheduler whose cost is dominated by interpreter
-overhead — attribute lookups, small-method calls (``rob.can_allocate``,
-``cursor.advance``, ``policy.order``, ``hierarchy.load``,
-``mshrs.occupancy``) and a generator-expression completion test, paid once
-per cycle or per µop.
+Implements the simulated core of the paper's §V-A:
 
-:class:`FastCore` re-implements the *same* per-cycle machine with an
-event-skipping organization:
+* every cycle, **thread-selection logic** picks which thread fetches /
+  decodes / dispatches, using ICOUNT by default; if the selected thread
+  cannot fill the core width, the core switches to the other thread;
+* dispatch allocates into the per-thread **ROB and LSQ partitions**
+  (limit/usage registers — the structures Stretch reprograms) and is blocked
+  when a partition, the MSHR quota, or a functional-unit port is exhausted;
+* instruction **completion** is dataflow-driven: ready time is the max of the
+  producers' completion times; memory latency comes from the shared cache
+  hierarchy; branches resolve at execute and a misprediction redirects the
+  thread's front end after the 12-cycle flush penalty;
+* **commit** retires up to 6 µops per cycle in order, round-robin between
+  threads (the selected thread commits first, the other takes leftover
+  bandwidth), freeing ROB/LSQ entries.  The fetch policy makes one selection
+  per cycle that governs both commit priority and dispatch-slot ownership.
+
+The model is cycle-approximate rather than cycle-accurate (DESIGN.md §4):
+issue-queue scheduling is folded into the dataflow ready times, and
+functional-unit contention is enforced at dispatch granularity.
+
+The loop is organized to skip work a cycle-by-cycle scheduler would repeat:
 
 * **Next-event horizon.** The loop tracks the earliest enabling event
   across both threads — ROB-head completion times, front-end refills
   (``fe_stall_until``), wrong-path squash resolutions (``squash_at``) and
-  sampler window edges — and jumps the clock straight to it whenever no
-  dispatch is possible, instead of re-running idle cycles.  On top of the
-  legacy core's idle fast-forward (which only fires when *nothing* happened
-  in a cycle), FastCore also **parks** after commit-only cycles: when µops
-  retired but no thread could dispatch and commit bandwidth was not
-  exhausted, every cycle until the next event is provably identical, so the
-  clock jumps there directly.
+  sampler window edges (:meth:`FastCore.pending_events`) — and jumps the
+  clock straight to it whenever no dispatch is possible, instead of
+  re-running idle cycles.  It also **parks** after commit-only cycles:
+  when µops retired but no thread could dispatch and commit bandwidth was
+  not exhausted, every cycle until the next event is provably identical,
+  so the clock jumps there directly.
 * **Batched gap accounting.** Cycles inside a jump are accounted in closed
   form: the MLP histogram is rebuilt from the piecewise-constant
   :meth:`~repro.cpu.caches.MSHRFile.occupancy_segments` spans (splitting at
@@ -35,96 +47,292 @@ event-skipping organization:
   writes them back at observation points (invariant checker, interval
   sampler, loop exit).
 
-The contract — enforced by the three-way sweep in
+The contract — enforced by the two-way sweep in
 :mod:`repro.check.differential` — is **bit-identical**
-:class:`~repro.cpu.metrics.SimulationResult`\\ s with both the legacy
-``SMTCore`` loop and the unoptimized
-:class:`~repro.check.reference.ReferenceCore`: every counter, cycle count
-and histogram bucket.  Subdividing an idle gap is timing-neutral
-(re-attempting dispatch mid-gap reproduces the decision made at the gap
-start, because no state changes between events), which is why FastCore may
-additionally stop at sampler window edges without perturbing results.
+:class:`~repro.cpu.metrics.SimulationResult`\\ s with the unoptimized
+per-cycle :class:`~repro.check.reference.ReferenceCore`: every counter,
+cycle count and histogram bucket.  Subdividing an idle gap is
+timing-neutral (re-attempting dispatch mid-gap reproduces the decision
+made at the gap start, because no state changes between events), which is
+why the loop may stop at sampler window edges without perturbing results.
 
-Engine selection: :func:`make_core` builds the core every sampling entry
-point uses, honoring ``CoreConfig.engine`` (default ``"fast"``) and the
-``REPRO_CORE`` environment variable (``legacy`` falls back to the
-instrumented per-cycle loop; the variable is inherited by
-:mod:`repro.engine` pool workers).  When a
-:class:`~repro.obs.profiler.Profiler` is attached, FastCore delegates to
-the legacy loop so the per-phase self-time breakdown stays meaningful —
-results are bit-identical either way.
+With a :class:`~repro.obs.profiler.Profiler` attached, the loop times its
+own five phases (``sim.wakeup_squash``, ``sim.fetch_arbitration``,
+``sim.commit``, ``sim.dispatch``, ``sim.clock_advance``) with chained
+``perf_counter`` stamps accumulated in local floats and flushed once per
+:meth:`FastCore._simulate_until`; detached, each phase boundary costs one
+false branch.  Results are bit-identical either way.
 """
 
 from __future__ import annotations
 
-import os
+from collections import deque
+from time import perf_counter
 
-from repro.cpu.config import CoreConfig
-from repro.cpu.fetch import ICountPolicy, RoundRobinPolicy, StaticRatioPolicy
-from repro.cpu.metrics import MLP_BUCKETS
-from repro.cpu.prefetcher import _Entry as _PFEntry
-from repro.cpu.smt_core import (
-    SMTCore,
-    _LAT_ALU,
-    _LAT_BRANCH,
-    _LAT_FP,
-    _LAT_MUL,
-    _LAT_STORE,
-    _OP_BRANCH,
-    _OP_FP,
-    _OP_INT_MUL,
-    _OP_LOAD,
-    _OP_STORE,
-    _RING_MASK,
+from repro.cpu.branch import HybridBranchPredictor
+from repro.cpu.config import CoreConfig, PartitionPolicy
+from repro.cpu.fetch import (
+    ICountPolicy,
+    RoundRobinPolicy,
+    StaticRatioPolicy,
+    make_fetch_policy,
 )
-from repro.cpu.trace import Trace
-from repro.cpu.uncore import _THREAD_TAG_SHIFT
+from repro.cpu.isa import EXEC_LATENCY, OpClass
+from repro.cpu.metrics import MLP_BUCKETS, SimulationResult, ThreadResult
+from repro.cpu.prefetcher import _Entry as _PFEntry
+from repro.cpu.rob import PartitionedResource
+from repro.cpu.trace import Trace, TraceCursor
+from repro.cpu.uncore import _THREAD_TAG_SHIFT, MemoryHierarchy
 
-__all__ = ["CORE_ENV", "ENGINES", "FastCore", "make_core", "resolve_engine"]
+__all__ = ["FastCore"]
 
-#: Environment variable overriding ``CoreConfig.engine`` (``fast``/``legacy``).
-CORE_ENV = "REPRO_CORE"
-#: Valid execution-engine names.
-ENGINES = ("fast", "legacy")
+_RING_SIZE = 256  # power of two >= MAX_DEP_DISTANCE
+_RING_MASK = _RING_SIZE - 1
 
+_OP_LOAD = int(OpClass.LOAD)
+_OP_STORE = int(OpClass.STORE)
+_OP_BRANCH = int(OpClass.BRANCH)
+_OP_INT_MUL = int(OpClass.INT_MUL)
+_OP_FP = int(OpClass.FP)
 
-def resolve_engine(config: CoreConfig | None = None) -> str:
-    """Effective core engine: ``REPRO_CORE`` wins, else ``config.engine``.
-
-    The environment override is what CI and ad-hoc A/B runs set; it reaches
-    :mod:`repro.engine` pool workers through the inherited environment, so
-    one setting flips every core in a run.
-    """
-    env = os.environ.get(CORE_ENV, "").strip().lower()
-    if env:
-        if env not in ENGINES:
-            raise ValueError(f"{CORE_ENV} must be one of {ENGINES}, got {env!r}")
-        return env
-    return config.engine if config is not None else "fast"
-
-
-def make_core(config: CoreConfig, traces: tuple[Trace, ...]) -> SMTCore:
-    """Build the configured core implementation for ``traces``.
-
-    Every sampling entry point goes through here, so ``CoreConfig.engine``
-    / ``REPRO_CORE`` select the execution path process-wide — including
-    inside engine pool workers.
-    """
-    if resolve_engine(config) == "fast":
-        return FastCore(config, traces)
-    return SMTCore(config, traces)
+_LAT_ALU = EXEC_LATENCY[OpClass.INT_ALU]
+_LAT_MUL = EXEC_LATENCY[OpClass.INT_MUL]
+_LAT_FP = EXEC_LATENCY[OpClass.FP]
+_LAT_STORE = EXEC_LATENCY[OpClass.STORE]
+_LAT_BRANCH = EXEC_LATENCY[OpClass.BRANCH]
 
 
-class FastCore(SMTCore):
-    """Event-skipping twin of :class:`SMTCore` (bit-identical results)."""
+class _ThreadState:
+    """Private per-thread microarchitectural state."""
+
+    __slots__ = (
+        "cursor", "ring", "seq", "rob_q", "fe_stall_until", "last_fetch_block",
+        "committed", "branches", "mispredicts", "stall_rob", "stall_lsq",
+        "ghosts", "squash_at",
+    )
+
+    def __init__(self, cursor: TraceCursor):
+        self.cursor = cursor
+        self.ring = [0] * _RING_SIZE
+        self.seq = 0
+        self.rob_q: deque[tuple[int, bool]] = deque()
+        self.fe_stall_until = 0
+        self.last_fetch_block = -1
+        self.committed = 0
+        self.branches = 0
+        self.mispredicts = 0
+        self.stall_rob = 0
+        self.stall_lsq = 0
+        # Wrong-path state: ghost µops dispatched past an unresolved
+        # mispredicted branch occupy ROB entries until squashed at
+        # resolution (squash_at).  This is what lets a miss-bound thread
+        # clog a dynamically shared ROB (paper Fig. 11).
+        self.ghosts = 0
+        self.squash_at = 0
+
+    def reset_stats(self) -> None:
+        self.committed = 0
+        self.branches = 0
+        self.mispredicts = 0
+        self.stall_rob = 0
+        self.stall_lsq = 0
+
+
+class FastCore:
+    """A dual-thread (or single-thread) SMT core bound to workload traces."""
 
     def __init__(self, config: CoreConfig, traces: tuple[Trace, ...]):
-        super().__init__(config, traces)
+        if not 1 <= len(traces) <= 2:
+            raise ValueError("FastCore supports one or two hardware threads")
+        self.config = config
+        self.n_threads = len(traces)
+        self.traces = traces
+        self._threads = [_ThreadState(TraceCursor(t)) for t in traces]
+
+        rob_limits, lsq_limits = self._effective_limits(config)
+        self.rob = PartitionedResource("ROB", config.rob_entries, rob_limits)
+        self.lsq = PartitionedResource("LSQ", config.lsq_entries, lsq_limits)
+        self.hierarchy = MemoryHierarchy(config, n_threads=max(self.n_threads, 2))
+        self.predictor = HybridBranchPredictor(
+            config.branch, n_threads=max(self.n_threads, 2), private=config.private_bp
+        )
+        self.policy = make_fetch_policy(config.fetch_policy, config.fetch_ratio)
+        self.cycle = 0
+        self._mlp_hist = [[0] * (MLP_BUCKETS + 1) for _ in range(self.n_threads)]
+        self.partition_switches = 0
+        #: When set to a list, every dispatched µop appends
+        #: ``(thread, seq, op, pc, dispatch, ready, completion)`` — consumed
+        #: by :mod:`repro.cpu.pipeview` for waterfall rendering.
+        self.event_log: list[tuple[int, int, int, int, int, int, int]] | None = None
         #: When set to a list, every multi-cycle clock jump appends
         #: ``(from_cycle, to_cycle, pending_events)`` — consumed by the
         #: event-horizon property tests; ``None`` (default) costs one
         #: ``is None`` test per jump.
         self.jump_log: list[tuple[int, int, tuple[int, ...]]] | None = None
+        #: Optional :class:`repro.obs.sampler.IntervalSampler`: when set,
+        #: the measured phase emits per-window signal samples (UIPC,
+        #: occupancies, stall/miss breakdowns).  Detached by default — the
+        #: hot loop then pays one ``is None`` check per loop iteration.
+        self.sampler = None
+        #: Optional :class:`repro.obs.profiler.Profiler`: when set, the
+        #: simulation loop accumulates per-phase self-time (wakeup/squash,
+        #: fetch arbitration, commit, dispatch, clock advance).
+        self.profiler = None
+        #: Optional :class:`repro.check.invariants.InvariantChecker`: when
+        #: set, per-cycle conservation laws (ROB/LSQ accounting, monotonic
+        #: clock, trace-cursor progress, MSHR quotas) are verified after
+        #: every loop iteration.  Detached by default — one ``is None``
+        #: check per iteration, like ``sampler``.
+        self.checker = None
+        self._sample_at: int | None = None
+
+    def _effective_limits(self, config: CoreConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        n = self.n_threads if self.n_threads == 2 else 2
+        if config.rob_policy is PartitionPolicy.SHARED:
+            rob = tuple([config.rob_entries] * n)
+            lsq = tuple([config.lsq_entries] * n)
+        else:
+            rob = tuple(config.rob_limits[:n])
+            lsq = tuple(config.lsq_limits[:n])
+        return rob, lsq
+
+    # ------------------------------------------------------------------
+    # Stretch hardware-software interface
+    # ------------------------------------------------------------------
+
+    def set_partitions(self, rob_limits: tuple[int, int], lsq_limits: tuple[int, int]) -> None:
+        """Reprogram the ROB/LSQ limit registers (a Stretch mode change).
+
+        Models the drain-and-flush sequence of §IV-C: both threads stop
+        dispatching, in-flight µops retire, the limit registers are loaded,
+        and both front ends pay the pipeline-flush penalty.
+        """
+        self._drain()
+        self.rob.set_limits(rob_limits)
+        self.lsq.set_limits(lsq_limits)
+        flush_done = self.cycle + self.config.pipeline_flush_cycles
+        for ts in self._threads:
+            ts.fe_stall_until = max(ts.fe_stall_until, flush_done)
+        self.partition_switches += 1
+
+    def _drain(self) -> None:
+        """Retire all in-flight µops without dispatching new ones."""
+        width = self.config.width
+        # Wrong-path ghosts are squashed immediately by the mode-change flush.
+        for t, ts in enumerate(self._threads):
+            for __ in range(ts.ghosts):
+                self.rob.release(t)
+            ts.ghosts = 0
+        while any(ts.rob_q for ts in self._threads):
+            next_event = None
+            budget = width
+            for ts in self._threads:
+                q = ts.rob_q
+                while q and budget and q[0][0] <= self.cycle:
+                    self._commit_one(ts)
+                    budget -= 1
+                if q:
+                    head = q[0][0]
+                    if next_event is None or head < next_event:
+                        next_event = head
+            if any(ts.rob_q for ts in self._threads):
+                # ``is not None``, not truthiness: an event at cycle 0 is a
+                # legitimate event, not "no event".
+                self.cycle = (
+                    max(self.cycle + 1, next_event)
+                    if next_event is not None
+                    else self.cycle + 1
+                )
+
+    def _commit_one(self, ts: _ThreadState) -> None:
+        __, is_mem = ts.rob_q.popleft()
+        thread = self._threads.index(ts)
+        self.rob.release(thread)
+        if is_mem:
+            self.lsq.release(thread)
+        ts.committed += 1
+
+    # ------------------------------------------------------------------
+    # Measurement
+    # ------------------------------------------------------------------
+
+    def run(
+        self,
+        instructions: int,
+        warmup_instructions: int = 0,
+        max_cycles: int | None = None,
+        require_all_threads: bool = False,
+    ) -> SimulationResult:
+        """Simulate until a thread commits ``instructions`` measured µops.
+
+        By default the measurement window closes when the *first* thread
+        reaches the target (both threads' UIPC is measured over the same
+        cycle window, which is unbiased and keeps traces from wrapping);
+        with ``require_all_threads=True`` the window closes when every
+        thread has reached it.
+
+        ``warmup_instructions`` are first committed with statistics discarded
+        (cache/predictor state is kept — the paper's functional + detailed
+        warmup).  ``max_cycles`` bounds the measured phase as a safety net;
+        hitting it raises ``RuntimeError``.
+        """
+        if instructions <= 0:
+            raise ValueError("instructions must be positive")
+        if warmup_instructions:
+            # Warmup must complete for EVERY thread — otherwise the slower
+            # thread starts measurement with cold caches and predictors and
+            # its slowdown is overstated.
+            self._simulate_until(warmup_instructions, max_cycles=None,
+                                 require_all=True)
+        # Each run() reports statistics for its own measured window only
+        # (microarchitectural state always persists across runs).
+        self._reset_measurement()
+        start_cycle = self.cycle
+        sampler = self.sampler
+        if sampler is not None:
+            self._sample_at = sampler.begin(self)
+        try:
+            self._simulate_until(instructions, max_cycles=max_cycles,
+                                 require_all=require_all_threads)
+        finally:
+            self._sample_at = None
+            if sampler is not None:
+                sampler.finish(self)
+        cycles = self.cycle - start_cycle
+        return self._collect(cycles)
+
+    def _reset_measurement(self) -> None:
+        for ts in self._threads:
+            ts.reset_stats()
+        self.hierarchy.reset_stats()
+        self.predictor.reset_stats()
+        self.rob.reset_stats()
+        self._mlp_hist = [[0] * (MLP_BUCKETS + 1) for _ in range(self.n_threads)]
+
+    def _collect(self, cycles: int) -> SimulationResult:
+        results = []
+        h = self.hierarchy
+        for t, ts in enumerate(self._threads):
+            results.append(
+                ThreadResult(
+                    thread=t,
+                    workload=self.traces[t].name,
+                    instructions=ts.committed,
+                    cycles=cycles,
+                    loads=h.loads[t],
+                    stores=h.stores[t],
+                    l1d_misses=h.l1d_misses[t],
+                    l1i_misses=h.l1i_misses[t],
+                    branches=ts.branches,
+                    branch_mispredicts=ts.mispredicts,
+                    rob_limit=self.rob.limits[t],
+                    lsq_limit=self.lsq.limits[t],
+                    dispatch_stall_rob=ts.stall_rob,
+                    dispatch_stall_lsq=ts.stall_lsq,
+                    mlp_cycles=list(self._mlp_hist[t]),
+                )
+            )
+        return SimulationResult(cycles=cycles, threads=tuple(results))
 
     # ------------------------------------------------------------------
     # Event horizon
@@ -137,9 +345,10 @@ class FastCore(SMTCore):
         the front-end refill (``fe_stall_until``) and the wrong-path squash
         resolution (``squash_at``), the latter two only while still in the
         future; plus the next sampler window edge when an
-        :class:`~repro.obs.sampler.IntervalSampler` is attached.  The jump
-        logic targets the minimum of these; the sorted list exists for
-        introspection and as the property-test oracle.
+        :class:`~repro.obs.sampler.IntervalSampler` is attached.  A clock
+        jump lands on the minimum of these; an empty list means nothing is
+        pending.  The sorted list exists for introspection and as the
+        property-test oracle.
         """
         events = []
         for ts in self._threads:
@@ -160,12 +369,7 @@ class FastCore(SMTCore):
     def _simulate_until(
         self, target_committed: int, max_cycles: int | None, require_all: bool = False
     ) -> None:
-        if self.profiler is not None:
-            # Per-phase profiling instruments the legacy loop (bit-identical
-            # results), keeping the sim.* self-time categories meaningful.
-            return SMTCore._simulate_until(
-                self, target_committed, max_cycles, require_all
-            )
+        """Advance the core until thread(s) commit ``target_committed`` µops."""
         threads = self._threads
         n = self.n_threads
         n2 = n == 2
@@ -291,8 +495,8 @@ class FastCore(SMTCore):
         # counters, front-end state); it is written back via sync0/sync1 at
         # every observation point (invariant checker, sampler window edge,
         # jump-log capture, deadline, loop exit) and re-read afterwards so
-        # attached observers see — and may adjust — exactly the state the
-        # legacy per-cycle loop would expose.
+        # attached observers see — and may adjust — exactly the state a
+        # per-cycle loop would expose.
         ts0 = threads[0]
         cur0 = ts0.cursor
         ops0 = cur0.op
@@ -488,6 +692,16 @@ class FastCore(SMTCore):
         first = 0
         second = 0
 
+        # Phase timers: chained perf_counter stamps accumulate in locals and
+        # flush once per call, so each phase boundary costs one stamp when
+        # profiling is on and one false branch when it is off.
+        prof = self.profiler
+        profiling = prof is not None
+        p_squash = p_fetch = p_commit = p_dispatch = p_advance = 0.0
+        p_loops = 0
+        if profiling:
+            stamp = perf_counter()
+
         while True:
             if deadline is not None and cycle >= deadline:
                 sync0(i0, cons0, seq0, cm0, fe0, sq0, gh0, lfb0, sr0, sl0,
@@ -527,6 +741,8 @@ class FastCore(SMTCore):
                 if fe1 < refill:
                     fe1 = refill
                 sq1 = 0
+            if profiling:
+                now = perf_counter(); p_squash += now - stamp; stamp = now
 
             # ---- thread selection: one policy decision per cycle ----
             if n2:
@@ -544,11 +760,13 @@ class FastCore(SMTCore):
                 else:
                     first = policy_order(cycle, [ru0, ru1])[0]
                 second = 1 - first
+            if profiling:
+                now = perf_counter(); p_fetch += now - stamp; stamp = now
 
             # ---- commit: policy-selected thread first, shared width ----
             # Per-entry work is the retirement scan itself; the usage
             # registers are updated once per thread-run (same outcome as
-            # the legacy per-µop release calls).
+            # per-µop release calls).
             budget = width
             if first:
                 if q1 and budget:
@@ -644,6 +862,8 @@ class FastCore(SMTCore):
                         if m:
                             lu1 -= m
                             lsq_total -= m
+            if profiling:
+                now = perf_counter(); p_commit += now - stamp; stamp = now
 
             # ---- fetch/dispatch: interleaved slots ----
             dbudget = width
@@ -660,8 +880,9 @@ class FastCore(SMTCore):
                 # Thread pick: with one thread active every slot is its
                 # (parity is unread from then on — active flags never come
                 # back mid-cycle); with both active, the policy-preferred
-                # alternation.  Identical outcomes to the legacy
-                # pick-then-fallback, one branch cheaper in the common case.
+                # alternation.  Identical outcomes to picking the preferred
+                # thread and falling back to the other, one branch cheaper
+                # in the common case.
                 if a1:
                     if a0:
                         if whole_cycle:
@@ -1358,6 +1579,8 @@ class FastCore(SMTCore):
                     cons1 += 1
                     dbudget -= 1
                     dispatched_this += 1
+            if profiling:
+                now = perf_counter(); p_dispatch += now - stamp; stamp = now
 
             # ---- clock advance over the event horizon ----
             done = False
@@ -1664,6 +1887,9 @@ class FastCore(SMTCore):
                     done = cm0 >= tgt0 and cm1 >= tgt1
                 else:
                     done = cm0 >= tgt0 or (n2 and cm1 >= tgt1)
+            if profiling:
+                now = perf_counter(); p_advance += now - stamp; stamp = now
+                p_loops += 1
             if done:
                 break
 
@@ -1677,3 +1903,9 @@ class FastCore(SMTCore):
         rob._total = rob_total
         lsq._total = lsq_total
         self.cycle = cycle
+        if profiling:
+            prof.add("sim.wakeup_squash", p_squash, p_loops)
+            prof.add("sim.fetch_arbitration", p_fetch, p_loops)
+            prof.add("sim.commit", p_commit, p_loops)
+            prof.add("sim.dispatch", p_dispatch, p_loops)
+            prof.add("sim.clock_advance", p_advance, p_loops)

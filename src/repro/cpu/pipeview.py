@@ -1,6 +1,6 @@
 """Pipeline waterfall views — a debugging lens on the timing model.
 
-Records per-µop dispatch/ready/completion events from an :class:`SMTCore`
+Records per-µop dispatch/ready/completion events from a :class:`FastCore`
 run and renders them as a monospace waterfall, one µop per row:
 
 .. code-block:: text
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cpu.isa import OpClass
-from repro.cpu.smt_core import SMTCore
+from repro.cpu.fast_core import FastCore
 
 __all__ = ["PipeEvent", "record_pipeline", "render_waterfall"]
 
@@ -43,7 +43,7 @@ class PipeEvent:
 
 
 def record_pipeline(
-    core: SMTCore, instructions: int, warmup_instructions: int = 0
+    core: FastCore, instructions: int, warmup_instructions: int = 0
 ) -> list[PipeEvent]:
     """Run ``core`` while recording every dispatched µop's timing."""
     core.event_log = []

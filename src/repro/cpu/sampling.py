@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cpu.config import CoreConfig
-from repro.cpu.fast_core import make_core
+from repro.cpu.fast_core import FastCore
 from repro.cpu.isa import OpClass
 from repro.cpu.metrics import SimulationResult
-from repro.cpu.smt_core import SMTCore
 from repro.cpu.trace import _COLUMNS, Trace
 from repro.cpu.uncore import MemoryHierarchy
 from repro.obs.metrics import get_registry
@@ -257,7 +256,7 @@ def _warm_plan(
 
 
 def _checkpoint_warm(
-    core: SMTCore,
+    core: FastCore,
     thread: int,
     point: _SamplingPoint,
     sampling: SamplingConfig,
@@ -285,7 +284,7 @@ def sample_solo(
     results = []
     for s in range(sampling.n_samples):
         point = _sampling_point(profile, sampling, s)
-        core = make_core(config, (point.trace,))
+        core = FastCore(config, (point.trace,))
         attach_core_observers(core, {"kind": "solo", "workloads": [profile.name],
                                      "sample": s})
         if sampling.checkpoint_warming:
@@ -316,7 +315,7 @@ def sample_colocation(
     for s in range(sampling.n_samples):
         point0 = _sampling_point(profile0, sampling, s)
         point1 = _sampling_point(profile1, sampling, s)
-        core = make_core(config, (point0.trace, point1.trace))
+        core = FastCore(config, (point0.trace, point1.trace))
         attach_core_observers(
             core, {"kind": "pair", "workloads": [profile0.name, profile1.name],
                    "sample": s},

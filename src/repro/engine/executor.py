@@ -23,7 +23,9 @@ into a :class:`~repro.engine.store.ResultStore` from the parent process
   job lifecycle (dedupe → cache lookup → queue → execute → store write,
   plus cache-hit and retry markers) is emitted as Chrome trace events, one
   lane per worker slot; pass a :class:`~repro.obs.profiler.Profiler` and
-  the engine phases land in its self-time table.  Each unique job also
+  the engine phases land in its self-time table, together with the
+  sections pool workers profiled while running their jobs (shipped back
+  with each result).  Each unique job also
   leaves a telemetry record in the store
   (:meth:`~repro.engine.store.ResultStore.record_job_telemetry`).
 """
@@ -41,6 +43,7 @@ from typing import Callable
 from repro.cpu.sampling import shared_sampling_points
 from repro.engine.store import ResultStore, default_store
 from repro.engine.telemetry import EngineStats
+from repro.obs.profiler import active_profiler
 
 __all__ = [
     "EngineConfig",
@@ -119,9 +122,23 @@ class _Attempt:
     lane: int = 0
 
 
-def _run_job(job) -> tuple[float, ...]:
-    """Worker-side entry point (module-level for picklability)."""
-    return tuple(job.run())
+def _run_job(job) -> tuple[tuple[float, ...], dict | None]:
+    """Worker-side entry point (module-level for picklability).
+
+    Returns the job's values and, when profiling is on, the sections the
+    worker's profiler recorded for this job alone (``Profiler.as_dict``),
+    for the parent to merge.  The table is cleared before the job as well:
+    a forked worker starts with a copy of the parent's.
+    """
+    prof = active_profiler()
+    if prof is not None:
+        prof.reset()
+    values = tuple(job.run())
+    if prof is None:
+        return values, None
+    profile = prof.as_dict()
+    prof.reset()
+    return values, profile
 
 
 def _by_sampling_point(todo) -> list[_Attempt]:
@@ -429,7 +446,7 @@ class ExecutionEngine:
                     stats.running = len(running)
                     free_lanes.append(attempt.lane)
                     try:
-                        values = future.result()
+                        values, profile = future.result()
                     except _POOL_DEATH:
                         broken = True
                         attempt.tries += 1
@@ -457,6 +474,8 @@ class ExecutionEngine:
                         elapsed = time.perf_counter() - attempt.started
                         if prof is not None:
                             prof.add("engine.execute", elapsed)
+                            for name, entry in (profile or {}).items():
+                                prof.add(name, entry["seconds"], entry["calls"])
                         if tracer is not None:
                             now = tracer.now_us()
                             tracer.complete(

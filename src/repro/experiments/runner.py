@@ -38,7 +38,7 @@ The correctness harness (:mod:`repro.check`) surfaces in two places:
 ``--check`` attaches a per-cycle :class:`InvariantChecker` to every core —
 including those built inside pool workers, via ``REPRO_CHECK=1`` in the
 inherited environment — and the ``check`` subcommand sweeps seeded random
-configurations through the ``SMTCore`` vs ``ReferenceCore`` differential
+configurations through the ``FastCore`` vs ``ReferenceCore`` differential
 oracle (optionally plus the metamorphic relation suite).
 """
 
@@ -295,11 +295,10 @@ def _check_main(argv: list[str]) -> int:
     """``stretch-repro check``: differential oracle + metamorphic relations."""
     parser = argparse.ArgumentParser(
         prog="stretch-repro check",
-        description="Validate FastCore and the legacy SMTCore against the "
-                    "unoptimized ReferenceCore on seeded random "
-                    "configurations plus targeted stress cases "
-                    "(bit-identical results required across all three "
-                    "engines), with per-cycle invariant checking attached "
+        description="Validate FastCore against the unoptimized "
+                    "ReferenceCore on seeded random configurations plus "
+                    "targeted stress cases (bit-identical results "
+                    "required), with per-cycle invariant checking attached "
                     "to every run.",
     )
     parser.add_argument(

@@ -8,7 +8,7 @@ kind of visibility:
 * :mod:`repro.obs.metrics` — a metrics registry (counters, gauges,
   histograms, windowed time series) with near-zero overhead when disabled;
 * :mod:`repro.obs.sampler` — interval sampling: per-window UIPC, ROB/LSQ
-  occupancy, stall breakdowns and miss rates from :class:`SMTCore` runs
+  occupancy, stall breakdowns and miss rates from :class:`FastCore` runs
   (:class:`IntervalSampler`), and the typed per-window service
   observations the Stretch monitors consume (:class:`ServiceSampler`);
 * :mod:`repro.obs.tracer` — a span tracer emitting Chrome trace-event

@@ -13,14 +13,16 @@ Two usage styles:
   (one engine phase, one experiment);
 * :meth:`Profiler.add` — direct accumulation for hot loops that batch
   ``perf_counter`` deltas in local floats and flush once at the end
-  (what :class:`~repro.cpu.smt_core.SMTCore` does, so the per-cycle cost
-  with profiling *disabled* is a single false branch).
+  (what :class:`~repro.cpu.fast_core.FastCore` does, so the per-iteration
+  cost with profiling *disabled* is one false branch per phase).
 
 Profiling is opt-in per process: ``stretch-repro run --profile`` enables
-the process-wide profiler (exported to engine workers via the
-``REPRO_OBS_PROFILE`` environment variable; worker-side tables are
-process-local and not merged back, so profile serial runs for full
-coverage).
+the process-wide profiler, exported to engine workers via the
+``REPRO_OBS_PROFILE`` environment variable.  A pool worker returns the
+sections it recorded for each job together with the job's values, and
+the parent's :class:`~repro.engine.executor.ExecutionEngine` merges them
+into its own table, so ``--profile --jobs N`` reports the simulator
+sections of every job, wherever it ran.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def active_profiler() -> Profiler | None:
 
     A child process whose environment carries ``REPRO_OBS_PROFILE`` creates
     its own profiler on first use, so instrumented code behaves uniformly
-    on workers (their tables stay process-local).
+    on workers (the engine ships their per-job sections back).
     """
     global _active
     if _active is None and os.environ.get(PROFILE_ENV):

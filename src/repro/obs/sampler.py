@@ -2,7 +2,7 @@
 
 Two samplers cover the stack's two time bases:
 
-* :class:`IntervalSampler` attaches to an :class:`~repro.cpu.smt_core.SMTCore`
+* :class:`IntervalSampler` attaches to a :class:`~repro.cpu.fast_core.FastCore`
   (``core.sampler = IntervalSampler(...)``) and snapshots the measured phase
   every ``window_cycles`` simulated cycles, emitting one
   :class:`WindowSample` per window with the signals the paper's software
@@ -11,7 +11,7 @@ Two samplers cover the stack's two time bases:
   and branch/L1 miss rates.  The sampler only *reads* core state, so an
   attached sampler leaves cycles and instruction counts bit-identical to an
   unobserved run; detached (the default), the core pays a single
-  ``is None`` check per cycle.
+  ``is None`` check per loop iteration.
 
 * :class:`ServiceSampler` runs on the wall-clock side of the closed loop:
   each monitoring window it wraps the queueing substrate's tail latency
@@ -90,7 +90,7 @@ class ThreadWindow:
 
 @dataclass(frozen=True)
 class WindowSample:
-    """One sampling window of an :class:`SMTCore` measured phase."""
+    """One sampling window of a :class:`FastCore` measured phase."""
 
     index: int
     start_cycle: int
@@ -154,7 +154,7 @@ class JsonlSink:
 class IntervalSampler:
     """Windowed sampling of an SMT core's measured phase.
 
-    Attach before :meth:`SMTCore.run`::
+    Attach before :meth:`FastCore.run`::
 
         core.sampler = IntervalSampler(window_cycles=2000)
         result = core.run(50_000)

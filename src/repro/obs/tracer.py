@@ -123,7 +123,7 @@ def pipeline_trace(
     Each dispatched µop becomes one complete span on its hardware thread's
     lane: the span opens at dispatch and closes at completion, with the
     operand-wait portion (dispatch → ready) reported in ``args.wait``.
-    Accepts :class:`PipeEvent` objects or the raw ``SMTCore.event_log``
+    Accepts :class:`PipeEvent` objects or the raw ``FastCore.event_log``
     tuples ``(thread, seq, op, pc, dispatch, ready, completion)``.
     """
     from repro.cpu.isa import OpClass

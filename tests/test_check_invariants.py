@@ -5,20 +5,20 @@ import pytest
 
 from repro.check.invariants import InvariantChecker, InvariantViolation
 from repro.cpu.config import CoreConfig
+from repro.cpu.fast_core import FastCore
 from repro.cpu.isa import OpClass
-from repro.cpu.smt_core import SMTCore
 from repro.cpu.trace import Trace
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.generator import generate_trace
 from repro.workloads.registry import get_profile
 
 
-def _core(**config_kwargs) -> SMTCore:
+def _core(**config_kwargs) -> FastCore:
     traces = (
         generate_trace(get_profile("web_search"), 3000, seed=3),
         generate_trace(get_profile("zeusmp"), 3000, seed=4),
     )
-    core = SMTCore(CoreConfig(**config_kwargs), traces)
+    core = FastCore(CoreConfig(**config_kwargs), traces)
     core.checker = InvariantChecker()
     return core
 
@@ -48,8 +48,8 @@ class TestCleanRuns:
             generate_trace(get_profile("web_search"), 3000, seed=3),
             generate_trace(get_profile("zeusmp"), 3000, seed=4),
         )
-        plain = SMTCore(CoreConfig(), traces).run(600, warmup_instructions=200)
-        checked_core = SMTCore(CoreConfig(), traces)
+        plain = FastCore(CoreConfig(), traces).run(600, warmup_instructions=200)
+        checked_core = FastCore(CoreConfig(), traces)
         checked_core.checker = InvariantChecker()
         checked = checked_core.run(600, warmup_instructions=200)
         assert plain == checked
@@ -58,7 +58,7 @@ class TestCleanRuns:
 class TestCorruptionDetection:
     """Deliberately corrupt core state and assert the checker catches it."""
 
-    def _settled_core(self) -> SMTCore:
+    def _settled_core(self) -> FastCore:
         core = _core()
         core.run(200, warmup_instructions=100)
         assert core.checker.violations == []
@@ -123,7 +123,7 @@ class TestEnvAttach:
         from repro.obs.sampler import CHECK_ENV, attach_core_observers
 
         monkeypatch.setenv(CHECK_ENV, "1")
-        core = SMTCore(
+        core = FastCore(
             CoreConfig(),
             (generate_trace(get_profile("web_search"), 2000, seed=3),),
         )
@@ -140,7 +140,7 @@ class TestEnvAttach:
             monkeypatch.delenv(CHECK_ENV, raising=False)
         else:
             monkeypatch.setenv(CHECK_ENV, value)
-        core = SMTCore(
+        core = FastCore(
             CoreConfig(),
             (generate_trace(get_profile("web_search"), 2000, seed=3),),
         )

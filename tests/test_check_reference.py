@@ -1,9 +1,9 @@
-"""Differential oracle: FastCore, SMTCore and ReferenceCore bit-identical.
+"""Differential oracle: FastCore and ReferenceCore bit-identical.
 
-The 200-configuration sweep — every case run through all three engines —
-is the acceptance gate for the optimized hot loops (ring-buffer dataflow,
-idle fast-forward, slot interleaving, FastCore's event-horizon jumps): any
-future optimization that changes a single committed instruction, stall
+The 200-configuration sweep — every case run through both engines — is
+the acceptance gate for the optimized hot loop (ring-buffer dataflow,
+slot interleaving, FastCore's event-horizon jumps and batched gap
+accounting): any future optimization that changes a single committed instruction, stall
 count, cycle total or MLP bucket on any configuration fails here.  The
 stress cases (``build_stress_cases``) add targeted adversarial shapes for
 the event-skipping path.
@@ -20,7 +20,7 @@ from repro.check.differential import (
 )
 from repro.check.reference import ReferenceCore
 from repro.cpu.config import CoreConfig
-from repro.cpu.smt_core import SMTCore
+from repro.cpu.fast_core import FastCore
 from repro.workloads.generator import generate_trace
 from repro.workloads.registry import get_profile
 
@@ -34,7 +34,7 @@ def _traces(*specs):
 class TestReferenceCoreBasics:
     def test_solo_run_bit_identical(self):
         traces = _traces(("web_search", 11))
-        a = SMTCore(CoreConfig(), traces).run(500, warmup_instructions=200)
+        a = FastCore(CoreConfig(), traces).run(500, warmup_instructions=200)
         b = ReferenceCore(CoreConfig(), traces).run(500, warmup_instructions=200)
         assert compare_results(a, b) == []
         assert a == b
@@ -42,23 +42,23 @@ class TestReferenceCoreBasics:
     def test_colocated_run_bit_identical(self):
         traces = _traces(("web_search", 11), ("zeusmp", 12))
         config = CoreConfig().with_rob_partition(56, 136)
-        a = SMTCore(config, traces).run(400, warmup_instructions=200,
-                                        require_all_threads=True)
+        a = FastCore(config, traces).run(400, warmup_instructions=200,
+                                         require_all_threads=True)
         b = ReferenceCore(config, traces).run(400, warmup_instructions=200,
                                               require_all_threads=True)
         assert compare_results(a, b) == []
 
     def test_mode_switch_drain_bit_identical(self):
         traces = _traces(("data_serving", 5), ("gamess", 6))
-        smt = SMTCore(CoreConfig(), _traces(("data_serving", 5), ("gamess", 6)))
+        fast = FastCore(CoreConfig(), _traces(("data_serving", 5), ("gamess", 6)))
         ref = ReferenceCore(CoreConfig(), traces)
-        r1 = smt.run(300, warmup_instructions=100)
+        r1 = fast.run(300, warmup_instructions=100)
         r2 = ref.run(300, warmup_instructions=100)
         assert compare_results(r1, r2) == []
-        smt.set_partitions((136, 56), (45, 18))
+        fast.set_partitions((136, 56), (45, 18))
         ref.set_partitions((136, 56), (45, 18))
-        assert smt.cycle == ref.cycle
-        assert compare_results(smt.run(300), ref.run(300)) == []
+        assert fast.cycle == ref.cycle
+        assert compare_results(fast.run(300), ref.run(300)) == []
 
     def test_reference_rejects_more_than_two_threads(self):
         traces = _traces(("web_search", 1), ("zeusmp", 2), ("gamess", 3))
@@ -94,7 +94,7 @@ class TestDifferentialSweep:
         assert build_cases(10, seed=3) != build_cases(10, seed=4)
 
     def test_stress_cases_bit_identical(self):
-        """The adversarial event-skipping shapes survive all three engines."""
+        """The adversarial event-skipping shapes survive both engines."""
         cases = build_stress_cases(seed=0)
         tags = {case.tag for case in cases}
         assert {"switch-storm", "no-idle", "cycle0", "mshr-sat"} <= tags
@@ -108,7 +108,7 @@ class TestDifferentialSweep:
         case = build_cases(1, seed=5)[0]
         assert run_case(case) == []
         traces = _traces(("web_search", 11))
-        a = SMTCore(CoreConfig(), traces).run(300)
+        a = FastCore(CoreConfig(), traces).run(300)
         b = ReferenceCore(CoreConfig(), traces).run(300)
         b.threads[0].instructions += 1
         diffs = compare_results(a, b)

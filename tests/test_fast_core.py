@@ -1,11 +1,12 @@
-"""FastCore: engine selection, bit-identity smoke, event-horizon properties.
+"""FastCore: bit-identity smoke, pinned event logs, event-horizon properties.
 
-The exhaustive equivalence proof lives in the three-way differential sweep
-(``tests/test_check_reference.py``); this file covers the FastCore-specific
-surface: ``CoreConfig.engine`` / ``REPRO_CORE`` resolution, the observer
-wiring (event log, invariant checker, sampler entry points), and the
-event-horizon structure itself via seeded property loops (plain
-``repro.util.rng`` seeding — no hypothesis, so failures replay exactly).
+The exhaustive equivalence proof lives in the two-way differential sweep
+against ``ReferenceCore`` (``tests/test_check_reference.py``); this file
+covers the FastCore-specific surface: the per-µop event log (pinned by
+digest, since the reference keeps none), the observer wiring (invariant
+checker, sampler entry points), and the event-horizon structure itself via
+seeded property loops (plain ``repro.util.rng`` seeding — no hypothesis, so
+failures replay exactly).
 """
 
 import hashlib
@@ -15,9 +16,9 @@ import random
 import pytest
 
 from repro.check.invariants import InvariantChecker, InvariantViolation
+from repro.check.reference import ReferenceCore
 from repro.cpu.config import CoreConfig
-from repro.cpu.fast_core import CORE_ENV, FastCore, make_core, resolve_engine
-from repro.cpu.smt_core import SMTCore
+from repro.cpu.fast_core import FastCore
 from repro.util.rng import derive_seed
 from repro.workloads.generator import generate_trace
 from repro.workloads.registry import get_profile
@@ -47,9 +48,10 @@ def _random_config(rng):
 #: SHA-256 of ``json.dumps(core.event_log)`` — the per-µop
 #: ``(thread, seq, op, pc, dispatch, ready, completion)`` stream — and its
 #: length, for one pair and one solo run (see :func:`_event_log_run`).
-#: Both the per-cycle ``SMTCore`` loop and FastCore produced these digests
-#: when they were pinned; ``ReferenceCore`` keeps no event log, so the
-#: digests are what compares FastCore's per-µop stream with another loop.
+#: FastCore and the retired per-cycle legacy loop both produced these
+#: digests when they were pinned; ``ReferenceCore`` keeps no event log, so
+#: the digests are what compares FastCore's per-µop stream with another
+#: loop.
 EVENT_LOG_DIGESTS = {
     "pair": (2012, "1e1eff205f7b4ef350960ac9d3b6b3dbb2756ad94e738f2582e81a3e89941606"),
     "solo": (610, "5014136c4a9d08fa9ddca7cae717718dff165395f678c43af3e34d3f166a94a6"),
@@ -72,79 +74,41 @@ def _event_log_run(cls, case):
     return core, result
 
 
-class TestEngineSelection:
-    def test_default_engine_is_fast(self):
-        assert resolve_engine() == "fast"
-        assert resolve_engine(CoreConfig()) == "fast"
-        assert isinstance(make_core(CoreConfig(), _traces(random.Random(0), 1)),
-                          FastCore)
-
-    def test_config_engine_legacy(self):
-        config = CoreConfig(engine="legacy")
-        assert resolve_engine(config) == "legacy"
-        core = make_core(config, _traces(random.Random(1), 1))
-        assert type(core) is SMTCore
-
-    def test_env_overrides_config(self, monkeypatch):
-        monkeypatch.setenv(CORE_ENV, "legacy")
-        assert resolve_engine(CoreConfig(engine="fast")) == "legacy"
-        monkeypatch.setenv(CORE_ENV, "fast")
-        assert resolve_engine(CoreConfig(engine="legacy")) == "fast"
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(CORE_ENV, "turbo")
-        with pytest.raises(ValueError, match="REPRO_CORE"):
-            resolve_engine(CoreConfig())
-
-    def test_invalid_config_engine_rejected(self):
-        with pytest.raises(ValueError):
-            CoreConfig(engine="turbo")
-
-    def test_engine_excluded_from_config_identity(self):
-        """Engine choice must not split the content-addressed result cache."""
-        assert CoreConfig(engine="fast") == CoreConfig(engine="legacy")
-        assert hash(CoreConfig(engine="fast")) == hash(CoreConfig(engine="legacy"))
+def _event_log_digest(core):
+    log = core.event_log
+    return len(log), hashlib.sha256(json.dumps(log).encode()).hexdigest()
 
 
 class TestBitIdentitySmoke:
     def test_pair_run_identical_with_event_log(self):
-        rng = random.Random(7)
-        traces = _traces(rng, 2)
-        config = CoreConfig().with_rob_partition(56, 136)
-        fast = FastCore(config, traces)
-        legacy = SMTCore(config, traces)
-        fast.event_log = []
-        legacy.event_log = []
-        rf = fast.run(400, warmup_instructions=200, require_all_threads=True)
-        rl = legacy.run(400, warmup_instructions=200, require_all_threads=True)
-        assert rf == rl
-        assert fast.cycle == legacy.cycle
-        assert fast.event_log == legacy.event_log
+        fast, result = _event_log_run(FastCore, "pair")
+        traces = _traces(random.Random(7), 2)
+        ref = ReferenceCore(CoreConfig().with_rob_partition(56, 136), traces)
+        assert result == ref.run(400, warmup_instructions=200,
+                                 require_all_threads=True)
+        assert fast.cycle == ref.cycle
+        assert _event_log_digest(fast) == EVENT_LOG_DIGESTS["pair"]
 
     def test_solo_run_identical(self):
         rng = random.Random(8)
         traces = _traces(rng, 1)
         fast = FastCore(CoreConfig().single_thread(48), traces)
-        legacy = SMTCore(CoreConfig().single_thread(48), traces)
+        ref = ReferenceCore(CoreConfig().single_thread(48), traces)
         assert fast.run(500, warmup_instructions=100) == \
-            legacy.run(500, warmup_instructions=100)
+            ref.run(500, warmup_instructions=100)
 
-    @pytest.mark.parametrize("cls", [FastCore, SMTCore],
-                             ids=lambda cls: cls.__name__)
     @pytest.mark.parametrize("case", sorted(EVENT_LOG_DIGESTS))
-    def test_event_log_matches_pinned_digest(self, case, cls):
-        core, __ = _event_log_run(cls, case)
-        digest = hashlib.sha256(json.dumps(core.event_log).encode()).hexdigest()
-        assert (len(core.event_log), digest) == EVENT_LOG_DIGESTS[case]
+    def test_event_log_matches_pinned_digest(self, case):
+        core, __ = _event_log_run(FastCore, case)
+        assert _event_log_digest(core) == EVENT_LOG_DIGESTS[case]
 
     def test_repro_check_attaches_checker_to_fast_core(self, monkeypatch):
         """REPRO_CHECK=1 must reach FastCore through the sampling path."""
         monkeypatch.setenv("REPRO_CHECK", "1")
         from repro.obs.sampler import attach_core_observers
 
-        core = make_core(CoreConfig(), _traces(random.Random(9), 2))
+        core = FastCore(CoreConfig(), _traces(random.Random(9), 2))
         attach_core_observers(core, {})
-        assert isinstance(core, FastCore)
         assert isinstance(core.checker, InvariantChecker)
         result = core.run(300, warmup_instructions=100,
                           require_all_threads=True)
@@ -185,7 +149,7 @@ class TestEventHorizonProperties:
             n = 2 if rng.random() < 0.7 else 1
             config = _random_config(rng)
             traces = _traces(rng, n)
-            for cls in (FastCore, SMTCore):
+            for cls in (FastCore, ReferenceCore):
                 core = cls(config, traces)
                 result = core.run(300, warmup_instructions=100,
                                   require_all_threads=(n == 2))
@@ -196,8 +160,8 @@ class TestEventHorizonProperties:
                         f"measured {result.cycles}"
                     )
 
-    def test_earliest_event_matches_brute_force(self):
-        """`_earliest_event` equals the min of the sorted event horizon."""
+    def test_jumps_land_on_min_pending_events(self):
+        """The loop's inline horizon agrees with `pending_events`."""
         rng = random.Random(derive_seed(42, "fast-core", "horizon"))
         checked = 0
         for trial in range(6):
@@ -205,17 +169,17 @@ class TestEventHorizonProperties:
             core = FastCore(_random_config(rng), _traces(rng, n))
             # Fresh core: no in-flight work, no events.
             assert core.pending_events(core.cycle) == []
-            assert core._earliest_event(core.cycle) is None
-            # Sample mid-run states at several window boundaries.
+            core.jump_log = []
+            # Several windows, so jumps from mid-run states are logged too.
             for window in range(4):
                 core.run(60, max_cycles=200_000,
                          require_all_threads=(n == 2))
-                events = core.pending_events(core.cycle)
-                brute = min(events) if events else None
-                assert core._earliest_event(core.cycle) == brute
-                if events:
-                    checked += 1
-        assert checked > 0, "property never saw a non-empty event horizon"
+            for frm, to, events in core.jump_log:
+                assert to == min(events), (
+                    f"jump {frm}->{to} misses min(pending_events) of {events}"
+                )
+                checked += 1
+        assert checked > 0, "property never exercised a multi-cycle jump"
 
     def test_checker_rejects_event_passing_jump(self):
         """The generalized multi-cycle jump law actually fires."""

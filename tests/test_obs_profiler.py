@@ -3,7 +3,11 @@
 import pytest
 
 from repro.cpu.config import CoreConfig
-from repro.cpu.smt_core import SMTCore
+from repro.cpu.fast_core import FastCore
+from repro.cpu.sampling import SamplingConfig
+from repro.engine.executor import EngineConfig, ExecutionEngine
+from repro.engine.job import SimJob
+from repro.engine.store import ResultStore
 from repro.obs.profiler import (
     PROFILE_ENV,
     Profiler,
@@ -14,7 +18,7 @@ from repro.obs.profiler import (
 from repro.workloads.generator import generate_trace
 from repro.workloads.registry import get_profile
 
-#: Hot-loop sections the SMT core flushes after a profiled run.
+#: Hot-loop sections FastCore flushes after a profiled run.
 SIM_SECTIONS = {
     "sim.wakeup_squash",
     "sim.commit",
@@ -98,18 +102,59 @@ class TestSimulatorProfile:
     def test_profiled_run_is_bit_identical_and_covers_hot_loops(self):
         ws = generate_trace(get_profile("web_search"), 20_000, seed=3)
         zm = generate_trace(get_profile("zeusmp"), 20_000, seed=3)
-        baseline = SMTCore(CoreConfig(), (ws, zm)).run(4000)
+        plain = FastCore(CoreConfig(), (ws, zm))
+        plain.event_log = []
+        baseline = plain.run(4000, warmup_instructions=1000)
 
-        core = SMTCore(CoreConfig(), (ws, zm))
+        core = FastCore(CoreConfig(), (ws, zm))
+        core.event_log = []
         core.profiler = profiler = Profiler()
-        profiled = core.run(4000)
+        profiled = core.run(4000, warmup_instructions=1000)
 
-        assert profiled.cycles == baseline.cycles
-        for base, obs in zip(baseline.threads, profiled.threads):
-            assert obs.cycles == base.cycles
-            assert obs.instructions == base.instructions
-        assert SIM_SECTIONS <= set(profiler.as_dict())
-        # Every section flushed once per simulated cycle.
-        cycles_profiled = profiler.calls("sim.dispatch")
-        assert cycles_profiled == profiler.calls("sim.commit")
+        assert profiled == baseline
+        assert core.cycle == plain.cycle
+        assert core.event_log == plain.event_log
+        assert set(profiler.as_dict()) == SIM_SECTIONS
+        # Every section counts one call per loop iteration; a clock jump
+        # is one iteration, so there are at most as many as cycles.
+        calls = {profiler.calls(name) for name in SIM_SECTIONS}
+        assert len(calls) == 1
+        assert 0 < calls.pop() <= core.cycle
         assert profiler.seconds("sim.dispatch") > 0
+
+
+class TestPoolWorkerProfiles:
+    """``--profile --jobs N``: pool workers ship their sections back."""
+
+    @pytest.fixture(autouse=True)
+    def clean_state(self, monkeypatch):
+        monkeypatch.delenv(PROFILE_ENV, raising=False)
+        disable_profiling()
+        yield
+        disable_profiling()
+
+    def test_pool_reports_the_serial_sim_calls(self):
+        sampling = SamplingConfig(n_samples=1, warmup_instructions=500,
+                                  measure_instructions=800, seed=5)
+        jobs = [
+            SimJob.solo("web_search", CoreConfig().single_thread(192), sampling),
+            SimJob.pair("web_search", "zeusmp", CoreConfig(), sampling),
+            SimJob.solo("zeusmp", CoreConfig().single_thread(96), sampling),
+        ]
+        calls = {}
+        for workers in (1, 2):
+            profiler = enable_profiling()
+            report = ExecutionEngine(EngineConfig(workers=workers)).run_jobs(
+                jobs, store=ResultStore(None), profiler=profiler
+            )
+            assert report.stats.executed == len(jobs)
+            assert report.stats.in_process == 0
+            calls[workers] = {
+                name: entry["calls"]
+                for name, entry in profiler.as_dict().items()
+                if name.startswith("sim.")
+            }
+            disable_profiling()
+        # Loop iteration counts are deterministic, wherever a job runs.
+        assert set(calls[1]) == SIM_SECTIONS
+        assert calls[2] == calls[1]

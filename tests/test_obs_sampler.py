@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.cpu.config import CoreConfig
-from repro.cpu.smt_core import SMTCore
+from repro.cpu.fast_core import FastCore
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampler import (
     DEFAULT_WINDOW_CYCLES,
@@ -27,16 +27,16 @@ from repro.workloads.registry import get_profile
 INSTRUCTIONS = 5000
 
 
-def make_core(two_threads=True) -> SMTCore:
+def new_core(two_threads=True) -> FastCore:
     ws = generate_trace(get_profile("web_search"), 20_000, seed=3)
     if not two_threads:
-        return SMTCore(CoreConfig().single_thread(192), (ws,))
+        return FastCore(CoreConfig().single_thread(192), (ws,))
     zm = generate_trace(get_profile("zeusmp"), 20_000, seed=3)
-    return SMTCore(CoreConfig(), (ws, zm))
+    return FastCore(CoreConfig(), (ws, zm))
 
 
 def run_sampled(window_cycles=500):
-    core = make_core()
+    core = new_core()
     core.sampler = IntervalSampler(window_cycles=window_cycles)
     results = core.run(INSTRUCTIONS)
     return core, results
@@ -44,7 +44,7 @@ def run_sampled(window_cycles=500):
 
 class TestNonPerturbation:
     def test_sampled_run_bit_identical(self):
-        baseline = make_core().run(INSTRUCTIONS)
+        baseline = new_core().run(INSTRUCTIONS)
         __, sampled = run_sampled()
         assert sampled.cycles == baseline.cycles
         for base, obs in zip(baseline.threads, sampled.threads):
@@ -53,7 +53,7 @@ class TestNonPerturbation:
             assert obs.uipc == base.uipc
 
     def test_detached_core_has_no_sampler(self):
-        core = make_core()
+        core = new_core()
         assert core.sampler is None and core.profiler is None
 
 
@@ -101,7 +101,7 @@ class TestWindowReconciliation:
 class TestJsonlSink:
     def test_streams_tagged_windows(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
-        core = make_core()
+        core = new_core()
         core.sampler = IntervalSampler(
             window_cycles=500, sink=JsonlSink(path), meta={"kind": "pair"}
         )
@@ -125,7 +125,7 @@ class TestJsonlSink:
 
     def test_registry_series(self):
         registry = MetricsRegistry()
-        core = make_core()
+        core = new_core()
         core.sampler = IntervalSampler(window_cycles=500, registry=registry)
         core.run(INSTRUCTIONS)
         series = registry.series("core.window.uipc.t0")
@@ -149,7 +149,7 @@ class TestAttachCoreObservers:
     def test_noop_without_env(self, monkeypatch):
         monkeypatch.delenv(METRICS_ENV, raising=False)
         monkeypatch.delenv("REPRO_OBS_PROFILE", raising=False)
-        core = make_core()
+        core = new_core()
         attach_core_observers(core)
         assert core.sampler is None and core.profiler is None
 
@@ -157,7 +157,7 @@ class TestAttachCoreObservers:
         path = tmp_path / "m.jsonl"
         monkeypatch.setenv(METRICS_ENV, str(path))
         monkeypatch.setenv(WINDOW_ENV, "750")
-        core = make_core()
+        core = new_core()
         attach_core_observers(core, {"kind": "solo"})
         assert isinstance(core.sampler, IntervalSampler)
         assert core.sampler.window_cycles == 750
@@ -169,6 +169,6 @@ class TestAttachCoreObservers:
     def test_garbage_window_falls_back_to_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(METRICS_ENV, str(tmp_path / "m.jsonl"))
         monkeypatch.setenv(WINDOW_ENV, "soon")
-        core = make_core()
+        core = new_core()
         attach_core_observers(core)
         assert core.sampler.window_cycles == DEFAULT_WINDOW_CYCLES

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.cpu.config import CoreConfig
+from repro.cpu.fast_core import FastCore
 from repro.cpu.pipeview import record_pipeline
-from repro.cpu.smt_core import SMTCore
 from repro.engine.executor import EngineConfig, ExecutionEngine
 from repro.engine.store import ResultStore
 from repro.obs.tracer import SpanTracer, pipeline_trace
@@ -129,7 +129,7 @@ class TestPipelineBridge:
     def test_pipe_events_become_spans(self):
         ws = generate_trace(get_profile("web_search"), 5000, seed=2)
         zm = generate_trace(get_profile("zeusmp"), 5000, seed=2)
-        core = SMTCore(CoreConfig(), (ws, zm))
+        core = FastCore(CoreConfig(), (ws, zm))
         events = record_pipeline(core, 400)
         tracer = pipeline_trace(events)
         spans = [e for e in tracer.events if e.get("ph") == "X"]
@@ -147,7 +147,7 @@ class TestPipelineBridge:
 
     def test_accepts_raw_event_log_tuples(self):
         ws = generate_trace(get_profile("web_search"), 5000, seed=2)
-        core = SMTCore(CoreConfig().single_thread(192), (ws,))
+        core = FastCore(CoreConfig().single_thread(192), (ws,))
         core.event_log = []
         try:
             core.run(300)

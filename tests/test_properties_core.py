@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.config import CoreConfig
-from repro.cpu.smt_core import SMTCore
+from repro.cpu.fast_core import FastCore
 from repro.workloads.generator import generate_trace
 from repro.workloads.registry import get_profile
 from repro.workloads.spec2006 import SPEC2006_NAMES
@@ -27,7 +27,7 @@ class TestCoreInvariants:
             generate_trace(get_profile(name0), 3000, seed=seed),
             generate_trace(get_profile(name1), 3000, seed=seed + 1),
         )
-        core = SMTCore(config, traces)
+        core = FastCore(config, traces)
         result = core.run(400, warmup_instructions=200, require_all_threads=True)
 
         assert result.cycles > 0
@@ -44,7 +44,7 @@ class TestCoreInvariants:
     def test_solo_simulation_invariants(self, name, seed, rob):
         config = CoreConfig().single_thread(rob)
         trace = generate_trace(get_profile(name), 3000, seed=seed)
-        core = SMTCore(config, (trace,))
+        core = FastCore(config, (trace,))
         result = core.run(400, warmup_instructions=200)
         thread = result.threads[0]
         assert thread.instructions >= 400
@@ -59,7 +59,7 @@ class TestCoreInvariants:
             generate_trace(get_profile(name0), 3000, seed=0),
             generate_trace(get_profile(name1), 3000, seed=1),
         )
-        core = SMTCore(config, traces)
+        core = FastCore(config, traces)
         core.run(200, require_all_threads=True)
         core.set_partitions((56, 136), (18, 45))
         assert core.rob.total_usage == 0

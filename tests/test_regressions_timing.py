@@ -16,10 +16,10 @@ import pytest
 
 from repro.cpu.caches import MSHRFile
 from repro.cpu.config import CoreConfig
+from repro.cpu.fast_core import FastCore
 from repro.cpu.isa import OpClass
 from repro.cpu.metrics import MLP_BUCKETS
 from repro.cpu.rob import PartitionedResource
-from repro.cpu.smt_core import SMTCore
 from repro.cpu.trace import Trace
 
 
@@ -54,22 +54,21 @@ def _inject_inflight(core, thread, completion, is_mem=False):
 class TestFalsyZeroEventGuard:
     """Bug 1: ``if next_event`` treated a cycle-0 event as "no event"."""
 
-    def test_earliest_event_at_cycle_zero_is_not_none(self):
-        core = SMTCore(CoreConfig(), (alu_trace(), alu_trace(name="b")))
+    def test_pending_event_at_cycle_zero_is_reported(self):
+        core = FastCore(CoreConfig(), (alu_trace(), alu_trace(name="b")))
         _stall_frontends(core, until=0)
         _inject_inflight(core, 0, completion=0)
         # The contract the truthiness guard broke: a completion at cycle 0
-        # must be reported as event 0, never conflated with None.
-        assert core._earliest_event(0) == 0
-        assert core._earliest_event(0) is not None
+        # must be reported as event 0, never conflated with "no event".
+        assert core.pending_events(0) == [0]
 
-    def test_earliest_event_none_when_idle(self):
-        core = SMTCore(CoreConfig(), (alu_trace(), alu_trace(name="b")))
+    def test_pending_events_empty_when_idle(self):
+        core = FastCore(CoreConfig(), (alu_trace(), alu_trace(name="b")))
         _stall_frontends(core, until=0)
-        assert core._earliest_event(0) is None
+        assert core.pending_events(0) == []
 
     def test_drain_commits_event_at_cycle_zero(self):
-        core = SMTCore(CoreConfig(), (alu_trace(), alu_trace(name="b")))
+        core = FastCore(CoreConfig(), (alu_trace(), alu_trace(name="b")))
         _inject_inflight(core, 0, completion=0)
         core._drain()
         assert core._threads[0].committed == 1
@@ -77,7 +76,7 @@ class TestFalsyZeroEventGuard:
 
     def test_fast_forward_from_cycle_zero(self):
         """Fast-forward across a gap whose bounding event is small and real."""
-        core = SMTCore(CoreConfig(), (alu_trace(), alu_trace(name="b")))
+        core = FastCore(CoreConfig(), (alu_trace(), alu_trace(name="b")))
         _stall_frontends(core)
         _inject_inflight(core, 0, completion=3)
         core._simulate_until(1, max_cycles=100)
@@ -92,7 +91,7 @@ class TestCommitArbitrationFollowsPolicy:
         # At cycle 0 RoundRobinPolicy orders (1, 0); the old parity rule
         # picked thread 0.  With width=1 only the selected thread commits.
         config = CoreConfig(width=1, fetch_policy="round_robin")
-        core = SMTCore(config, (alu_trace(), alu_trace(name="b")))
+        core = FastCore(config, (alu_trace(), alu_trace(name="b")))
         _stall_frontends(core)
         _inject_inflight(core, 0, completion=0)
         _inject_inflight(core, 1, completion=0)
@@ -105,7 +104,7 @@ class TestCommitArbitrationFollowsPolicy:
         # with more entries and let both heads be ready; with width=1 the
         # less-occupied thread 1 must commit first.
         config = CoreConfig(width=1)
-        core = SMTCore(config, (alu_trace(), alu_trace(name="b")))
+        core = FastCore(config, (alu_trace(), alu_trace(name="b")))
         _stall_frontends(core)
         for __ in range(3):
             _inject_inflight(core, 0, completion=0)
@@ -119,7 +118,7 @@ class TestMlpGapAccounting:
     """Bug 3: gap-start MSHR occupancy was weighted by the whole gap."""
 
     def test_fill_retiring_inside_gap_splits_accounting(self):
-        core = SMTCore(CoreConfig(), (alu_trace(), alu_trace(name="b")))
+        core = FastCore(CoreConfig(), (alu_trace(), alu_trace(name="b")))
         _stall_frontends(core)
         # One data miss in flight, filling at cycle 30; the only enabling
         # event is an in-flight µop completing at 32, so the core
@@ -181,7 +180,7 @@ class TestPeakUsageReset:
 
     def test_core_measurement_window_peak_covers_open_window(self):
         """A measurement window opened mid-flight must see current occupancy."""
-        core = SMTCore(CoreConfig(), (alu_trace(n=512), alu_trace(n=512, name="b")))
+        core = FastCore(CoreConfig(), (alu_trace(n=512), alu_trace(n=512, name="b")))
         _stall_frontends(core)
         _inject_inflight(core, 0, completion=10**8)
         core._reset_measurement()

@@ -12,7 +12,7 @@ import pytest
 
 from repro.cpu import sampling as sampling_module
 from repro.cpu.config import CoreConfig, UncoreConfig
-from repro.cpu.fast_core import make_core
+from repro.cpu.fast_core import FastCore
 from repro.cpu.isa import OpClass
 from repro.cpu.sampling import (
     SCOPE_POINTS,
@@ -208,9 +208,9 @@ class TestBulkWarmingMatchesOracle:
     def test_solo(self, quick_point, name, sample, config_name):
         config = _WARM_CONFIGS[config_name]
         point = quick_point(name, sample)
-        oracle = make_core(config, (point.trace,))
+        oracle = FastCore(config, (point.trace,))
         _oracle_warm(oracle, 0, point.trace, point.memmap, QUICK, sample)
-        bulk = make_core(config, (point.trace,))
+        bulk = FastCore(config, (point.trace,))
         _checkpoint_warm(bulk, 0, point, QUICK, sample)
         assert _warm_state(bulk) == _warm_state(oracle)
 
@@ -221,8 +221,8 @@ class TestBulkWarmingMatchesOracle:
         config = _WARM_CONFIGS[config_name]
         points = (quick_point("web_search", sample), quick_point(batch, sample))
         traces = tuple(p.trace for p in points)
-        oracle = make_core(config, traces)
-        bulk = make_core(config, traces)
+        oracle = FastCore(config, traces)
+        bulk = FastCore(config, traces)
         for thread, point in enumerate(points):
             _oracle_warm(oracle, thread, point.trace, point.memmap, QUICK, sample)
             _checkpoint_warm(bulk, thread, point, QUICK, sample)
@@ -230,9 +230,9 @@ class TestBulkWarmingMatchesOracle:
 
     def test_plan_is_built_once_per_thread_and_llc(self, quick_point):
         point = quick_point("mcf", 0)
-        core = make_core(CoreConfig(), (point.trace,))
+        core = FastCore(CoreConfig(), (point.trace,))
         plan = _warm_plan(point, core.hierarchy, 0, QUICK, 0)
-        again = make_core(CoreConfig(), (point.trace,))
+        again = FastCore(CoreConfig(), (point.trace,))
         assert _warm_plan(point, again.hierarchy, 0, QUICK, 0) is plan
         assert _warm_plan(point, again.hierarchy, 1, QUICK, 0) is not plan
 
@@ -242,7 +242,7 @@ class TestBulkWarmingMatchesOracle:
         base = CoreConfig()
         config = replace(base, dcache=replace(base.dcache, line_bytes=128))
         point = quick_point("web_search", 0)
-        core = make_core(config, (point.trace,))
+        core = FastCore(config, (point.trace,))
         llc = core.hierarchy.llc[0]
         assert llc.num_sets * llc.ways * llc.line_bytes == 4 << 20
         trace, memmap = point.trace, point.memmap

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cpu.config import CoreConfig, PartitionPolicy
+from repro.cpu.fast_core import FastCore
 from repro.cpu.isa import OpClass
-from repro.cpu.smt_core import SMTCore
 from repro.cpu.trace import Trace
 from repro.workloads.generator import generate_trace
 from repro.workloads.registry import get_profile
@@ -55,75 +55,75 @@ def zm_trace(n=8000, seed=1) -> Trace:
 
 class TestConstruction:
     def test_one_or_two_threads(self):
-        SMTCore(CoreConfig(), (alu_trace(),))
-        SMTCore(CoreConfig(), (alu_trace(), alu_trace()))
+        FastCore(CoreConfig(), (alu_trace(),))
+        FastCore(CoreConfig(), (alu_trace(), alu_trace()))
         with pytest.raises(ValueError):
-            SMTCore(CoreConfig(), ())
+            FastCore(CoreConfig(), ())
 
     def test_shared_policy_raises_limits(self):
-        core = SMTCore(
+        core = FastCore(
             CoreConfig(rob_policy=PartitionPolicy.SHARED),
             (alu_trace(), alu_trace()),
         )
         assert core.rob.limits == (192, 192)
 
     def test_partitioned_policy_uses_config_limits(self):
-        core = SMTCore(CoreConfig(), (alu_trace(), alu_trace()))
+        core = FastCore(CoreConfig(), (alu_trace(), alu_trace()))
         assert core.rob.limits == (96, 96)
 
 
 class TestSoloExecution:
     def test_commits_target(self):
-        core = SMTCore(CoreConfig().single_thread(192), (alu_trace(2000),))
+        core = FastCore(CoreConfig().single_thread(192), (alu_trace(2000),))
         result = core.run(500)
         assert result.threads[0].instructions >= 500
         assert result.cycles > 0
 
     def test_independent_alu_ipc_near_width(self):
         """Width-6 core, 4 ALUs: independent ALU ops commit ~4/cycle."""
-        core = SMTCore(CoreConfig().single_thread(192), (alu_trace(4000),))
+        core = FastCore(CoreConfig().single_thread(192), (alu_trace(4000),))
         result = core.run(3000, warmup_instructions=500)
         assert result.threads[0].uipc == pytest.approx(4.0, rel=0.2)
 
     def test_serial_chain_ipc_near_one(self):
         # No wrap: a wrap would break the chain (dep1[0] = 0) and let two
         # chain segments overlap in the window.
-        core = SMTCore(CoreConfig().single_thread(192), (serial_chain_trace(4000),))
+        core = FastCore(CoreConfig().single_thread(192), (serial_chain_trace(4000),))
         result = core.run(3000, warmup_instructions=500)
         assert result.threads[0].uipc == pytest.approx(1.0, rel=0.15)
 
     def test_uipc_never_exceeds_width(self):
-        core = SMTCore(CoreConfig().single_thread(192), (alu_trace(4000),))
+        core = FastCore(CoreConfig().single_thread(192), (alu_trace(4000),))
         result = core.run(3000)
         assert result.threads[0].uipc <= CoreConfig().width
 
     def test_deterministic(self):
         def run_once():
-            core = SMTCore(CoreConfig().single_thread(192), (ws_trace(),))
+            core = FastCore(CoreConfig().single_thread(192), (ws_trace(),))
             return core.run(2000, warmup_instructions=1000).threads[0].uipc
 
         assert run_once() == run_once()
 
     def test_max_cycles_enforced(self):
-        core = SMTCore(CoreConfig().single_thread(192), (ws_trace(),))
+        core = FastCore(CoreConfig().single_thread(192), (ws_trace(),))
         with pytest.raises(RuntimeError, match="max_cycles"):
             core.run(5000, max_cycles=10)
 
     def test_invalid_instruction_count(self):
-        core = SMTCore(CoreConfig().single_thread(192), (alu_trace(),))
+        core = FastCore(CoreConfig().single_thread(192), (alu_trace(),))
         with pytest.raises(ValueError):
             core.run(0)
 
 
 class TestColocation:
     def test_both_threads_progress(self):
-        core = SMTCore(CoreConfig(), (ws_trace(), zm_trace()))
+        core = FastCore(CoreConfig(), (ws_trace(), zm_trace()))
         result = core.run(1500, warmup_instructions=500)
         assert result.threads[0].instructions >= 1
         assert result.threads[1].instructions >= 1500 or result.threads[0].instructions >= 1500
 
     def test_require_all_threads(self):
-        core = SMTCore(CoreConfig(), (ws_trace(), zm_trace()))
+        core = FastCore(CoreConfig(), (ws_trace(), zm_trace()))
         result = core.run(1000, warmup_instructions=200, require_all_threads=True)
         assert all(t.instructions >= 1000 for t in result.threads)
 
@@ -140,7 +140,7 @@ class TestColocation:
         assert mean_uipc(pair, 1) < zm_alone
 
     def test_workload_names_recorded(self):
-        core = SMTCore(CoreConfig(), (ws_trace(), zm_trace()))
+        core = FastCore(CoreConfig(), (ws_trace(), zm_trace()))
         result = core.run(300, require_all_threads=True)
         assert result.threads[0].workload == "web_search"
         assert result.threads[1].workload == "zeusmp"
@@ -160,34 +160,34 @@ class TestRobPartitioning:
 
     def test_occupancy_respects_partition(self):
         config = CoreConfig().with_rob_partition(56, 136)
-        core = SMTCore(config, (zm_trace(), zm_trace(seed=2)))
+        core = FastCore(config, (zm_trace(), zm_trace(seed=2)))
         core.run(800, require_all_threads=True)
         assert core.rob.peak_usage[0] <= 56
         assert core.rob.peak_usage[1] <= 136
 
     def test_shared_rob_allows_monopolization(self):
         config = CoreConfig(rob_policy=PartitionPolicy.SHARED)
-        core = SMTCore(config, (ws_trace(), zm_trace()))
+        core = FastCore(config, (ws_trace(), zm_trace()))
         core.run(800, require_all_threads=True)
         assert max(core.rob.peak_usage) > 96
 
 
 class TestStretchReconfiguration:
     def test_set_partitions_reprograms_limits(self):
-        core = SMTCore(CoreConfig(), (ws_trace(), zm_trace()))
+        core = FastCore(CoreConfig(), (ws_trace(), zm_trace()))
         core.run(300, require_all_threads=True)
         core.set_partitions((56, 136), (18, 45))
         assert core.rob.limits == (56, 136)
         assert core.lsq.limits == (18, 45)
 
     def test_set_partitions_drains_inflight(self):
-        core = SMTCore(CoreConfig(), (ws_trace(), zm_trace()))
+        core = FastCore(CoreConfig(), (ws_trace(), zm_trace()))
         core.run(300, require_all_threads=True)
         core.set_partitions((56, 136), (18, 45))
         assert core.rob.total_usage == 0
 
     def test_set_partitions_applies_flush_penalty(self):
-        core = SMTCore(CoreConfig(), (ws_trace(), zm_trace()))
+        core = FastCore(CoreConfig(), (ws_trace(), zm_trace()))
         core.run(300, require_all_threads=True)
         before = core.cycle
         core.set_partitions((56, 136), (18, 45))
@@ -195,7 +195,7 @@ class TestStretchReconfiguration:
         assert all(s >= before + CoreConfig().pipeline_flush_cycles for s in stalls)
 
     def test_execution_continues_after_switch(self):
-        core = SMTCore(CoreConfig(), (ws_trace(), zm_trace()))
+        core = FastCore(CoreConfig(), (ws_trace(), zm_trace()))
         core.run(300, require_all_threads=True)
         core.set_partitions((56, 136), (18, 45))
         result = core.run(300, require_all_threads=True)
@@ -205,7 +205,7 @@ class TestStretchReconfiguration:
 class TestWrongPath:
     def test_ghosts_squashed_at_resolution(self):
         """Wrong-path ghosts never outlive the mispredicted branch."""
-        core = SMTCore(CoreConfig(), (ws_trace(), zm_trace()))
+        core = FastCore(CoreConfig(), (ws_trace(), zm_trace()))
         core.run(2000, warmup_instructions=500, require_all_threads=True)
         # After a run, every remaining ROB entry is accounted for by the
         # in-flight queues plus any not-yet-resolved wrong-path ghosts.
@@ -213,7 +213,7 @@ class TestWrongPath:
         assert core.rob.total_usage == accounted
 
     def test_drain_clears_ghosts(self):
-        core = SMTCore(CoreConfig(), (ws_trace(), zm_trace()))
+        core = FastCore(CoreConfig(), (ws_trace(), zm_trace()))
         core.run(500, require_all_threads=True)
         core.set_partitions((56, 136), (18, 45))
         assert all(ts.ghosts == 0 for ts in core._threads)
@@ -223,7 +223,7 @@ class TestWrongPath:
         """Under dynamic sharing, a miss-bound LS thread holds far more
         entries than a stall-only front end would (the Fig. 11 mechanism)."""
         config = CoreConfig(rob_policy=PartitionPolicy.SHARED)
-        core = SMTCore(config, (ws_trace(20000), zm_trace(20000)))
+        core = FastCore(config, (ws_trace(20000), zm_trace(20000)))
         core.run(3000, warmup_instructions=500, require_all_threads=True)
         assert core.rob.peak_usage[0] > 40  # stall-only front end peaked ~13
 
@@ -243,7 +243,7 @@ class TestWrongPath:
         noisy = replace_col(predictable, taken=taken)
 
         def uipc(trace):
-            core = SMTCore(CoreConfig().single_thread(192), (trace,))
+            core = FastCore(CoreConfig().single_thread(192), (trace,))
             return core.run(3000, warmup_instructions=500).threads[0].uipc
 
         assert uipc(noisy) < uipc(predictable)

@@ -5,15 +5,15 @@ import pytest
 from repro.core.partitioning import DEFAULT_B_MODE, DEFAULT_Q_MODE, PartitionScheme
 from repro.core.stretch import ControlRegister, StretchCore, StretchMode
 from repro.cpu.config import CoreConfig
-from repro.cpu.smt_core import SMTCore
+from repro.cpu.fast_core import FastCore
 from repro.workloads.generator import generate_trace
 from repro.workloads.registry import get_profile
 
 
-def make_core() -> SMTCore:
+def new_core() -> FastCore:
     ws = generate_trace(get_profile("web_search"), 6000, seed=1)
     zm = generate_trace(get_profile("zeusmp"), 6000, seed=1)
-    return SMTCore(CoreConfig(), (ws, zm))
+    return FastCore(CoreConfig(), (ws, zm))
 
 
 class TestControlRegister:
@@ -38,58 +38,58 @@ class TestControlRegister:
 
 class TestStretchCore:
     def test_initial_mode_is_baseline(self):
-        stretch = StretchCore(make_core())
+        stretch = StretchCore(new_core())
         assert stretch.mode is StretchMode.BASELINE
         assert stretch.core.rob.limits == (96, 96)
 
     def test_b_mode_reprograms_limits(self):
-        stretch = StretchCore(make_core())
+        stretch = StretchCore(new_core())
         assert stretch.set_mode(StretchMode.B_MODE)
         assert stretch.core.rob.limits == (56, 136)
 
     def test_q_mode_reprograms_limits(self):
-        stretch = StretchCore(make_core())
+        stretch = StretchCore(new_core())
         stretch.set_mode(StretchMode.Q_MODE)
         assert stretch.core.rob.limits == (136, 56)
 
     def test_lsq_follows_rob(self):
-        stretch = StretchCore(make_core())
+        stretch = StretchCore(new_core())
         stretch.set_mode(StretchMode.B_MODE)
         expected = DEFAULT_B_MODE.apply(CoreConfig()).lsq_limits
         assert stretch.core.lsq.limits == expected
 
     def test_re_request_is_free(self):
-        stretch = StretchCore(make_core())
+        stretch = StretchCore(new_core())
         stretch.set_mode(StretchMode.B_MODE)
         switches = stretch.mode_switches
         assert not stretch.set_mode(StretchMode.B_MODE)
         assert stretch.mode_switches == switches
 
     def test_mode_switch_counting(self):
-        stretch = StretchCore(make_core())
+        stretch = StretchCore(new_core())
         stretch.set_mode(StretchMode.B_MODE)
         stretch.set_mode(StretchMode.BASELINE)
         stretch.set_mode(StretchMode.Q_MODE)
         assert stretch.mode_switches == 3
 
     def test_optional_q_mode_falls_back_to_baseline(self):
-        stretch = StretchCore(make_core(), q_mode=None)
+        stretch = StretchCore(new_core(), q_mode=None)
         stretch.set_mode(StretchMode.Q_MODE)
         assert stretch.core.rob.limits == (96, 96)
 
     def test_custom_b_mode(self):
-        stretch = StretchCore(make_core(), b_mode=PartitionScheme(32, 160))
+        stretch = StretchCore(new_core(), b_mode=PartitionScheme(32, 160))
         stretch.set_mode(StretchMode.B_MODE)
         assert stretch.core.rob.limits == (32, 160)
 
     def test_requires_two_threads(self):
         trace = generate_trace(get_profile("zeusmp"), 2000, seed=1)
-        solo = SMTCore(CoreConfig().single_thread(192), (trace,))
+        solo = FastCore(CoreConfig().single_thread(192), (trace,))
         with pytest.raises(ValueError):
             StretchCore(solo)
 
     def test_execution_across_mode_changes(self):
-        stretch = StretchCore(make_core())
+        stretch = StretchCore(new_core())
         stretch.core.run(300, require_all_threads=True)
         stretch.set_mode(StretchMode.B_MODE)
         result = stretch.core.run(300, require_all_threads=True)
@@ -97,5 +97,5 @@ class TestStretchCore:
         assert result.threads[1].rob_limit == 136
 
     def test_scheme_for_q_without_provision(self):
-        stretch = StretchCore(make_core(), q_mode=None)
+        stretch = StretchCore(new_core(), q_mode=None)
         assert stretch.scheme_for(StretchMode.Q_MODE).is_baseline

@@ -40,11 +40,11 @@ class TestTraceIO:
 
     def test_loaded_trace_runs(self, tmp_path):
         from repro.cpu.config import CoreConfig
-        from repro.cpu.smt_core import SMTCore
+        from repro.cpu.fast_core import FastCore
 
         trace = generate_trace(get_profile("gamess"), 3000, seed=1)
         path = tmp_path / "g.npz"
         trace.save(path)
-        core = SMTCore(CoreConfig().single_thread(192), (Trace.load(path),))
+        core = FastCore(CoreConfig().single_thread(192), (Trace.load(path),))
         result = core.run(500, warmup_instructions=200)
         assert result.threads[0].instructions >= 500
