@@ -14,8 +14,9 @@ the reproduction stands on, so this package gives it independent oracles:
   :class:`~repro.cpu.metrics.SimulationResult`\\ s.
 * :mod:`repro.check.differential` — seeded random sweeps through both
   engines (:class:`~repro.cpu.fast_core.FastCore` and the ``ReferenceCore``
-  oracle — ``stretch-repro check``), plus targeted stress cases (:func:`build_stress_cases`): the regression gate
-  for every future hot-path optimization.
+  oracle — ``stretch-repro check``), plus targeted stress cases
+  (:func:`build_stress_cases`): the regression gate for every future
+  hot-path optimization.
 * :mod:`repro.check.metamorphic` — paper-derived relations between runs
   (ROB-partition monotonicity, co-runner interference direction, Stretch
   mode ordering) that hold regardless of absolute UIPC values.

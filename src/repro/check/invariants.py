@@ -16,8 +16,9 @@ after every simulated cycle and asserts they agree:
   ``usage(t) <= limit(t)`` for both structures.
 * **Monotonic clock** — the cycle counter only moves forward.
 * **Event-respecting jumps** — a multi-cycle clock advance (a FastCore
-  event-horizon jump) never passes an enabling event: no ROB-head completion, front-end refill or squash resolution
-  may lie strictly inside the skipped span.
+  event-horizon jump) never passes an enabling event: no ROB-head
+  completion, front-end refill or squash resolution may lie strictly
+  inside the skipped span.
 * **Cursor progress** — committed + in-flight (non-ghost) µops account for
   every µop consumed from the trace; nothing is lost or double-counted
   across fast-forwards and squashes.

@@ -20,7 +20,8 @@ ring masks, event-horizon jumps, batched gap accounting and inlined caches
 optimize.  The contract, enforced by :mod:`repro.check.differential` and
 ``tests/test_check_reference.py``, is **bit-identical**
 :class:`~repro.cpu.metrics.SimulationResult`\\ s across both engines:
-every counter, every cycle count, every histogram bucket.  Any future hot-path optimization must preserve that equivalence.
+every counter, every cycle count, every histogram bucket.  Any future
+hot-path optimization must preserve that equivalence.
 
 An :class:`~repro.check.invariants.InvariantChecker` can be attached to a
 ``ReferenceCore`` too (``core.checker = ...``), which cross-validates the

@@ -9,6 +9,7 @@ seeded property loops (plain ``repro.util.rng`` seeding — no hypothesis, so
 failures replay exactly).
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -17,8 +18,11 @@ import pytest
 
 from repro.check.invariants import InvariantChecker, InvariantViolation
 from repro.check.reference import ReferenceCore
+from repro.cpu import sampling
 from repro.cpu.config import CoreConfig
 from repro.cpu.fast_core import FastCore
+from repro.cpu.sampling import SamplingConfig
+from repro.engine.job import SimJob
 from repro.util.rng import derive_seed
 from repro.workloads.generator import generate_trace
 from repro.workloads.registry import get_profile
@@ -77,6 +81,50 @@ def _event_log_run(cls, case):
 def _event_log_digest(core):
     log = core.event_log
     return len(log), hashlib.sha256(json.dumps(log).encode()).hexdigest()
+
+
+class TestEngineSelection:
+    """One engine: every entry point builds FastCore, and ``CoreConfig``
+    carries no engine choice that could split the result store."""
+
+    def test_default_engine_is_fast(self, monkeypatch):
+        """The sampling entry points build FastCore."""
+        built = []
+        attach = sampling.attach_core_observers
+
+        def spy(core, meta):
+            built.append(type(core))
+            attach(core, meta)
+
+        monkeypatch.setattr(sampling, "attach_core_observers", spy)
+        tiny = SamplingConfig(n_samples=1, warmup_instructions=200,
+                              measure_instructions=300, seed=1)
+        sampling.sample_solo(get_profile("gamess"),
+                             CoreConfig().single_thread(96), tiny)
+        sampling.sample_colocation(get_profile("web_search"),
+                                   get_profile("zeusmp"), CoreConfig(), tiny)
+        assert built == [FastCore, FastCore]
+
+    def test_invalid_config_engine_rejected(self):
+        """``CoreConfig`` has no engine field, so any ``engine=`` fails."""
+        assert "engine" not in {f.name for f in dataclasses.fields(CoreConfig)}
+        with pytest.raises(TypeError):
+            CoreConfig(engine="fast")
+
+    def test_engine_excluded_from_config_identity(self):
+        """Job keys are built from ``repr(config)``; the dropped engine
+        field was never in it, so these keys — pinned before the field was
+        dropped — still address the same store entries."""
+        default = SamplingConfig()
+        pair = SimJob.pair("web_search", "zeusmp",
+                           CoreConfig().with_rob_partition(56, 136), default)
+        solo = SimJob.solo("mcf", CoreConfig().single_thread(96), default)
+        assert pair.key == (
+            "659aa13572eb8812c31336920cc88201fe605952bbc22757d7c341ccdeb2ea8a"
+        )
+        assert solo.key == (
+            "1961a2d70009f31cc453c29df1428eaee9f03fc9a60f2c3ce9db143da3d2ff10"
+        )
 
 
 class TestBitIdentitySmoke:
