@@ -3,10 +3,10 @@
 The 200-configuration sweep — every case run through both engines — is
 the acceptance gate for the optimized hot loop (ring-buffer dataflow,
 slot interleaving, FastCore's event-horizon jumps and batched gap
-accounting): any future optimization that changes a single committed instruction, stall
-count, cycle total or MLP bucket on any configuration fails here.  The
-stress cases (``build_stress_cases``) add targeted adversarial shapes for
-the event-skipping path.
+accounting): any future optimization that changes a single committed
+instruction, stall count, cycle total or MLP bucket on any configuration
+fails here.  The stress cases (``build_stress_cases``) add targeted
+adversarial shapes for the event-skipping path.
 """
 
 import pytest
@@ -50,7 +50,8 @@ class TestReferenceCoreBasics:
 
     def test_mode_switch_drain_bit_identical(self):
         traces = _traces(("data_serving", 5), ("gamess", 6))
-        fast = FastCore(CoreConfig(), _traces(("data_serving", 5), ("gamess", 6)))
+        fast = FastCore(CoreConfig(),
+                        _traces(("data_serving", 5), ("gamess", 6)))
         ref = ReferenceCore(CoreConfig(), traces)
         r1 = fast.run(300, warmup_instructions=100)
         r2 = ref.run(300, warmup_instructions=100)

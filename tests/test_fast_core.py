@@ -62,17 +62,17 @@ EVENT_LOG_DIGESTS = {
 }
 
 
-def _event_log_run(cls, case):
-    """Run ``case`` on a fresh ``cls`` core with the event log attached."""
+def _event_log_run(case):
+    """Run ``case`` on a fresh FastCore with the event log attached."""
     if case == "pair":
         traces = _traces(random.Random(7), 2)
-        core = cls(CoreConfig().with_rob_partition(56, 136), traces)
+        core = FastCore(CoreConfig().with_rob_partition(56, 136), traces)
         core.event_log = []
         result = core.run(400, warmup_instructions=200,
                           require_all_threads=True)
     else:
         traces = _traces(random.Random(8), 1)
-        core = cls(CoreConfig().single_thread(48), traces)
+        core = FastCore(CoreConfig().single_thread(48), traces)
         core.event_log = []
         result = core.run(500, warmup_instructions=100)
     return core, result
@@ -129,7 +129,7 @@ class TestEngineSelection:
 
 class TestBitIdentitySmoke:
     def test_pair_run_identical_with_event_log(self):
-        fast, result = _event_log_run(FastCore, "pair")
+        fast, result = _event_log_run("pair")
         traces = _traces(random.Random(7), 2)
         ref = ReferenceCore(CoreConfig().with_rob_partition(56, 136), traces)
         assert result == ref.run(400, warmup_instructions=200,
@@ -147,7 +147,7 @@ class TestBitIdentitySmoke:
 
     @pytest.mark.parametrize("case", sorted(EVENT_LOG_DIGESTS))
     def test_event_log_matches_pinned_digest(self, case):
-        core, __ = _event_log_run(FastCore, case)
+        core, __ = _event_log_run(case)
         assert _event_log_digest(core) == EVENT_LOG_DIGESTS[case]
 
     def test_repro_check_attaches_checker_to_fast_core(self, monkeypatch):
