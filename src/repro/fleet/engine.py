@@ -870,6 +870,7 @@ class FleetStepper:
             self._placement = make_placement(
                 cfg.placement, cfg.placement_epoch
             )
+            policy, ctx = self._policy, self._ctx
             self._pctx = PlacementContext(
                 n_servers=cfg.n_servers,
                 n_windows=cfg.n_windows,
@@ -878,10 +879,11 @@ class FleetStepper:
                 table=engine.corunner_table,
                 # Relative (cluster_load=1.0) balancing weights: a pure
                 # function of (seed, window), so symbiosis matching resumes
-                # bit-identically without knowing the live fed loads.
-                relative_loads=lambda w: self._policy.server_loads(
-                    1.0, w, self._ctx
-                ),
+                # bit-identically without knowing the live fed loads.  The
+                # closure binds the policy and its context, not ``self``:
+                # a stepper reachable from its own placement context
+                # would be freed only by the cyclic collector.
+                relative_loads=lambda w: policy.server_loads(1.0, w, ctx),
             )
         else:
             self._placement = None
@@ -995,18 +997,13 @@ class FleetStepper:
     ) -> np.ndarray:
         if self._surrogate is not None:
             return self._surrogate.sample(loads, perf, u, rows=rows)
-        cfg = self.engine.config
-        qos = self.engine.ls_profile.qos
+        n_requests = self.engine.config.requests_per_window
         tails = np.empty(len(loads))
         for i in range(len(loads)):
-            sim = self._sims[offset + i]
-            stats = sim.run(
-                self._peaks[offset + i] * loads[i],
-                perf[i],
-                cfg.requests_per_window,
-                seed_offset=window + 1,
+            stream = self._sims[offset + i].stream(
+                n_requests, seed_offset=window + 1
             )
-            tails[i] = stats.percentile(qos.percentile)
+            tails[i] = stream.tail(self._peaks[offset + i] * loads[i], perf[i])
         return tails
 
     # -- advancement -----------------------------------------------------

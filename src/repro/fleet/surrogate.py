@@ -105,17 +105,20 @@ def _measure_surface(
     n_reps: int,
     n_workers: int,
 ) -> np.ndarray:
-    """DES tail surface, shape ``(n_reps, n_perf, n_loads)``."""
+    """DES tail surface, shape ``(n_reps, n_perf, n_loads)``.
+
+    Load-major: each (replicate, load) point is one request stream, whose
+    arrivals are computed once and served at every perf row.
+    """
     surface = np.empty((n_reps, len(perf_factors), len(loads)))
     for rep in range(n_reps):
         sim = _calibration_sim(qos, grid, label, rep, n_workers)
         peak = sim.peak_load(n_requests=grid.peak_requests)
-        for p, perf in enumerate(perf_factors):
-            for l, load in enumerate(loads):
-                stats = sim.run(
-                    peak * load, perf, grid.n_requests, seed_offset=l + 1
-                )
-                surface[rep, p, l] = stats.percentile(qos.percentile)
+        for l, load in enumerate(loads):
+            stream = sim.stream(grid.n_requests, seed_offset=l + 1)
+            rate = peak * load
+            for p, perf in enumerate(perf_factors):
+                surface[rep, p, l] = stream.tail(rate, perf)
     return surface
 
 

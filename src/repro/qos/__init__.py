@@ -12,6 +12,7 @@ studies — without the proprietary measurement setup.
 from repro.qos.queueing import (
     LatencyStats,
     MMPPConfig,
+    RequestStream,
     ServiceSimulator,
 )
 from repro.qos.slack import (
@@ -36,6 +37,7 @@ from repro.qos.loadgen import (
 __all__ = [
     "LatencyStats",
     "MMPPConfig",
+    "RequestStream",
     "ServiceSimulator",
     "DutyCycleModulator",
     "required_performance",

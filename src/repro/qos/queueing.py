@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
+from repro.obs.profiler import active_profiler
 from repro.workloads.profiles import TRACKED_PERCENTILES, QoSSpec
 
-__all__ = ["MMPPConfig", "LatencyStats", "ServiceSimulator"]
+__all__ = ["MMPPConfig", "LatencyStats", "RequestStream", "ServiceSimulator"]
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,178 @@ def _queue_depths(arrivals: np.ndarray, done: np.ndarray) -> np.ndarray:
     return depths.astype(np.float64)
 
 
+def _completions(
+    arrivals: list[float], services: list[float], n_workers: int
+) -> np.ndarray:
+    """Completion times, first come first served by the earliest-free worker.
+
+    One pass over Python floats with one ``heapreplace`` on the
+    ``n_workers`` free-at heap per request.
+    """
+    workers = [0.0] * n_workers  # free-at times, a min-heap
+    finishes: list[float] = []
+    record = finishes.append
+    replace = heapq.heapreplace
+    for arrival, service in zip(arrivals, services):
+        free_at = workers[0]
+        finish = (free_at if free_at > arrival else arrival) + service
+        replace(workers, finish)
+        record(finish)
+    return np.array(finishes)
+
+
+class RequestStream:
+    """One replication's requests, served at any arrival rate and perf factor.
+
+    A replication draws, from one generator, the MMPP burst pattern with
+    one exponential gap per request, then one lognormal service time per
+    request.  The rate only scales the gaps and the perf factor only
+    moves the lognormal's location, so the stream draws the rate-free
+    parts once, in this order:
+
+    * the first burst state, then per dwell its length, ``run`` standard
+      exponentials and the next burst state.  A gap is ``unit * (1 /
+      state_rate)``: ``rng.exponential(1 / state_rate, size=run)``
+      computes the same double, one standard exponential per element
+      times the scale.
+    * the generator's state after those draws.  It is restored before
+      every service draw, so ``rng.lognormal`` returns the doubles that
+      follow the arrivals in the generator's sequence.
+
+    Nothing is drawn until the first query.  The last rate's arrivals and
+    the last perf factor's service times are kept: a bisection over
+    rates redraws no service times, and the perf rows of a grid point
+    share one arrival vector.  Every query serves its requests through
+    the same loop; :meth:`stats` and :meth:`tail` differ only in the
+    summary.  A stream holds a few ``n_requests``-sized arrays and float
+    lists (about 1.6 MB at 20 000 requests), so it lives for one query
+    set and no simulator keeps one.
+    """
+
+    def __init__(
+        self, sim: "ServiceSimulator", n_requests: int, seed_offset: int = 0
+    ):
+        self.sim = sim
+        self.n_requests = n_requests
+        self.seed_offset = seed_offset
+        self._rng: np.random.Generator | None = None
+        self._rate: float | None = None
+        self._perf: float | None = None
+
+    def _draw(self) -> None:
+        sim, n = self.sim, self.n_requests
+        m = sim.mmpp
+        rng = np.random.default_rng(
+            (sim.seed * 1_000_003 + self.seed_offset) & 0x7FFFFFFF
+        )
+        dwell = m.mean_dwell_requests
+        unit = np.empty(n)
+        bursty = np.empty(n, dtype=bool)
+        i = 0
+        burst = rng.random() < m.burst_fraction
+        while i < n:
+            run = min(n - i, max(1, int(rng.exponential(dwell))))
+            unit[i : i + run] = rng.standard_exponential(size=run)
+            bursty[i : i + run] = burst
+            i += run
+            # States are redrawn i.i.d. per dwell, so the long-run fraction
+            # of bursty dwells equals burst_fraction.
+            burst = rng.random() < m.burst_fraction
+        self._unit, self._bursty = unit, bursty
+        self._service_state = rng.bit_generator.state
+        self._rng = rng
+
+    def _arrivals(self, rate: float) -> tuple[np.ndarray, list[float]]:
+        """Arrival times (ms) at mean ``rate`` per ms, and their float list."""
+        if rate != self._rate:
+            if self._rng is None:
+                self._draw()
+            m = self.sim.mmpp
+            base = rate / m.mean_multiplier
+            gaps = np.where(
+                self._bursty,
+                1.0 / (base * m.burst_rate),
+                1.0 / (base * m.calm_rate),
+            )
+            gaps *= self._unit
+            arrivals = np.cumsum(gaps)
+            self._rate = rate
+            self._arrival_draw = arrivals, arrivals.tolist()
+        return self._arrival_draw
+
+    def _services(self, perf_factor: float) -> list[float]:
+        """Service times (ms), lognormal with the QoS contract's mean/CV."""
+        if perf_factor != self._perf:
+            if self._rng is None:
+                self._draw()
+            qos = self.sim.qos
+            mean = qos.base_service_ms / perf_factor
+            cv = qos.service_cv
+            sigma2 = np.log(1.0 + cv * cv)
+            mu = np.log(mean) - 0.5 * sigma2
+            self._rng.bit_generator.state = self._service_state
+            services = self._rng.lognormal(
+                mu, np.sqrt(sigma2), size=self.n_requests
+            )
+            self._perf = perf_factor
+            self._service_draw = services.tolist()
+        return self._service_draw
+
+    def _query(self, rate: float, perf_factor: float, summarize):
+        if rate <= 0:
+            raise ValueError("arrival rate must be positive")
+        if not 0.0 < perf_factor <= 1.0 + 1e-9:
+            raise ValueError("perf_factor must be in (0, 1]")
+        n_workers = self.sim.n_workers
+        profiler = active_profiler()
+        if profiler is None:
+            arrivals, arrival_list = self._arrivals(rate)
+            service_list = self._services(perf_factor)
+            done = _completions(arrival_list, service_list, n_workers)
+            return summarize(arrivals, done)
+        # ``--profile``: four stamps per query, flushed once.
+        t0 = perf_counter()
+        arrivals, arrival_list = self._arrivals(rate)
+        service_list = self._services(perf_factor)
+        t1 = perf_counter()
+        done = _completions(arrival_list, service_list, n_workers)
+        t2 = perf_counter()
+        out = summarize(arrivals, done)
+        profiler.add("qos.des.draw", t1 - t0)
+        profiler.add("qos.des.serve", t2 - t1)
+        profiler.add("qos.des.summary", perf_counter() - t2)
+        return out
+
+    @staticmethod
+    def _summary(arrivals: np.ndarray, done: np.ndarray) -> LatencyStats:
+        return LatencyStats.from_latencies(
+            done - arrivals, _queue_depths(arrivals, done)
+        )
+
+    def _contract_tail(self, arrivals: np.ndarray, done: np.ndarray) -> float:
+        latencies = done - arrivals
+        if latencies.size == 0:
+            raise ValueError("no latencies recorded")
+        return float(np.percentile(latencies, self.sim.qos.percentile))
+
+    def stats(self, rate: float, perf_factor: float = 1.0) -> LatencyStats:
+        """Sojourn-time and queue-depth statistics: what ``run`` returns."""
+        return self._query(rate, perf_factor, self._summary)
+
+    def tail(self, rate: float, perf_factor: float = 1.0) -> float:
+        """Latency (ms) at the QoS contract's percentile, and nothing else.
+
+        The same double as ``stats(rate, perf_factor).percentile(q)``: one
+        ``np.percentile`` call picks the same order statistics for one
+        percentile as for three.  Queue depths, mean and max are skipped.
+        """
+        return self._query(rate, perf_factor, self._contract_tail)
+
+    def meets_qos(self, rate: float, perf_factor: float = 1.0) -> bool:
+        """Does the contract tail at ``rate`` and ``perf_factor`` meet QoS?"""
+        return self.tail(rate, perf_factor) <= self.sim.qos.target_ms
+
+
 class ServiceSimulator:
     """One latency-sensitive service instance under synthetic load."""
 
@@ -156,31 +330,18 @@ class ServiceSimulator:
 
     # ------------------------------------------------------------------
 
-    def _sample_arrivals(self, rate_per_ms: float, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Arrival times (ms) of ``n`` requests under the MMPP at mean ``rate_per_ms``."""
-        m = self.mmpp
-        base = rate_per_ms / m.mean_multiplier
-        dwell = m.mean_dwell_requests
-        gaps = np.empty(n)
-        i = 0
-        bursty = rng.random() < m.burst_fraction
-        while i < n:
-            run = min(n - i, max(1, int(rng.exponential(dwell))))
-            state_rate = base * (m.burst_rate if bursty else m.calm_rate)
-            gaps[i : i + run] = rng.exponential(1.0 / state_rate, size=run)
-            i += run
-            # States are redrawn i.i.d. per dwell, so the long-run fraction
-            # of bursty dwells equals burst_fraction.
-            bursty = rng.random() < m.burst_fraction
-        return np.cumsum(gaps)
+    def stream(
+        self, n_requests: int = 20000, seed_offset: int = 0
+    ) -> RequestStream:
+        """The ``n_requests`` requests of replication ``seed_offset``.
 
-    def _sample_services(self, perf_factor: float, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Service times (ms), lognormal with the QoS contract's mean/CV."""
-        mean = self.qos.base_service_ms / perf_factor
-        cv = self.qos.service_cv
-        sigma2 = np.log(1.0 + cv * cv)
-        mu = np.log(mean) - 0.5 * sigma2
-        return rng.lognormal(mu, np.sqrt(sigma2), size=n)
+        Every rate and perf factor queried on one stream sees the same
+        random draws as a :meth:`run` with the same ``n_requests`` and
+        ``seed_offset``.  The caller owns the stream: the simulator keeps
+        none, so a ``tail="exact"`` fleet (one simulator per server) holds
+        no request arrays between windows.
+        """
+        return RequestStream(self, n_requests, seed_offset)
 
     def run(
         self,
@@ -196,33 +357,13 @@ class ServiceSimulator:
         common random numbers across configurations, making comparisons
         paired (the binary searches in the slack analysis rely on this).
 
-        Requests are served first come, first served by the earliest-free
-        worker: one pass over Python floats with one ``heapreplace`` on the
-        worker heap per request.  Queue depths are counted afterwards from
-        the completion times (:func:`_queue_depths`).  This is the only
-        entry point into the DES: peak-load bisection, surrogate fits,
-        colocated servers and the exact fleet path all call it.
+        One query of a fresh :meth:`stream`.  Queries that read only the
+        contract tail (peak-load bisection, surrogate calibration, the
+        slack bisection, the exact fleet path) go to a stream's
+        :meth:`~RequestStream.tail` instead and skip the other statistics.
         """
-        if arrival_rate_per_ms <= 0:
-            raise ValueError("arrival rate must be positive")
-        if not 0.0 < perf_factor <= 1.0 + 1e-9:
-            raise ValueError("perf_factor must be in (0, 1]")
-        rng = np.random.default_rng((self.seed * 1_000_003 + seed_offset) & 0x7FFFFFFF)
-        arrivals = self._sample_arrivals(arrival_rate_per_ms, n_requests, rng)
-        services = self._sample_services(perf_factor, n_requests, rng)
-
-        workers = [0.0] * self.n_workers  # free-at times, a min-heap
-        finishes: list[float] = []
-        record = finishes.append
-        replace = heapq.heapreplace
-        for arrival, service in zip(arrivals.tolist(), services.tolist()):
-            free_at = workers[0]
-            finish = (free_at if free_at > arrival else arrival) + service
-            replace(workers, finish)
-            record(finish)
-        done = np.array(finishes)
-        return LatencyStats.from_latencies(
-            done - arrivals, _queue_depths(arrivals, done)
+        return self.stream(n_requests, seed_offset).stats(
+            arrival_rate_per_ms, perf_factor
         )
 
     # ------------------------------------------------------------------
@@ -235,7 +376,9 @@ class ServiceSimulator:
         """Peak sustainable arrival rate (requests/ms) at full performance.
 
         The largest rate whose tail latency still meets the QoS target —
-        the paper's "100% load" reference point, found by bisection.
+        the paper's "100% load" reference point, found by bisection.  All
+        41 probes serve one stream: the service times are drawn once and
+        each probe only rescales the arrival gaps.
         """
         cached = self._peak_rate_cache.get(n_requests)
         if cached is not None:
@@ -243,13 +386,14 @@ class ServiceSimulator:
         # Upper bound: service capacity; lower bound: near-zero load.
         capacity = self.n_workers / self.qos.base_service_ms
         lo, hi = capacity * 0.02, capacity * 0.999
-        if not self.meets_qos(self.run(lo, n_requests=n_requests)):
+        stream = self.stream(n_requests)
+        if not stream.meets_qos(lo):
             raise RuntimeError(
                 "QoS target unreachable even at minimal load; check the QoSSpec"
             )
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            if self.meets_qos(self.run(mid, n_requests=n_requests)):
+            if stream.meets_qos(mid):
                 lo = mid
             else:
                 hi = mid

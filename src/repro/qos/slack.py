@@ -67,22 +67,25 @@ def required_performance(
 
     Bisection over the performance factor with common random numbers (the
     same arrival/service draws at every probe), which makes the QoS
-    predicate monotone in the factor.  Returns 1.0 if even full performance
-    misses the target (possible slightly above peak load).
+    predicate monotone in the factor.  The probes serve one request
+    stream at the fixed rate, so each draws only its service times.
+    Returns 1.0 if even full performance misses the target (possible
+    slightly above peak load).
     """
     if not 0.0 < load_fraction <= 1.2:
         raise ValueError(f"load fraction {load_fraction} out of range")
     peak = service.peak_load(n_requests=n_requests)
     rate = peak * load_fraction
+    stream = service.stream(n_requests)
 
-    if not service.meets_qos(service.run(rate, 1.0, n_requests)):
+    if not stream.meets_qos(rate, 1.0):
         return 1.0
     lo, hi = 0.01, 1.0
-    if service.meets_qos(service.run(rate, lo, n_requests)):
+    if stream.meets_qos(rate, lo):
         return lo
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        if service.meets_qos(service.run(rate, mid, n_requests)):
+        if stream.meets_qos(rate, mid):
             hi = mid
         else:
             lo = mid

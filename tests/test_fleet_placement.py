@@ -2,11 +2,15 @@
 
 Covers the profile table, exact apportionment, the three placement
 policies' determinism and shard invariance, the homogeneous
-bit-compatibility anchor, heterogeneous sharded runs, and the placement
-verbs on the live service.
+bit-compatibility anchor, heterogeneous sharded runs, the placement
+verbs on the live service, and that heterogeneous steppers are freed
+without the cyclic collector.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -405,3 +409,48 @@ class TestHomogeneousStatusUnchanged:
             service.whatif(placement="symbiosis")
         with pytest.raises(ValueError, match="heterogeneous population"):
             service.reconfigure(placement="symbiosis")
+
+
+class TestFreedWithoutCycleCollector:
+    """Heterogeneous steppers die by reference counting alone.
+
+    The placement context's balancing-weight callback must not refer back
+    to its stepper; with such a cycle every what-if fork lives until the
+    cyclic collector runs.
+    """
+
+    @pytest.fixture
+    def collector_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_stepper_freed_on_del(self, het_surrogate, collector_off):
+        homogeneous = FleetEngine(
+            get_profile("web_search"), performance_model(), fleet_config(),
+            surrogate=het_surrogate,
+        )
+        for engine in (homogeneous, make_het_engine(het_surrogate)):
+            stepper = engine.stepper()
+            stepper.step(0.6)
+            ref = weakref.ref(stepper)
+            del stepper
+            assert ref() is None, engine.config.population
+
+    def test_whatif_fork_freed(self, het_surrogate, collector_off, monkeypatch):
+        service = FleetService(make_het_engine(het_surrogate), "web_search")
+        service.advance(2)
+        forks = []
+        fork = service._fork
+
+        def recording_fork(engine):
+            stepper = fork(engine)
+            forks.append((engine is service.engine, weakref.ref(stepper)))
+            return stepper
+
+        monkeypatch.setattr(service, "_fork", recording_fork)
+        service.whatif(placement="symbiosis", horizon=3)
+        shadows = [ref for live, ref in forks if not live]
+        assert len(shadows) == 1
+        assert shadows[0]() is None

@@ -8,6 +8,7 @@ from repro.cpu.sampling import SamplingConfig
 from repro.engine.executor import EngineConfig, ExecutionEngine
 from repro.engine.job import SimJob
 from repro.engine.store import ResultStore
+from repro.fleet.surrogate import SurrogateGrid, fit_tail_surrogate
 from repro.obs.profiler import (
     PROFILE_ENV,
     Profiler,
@@ -26,6 +27,9 @@ SIM_SECTIONS = {
     "sim.dispatch",
     "sim.clock_advance",
 }
+
+#: Sections the queueing DES flushes once per query.
+DES_SECTIONS = {"qos.des.draw", "qos.des.serve", "qos.des.summary"}
 
 
 class TestProfiler:
@@ -158,3 +162,37 @@ class TestPoolWorkerProfiles:
         # Loop iteration counts are deterministic, wherever a job runs.
         assert set(calls[1]) == SIM_SECTIONS
         assert calls[2] == calls[1]
+
+
+class TestQueueingProfile:
+    @pytest.fixture(autouse=True)
+    def clean_state(self, monkeypatch):
+        monkeypatch.delenv(PROFILE_ENV, raising=False)
+        disable_profiling()
+        yield
+        disable_profiling()
+
+    def test_profiled_fit_is_bit_identical_and_counts_queries(self):
+        qos = get_profile("web_search").qos
+        grid = SurrogateGrid(
+            loads=(0.1, 0.6, 1.0), n_requests=200, peak_requests=800,
+            n_reps=2, n_val_reps=1, seed=1,
+        )
+        perfs = (0.7, 1.0)
+        plain = fit_tail_surrogate(qos, perfs, grid)
+        profiler = enable_profiling()
+        profiled = fit_tail_surrogate(qos, perfs, grid)
+        disable_profiling()
+
+        assert profiled.to_values() == plain.to_values()
+        assert set(profiler.as_dict()) == DES_SECTIONS
+        # 41 bisection probes per replicate simulator, then one query per
+        # (replicate, perf, load) grid point.
+        simulators = grid.n_reps + grid.n_val_reps
+        points = len(perfs) * (
+            grid.n_reps * len(grid.loads)
+            + grid.n_val_reps * (len(grid.loads) - 1)
+        )
+        for name in DES_SECTIONS:
+            assert profiler.calls(name) == simulators * 41 + points
+        assert profiler.seconds("qos.des.serve") > 0

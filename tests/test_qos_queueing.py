@@ -1,8 +1,10 @@
 """Tests for the discrete-event queueing simulator.
 
-``ServiceSimulator.run`` is checked bit for bit against
-:func:`two_heap_loop`, the original per-request loop that kept a second
-heap of completion times to count queue depths.
+``ServiceSimulator.run`` and its request streams are checked bit for bit
+against :func:`two_heap_loop`, the original per-request loop that kept a
+second heap of completion times to count queue depths, fed by
+:func:`oracle_arrivals` and :func:`oracle_services`, the original
+per-run sampler.  The oracle never goes through a stream.
 """
 
 import dataclasses
@@ -11,12 +13,16 @@ import heapq
 import numpy as np
 import pytest
 
+import repro.fleet.surrogate as surrogate_module
+from repro.fleet.surrogate import SurrogateGrid, _calibration_sim, fit_tail_surrogate
 from repro.qos.queueing import (
     LatencyStats,
     MMPPConfig,
+    RequestStream,
     ServiceSimulator,
     _queue_depths,
 )
+from repro.qos.slack import required_performance
 from repro.workloads.cloudsuite import CLOUDSUITE
 from repro.workloads.profiles import QoSSpec
 
@@ -74,11 +80,41 @@ def two_heap_stats(arrivals, services, n_workers) -> LatencyStats:
     )
 
 
+def oracle_arrivals(sim, rate_per_ms, n, rng):
+    """Arrival times (ms) of ``n`` requests under the MMPP at mean ``rate_per_ms``.
+
+    The original per-run sampler: one ``rng.exponential`` call per dwell
+    at that dwell's state rate.
+    """
+    m = sim.mmpp
+    base = rate_per_ms / m.mean_multiplier
+    dwell = m.mean_dwell_requests
+    gaps = np.empty(n)
+    i = 0
+    bursty = rng.random() < m.burst_fraction
+    while i < n:
+        run = min(n - i, max(1, int(rng.exponential(dwell))))
+        state_rate = base * (m.burst_rate if bursty else m.calm_rate)
+        gaps[i : i + run] = rng.exponential(1.0 / state_rate, size=run)
+        i += run
+        bursty = rng.random() < m.burst_fraction
+    return np.cumsum(gaps)
+
+
+def oracle_services(sim, perf_factor, n, rng):
+    """Service times (ms), lognormal with the QoS contract's mean/CV."""
+    mean = sim.qos.base_service_ms / perf_factor
+    cv = sim.qos.service_cv
+    sigma2 = np.log(1.0 + cv * cv)
+    mu = np.log(mean) - 0.5 * sigma2
+    return rng.lognormal(mu, np.sqrt(sigma2), size=n)
+
+
 def two_heap_run(sim, rate, perf_factor=1.0, n_requests=20000, seed_offset=0):
-    """``sim.run`` through the oracle loop, on the same random draws."""
+    """``sim.run`` through the oracle sampler and loop."""
     rng = np.random.default_rng((sim.seed * 1_000_003 + seed_offset) & 0x7FFFFFFF)
-    arrivals = sim._sample_arrivals(rate, n_requests, rng)
-    services = sim._sample_services(perf_factor, n_requests, rng)
+    arrivals = oracle_arrivals(sim, rate, n_requests, rng)
+    services = oracle_services(sim, perf_factor, n_requests, rng)
     return two_heap_stats(arrivals, services, sim.n_workers)
 
 
@@ -101,10 +137,20 @@ def stats_bits(stats: LatencyStats) -> bytes:
     return np.array(dataclasses.astuple(stats), dtype=np.float64).tobytes()
 
 
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
 def with_draws(sim, arrivals, services) -> ServiceSimulator:
     """``sim`` whose ``run`` serves the given arrays instead of sampling."""
-    sim._sample_arrivals = lambda rate, n, rng: arrivals
-    sim._sample_services = lambda perf, n, rng: services
+
+    def stream(n_requests=20000, seed_offset=0):
+        stream = RequestStream(sim, n_requests, seed_offset)
+        stream._arrivals = lambda rate: (arrivals, arrivals.tolist())
+        stream._services = lambda perf: services.tolist()
+        return stream
+
+    sim.stream = stream
     return sim
 
 
@@ -230,19 +276,31 @@ class TestTwoHeapOracle:
         capacity = n_workers / qos.base_service_ms
         sizes = sorted({1, 2, n_workers - 1, n_workers, n_workers + 1, 2000})
         for n_requests in sizes:
+            # One stream per replication serves every load and perf factor
+            # in turn, so each query changes the rate or the perf factor.
+            streams = {
+                offset: sim.stream(n_requests, offset) for offset in (0, 1, 7)
+            }
             for load in (0.01, 0.3, 0.7, 0.95, 1.3):
                 for perf in (1.0, 0.63):
                     for seed_offset in (0, 1, 7):
                         args = (capacity * load, perf, n_requests, seed_offset)
+                        stream = streams[seed_offset]
                         if n_requests == 0:
                             with pytest.raises(ValueError):
                                 sim.run(*args)
                             with pytest.raises(ValueError):
                                 two_heap_run(sim, *args)
+                            with pytest.raises(ValueError):
+                                stream.tail(capacity * load, perf)
                             continue
                         got = sim.run(*args)
                         want = two_heap_run(sim, *args)
                         assert stats_bits(got) == stats_bits(want), args
+                        tail = stream.tail(capacity * load, perf)
+                        assert bits(tail) == bits(
+                            want.percentile(qos.percentile)
+                        ), args
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_peak_load_bisection(self, seed):
@@ -275,9 +333,9 @@ class TestTwoHeapOracle:
             sim = with_draws(
                 ServiceSimulator(QOS, n_workers=n_workers), arrivals, services
             )
-            assert stats_bits(sim.run(1.0, n_requests=n)) == stats_bits(
-                two_heap_stats(arrivals, services, n_workers)
-            )
+            want = two_heap_stats(arrivals, services, n_workers)
+            assert stats_bits(sim.run(1.0, n_requests=n)) == stats_bits(want)
+            assert bits(sim.stream(n).tail(1.0)) == bits(want.p99)
         assert instant_cases > 400
 
     def test_all_requests_finish_on_arrival(self):
@@ -286,3 +344,115 @@ class TestTwoHeapOracle:
         done, _, depths = two_heap_loop(arrivals, services, 2)
         assert (done == arrivals).all() and not depths.any()
         assert not _queue_depths(arrivals, done).any()
+        sim = with_draws(ServiceSimulator(QOS, n_workers=2), arrivals, services)
+        stats = sim.run(1.0, n_requests=6)
+        assert stats.max == 0.0 and stats.mean_queue_depth == 0.0
+
+
+class TestRequestStream:
+    def test_requeries_match_fresh_runs(self):
+        """Rates A, B, A and perf factors X, Y, X on one stream."""
+        sim = ServiceSimulator(QOS, n_workers=8, seed=5)
+        stream = sim.stream(3000, seed_offset=2)
+        for rate, perf in [(0.3, 1.0), (0.8, 1.0), (0.3, 1.0),
+                           (0.3, 0.6), (0.3, 0.9), (0.3, 0.6),
+                           (0.8, 0.9), (0.3, 1.0)]:
+            want = sim.run(rate, perf, 3000, seed_offset=2)
+            assert stats_bits(stream.stats(rate, perf)) == stats_bits(want)
+            assert bits(stream.tail(rate, perf)) == bits(want.p99)
+            assert stream.meets_qos(rate, perf) == sim.meets_qos(want)
+
+    def test_tail_keeps_run_errors(self):
+        stream = make_service().stream(100)
+        with pytest.raises(ValueError, match="arrival rate"):
+            stream.tail(0.0)
+        with pytest.raises(ValueError, match="perf_factor"):
+            stream.tail(0.1, perf_factor=0.0)
+        with pytest.raises(ValueError, match="perf_factor"):
+            stream.tail(0.1, perf_factor=1.5)
+        with pytest.raises(ValueError):
+            make_service().stream(0).tail(0.1)
+
+    def test_simulator_keeps_no_stream(self):
+        sim = make_service()
+        sim.peak_load(n_requests=2000)
+        sim.run(0.3, n_requests=500)
+        assert not any(
+            isinstance(value, RequestStream) for value in vars(sim).values()
+        )
+
+
+def oracle_surface(qos, perf_factors, loads, grid, label, n_reps, n_workers):
+    """The per-point calibration surface: one oracle run per (perf, load)."""
+    surface = np.empty((n_reps, len(perf_factors), len(loads)))
+    for rep in range(n_reps):
+        sim = _calibration_sim(qos, grid, label, rep, n_workers)
+        peak = two_heap_peak_load(sim, grid.peak_requests)
+        for p, perf in enumerate(perf_factors):
+            for l, load in enumerate(loads):
+                stats = two_heap_run(
+                    sim, peak * load, perf, grid.n_requests, seed_offset=l + 1
+                )
+                surface[rep, p, l] = stats.percentile(qos.percentile)
+    return surface
+
+
+def oracle_required_performance(sim, load_fraction, n_requests, tolerance=0.01):
+    """``required_performance``'s bisection over oracle runs."""
+    rate = two_heap_peak_load(sim, n_requests) * load_fraction
+
+    def meets(perf):
+        return sim.meets_qos(two_heap_run(sim, rate, perf, n_requests))
+
+    if not meets(1.0):
+        return 1.0
+    lo, hi = 0.01, 1.0
+    if meets(lo):
+        return lo
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+#: Perf-row sets of one, four (a homogeneous fleet's modes) and thirteen
+#: (a four-profile population's union) fitted factors.
+PERF_ROWS = {
+    1: (1.0,),
+    4: (0.62, 0.71, 0.83, 1.0),
+    13: tuple(round(0.4 + 0.05 * k, 2) for k in range(13)),
+}
+
+
+class TestStreamCallersOracle:
+    """Callers of the tail-only path against per-point oracle runs."""
+
+    GRID = SurrogateGrid(
+        loads=(0.1, 0.5, 0.9, 1.2), n_requests=300, peak_requests=1200,
+        n_reps=2, n_val_reps=1, seed=3,
+    )
+
+    @pytest.mark.parametrize("n_workers", [1, 8])
+    @pytest.mark.parametrize("n_perf", sorted(PERF_ROWS))
+    @pytest.mark.parametrize("service", ["web_search", "web_serving"])
+    def test_surrogate_fit_matches_per_point_runs(
+        self, service, n_perf, n_workers, monkeypatch
+    ):
+        qos = CLOUDSUITE[service].qos  # web_search p99, web_serving p95
+        perfs = PERF_ROWS[n_perf]
+        got = fit_tail_surrogate(qos, perfs, self.GRID, n_workers=n_workers)
+        monkeypatch.setattr(surrogate_module, "_measure_surface", oracle_surface)
+        want = fit_tail_surrogate(qos, perfs, self.GRID, n_workers=n_workers)
+        assert np.array(got.to_values()).tobytes() == (
+            np.array(want.to_values()).tobytes()
+        )
+
+    @pytest.mark.parametrize("load", [0.2, 0.6, 0.9])
+    def test_required_performance_matches_parent_bisection(self, load):
+        qos = CLOUDSUITE["web_search"].qos
+        got = required_performance(ServiceSimulator(qos, seed=4), load, 3000)
+        want = oracle_required_performance(ServiceSimulator(qos, seed=4), load, 3000)
+        assert bits(got) == bits(want)
