@@ -1,10 +1,23 @@
 """Tests for the cluster-level colocation model."""
 
+import dataclasses
+import functools
+import hashlib
+import json
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
 import pytest
 
+from repro import api
 from repro.core.colocation import ColocationPerformance, ModePerformance
+from repro.core.monitor import MonitorConfig
 from repro.core.stretch import StretchMode
 from repro.core.cluster import ClusterSimulator, ClusterTimeline
+from repro.fleet import FleetConfig, FleetEngine, FleetTimeline
+from repro.fleet.engine import FleetStepper
+from repro.fleet.policies import resolve_load_curve
 from repro.qos.diurnal import web_search_cluster_load
 from repro.workloads.registry import get_profile
 
@@ -91,3 +104,212 @@ class TestEmptyTimeline:
         assert t.violation_rate == 0.0
         assert t.bmode_fraction == 0.0
         assert t.batch_throughput_gain(1.0) == 0.0
+
+
+# ----------------------------------------------------------------------
+# Frozen output of the per-object loop (tests/golden/fleet_exact_legacy)
+# ----------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden" / "fleet_exact_legacy"
+
+#: Seven cluster days.  Unlisted knobs take the ``FleetConfig`` defaults
+#: (``overprovision=1.2``, ``monitor=MonitorConfig()``, Q-mode available).
+GOLDEN_CASES = {
+    "web_search_2x240": dict(
+        load="web_search", n_servers=2, window_minutes=240.0,
+        requests_per_window=300, seed=5,
+    ),
+    "web_search_3x60": dict(
+        load="web_search", n_servers=3, window_minutes=60.0,
+        requests_per_window=500, seed=5,
+    ),
+    "web_search_4x20_tight": dict(
+        load="web_search", n_servers=4, window_minutes=20.0,
+        requests_per_window=1000, seed=17, overprovision=1.0,
+    ),
+    "flat_overload": dict(
+        load="flat:1.1", n_servers=3, window_minutes=60.0,
+        requests_per_window=400, seed=7, overprovision=1.0,
+        monitor=(0.6, 2, 1, 3),
+    ),
+    "flat_throttle_no_q_mode": dict(
+        load="flat:1.05", n_servers=3, window_minutes=60.0,
+        requests_per_window=400, seed=7, overprovision=1.0,
+        monitor=(0.6, 2, 2, 2), q_mode_available=False,
+    ),
+    "data_serving_2x120": dict(
+        ls="data_serving", load="web_search", n_servers=2,
+        window_minutes=120.0, requests_per_window=300, seed=4,
+    ),
+    "youtube_8x240": dict(
+        load="youtube", n_servers=8, window_minutes=240.0,
+        requests_per_window=300, seed=3,
+    ),
+}
+#: Cases whose two float window sums have 8+ terms: numpy's pairwise
+#: ``sum`` adds them in another order than the loop's sequential ``+=``.
+SUMMATION_ORDER_CASES = frozenset({"youtube_8x240"})
+#: The case that runs through the facade rather than ``FleetEngine``.
+API_CASE = "web_search_3x60"
+
+
+def golden_spec(name: str) -> dict:
+    """The full case spec, defaults filled in (stored beside the data)."""
+    spec = dict(
+        ls="web_search", overprovision=1.2,
+        monitor=dataclasses.astuple(MonitorConfig()), q_mode_available=True,
+    )
+    spec.update(GOLDEN_CASES[name])
+    spec["monitor"] = list(spec["monitor"])
+    return spec
+
+
+def golden_model(ls: str) -> ColocationPerformance:
+    model = performance_model()
+    return ColocationPerformance(
+        ls_workload=ls,
+        batch_workload=model.batch_workload,
+        ls_solo_uipc=model.ls_solo_uipc,
+        per_mode=model.per_mode,
+    )
+
+
+def golden_config(spec: dict) -> FleetConfig:
+    return FleetConfig(
+        n_servers=spec["n_servers"],
+        overprovision=spec["overprovision"],
+        window_minutes=spec["window_minutes"],
+        requests_per_window=spec["requests_per_window"],
+        seed=spec["seed"],
+        monitor=MonitorConfig(*spec["monitor"]),
+        q_mode_available=spec["q_mode_available"],
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def exact_day(name: str):
+    """Golden case ``name`` on the ``tail="exact"`` fleet path.
+
+    Returns ``(timeline, loads, tails)``; the last two are the
+    per-(server, window) load fractions and tail latencies the stepper's
+    DES evaluator saw and returned, shape ``(n_servers, n_windows)``.
+    """
+    spec = golden_spec(name)
+    profile = get_profile(spec["ls"])
+    model = golden_model(spec["ls"])
+    config = golden_config(spec)
+    loads, tails = [], []
+    tails_of = FleetStepper._tails
+
+    def recording(self, window, window_loads, perf, u, offset, rows=None):
+        out = tails_of(self, window, window_loads, perf, u, offset, rows)
+        assert offset == 0 and len(out) == config.n_servers
+        loads.append(np.array(window_loads))
+        tails.append(out.copy())
+        return out
+
+    with mock.patch.object(FleetStepper, "_tails", recording):
+        if name == API_CASE:
+            timeline = api.run_fleet(
+                profile, performance=model, load=spec["load"],
+                config=config, engine="exact",
+            )
+        else:
+            timeline = FleetEngine(profile, model, config).run_day(
+                spec["load"], tail="exact"
+            )
+    return timeline, np.array(loads).T, np.array(tails).T
+
+
+def legacy_day(name: str):
+    """Golden case ``name`` on the per-object loop (same return shape)."""
+    spec = golden_spec(name)
+    cluster = ClusterSimulator(
+        get_profile(spec["ls"]),
+        golden_model(spec["ls"]),
+        n_servers=spec["n_servers"],
+        overprovision=spec["overprovision"],
+        monitor_config=MonitorConfig(*spec["monitor"]),
+        q_mode_available=spec["q_mode_available"],
+        seed=spec["seed"],
+    )
+    day = cluster._run_day(
+        resolve_load_curve(spec["load"])[1],
+        window_minutes=spec["window_minutes"],
+        requests_per_window=spec["requests_per_window"],
+    )
+    timeline = FleetTimeline.from_cluster(day, spec["window_minutes"])
+    loads = np.array([[w.load_fraction for w in s.windows] for s in day.servers])
+    tails = np.array(
+        [[w.tail_latency_ms for w in s.windows] for s in day.servers]
+    )
+    return timeline, loads, tails
+
+
+def golden_payload(name: str, timeline, loads, tails) -> dict:
+    return {
+        "spec": golden_spec(name),
+        "timeline": list(timeline.to_values()),
+        "load_fraction": loads.tolist(),
+        "tail_latency_ms": tails.tolist(),
+    }
+
+
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@functools.lru_cache(maxsize=None)
+def golden_cases() -> dict:
+    payload = json.loads(GOLDEN.with_suffix(".json").read_text())
+    digest = hashlib.sha256(_canonical(payload).encode()).hexdigest()
+    assert digest == GOLDEN.with_suffix(".sha256").read_text().strip(), (
+        "fleet_exact_legacy.json does not match its committed digest"
+    )
+    return payload["cases"]
+
+
+def check_golden(name: str, timeline, loads, tails) -> None:
+    """``(timeline, loads, tails)`` reproduce the frozen case ``name``."""
+    case = golden_cases()[name]
+    assert case["spec"] == golden_spec(name)
+    frozen = FleetTimeline.from_values(case["timeline"])
+    assert (timeline.n_servers, timeline.n_windows) == (
+        frozen.n_servers, frozen.n_windows
+    )
+    for field in (
+        "mode_counts", "violations", "throttled",
+        "server_violations", "server_bmode_windows",
+    ):
+        assert np.array_equal(getattr(timeline, field), getattr(frozen, field)), field
+    assert loads.tolist() == case["load_fraction"]
+    assert tails.tolist() == case["tail_latency_ms"]
+    if name in SUMMATION_ORDER_CASES:
+        # Two orders of an n-term positive sum differ by at most
+        # (n - 1) ulp of the total.
+        rtol = (timeline.n_servers - 1) * np.finfo(float).eps
+        for field in ("tail_ms_sum", "batch_uipc_sum"):
+            assert np.allclose(
+                getattr(timeline, field), getattr(frozen, field),
+                rtol=rtol, atol=0.0,
+            ), field
+    else:
+        assert list(timeline.to_values()) == case["timeline"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+class TestFrozenLegacyGolden:
+    """``tests/golden/fleet_exact_legacy.json`` is the per-object loop's
+    output (``ClusterSimulator._run_day`` through
+    ``FleetTimeline.from_cluster``, generated by :func:`legacy_day` at
+    commit b5bebda).  Both that loop and the ``tail="exact"`` fleet path
+    must reproduce it: the whole timeline where the window sums have the
+    same summation order, and everywhere the integer aggregates and every
+    per-(server, window) load and tail, bit for bit.  The file is never
+    regenerated by ``REPRO_GOLDEN_UPDATE``."""
+
+    def test_exact_path_reproduces_frozen_day(self, name):
+        check_golden(name, *exact_day(name))
+
+    def test_legacy_loop_reproduces_frozen_day(self, name):
+        check_golden(name, *legacy_day(name))
