@@ -38,7 +38,7 @@ def main() -> None:
     print("-" * len(header))
     for factor in OVERPROVISION_POINTS:
         day = run_fleet(
-            ls, performance=performance, load="web_search", engine="legacy",
+            ls, performance=performance, load="web_search", tail="exact",
             n_servers=4, overprovision=factor, seed=17,
             window_minutes=20, requests_per_window=1000,
         )

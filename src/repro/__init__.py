@@ -56,7 +56,6 @@ from repro.core import (
     StretchCore,
     StretchMode,
     StretchMonitor,
-    measure_colocation_performance,
 )
 from repro.cpu.config import CoreConfig
 from repro.cpu.sampling import SamplingConfig, mean_uipc, sample_colocation, sample_solo
@@ -78,7 +77,6 @@ __all__ = [
     "ControlRegister",
     "ColocatedServer",
     "ColocationPerformance",
-    "measure_colocation_performance",
     "CoreConfig",
     "SamplingConfig",
     "sample_solo",

@@ -1,8 +1,8 @@
 """The stable public facade (``repro.api``).
 
 Four verbs cover the reproduction's entry points, with consistent keyword
-names (``seed``, ``n_samples``, ``fidelity``, ``sampling``, ``engine``
-mean the same thing everywhere):
+names (``seed``, ``n_samples``, ``fidelity``, ``sampling``, ``engine``,
+``tail``, ``workers`` mean the same thing everywhere):
 
 * :func:`simulate` — mean UIPC of a stand-alone workload or a colocated
   pair on the SMT core timing model;
@@ -11,8 +11,9 @@ mean the same thing everywhere):
 * :func:`run_day` — one colocated server's 24-hour closed loop
   (:class:`~repro.core.server.ServerTimeline`);
 * :func:`run_fleet` — a fleet/cluster day at any scale
-  (:class:`~repro.fleet.engine.FleetTimeline`), choosing among the
-  vectorized, exact, sharded and legacy engines;
+  (:class:`~repro.fleet.engine.FleetTimeline`): ``tail=`` picks the
+  per-server tail evaluator (``"surrogate"`` or the ``"exact"`` DES) and
+  ``workers=`` the process model (in process, or shard jobs on a pool);
 * :func:`serve` — the same fleet as a *live service*
   (:class:`~repro.service.FleetService`): a load feed advances it window
   by window, with streaming metrics, what-if queries, and bit-identical
@@ -35,30 +36,28 @@ Sampling effort resolves the same way in every verb: pass ``sampling=``
 ``seed=`` / ``n_samples=``; with neither, the library defaults apply.
 ``simulate``/``measure`` accept ``engine="store"`` (memoized through the
 content-addressed result store) or ``engine="direct"`` (always re-run in
-process); both produce identical values.  At ``fidelity="surrogate"``
+process); both produce identical values.  No other verb takes
+``engine``.  At ``fidelity="surrogate"``
 the partitioned-ROB queries answer from a store-memoized
 :class:`~repro.cpu.surrogate.UipcSurrogate` fit (error bound reported
 per fit; anything the fit does not cover falls back to the exact
 sampler), and ``tune_policy`` screens candidates with the surrogate
 model before confirming the winner at the exact tier.
 
-Superseded entry points (``measure_colocation_performance``,
-``ClusterSimulator.run_day``) remain importable as thin deprecation shims
-— see the "Stable API & deprecation policy" note in ``docs/API.md``.
+How superseded entry points are retired is the "Stable API & deprecation
+policy" note in ``docs/API.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable
 
 from repro.core.adaptive import AdaptiveStretchPolicy
-from repro.core.cluster import ClusterSimulator
 from repro.core.colocation import (
     ColocationPerformance,
     _measure_colocation_performance,
 )
-from repro.core.monitor import MonitorConfig, validate_monitor_config
+from repro.core.monitor import MonitorConfig
 from repro.core.partitioning import (
     BASELINE,
     DEFAULT_B_MODE,
@@ -69,6 +68,7 @@ from repro.core.server import ColocatedServer, ServerTimeline
 from repro.core.stretch import StretchMode
 from repro.cpu.config import CoreConfig
 from repro.cpu.sampling import SamplingConfig
+from repro.engine.executor import EngineConfig, ExecutionEngine
 from repro.engine.job import SimJob
 from repro.engine.store import default_store
 from repro.experiments.common import Fidelity, pair_uipc_many, solo_uipc
@@ -155,16 +155,6 @@ def _resolve_effort(
     if n_samples is not None:
         overrides["n_samples"] = int(n_samples)
     return (replace(base, **overrides) if overrides else base), None
-
-
-def _resolve_sampling(
-    sampling: SamplingConfig | None,
-    fidelity,
-    seed: int | None,
-    n_samples: int | None,
-) -> SamplingConfig:
-    """Compatibility wrapper: :func:`_resolve_effort` without the tier."""
-    return _resolve_effort(sampling, fidelity, seed, n_samples)[0]
 
 
 def _check_surrogate_engine(engine: str) -> None:
@@ -301,9 +291,10 @@ def measure(
 ) -> ColocationPerformance:
     """Measure a pair's per-mode performance model.
 
-    The stable replacement for ``measure_colocation_performance`` — same
-    semantics and bit-identical values, with the facade's sampling kwargs
-    and (by default) memoization through the result store.
+    Runs the pair under Baseline, ``b_mode`` and ``q_mode`` plus the LS
+    workload's stand-alone reference: in process with ``engine="direct"``,
+    or (the default) as the same jobs memoized through the result store,
+    with bit-identical values either way.
 
     At ``fidelity="surrogate"`` the solo reference and per-mode pair
     grids are answered by the family's fitted
@@ -468,7 +459,7 @@ def run_fleet(
     *,
     performance: ColocationPerformance | None = None,
     load="web_search",
-    engine: str = "vectorized",
+    tail: str = "surrogate",
     config: FleetConfig | None = None,
     n_servers: int = 1000,
     policy: str = "jittered",
@@ -496,17 +487,18 @@ def run_fleet(
 ) -> FleetTimeline:
     """Simulate a 24-hour day across a fleet of colocated servers.
 
-    ``engine`` selects the evaluation strategy:
+    ``tail`` selects the per-server tail-latency evaluator, as in
+    :meth:`~repro.fleet.engine.FleetEngine.run_day`: ``"surrogate"`` (the
+    fitted queueing surrogate; the default, scales to 100k+ servers) or
+    ``"exact"`` (one queueing DES per server, the surrogate's oracle).
 
-    * ``"vectorized"`` — the numpy fleet engine with the tail surrogate
-      (default; scales to 100k+ servers);
-    * ``"exact"`` — the fleet engine driving one DES per server
-      (bit-compatible with the legacy cluster under ``policy="jittered"``);
-    * ``"sharded"`` — the surrogate engine split into content-addressed
-      shard jobs on the ``repro.engine`` process pool (``workers=`` caps
-      the shard count; ``load`` must be a named curve);
-    * ``"legacy"`` — the per-object :class:`~repro.core.cluster.ClusterSimulator`
-      loop, aggregated into the same :class:`~repro.fleet.engine.FleetTimeline`.
+    ``workers`` selects the process model.  ``None`` or ``1`` steps the
+    whole fleet in this process.  ``N > 1`` splits it into ``N``
+    content-addressed shard jobs (:func:`~repro.fleet.shard.run_fleet_sharded`)
+    run on an ``N``-worker :class:`~repro.engine.ExecutionEngine` pool;
+    ``load`` must then be a named curve.  The integer aggregates of a
+    pooled day equal the in-process day's exactly; its two float window
+    sums match up to summation order.
 
     ``seed`` drives the fleet's per-server streams; sampling kwargs only
     affect an on-the-fly ``measure`` when no ``performance`` is given.
@@ -518,10 +510,13 @@ def run_fleet(
     ``corunners`` models are supplied.
 
     ``scenario`` attaches an adversarial perturbation from
-    :mod:`repro.scenarios` (spec, preset name, or dict); results stay
-    bit-identical across shard counts, and a null scenario is
-    bit-identical to no scenario at all.
+    :mod:`repro.scenarios` (spec, preset name, or dict); a null scenario
+    is bit-identical to no scenario at all.
     """
+    if tail not in ("surrogate", "exact"):
+        raise ValueError(f"tail must be 'surrogate' or 'exact', got {tail!r}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
     ls_profile = _resolve_profile(ls)
     if performance is None:
         if batch is None:
@@ -551,64 +546,23 @@ def run_fleet(
         ls_profile, config, corunners, sampling, fidelity, n_samples
     )
     scenario = as_scenario(scenario)
-    if engine == "legacy" and config.population:
-        raise ValueError(
-            "the legacy cluster loop has no placement layer; use the "
-            "vectorized/exact/sharded engines for heterogeneous populations"
-        )
-    if engine == "legacy" and scenario is not None:
-        raise ValueError(
-            "the legacy cluster loop has no scenario layer; use the "
-            "vectorized/exact/sharded engines for adversarial scenarios"
-        )
-
-    if engine in ("vectorized", "exact"):
-        fleet = FleetEngine(
+    if workers is None or workers == 1:
+        return FleetEngine(
             ls_profile, performance, config,
             surrogate=surrogate, store=store, metrics=metrics,
             corunners=corunners, scenario=scenario,
-        )
-        tail = "surrogate" if engine == "vectorized" else "exact"
-        return fleet.run_day(load, tail=tail)
-    if engine == "sharded":
-        timeline = run_fleet_sharded(
-            ls_profile, performance, config, load,
-            store=store, n_shards=workers, surrogate=surrogate,
-            corunners=corunners, scenario=scenario,
-        )
-        if metrics is not None:
-            from repro.obs.fleet import publish_fleet_metrics
-
-            publish_fleet_metrics(metrics, timeline)
-        return timeline
-    if engine == "legacy":
-        _, load_fn = resolve_load_curve(load)
-        cluster = ClusterSimulator(
-            ls_profile,
-            performance,
-            n_servers=config.n_servers,
-            overprovision=config.overprovision,
-            balance_jitter=config.balance_jitter,
-            monitor_config=config.monitor,
-            q_mode_available=config.q_mode_available,
-            seed=config.seed,
-        )
-        cluster_timeline = cluster._run_day(
-            load_fn,
-            window_minutes=config.window_minutes,
-            requests_per_window=config.requests_per_window,
-        )
-        timeline = FleetTimeline.from_cluster(
-            cluster_timeline, config.window_minutes
-        )
-        if metrics is not None:
-            from repro.obs.fleet import publish_fleet_metrics
-
-            publish_fleet_metrics(metrics, timeline)
-        return timeline
-    raise ValueError(
-        f"engine must be vectorized/exact/sharded/legacy, got {engine!r}"
+        ).run_day(load, tail=tail)
+    timeline = run_fleet_sharded(
+        ls_profile, performance, config, load,
+        tail=tail, engine=ExecutionEngine(EngineConfig(workers=workers)),
+        store=store, n_shards=workers, surrogate=surrogate,
+        corunners=corunners, scenario=scenario,
     )
+    if metrics is not None:
+        from repro.obs.fleet import publish_fleet_metrics
+
+        publish_fleet_metrics(metrics, timeline)
+    return timeline
 
 
 def serve(

@@ -34,8 +34,7 @@ from repro.core.monitor import (
     StretchMonitor,
 )
 from repro.core.adaptive import AdaptiveDecision, AdaptiveStretchPolicy, SlackBudget
-from repro.core.colocation import ColocationPerformance, measure_colocation_performance
-from repro.core.cluster import ClusterSimulator, ClusterTimeline
+from repro.core.colocation import ColocationPerformance
 from repro.core.server import ColocatedServer, ServerTimeline
 
 __all__ = [
@@ -57,9 +56,6 @@ __all__ = [
     "AdaptiveDecision",
     "SlackBudget",
     "ColocationPerformance",
-    "measure_colocation_performance",
     "ColocatedServer",
     "ServerTimeline",
-    "ClusterSimulator",
-    "ClusterTimeline",
 ]

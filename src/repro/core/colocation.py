@@ -23,10 +23,9 @@ from repro.core.partitioning import (  # noqa: F401 (PartitionScheme is API)
 from repro.core.stretch import StretchMode
 from repro.cpu.config import CoreConfig
 from repro.cpu.sampling import SamplingConfig, mean_uipc, sample_colocation, sample_solo
-from repro.util.deprecation import warn_deprecated
 from repro.workloads.profiles import WorkloadProfile
 
-__all__ = ["ModePerformance", "ColocationPerformance", "measure_colocation_performance"]
+__all__ = ["ModePerformance", "ColocationPerformance"]
 
 
 @dataclass(frozen=True)
@@ -79,21 +78,6 @@ class ColocationPerformance:
             batch_uipc=max(base.batch_uipc + batch_slope * delta,
                            0.05 * base.batch_uipc),
         )
-
-
-def measure_colocation_performance(
-    ls_profile: WorkloadProfile,
-    batch_profile: WorkloadProfile,
-    base_config: CoreConfig | None = None,
-    b_mode: PartitionScheme = DEFAULT_B_MODE,
-    q_mode: PartitionScheme | None = DEFAULT_Q_MODE,
-    sampling: SamplingConfig = SamplingConfig(),
-) -> ColocationPerformance:
-    """Deprecated: use :func:`repro.api.measure` (same semantics)."""
-    warn_deprecated("measure_colocation_performance", "repro.api.measure")
-    return _measure_colocation_performance(
-        ls_profile, batch_profile, base_config, b_mode, q_mode, sampling
-    )
 
 
 def _measure_colocation_performance(

@@ -19,14 +19,12 @@ on-disk simulation cache.  New tiers register via
 
 from repro.experiments.common import (
     Fidelity,
-    fidelity_from_env,
     fidelity_names,
     register_fidelity,
 )
 
 __all__ = [
     "Fidelity",
-    "fidelity_from_env",
     "fidelity_names",
     "register_fidelity",
 ]

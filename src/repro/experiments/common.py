@@ -24,7 +24,6 @@
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -48,7 +47,6 @@ __all__ = [
     "Fidelity",
     "register_fidelity",
     "fidelity_names",
-    "fidelity_from_env",
     "CACHE_VERSION",
     "LS_WORKLOADS",
     "BATCH_WORKLOADS",
@@ -189,16 +187,6 @@ def fidelity_names() -> tuple[str, ...]:
 register_fidelity("quick", Fidelity.quick)
 register_fidelity("full", Fidelity.full)
 register_fidelity("surrogate", Fidelity.surrogate)
-
-
-def fidelity_from_env(seed: int = 42) -> Fidelity:
-    """Deprecated alias for :meth:`Fidelity.from_env`."""
-    warnings.warn(
-        "fidelity_from_env() is deprecated; use Fidelity.from_env()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Fidelity.from_env(seed)
 
 
 # ----------------------------------------------------------------------

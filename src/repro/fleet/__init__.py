@@ -7,9 +7,9 @@ monitoring window as numpy array operations:
 * :mod:`repro.fleet.engine` — the vectorized Stretch monitor state machine
   (:func:`monitor_transition_vec`, one source of truth with the scalar
   monitor via :func:`repro.core.monitor.monitor_transition`) and
-  :class:`FleetEngine`, with an ``exact`` per-server DES evaluator
-  (bit-compatible with the legacy :class:`~repro.core.cluster.ClusterSimulator`)
-  and a ``surrogate`` evaluator for 100k+ servers;
+  :class:`FleetEngine`, with an ``exact`` per-server DES evaluator (the
+  oracle the surrogate is gated against) and a ``surrogate`` evaluator
+  for 100k+ servers;
 * :mod:`repro.fleet.surrogate` — the CRN-calibrated tail-latency surrogate
   with a stated, held-out-validated error bound;
 * :mod:`repro.fleet.policies` — pluggable load-balancing policies
@@ -20,7 +20,8 @@ monitoring window as numpy array operations:
   pluggable placement policies (``random``, ``symbiosis``, ``locality``)
   assigning batch profiles to servers, one extra gather per window;
 * :mod:`repro.fleet.shard` — content-addressed shard jobs on the
-  ``repro.engine`` process pool; sharding never changes results.
+  ``repro.engine`` process pool; a sharded day's integer aggregates equal
+  the unsharded day's, its float window sums up to summation order.
 
 The stable entry point is :func:`repro.api.run_fleet`.
 """

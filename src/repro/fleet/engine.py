@@ -10,16 +10,17 @@ via :func:`monitor_transition_vec`.  Tail latency comes from either
   (:mod:`repro.fleet.surrogate`), one vectorized evaluation per window,
   which is what makes 100k+ servers × 144 windows tractable; or
 * ``tail="exact"`` — one :class:`~repro.qos.queueing.ServiceSimulator` per
-  server, driven with the *identical* seeds, peak calibration and request
-  streams as the legacy per-object
-  :class:`~repro.core.cluster.ClusterSimulator` loop.  With the
-  ``jittered`` policy the exact path is bit-compatible with the legacy
-  cluster — the fidelity anchor for the seeded equivalence gate.
+  server (seed ``derive_seed(seed, "server", k)``, peak calibrated over
+  ``max(20000, requests_per_window)`` requests, one request stream per
+  window).  It is the oracle the surrogate is gated against; with the
+  ``jittered`` policy it reproduces the retired per-object cluster loop's
+  days bit for bit (``tests/golden/fleet_exact_legacy.json``).
 
 ``run_day(server_range=(lo, hi))`` simulates any contiguous slice of the
 fleet while drawing every per-server random stream from the *global*
 server index, so sharding the fleet across processes
-(:mod:`repro.fleet.shard`) changes nothing but wall-clock time.
+(:mod:`repro.fleet.shard`) leaves every per-server value and integer
+aggregate unchanged; the float window sums match up to summation order.
 """
 
 from __future__ import annotations
@@ -169,9 +170,9 @@ def monitor_transition_vec(
 class FleetConfig:
     """Shape and control parameters of one fleet run.
 
-    Mirrors :class:`~repro.core.cluster.ClusterSimulator`'s knobs (same
-    defaults, same validation — eagerly, at construction) plus the fleet
-    policy selection.  ``policy`` is a name from
+    The cluster's shape (size, over-provisioning headroom, balancing
+    jitter), its monitoring windows and monitor, validated eagerly at
+    construction, plus the fleet policy selection.  ``policy`` is a name from
     :data:`repro.fleet.policies.POLICY_NAMES` so configurations stay
     content-addressable for the shard-job cache.
 
@@ -253,10 +254,9 @@ class FleetConfig:
 class FleetTimeline:
     """Aggregated day trace of a fleet slice (array-of-windows form).
 
-    The fleet engine never materializes per-(server, window) records; this
-    is the vectorized counterpart of
-    :class:`~repro.core.cluster.ClusterTimeline`, carrying per-window
-    fleet aggregates plus per-server day totals (the straggler axis).
+    The fleet engine never materializes per-(server, window) records; the
+    timeline carries per-window fleet aggregates plus per-server day
+    totals (the straggler axis).
     """
 
     n_servers: int
@@ -399,35 +399,6 @@ class FleetTimeline:
                 [p.server_bmode_windows for p in parts]
             ),
         )
-
-    @classmethod
-    def from_cluster(
-        cls, timeline, window_minutes: float, shard_lo: int = 0
-    ) -> "FleetTimeline":
-        """Aggregate a legacy :class:`~repro.core.cluster.ClusterTimeline`.
-
-        Bridges the per-object loop into the fleet representation so the
-        equivalence gate (and ``engine="legacy"`` fleet runs) compare
-        identical quantities.
-        """
-        servers = timeline.servers
-        if not servers:
-            raise ValueError("cluster timeline has no servers")
-        n_windows = len(servers[0].windows)
-        out = cls.empty(len(servers), n_windows, window_minutes, shard_lo)
-        for s, server in enumerate(servers):
-            if len(server.windows) != n_windows:
-                raise ValueError("servers disagree on window count")
-            for k, w in enumerate(server.windows):
-                out.hours[k] = w.hour
-                out.mode_counts[k, MODE_ORDER.index(w.mode)] += 1
-                out.violations[k] += bool(w.qos_violated)
-                out.throttled[k] += bool(w.throttled)
-                out.tail_ms_sum[k] += w.tail_latency_ms
-                out.batch_uipc_sum[k] += w.batch_uipc
-                out.server_violations[s] += bool(w.qos_violated)
-                out.server_bmode_windows[s] += w.mode is StretchMode.B_MODE
-        return out
 
     @classmethod
     def empty(
@@ -641,8 +612,9 @@ class FleetEngine:
         self.metrics = metrics
         self._store = store
         self._surrogate = surrogate
-        # Rows 0..2: per-mode LS perf factor / batch UIPC with the legacy
-        # clamps; row 3: throttled (service owns the core, batch suspended).
+        # Rows 0..2: per-mode LS perf factor (floored at 0.05, as in
+        # ColocatedServer, so service times stay finite) / batch UIPC;
+        # row 3: throttled (service owns the core, batch suspended).
         self._perf_rows = np.array(
             [max(performance.ls_perf_factor(m), 0.05) for m in MODE_ORDER]
             + [1.0]
@@ -1038,16 +1010,16 @@ class FleetStepper:
                     "stepper has no load curve; pass cluster_load explicitly"
                 )
             cluster_load = self._load_fn(hour)
-        # The legacy loop indexes jitter with int(hour * 60 / wm); keep
-        # the float-faithful expression so both paths pick identical
-        # per-window streams even when the division does not round-trip.
+        # Balancing streams are indexed by int(hour * 60 / wm), not by k:
+        # where the division does not round-trip the two differ, and the
+        # recorded days (tests/golden) were drawn with this expression.
         window_index = int(hour * 60.0 / cfg.window_minutes)
         loads = self._policy.server_loads(
             float(cluster_load), window_index, self._ctx
         )[state.lo:state.hi]
         # Scenario load perturbations multiply the raw balanced loads
-        # (full-fleet vectors, sliced) before the legacy clip, so the
-        # clipped range the tail evaluators were calibrated for holds.
+        # (full-fleet vectors, sliced) before the [0.02, 1.2] clip, so the
+        # loads stay in the range the tail evaluators were calibrated for.
         scenario_lf = None
         if self._sampler is not None:
             full_lf = self._sampler.load_factors(k, hour)

@@ -5,17 +5,16 @@ load fraction, how much load does each server of the fleet see?  All
 policies are deterministic functions of the fleet seed and produce the
 full-fleet load vector, so a shard simulating servers ``[lo, hi)`` of a
 larger fleet slices the same vector the unsharded run would use — sharding
-never changes results.
+never changes a server's load.
 
 Provided policies (the paper's §II deployment setting, plus the imbalance
 regimes fleet-scale schedulers care about):
 
 * ``uniform`` — perfect balancing: every server sees the cluster share.
-* ``jittered`` — bounded deterministic per-window imbalance, bit-compatible
-  with the legacy :class:`~repro.core.cluster.ClusterSimulator` jitter
-  streams for fleets up to :data:`EXACT_JITTER_MAX` servers (above that, a
-  statistically equivalent per-window stream is used so the jitter matrix
-  never materializes at 100k × windows scale).
+* ``jittered`` — bounded deterministic per-window imbalance, one jitter
+  stream per server for fleets up to :data:`EXACT_JITTER_MAX` servers
+  (above that, a statistically equivalent per-window stream is used so the
+  jitter matrix never materializes at 100k × windows scale).
 * ``power-of-two-choices`` — request chunks are assigned to the less
   loaded of two random servers (the classic balanced-allocations scheme),
   approximated in fixed vectorized batches.
@@ -48,9 +47,10 @@ __all__ = [
     "resolve_load_curve",
 ]
 
-#: Largest fleet for which ``jittered`` reproduces the legacy per-server
-#: jitter streams bit-for-bit (one cached row per server).  Beyond this the
-#: policy switches to per-window streams of identical distribution.
+#: Largest fleet for which ``jittered`` draws one jitter stream per server
+#: (one cached row each; the streams behind the frozen cluster days in
+#: ``tests/golden``).  Beyond this the policy switches to per-window
+#: streams of identical distribution.
 EXACT_JITTER_MAX = 4096
 
 
@@ -147,9 +147,9 @@ class UniformPolicy(LoadBalancingPolicy):
 class JitteredPolicy(LoadBalancingPolicy):
     """Bounded deterministic per-(server, window) imbalance.
 
-    For fleets up to :data:`EXACT_JITTER_MAX` servers this reproduces the
-    legacy ``ClusterSimulator`` jitter streams exactly (one RNG per server,
-    label path ``(seed, "jitter", k)``); larger fleets draw one uniform
+    For fleets up to :data:`EXACT_JITTER_MAX` servers each server draws
+    from its own RNG (label path ``(seed, "jitter", k)``); larger fleets
+    draw one uniform
     vector per window (label path ``(seed, "fleet-jitter", window)``)
     with the same distribution.
     """
@@ -165,7 +165,7 @@ class JitteredPolicy(LoadBalancingPolicy):
         horizon the matrix is regenerated with more draws from the same
         per-server streams (uniform draws consume the bit stream
         sequentially, so the regenerated prefix is bit-identical to the
-        cached rows and to the legacy ``ClusterSimulator`` streams).
+        cached rows).
         """
         matrix = ctx.cache.get("jitter_matrix")
         if matrix is None or matrix.shape[1] < min_rows:

@@ -7,7 +7,9 @@ pool the figure experiments use).  Because every per-server random stream
 in :class:`~repro.fleet.engine.FleetEngine` keys off the global server
 index, stitching shard timelines back together with
 :meth:`~repro.fleet.engine.FleetTimeline.merge` reproduces the unsharded
-run exactly — shard count only changes wall-clock time.
+run's integer aggregates exactly; its two float window sums
+(``tail_ms_sum``, ``batch_uipc_sum``) add the same per-server values in
+another order, so they match only up to summation order.
 """
 
 from __future__ import annotations

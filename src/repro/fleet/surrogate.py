@@ -19,7 +19,8 @@ per ``(QoS contract, perf-factor set)``:
 * **Validation** replays *held-out* simulator seeds at off-grid (midpoint)
   loads and reports the worst absolute error of the predicted mean tail as
   :attr:`TailSurrogate.error_bound_ms` — the stated bound the fleet
-  equivalence gate checks against the legacy per-object simulator.
+  equivalence gate (``TestSurrogateEquivalenceGate``) checks against
+  ``tail="exact"`` fleet days.
 
 Only the load axis interpolates (piecewise-linear).  Performance factors
 are categorical: the fleet uses exactly one factor per Stretch mode plus
@@ -62,7 +63,7 @@ class SurrogateGrid:
     surrogate reproduces the same finite-sample tail distribution the
     per-server DES would produce; ``peak_requests`` must match the horizon
     servers use to calibrate their peak (``max(20000, requests_per_window)``
-    in the legacy loop).  ``n_reps`` doubles as the quantile resolution of
+    on the exact path).  ``n_reps`` doubles as the quantile resolution of
     the stored window-tail distribution.
     """
 

@@ -22,8 +22,9 @@ A spec compiles into a :class:`ScenarioSampler`, which the
 :class:`~repro.fleet.engine.FleetStepper` consults each window.  Every
 perturbation vector is a **pure function of ``(seed, window)``** drawn
 for the *whole* fleet and sliced per shard — the same stateless-RNG
-discipline as the balancing and placement policies — so shard count,
-chunk size and checkpoint/resume never change outcomes.  Servers a
+discipline as the balancing and placement policies — so checkpoint/resume
+changes no outcome, and shard count and chunk size change no integer
+aggregate (the float window sums only up to summation order).  Servers a
 component does not touch receive a multiplier of exactly ``1.0``
 (bit-preserving), and a *null* scenario (no components, or all at zero
 magnitude) is skipped entirely: results are bit-identical to an

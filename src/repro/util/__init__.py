@@ -1,6 +1,5 @@
 """Shared utilities: RNG discipline, statistics, tables, progress reporting."""
 
-from repro.util.deprecation import warn_deprecated
 from repro.util.progress import ProgressPrinter, format_duration
 from repro.util.rng import SeedSequenceFactory, derive_seed
 from repro.util.stats import (
@@ -21,5 +20,4 @@ __all__ = [
     "format_table",
     "ProgressPrinter",
     "format_duration",
-    "warn_deprecated",
 ]

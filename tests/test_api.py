@@ -1,4 +1,4 @@
-"""Tests for the stable `repro.api` facade and its deprecation shims."""
+"""Tests for the stable `repro.api` facade."""
 
 import dataclasses
 
@@ -7,17 +7,19 @@ import pytest
 
 from repro import api
 from repro.core.colocation import (
+    ColocationPerformance,
+    ModePerformance,
     _measure_colocation_performance,
-    measure_colocation_performance,
 )
-from repro.core.cluster import ClusterSimulator
-from repro.core.colocation import ColocationPerformance, ModePerformance
 from repro.core.partitioning import DEFAULT_B_MODE
 from repro.core.stretch import StretchMode
 from repro.cpu.sampling import SamplingConfig
+from repro.engine.executor import ExecutionEngine
+from repro.engine.store import ResultStore
 from repro.experiments.common import Fidelity
-from repro.fleet import FleetTimeline
+from repro.fleet import FleetTimeline, SurrogateGrid, fit_tail_surrogate
 from repro.workloads.registry import get_profile
+from tests.test_cluster import golden_cases, golden_config, golden_spec
 
 
 def performance_model() -> ColocationPerformance:
@@ -35,26 +37,26 @@ def performance_model() -> ColocationPerformance:
 
 class TestResolveSampling:
     def test_defaults_to_library_sampling(self):
-        assert api._resolve_sampling(None, None, None, None) == SamplingConfig()
+        assert api._resolve_effort(None, None, None, None)[0] == SamplingConfig()
 
     def test_sampling_with_overrides(self):
         base = SamplingConfig(n_samples=4, seed=1)
-        out = api._resolve_sampling(base, None, 9, 2)
+        out = api._resolve_effort(base, None, 9, 2)[0]
         assert out == dataclasses.replace(base, seed=9, n_samples=2)
 
     def test_fidelity_names(self):
-        quick = api._resolve_sampling(None, "quick", None, None)
+        quick = api._resolve_effort(None, "quick", None, None)[0]
         assert quick == Fidelity.quick(42).sampling
-        seeded = api._resolve_sampling(None, "full", 7, None)
+        seeded = api._resolve_effort(None, "full", 7, None)[0]
         assert seeded == Fidelity.full(7).sampling
-        explicit = api._resolve_sampling(None, Fidelity.quick(3), None, None)
+        explicit = api._resolve_effort(None, Fidelity.quick(3), None, None)[0]
         assert explicit == Fidelity.quick(3).sampling
 
     def test_conflicts_and_unknowns(self):
         with pytest.raises(ValueError, match="not both"):
-            api._resolve_sampling(SamplingConfig(), "quick", None, None)
+            api._resolve_effort(SamplingConfig(), "quick", None, None)
         with pytest.raises(ValueError, match="fidelity"):
-            api._resolve_sampling(None, "medium", None, None)
+            api._resolve_effort(None, "medium", None, None)
 
 
 class TestSimulate(object):
@@ -124,38 +126,6 @@ class TestMeasure:
         assert perf.ls_solo_uipc > 0.0
 
 
-class TestDeprecationShims:
-    def test_measure_colocation_performance_warns(self, tiny_sampling):
-        ls, batch = get_profile("web_search"), get_profile("zeusmp")
-        with pytest.deprecated_call(match="repro.api.measure"):
-            legacy = measure_colocation_performance(
-                ls, batch, sampling=tiny_sampling
-            )
-        assert legacy == api.measure("web_search", "zeusmp",
-                                     sampling=tiny_sampling)
-
-    def test_cluster_run_day_warns_and_delegates(self):
-        cluster = ClusterSimulator(
-            get_profile("web_search"), performance_model(),
-            n_servers=2, seed=5,
-        )
-        with pytest.deprecated_call(match="run_fleet"):
-            day = cluster.run_day(
-                lambda h: 0.4, window_minutes=480, requests_per_window=200
-            )
-        assert len(day.servers) == 2
-
-    def test_old_entry_points_still_importable(self):
-        import repro
-
-        assert repro.measure_colocation_performance is (
-            measure_colocation_performance
-        )
-        from repro.core.cluster import ClusterSimulator as FromModule
-
-        assert FromModule is ClusterSimulator
-
-
 class TestRunDay:
     def test_fixed_monitor_day(self):
         timeline = api.run_day(
@@ -192,29 +162,101 @@ class TestRunDay:
             api.run_day("web_search")
 
 
+#: Integer aggregates of a fleet day: equal across process models.
+INTEGER_FIELDS = (
+    "mode_counts", "violations", "throttled",
+    "server_violations", "server_bmode_windows",
+)
+
+
+@pytest.fixture(scope="module")
+def small_surrogate():
+    """A coarse tail surrogate covering performance_model()'s factors."""
+    grid = SurrogateGrid(
+        loads=(0.02, 0.6, 1.2), n_requests=300, peak_requests=20000,
+        n_reps=2, n_val_reps=1, seed=0,
+    )
+    factors = sorted(
+        {max(performance_model().ls_perf_factor(m), 0.05) for m in StretchMode}
+        | {1.0}
+    )
+    return fit_tail_surrogate(get_profile("web_search").qos, factors, grid)
+
+
 class TestRunFleet:
     def test_exact_and_legacy_engines_agree(self):
-        common = dict(
-            performance=performance_model(), load="web_search",
-            n_servers=2, window_minutes=480, requests_per_window=200,
-            seed=5,
+        # The exact tail reproduces the retired per-object cluster loop's
+        # frozen day bit for bit (tests/golden/fleet_exact_legacy.json).
+        spec = golden_spec("web_search_2x240")
+        exact = api.run_fleet(
+            spec["ls"], performance=performance_model(), load=spec["load"],
+            config=golden_config(spec), tail="exact",
         )
-        exact = api.run_fleet("web_search", engine="exact", **common)
-        legacy = api.run_fleet("web_search", engine="legacy", **common)
         assert isinstance(exact, FleetTimeline)
-        assert isinstance(legacy, FleetTimeline)
-        assert np.array_equal(exact.violations, legacy.violations)
-        assert np.array_equal(exact.mode_counts, legacy.mode_counts)
-        assert np.allclose(exact.tail_ms_sum, legacy.tail_ms_sum, rtol=1e-9)
+        assert list(exact.to_values()) == (
+            golden_cases()["web_search_2x240"]["timeline"]
+        )
 
     def test_unknown_engine_and_missing_model(self):
-        with pytest.raises(ValueError, match="engine must be"):
+        # run_fleet has no engine= keyword: tail= and workers= replaced it.
+        with pytest.raises(TypeError, match="engine"):
             api.run_fleet(
                 "web_search", performance=performance_model(),
-                engine="warp",
+                engine="exact",
             )
         with pytest.raises(ValueError, match="performance model"):
             api.run_fleet("web_search")
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(tail="warp"), "tail must be"),
+        (dict(workers=0), "workers must be"),
+        (dict(workers=-2, tail="exact"), "workers must be"),
+    ])
+    def test_rejects_bad_tail_and_workers_before_any_work(
+        self, monkeypatch, kwargs, match
+    ):
+        def forbidden(*args, **kw):
+            raise AssertionError("built work before validating arguments")
+
+        for name in ("measure", "FleetEngine", "run_fleet_sharded"):
+            monkeypatch.setattr(api, name, forbidden)
+        with pytest.raises(ValueError, match=match):
+            api.run_fleet("web_search", "zeusmp", **kwargs)
+
+    @pytest.mark.parametrize("tail", ["surrogate", "exact"])
+    def test_workers_run_shards_on_a_pool(
+        self, tmp_path, monkeypatch, small_surrogate, tail
+    ):
+        calls = {"pool": 0, "serial": 0}
+        run_pool = ExecutionEngine._run_pool
+        run_serial = ExecutionEngine._run_serial
+
+        def counting_pool(self, *args, **kwargs):
+            calls["pool"] += 1
+            return run_pool(self, *args, **kwargs)
+
+        def counting_serial(self, *args, **kwargs):
+            calls["serial"] += 1
+            return run_serial(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutionEngine, "_run_pool", counting_pool)
+        monkeypatch.setattr(ExecutionEngine, "_run_serial", counting_serial)
+        common = dict(
+            performance=performance_model(), load="web_search",
+            n_servers=4, window_minutes=240.0, requests_per_window=300,
+            seed=5, surrogate=small_surrogate, tail=tail,
+        )
+        in_process = api.run_fleet("web_search", **common)
+        pooled = api.run_fleet(
+            "web_search", workers=2, store=ResultStore(tmp_path), **common
+        )
+        assert calls == {"pool": 1, "serial": 0}
+        for field in INTEGER_FIELDS:
+            assert np.array_equal(
+                getattr(pooled, field), getattr(in_process, field)
+            ), field
+        assert np.allclose(pooled.tail_ms_sum, in_process.tail_ms_sum,
+                           rtol=1e-12)
 
     def test_facade_exported_from_package_root(self):
         import repro

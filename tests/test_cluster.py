@@ -1,4 +1,25 @@
-"""Tests for the cluster-level colocation model."""
+"""The cluster day (the paper's §II deployment setting) on the fleet path.
+
+A latency-sensitive service is load-balanced over a pool of SMT servers
+that run batch work on the sibling thread, for 24 hours.  The pool's
+per-object loop (``ClusterSimulator``: one ``ColocatedServer`` per server,
+aggregated by ``FleetTimeline.from_cluster``) is retired.  Its output on
+seven such days was frozen into ``tests/golden/fleet_exact_legacy.json``
+at commit b5bebda, where that loop and the ``tail="exact"`` fleet path
+were both checked against it, and the exact path must keep reproducing
+it bit for bit:
+
+* the whole ``FleetTimeline.to_values()`` wherever the two float window
+  sums add their terms in the loop's order (all cases but
+  ``youtube_8x240``, whose eight-server sums numpy adds pairwise);
+* on every case, the integer aggregates and each per-(server, window)
+  load fraction and tail latency.
+
+Nothing can regenerate the file now, so it ignores
+``REPRO_GOLDEN_UPDATE``.  A deliberate change to the queueing DES or to
+the per-server seed or jitter streams needs its own argument for the new
+numbers (a fresh oracle), not a refresh of this file.
+"""
 
 import dataclasses
 import functools
@@ -14,11 +35,8 @@ from repro import api
 from repro.core.colocation import ColocationPerformance, ModePerformance
 from repro.core.monitor import MonitorConfig
 from repro.core.stretch import StretchMode
-from repro.core.cluster import ClusterSimulator, ClusterTimeline
 from repro.fleet import FleetConfig, FleetEngine, FleetTimeline
 from repro.fleet.engine import FleetStepper
-from repro.fleet.policies import resolve_load_curve
-from repro.qos.diurnal import web_search_cluster_load
 from repro.workloads.registry import get_profile
 
 
@@ -34,81 +52,6 @@ def performance_model() -> ColocationPerformance:
         },
     )
 
-
-def make_cluster(**kwargs) -> ClusterSimulator:
-    defaults = dict(n_servers=3, seed=5)
-    defaults.update(kwargs)
-    return ClusterSimulator(get_profile("web_search"), performance_model(),
-                            **defaults)
-
-
-class TestConstruction:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            make_cluster(n_servers=0)
-        with pytest.raises(ValueError):
-            make_cluster(overprovision=0.8)
-        with pytest.raises(ValueError):
-            make_cluster(balance_jitter=0.7)
-
-
-class TestRunDay:
-    @pytest.fixture(scope="class")
-    def timeline(self):
-        cluster = ClusterSimulator(
-            get_profile("web_search"), performance_model(), n_servers=3, seed=5
-        )
-        return cluster.run_day(web_search_cluster_load, window_minutes=60,
-                               requests_per_window=500)
-
-    def test_per_server_timelines(self, timeline):
-        assert len(timeline.servers) == 3
-        assert all(len(t.windows) == 24 for t in timeline.servers)
-
-    def test_servers_differ_by_jitter(self, timeline):
-        loads = [
-            tuple(w.load_fraction for w in t.windows) for t in timeline.servers
-        ]
-        assert len(set(loads)) == 3
-
-    def test_offpeak_bmode_engagement(self, timeline):
-        # Over-provisioned cluster spends most of the day below threshold.
-        assert timeline.bmode_fraction > 0.3
-
-    def test_violations_bounded(self, timeline):
-        assert timeline.violation_rate < 0.3
-
-    def test_cluster_gain_positive(self, timeline):
-        gain = timeline.batch_throughput_gain(0.50)
-        assert gain > 0.0
-        per_server = timeline.per_server_gains(0.50)
-        assert len(per_server) == 3
-        assert abs(gain - sum(per_server) / 3) < 1e-12
-
-    def test_reproducible(self):
-        def run():
-            cluster = ClusterSimulator(
-                get_profile("web_search"), performance_model(),
-                n_servers=2, seed=9,
-            )
-            t = cluster.run_day(lambda h: 0.5, window_minutes=120,
-                                requests_per_window=400)
-            return t.violation_rate, t.bmode_fraction
-
-        assert run() == run()
-
-
-class TestEmptyTimeline:
-    def test_aggregates(self):
-        t = ClusterTimeline()
-        assert t.violation_rate == 0.0
-        assert t.bmode_fraction == 0.0
-        assert t.batch_throughput_gain(1.0) == 0.0
-
-
-# ----------------------------------------------------------------------
-# Frozen output of the per-object loop (tests/golden/fleet_exact_legacy)
-# ----------------------------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "golden" / "fleet_exact_legacy"
 
@@ -212,47 +155,13 @@ def exact_day(name: str):
         if name == API_CASE:
             timeline = api.run_fleet(
                 profile, performance=model, load=spec["load"],
-                config=config, engine="exact",
+                config=config, tail="exact",
             )
         else:
             timeline = FleetEngine(profile, model, config).run_day(
                 spec["load"], tail="exact"
             )
     return timeline, np.array(loads).T, np.array(tails).T
-
-
-def legacy_day(name: str):
-    """Golden case ``name`` on the per-object loop (same return shape)."""
-    spec = golden_spec(name)
-    cluster = ClusterSimulator(
-        get_profile(spec["ls"]),
-        golden_model(spec["ls"]),
-        n_servers=spec["n_servers"],
-        overprovision=spec["overprovision"],
-        monitor_config=MonitorConfig(*spec["monitor"]),
-        q_mode_available=spec["q_mode_available"],
-        seed=spec["seed"],
-    )
-    day = cluster._run_day(
-        resolve_load_curve(spec["load"])[1],
-        window_minutes=spec["window_minutes"],
-        requests_per_window=spec["requests_per_window"],
-    )
-    timeline = FleetTimeline.from_cluster(day, spec["window_minutes"])
-    loads = np.array([[w.load_fraction for w in s.windows] for s in day.servers])
-    tails = np.array(
-        [[w.tail_latency_ms for w in s.windows] for s in day.servers]
-    )
-    return timeline, loads, tails
-
-
-def golden_payload(name: str, timeline, loads, tails) -> dict:
-    return {
-        "spec": golden_spec(name),
-        "timeline": list(timeline.to_values()),
-        "load_fraction": loads.tolist(),
-        "tail_latency_ms": tails.tolist(),
-    }
 
 
 def _canonical(payload) -> str:
@@ -299,17 +208,65 @@ def check_golden(name: str, timeline, loads, tails) -> None:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 class TestFrozenLegacyGolden:
-    """``tests/golden/fleet_exact_legacy.json`` is the per-object loop's
-    output (``ClusterSimulator._run_day`` through
-    ``FleetTimeline.from_cluster``, generated by :func:`legacy_day` at
-    commit b5bebda).  Both that loop and the ``tail="exact"`` fleet path
-    must reproduce it: the whole timeline where the window sums have the
-    same summation order, and everywhere the integer aggregates and every
-    per-(server, window) load and tail, bit for bit.  The file is never
-    regenerated by ``REPRO_GOLDEN_UPDATE``."""
+    """The frozen per-object days (see the module docstring)."""
 
     def test_exact_path_reproduces_frozen_day(self, name):
         check_golden(name, *exact_day(name))
 
-    def test_legacy_loop_reproduces_frozen_day(self, name):
-        check_golden(name, *legacy_day(name))
+
+class TestConstruction:
+    def test_validation(self):
+        for bad in (
+            dict(n_servers=0), dict(overprovision=0.8),
+            dict(balance_jitter=0.7),
+        ):
+            with pytest.raises(ValueError):
+                api.run_fleet(
+                    "web_search", performance=performance_model(),
+                    tail="exact", **bad,
+                )
+
+
+class TestRunDay:
+    """Golden case ``web_search_3x60``: three servers, hourly windows."""
+
+    @pytest.fixture(scope="class")
+    def day(self):
+        return exact_day("web_search_3x60")
+
+    def test_per_server_timelines(self, day):
+        timeline, loads, tails = day
+        assert (timeline.n_servers, timeline.n_windows) == (3, 24)
+        assert loads.shape == tails.shape == (3, 24)
+
+    def test_servers_differ_by_jitter(self, day):
+        __, loads, __ = day
+        assert len({tuple(row) for row in loads}) == 3
+
+    def test_offpeak_bmode_engagement(self, day):
+        # Over-provisioned cluster spends most of the day below threshold.
+        assert day[0].bmode_fraction > 0.3
+
+    def test_violations_bounded(self, day):
+        assert day[0].violation_rate < 0.3
+
+    def test_cluster_gain_positive(self, day):
+        assert day[0].batch_throughput_gain(0.50) > 0.0
+
+    def test_reproducible(self):
+        def run():
+            return api.run_fleet(
+                "web_search", performance=performance_model(),
+                load="flat:0.5", n_servers=2, seed=9, window_minutes=120,
+                requests_per_window=400, tail="exact",
+            ).to_values()
+
+        assert run() == run()
+
+
+class TestEmptyTimeline:
+    def test_aggregates(self):
+        t = FleetTimeline.empty(3, 0, 60.0)
+        assert t.violation_rate == 0.0
+        assert t.bmode_fraction == 0.0
+        assert t.batch_throughput_gain(1.0) == 0.0

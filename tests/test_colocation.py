@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core.colocation import (
-    ColocationPerformance,
-    ModePerformance,
-    measure_colocation_performance,
-)
+from repro.api import measure
+from repro.core.colocation import ColocationPerformance, ModePerformance
 from repro.core.stretch import StretchMode
 from repro.cpu.sampling import SamplingConfig
 from repro.workloads.registry import get_profile
@@ -47,9 +44,10 @@ class TestDerivedMetrics:
 class TestMeasurement:
     @pytest.fixture(scope="class")
     def measured(self):
-        return measure_colocation_performance(
+        return measure(
             get_profile("web_search"),
             get_profile("zeusmp"),
+            engine="direct",
             sampling=SamplingConfig(n_samples=1, warmup_instructions=3000,
                                     measure_instructions=3000, seed=5),
         )
@@ -74,10 +72,11 @@ class TestMeasurement:
         assert measured.batch_workload == "zeusmp"
 
     def test_without_q_mode_falls_back(self):
-        perf = measure_colocation_performance(
+        perf = measure(
             get_profile("web_search"),
             get_profile("gamess"),
             q_mode=None,
+            engine="direct",
             sampling=SamplingConfig(n_samples=1, warmup_instructions=1000,
                                     measure_instructions=1000, seed=5),
         )

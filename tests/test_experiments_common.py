@@ -12,7 +12,6 @@ from repro.experiments.common import (
     config_fetch_throttle,
     config_share_only,
     config_solo,
-    fidelity_from_env,
     fidelity_names,
     pair_uipc,
     register_fidelity,
@@ -85,11 +84,6 @@ class TestFidelity:
 
     def test_builtin_tiers_registered(self):
         assert set(fidelity_names()) >= {"quick", "full", "surrogate"}
-
-    def test_from_env_shim_warns(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FIDELITY", raising=False)
-        with pytest.warns(DeprecationWarning):
-            assert fidelity_from_env().name == "quick"
 
 
 class TestConfigConstructors:

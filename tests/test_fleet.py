@@ -6,8 +6,8 @@ The load-bearing guarantees:
   `monitor_transition` (exhaustive state-space sweep);
 * the four-point `TailSurrogate.sample` is bit-identical to the
   full-stack reference sampler `full_stack_sample`;
-* the `tail="exact"` fleet path is bit-compatible with the legacy
-  per-object `ClusterSimulator` loop;
+* the `tail="exact"` fleet path reproduces the retired per-object cluster
+  loop's frozen days (`tests/golden/fleet_exact_legacy.json`);
 * the surrogate path matches the exact path within the surrogate's
   *stated* held-out error bound (the ISSUE's seeded equivalence gate);
 * sharding a fleet run never changes results (integer aggregates are
@@ -19,7 +19,6 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.cluster import ClusterSimulator
 from repro.core.colocation import ColocationPerformance, ModePerformance
 from repro.core.monitor import MonitorConfig, MonitorState, monitor_transition
 from repro.core.stretch import StretchMode
@@ -42,6 +41,7 @@ from repro.fleet import (
 from repro.fleet.policies import EXACT_JITTER_MAX, PolicyContext
 from repro.util.rng import derive_seed
 from repro.workloads.registry import get_profile
+from tests.test_cluster import exact_day, golden_cases
 
 
 def performance_model() -> ColocationPerformance:
@@ -241,7 +241,7 @@ class TestPolicies:
         assert np.allclose(loads, 0.9 / 1.2)
 
     def test_jittered_matches_legacy_streams(self):
-        # Small fleets reproduce ClusterSimulator's per-server jitter rngs.
+        # Small fleets draw one jitter rng per server.
         ctx = self.ctx()
         loads = make_policy("jittered").server_loads(0.6, 4, ctx)
         share = 0.6 / 1.2
@@ -422,22 +422,14 @@ class TestSurrogate:
 
 
 class TestExactEquivalence:
-    """tail="exact" fleet runs are bit-compatible with ClusterSimulator."""
+    """tail="exact" fleet runs reproduce the frozen per-object cluster day
+    (golden case ``web_search_2x240`` of ``tests/test_cluster.py``)."""
 
     @pytest.fixture(scope="class")
     def pair(self):
-        profile = get_profile("web_search")
-        performance = performance_model()
-        config = fleet_config(n_servers=2, window_minutes=240.0,
-                              requests_per_window=300)
-        fleet = FleetEngine(profile, performance, config).run_day(
-            "web_search", tail="exact"
-        )
-        legacy = ClusterSimulator(
-            profile, performance, n_servers=2, seed=config.seed
-        )._run_day(resolve_load_curve("web_search")[1],
-                   window_minutes=240.0, requests_per_window=300)
-        return fleet, FleetTimeline.from_cluster(legacy, 240.0)
+        fleet = exact_day("web_search_2x240")[0]
+        frozen = golden_cases()["web_search_2x240"]["timeline"]
+        return fleet, FleetTimeline.from_values(frozen)
 
     def test_integer_aggregates_identical(self, pair):
         fleet, legacy = pair
@@ -451,11 +443,9 @@ class TestExactEquivalence:
 
     def test_float_aggregates_identical(self, pair):
         fleet, legacy = pair
-        assert np.allclose(fleet.tail_ms_sum, legacy.tail_ms_sum, rtol=1e-9)
-        assert np.allclose(
-            fleet.batch_uipc_sum, legacy.batch_uipc_sum, rtol=1e-9
-        )
-        assert np.allclose(fleet.hours, legacy.hours)
+        assert np.array_equal(fleet.tail_ms_sum, legacy.tail_ms_sum)
+        assert np.array_equal(fleet.batch_uipc_sum, legacy.batch_uipc_sum)
+        assert np.array_equal(fleet.hours, legacy.hours)
 
 
 class TestSurrogateEquivalenceGate:

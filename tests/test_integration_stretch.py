@@ -12,7 +12,7 @@ These exercise the paper's core claims at reduced scale:
 import pytest
 
 from repro import quick_colocation_demo
-from repro.core.colocation import measure_colocation_performance
+from repro.api import measure
 from repro.core.server import ColocatedServer
 from repro.core.stretch import StretchMode
 from repro.cpu.sampling import SamplingConfig
@@ -25,8 +25,9 @@ SAMPLING = SamplingConfig(n_samples=3, warmup_instructions=4000,
 
 @pytest.fixture(scope="module")
 def ws_zeusmp_performance():
-    return measure_colocation_performance(
-        get_profile("web_search"), get_profile("zeusmp"), sampling=SAMPLING
+    return measure(
+        get_profile("web_search"), get_profile("zeusmp"),
+        engine="direct", sampling=SAMPLING,
     )
 
 
