@@ -67,6 +67,12 @@ MAX_PLACEMENT_OVERHEAD = 0.10
 #: unperturbed stepping path at 100k servers.
 MAX_SCENARIO_OVERHEAD = 0.10
 
+#: Alternating (baseline, variant) day pairs per overhead probe; each
+#: probe gates the median of the per-pair process-time ratios.  On a
+#: shared 2-vCPU host single pairs of unchanged code read 0.97-1.25, so
+#: a median of 3 pairs crossed the 10 % budgets in most runs.
+OVERHEAD_PAIRS = 9
+
 #: Scenario for the overhead probe: every component family active
 #: (stragglers + generations tails, migration + incident + flash-crowd
 #: loads), so the probe times the full multiplier path.
@@ -77,6 +83,32 @@ SCENARIO_NAME = "black_friday"
 #: resident (DESIGN.md §9; opt in via ``REPRO_FLEET_CHUNK``).
 DEFAULT_CHUNK = DEFAULT_CHUNK_SERVERS
 TUNED_CHUNK = 16384
+
+
+def _timed(run):
+    start = time.process_time()
+    result = run()
+    return time.process_time() - start, result
+
+
+def _paired_ratios(baseline, variant):
+    """Process-time ratios variant/baseline over :data:`OVERHEAD_PAIRS`
+    adjacent pairs, the order alternating within pairs; returns them with
+    the variant's last result."""
+    ratios = []
+    for i in range(OVERHEAD_PAIRS):
+        if i % 2 == 0:
+            base_s, _ = _timed(baseline)
+            variant_s, result = _timed(variant)
+        else:
+            variant_s, result = _timed(variant)
+            base_s, _ = _timed(baseline)
+        ratios.append(variant_s / base_s)
+    return ratios, result
+
+
+def _format_ratios(ratios) -> str:
+    return ", ".join(f"{ratio:.3f}" for ratio in ratios)
 
 
 def test_fleet_scaling(benchmark, fidelity, save_result):
@@ -122,60 +154,46 @@ def test_fleet_scaling(benchmark, fidelity, save_result):
     )
     # Median of *paired* CPU-time ratios: absolute times on this box
     # drift ~20% with CPU frequency and scheduler state, but adjacent
-    # runs see the same clock, so the per-pair het/homo ratio is tight
-    # (±3%).  Alternating the order inside each pair cancels linear
-    # drift; process time (not wall) excludes involuntary preemption.
-    def _timed(engine_):
-        start = time.process_time()
-        timeline = engine_.run_day("web_search")
-        return time.process_time() - start, timeline
-
+    # runs see nearly the same clock, so the per-pair het/homo ratio is
+    # far tighter (see OVERHEAD_PAIRS).  Alternating the order inside
+    # each pair cancels linear drift; process time (not wall) excludes
+    # involuntary preemption.
     het_timeline = het_engine.run_day("web_search")  # warm both paths
     homo_timeline = homo_engine.run_day("web_search")
-    ratios = []
-    for i in range(3):
-        if i % 2 == 0:
-            homo_s, _ = _timed(homo_engine)
-            het_s, het_timeline = _timed(het_engine)
-        else:
-            het_s, het_timeline = _timed(het_engine)
-            homo_s, _ = _timed(homo_engine)
-        ratios.append(het_s / homo_s)
+    placement_ratios, het_timeline = _paired_ratios(
+        lambda: homo_engine.run_day("web_search"),
+        lambda: het_engine.run_day("web_search"),
+    )
     assert het_timeline.total_windows == homo_timeline.total_windows
-    placement_overhead = sorted(ratios)[len(ratios) // 2] - 1.0
+    placement_overhead = (
+        sorted(placement_ratios)[len(placement_ratios) // 2] - 1.0
+    )
     assert placement_overhead <= MAX_PLACEMENT_OVERHEAD, (
         f"heterogeneous stepping at {overhead_n} servers costs "
         f"{placement_overhead:+.1%} over homogeneous "
-        f"(budget {MAX_PLACEMENT_OVERHEAD:.0%})"
+        f"(budget {MAX_PLACEMENT_OVERHEAD:.0%}; per-pair ratios "
+        f"{_format_ratios(placement_ratios)})"
     )
 
     # Scenario-attached stepping overhead, same paired-ratio protocol on
     # the same homogeneous engine: the sampler compiles once per day and
     # the per-window cost is two vectorized multiplies.
     scenario = get_scenario(SCENARIO_NAME)
-
-    def _timed_scenario(engine_, spec):
-        start = time.process_time()
-        timeline = engine_.run_day("web_search", scenario=spec)
-        return time.process_time() - start, timeline
-
     scen_timeline = homo_engine.run_day("web_search", scenario=scenario)
     homo_engine.run_day("web_search")  # warm the plain path again
-    ratios = []
-    for i in range(3):
-        if i % 2 == 0:
-            plain_s, _ = _timed_scenario(homo_engine, None)
-            scen_s, scen_timeline = _timed_scenario(homo_engine, scenario)
-        else:
-            scen_s, scen_timeline = _timed_scenario(homo_engine, scenario)
-            plain_s, _ = _timed_scenario(homo_engine, None)
-        ratios.append(scen_s / plain_s)
+    scenario_ratios, scen_timeline = _paired_ratios(
+        lambda: homo_engine.run_day("web_search", scenario=None),
+        lambda: homo_engine.run_day("web_search", scenario=scenario),
+    )
     assert scen_timeline.total_windows == homo_timeline.total_windows
-    scenario_overhead = sorted(ratios)[len(ratios) // 2] - 1.0
+    scenario_overhead = (
+        sorted(scenario_ratios)[len(scenario_ratios) // 2] - 1.0
+    )
     assert scenario_overhead <= MAX_SCENARIO_OVERHEAD, (
         f"scenario-attached stepping ({SCENARIO_NAME}) at {overhead_n} "
         f"servers costs {scenario_overhead:+.1%} over unperturbed "
-        f"(budget {MAX_SCENARIO_OVERHEAD:.0%})"
+        f"(budget {MAX_SCENARIO_OVERHEAD:.0%}; per-pair ratios "
+        f"{_format_ratios(scenario_ratios)})"
     )
 
     # Tail-phase chunk probe (DESIGN.md §9): profiled, paired days at the
@@ -256,9 +274,15 @@ def test_fleet_scaling(benchmark, fidelity, save_result):
         "placement_overhead_servers": overhead_n,
         "placement_overhead": round(placement_overhead, 4),
         "placement_overhead_budget": MAX_PLACEMENT_OVERHEAD,
+        "placement_overhead_ratios": [
+            round(ratio, 4) for ratio in placement_ratios
+        ],
         "scenario_overhead_servers": overhead_n,
         "scenario_overhead": round(scenario_overhead, 4),
         "scenario_overhead_budget": MAX_SCENARIO_OVERHEAD,
+        "scenario_overhead_ratios": [
+            round(ratio, 4) for ratio in scenario_ratios
+        ],
         "chunk_probe_servers": overhead_n,
         "chunk_probe": chunk_probe,
     }
