@@ -496,7 +496,8 @@ def run_fleet(
     whole fleet in this process.  ``N > 1`` splits it into ``N``
     content-addressed shard jobs (:func:`~repro.fleet.shard.run_fleet_sharded`)
     run on an ``N``-worker :class:`~repro.engine.ExecutionEngine` pool;
-    ``load`` must then be a named curve.  The integer aggregates of a
+    ``load`` must then be a named curve and ``ls`` a registered workload
+    (workers look it up by name).  The integer aggregates of a
     pooled day equal the in-process day's exactly; its two float window
     sums match up to summation order.
 
@@ -518,6 +519,12 @@ def run_fleet(
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
     ls_profile = _resolve_profile(ls)
+    if workers is not None and workers > 1 and not _registered(ls_profile):
+        raise ValueError(
+            f"pool workers look up {ls_profile.name!r} by registry name, but "
+            "this profile differs from the registered one; run it in "
+            "process (workers=None)"
+        )
     if performance is None:
         if batch is None:
             raise ValueError("pass a performance model or a batch workload")

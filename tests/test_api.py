@@ -17,7 +17,12 @@ from repro.cpu.sampling import SamplingConfig
 from repro.engine.executor import ExecutionEngine
 from repro.engine.store import ResultStore
 from repro.experiments.common import Fidelity
-from repro.fleet import FleetTimeline, SurrogateGrid, fit_tail_surrogate
+from repro.fleet import (
+    FleetEngine,
+    FleetTimeline,
+    SurrogateGrid,
+    fit_tail_surrogate,
+)
 from repro.workloads.registry import get_profile
 from tests.test_cluster import golden_cases, golden_config, golden_spec
 
@@ -176,11 +181,9 @@ def small_surrogate():
         loads=(0.02, 0.6, 1.2), n_requests=300, peak_requests=20000,
         n_reps=2, n_val_reps=1, seed=0,
     )
-    factors = sorted(
-        {max(performance_model().ls_perf_factor(m), 0.05) for m in StretchMode}
-        | {1.0}
-    )
-    return fit_tail_surrogate(get_profile("web_search").qos, factors, grid)
+    profile = get_profile("web_search")
+    factors = FleetEngine(profile, performance_model()).perf_factors
+    return fit_tail_surrogate(profile.qos, factors, grid)
 
 
 class TestRunFleet:
@@ -222,6 +225,16 @@ class TestRunFleet:
             monkeypatch.setattr(api, name, forbidden)
         with pytest.raises(ValueError, match=match):
             api.run_fleet("web_search", "zeusmp", **kwargs)
+
+    def test_pool_rejects_unregistered_profile(self, monkeypatch):
+        # Pool workers resolve the LS workload by name: a custom profile
+        # would silently run as the registered one.
+        monkeypatch.setattr(api, "run_fleet_sharded", None)
+        custom = dataclasses.replace(
+            get_profile("web_search"), description="locally tweaked"
+        )
+        with pytest.raises(ValueError, match="registry name"):
+            api.run_fleet(custom, performance=performance_model(), workers=2)
 
     @pytest.mark.parametrize("tail", ["surrogate", "exact"])
     def test_workers_run_shards_on_a_pool(
