@@ -145,10 +145,12 @@ def _by_sampling_point(todo) -> list[_Attempt]:
     """``todo`` with the jobs over the same workloads made adjacent, each
     group where its first job was.
 
-    Figure grids iterate configuration-major, so in submission order a
-    workload's sampling points fall out of the sweep scope's LRU before its
-    next configuration runs.  Results are content-keyed: the order changes
-    none of them.
+    Figure grids come in the order their ``run`` reads, which is
+    configuration-major wherever ``run`` loops over configurations outside
+    its workloads (fig04, fig05, fig12, fig13, ext_sensitivity); in that
+    order a workload's sampling points would fall out of the sweep scope's
+    LRU before its next configuration runs.  Results are content-keyed:
+    the order changes none of them.
     """
     groups: dict[object, list[_Attempt]] = {}
     for attempt in todo:

@@ -18,12 +18,15 @@
   accept either a raw :class:`~repro.cpu.sampling.SamplingConfig` (always
   exact) or a :class:`Fidelity` (tier-aware: the surrogate tier predicts
   where its fitted family covers the query and transparently falls back
-  to the exact sampler everywhere else).
+  to the exact sampler everywhere else);
+* :func:`recorded_jobs`, which derives an experiment's job grid for the
+  execution engine from its ``run`` by recording those lookups.
 """
 
 from __future__ import annotations
 
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -60,7 +63,7 @@ __all__ = [
     "pair_uipc",
     "solo_uipc_many",
     "pair_uipc_many",
-    "grid_jobs",
+    "recorded_jobs",
 ]
 
 LS_WORKLOADS: tuple[str, ...] = CLOUDSUITE_NAMES
@@ -282,7 +285,9 @@ def config_fetch_throttle(m: int) -> CoreConfig:
 # ``repro.engine.store`` (atomic writes, corrupt-entry tolerance, in-flight
 # deduplication).  ``stretch-repro --jobs N`` pre-populates that store by
 # running each experiment's job grid on a process pool, after which these
-# calls are pure cache hits.
+# calls are pure cache hits.  The grid is derived from the experiment's own
+# ``run`` by :func:`recorded_jobs`, so it holds exactly the jobs ``run``
+# reads.
 #
 # The ``effort`` argument is a SamplingConfig (always exact — the historic
 # calling convention) or a Fidelity.  At a surrogate tier the partitioned-
@@ -290,6 +295,12 @@ def config_fetch_throttle(m: int) -> CoreConfig:
 # the fit does not cover (unsupported config family, axis value outside
 # the anchor range) silently uses the exact sampler instead, so results
 # are defined for every input — only their cost and error bound differ.
+
+#: The jobs the lookups note while :func:`recorded_jobs` runs an
+#: experiment; None otherwise (the lookups then compute).
+_recording: ContextVar[list | None] = ContextVar(
+    "repro_recorded_jobs", default=None
+)
 
 
 def _sampling_of(effort: SamplingConfig | Fidelity) -> SamplingConfig:
@@ -302,33 +313,60 @@ def _sampling_of(effort: SamplingConfig | Fidelity) -> SamplingConfig:
     )
 
 
-def _surrogate_predictions(
+def _surrogate_family(
+    kind: str, config: CoreConfig, effort: SamplingConfig | Fidelity
+) -> tuple[CoreConfig, int] | None:
+    """``(family, axis value)`` of the surrogate fit that answers ``config``
+    at this tier, or None where the exact sampler must: at an exact tier,
+    for an unsupported family, or off the fit's anchor range."""
+    if not (isinstance(effort, Fidelity) and effort.is_surrogate):
+        return None
+    try:
+        canon, x = family_axis(kind, config)
+        anchors = effort.grid.anchor_values(kind, axis_scale(kind, canon))
+    except UnsupportedConfigError:
+        return None
+    return (canon, x) if anchors[0] <= x <= anchors[-1] else None
+
+
+# Every config of a sweep (and any surrogate fit) runs on the same sampling
+# points: build each once per call.
+@shared_sampling_points()
+def _uipc_many(
     kind: str,
     workloads: tuple[str, ...],
-    configs: tuple[CoreConfig, ...],
-    fidelity: Fidelity,
-) -> list[tuple[float, ...] | None]:
-    """Per-config tuple of per-thread mean UIPCs, or None (needs exact).
+    configs,
+    effort: SamplingConfig | Fidelity,
+) -> tuple[tuple[float, ...], ...]:
+    """Per-config tuple of per-thread mean UIPCs for one solo/pair sweep.
 
-    Groups configs by surrogate family so each family is fitted once
-    (through the store) and evaluated as one vectorized interpolation.
+    Configs a surrogate fit covers are grouped by family, so each family is
+    fitted once (through the store) and evaluated as one vectorized
+    interpolation; the rest run exactly.  Under :func:`recorded_jobs`
+    nothing runs: the jobs are noted and every value reads 1.0.
     """
-    grid = fidelity.grid
-    out: list[tuple[float, ...] | None] = [None] * len(configs)
-    groups: dict[CoreConfig, list[tuple[int, int]]] = {}
+    configs = tuple(configs)
+    sampling = _sampling_of(effort)
+    families: dict[CoreConfig, list[tuple[int, int]]] = {}
+    exact: dict[int, SimJob] = {}
     for i, config in enumerate(configs):
-        try:
-            canon, x = family_axis(kind, config)
-            anchors = grid.anchor_values(kind, axis_scale(kind, canon))
-        except UnsupportedConfigError:
-            continue
-        if not anchors[0] <= x <= anchors[-1]:
-            continue
-        groups.setdefault(canon, []).append((i, x))
+        family = _surrogate_family(kind, config, effort)
+        if family is None:
+            exact[i] = SimJob(kind, workloads, config, sampling)
+        else:
+            families.setdefault(family[0], []).append((i, family[1]))
+    fits = {
+        canon: UipcFitJob(kind, workloads, canon, sampling, effort.grid)
+        for canon in families
+    }
+    recording = _recording.get()
+    if recording is not None:
+        recording += [*fits.values(), *exact.values()]
+        return ((1.0,) * len(workloads),) * len(configs)
     store = default_store()
-    for canon, queries in groups.items():
-        job = UipcFitJob(kind, workloads, canon, fidelity.sampling, grid)
-        surrogate = job.load(store.compute(job))
+    out: list = [None] * len(configs)
+    for canon, queries in families.items():
+        surrogate = fits[canon].load(store.compute(fits[canon]))
         xs = np.array([x for __, x in queries], dtype=float)
         grid_values = np.stack(
             [surrogate.predict_many(xs, thread=t) for t in range(len(workloads))],
@@ -336,7 +374,9 @@ def _surrogate_predictions(
         )
         for (i, __), row in zip(queries, grid_values):
             out[i] = tuple(float(v) for v in row)
-    return out
+    for i, job in exact.items():
+        out[i] = store.compute(job)
+    return tuple(out)
 
 
 def solo_uipc(
@@ -360,28 +400,13 @@ def pair_uipc(
     return pair_uipc_many(ls_workload, batch_workload, (config,), effort)[0]
 
 
-# Every config of a sweep (and any surrogate fit) runs on the same sampling
-# points: build each once per call.
-@shared_sampling_points()
 def solo_uipc_many(
     workload: str, configs, effort: SamplingConfig | Fidelity
 ) -> tuple[float, ...]:
     """Batched :func:`solo_uipc` over a config sweep (one value per config)."""
-    configs = tuple(configs)
-    sampling = _sampling_of(effort)
-    if isinstance(effort, Fidelity) and effort.is_surrogate:
-        predicted = _surrogate_predictions("solo", (workload,), configs, effort)
-    else:
-        predicted = [None] * len(configs)
-    store = default_store()
-    return tuple(
-        p[0] if p is not None
-        else store.compute(SimJob.solo(workload, config, sampling))[0]
-        for p, config in zip(predicted, configs)
-    )
+    return tuple(v for v, in _uipc_many("solo", (workload,), configs, effort))
 
 
-@shared_sampling_points()
 def pair_uipc_many(
     ls_workload: str,
     batch_workload: str,
@@ -389,55 +414,37 @@ def pair_uipc_many(
     effort: SamplingConfig | Fidelity,
 ) -> tuple[tuple[float, float], ...]:
     """Batched :func:`pair_uipc` over a config sweep (one pair per config)."""
-    configs = tuple(configs)
-    sampling = _sampling_of(effort)
-    workloads = (ls_workload, batch_workload)
-    if isinstance(effort, Fidelity) and effort.is_surrogate:
-        predicted = _surrogate_predictions("pair", workloads, configs, effort)
-    else:
-        predicted = [None] * len(configs)
-    store = default_store()
-    out = []
-    for p, config in zip(predicted, configs):
-        if p is None:
-            values = store.compute(
-                SimJob.pair(ls_workload, batch_workload, config, sampling)
-            )
-            out.append((values[0], values[1]))
-        else:
-            out.append((p[0], p[1]))
-    return tuple(out)
+    return _uipc_many("pair", (ls_workload, batch_workload), configs, effort)
 
 
-def grid_jobs(jobs, fidelity: SamplingConfig | Fidelity):
-    """Map an experiment's exact job grid to what the tier actually runs.
+def recorded_jobs(run: Callable) -> Callable[..., list]:
+    """Derive an experiment's simulation grid from its ``run``.
 
-    At exact tiers this is the identity.  At a surrogate tier each
-    partitioned-ROB :class:`~repro.engine.job.SimJob` collapses into its
-    family's (deduplicated) :class:`~repro.cpu.surrogate.UipcFitJob`, so
-    ``stretch-repro --jobs N`` pre-warms surrogate fits on the process
-    pool instead of running every sweep point; jobs the surrogate cannot
-    answer stay as-is and still pre-warm exactly.
+    ``jobs = recorded_jobs(run)`` gives a module the ``jobs(fidelity,
+    **kwargs)`` that ``stretch-repro --jobs N`` pre-executes.  It calls
+    ``run(fidelity, **kwargs)`` with every lookup above noting the job it
+    would run instead of running it — the
+    :class:`~repro.engine.job.SimJob`, or at a surrogate tier the covering
+    family's :class:`~repro.cpu.surrogate.UipcFitJob` — and answering 1.0
+    per thread, and returns those jobs deduplicated in first-use order.
+    What ``run`` reads is thus what ``jobs`` prefetches.
+
+    This relies on ``run``'s lookups not depending on looked-up values,
+    as in every figure sweep: their loops range over workloads and
+    configurations only, and the values feed arithmetic.  An experiment
+    that feeds UIPCs into what it looks up next, or into costly work of
+    its own (``ext_two_services`` runs the queueing DES on them), must
+    not derive its grid this way.
     """
-    if not (isinstance(fidelity, Fidelity) and fidelity.is_surrogate):
-        return list(jobs)
-    out, seen = [], set()
-    for job in jobs:
-        candidate = job
-        if isinstance(job, SimJob) and job.kind in ("solo", "pair"):
-            try:
-                canon, x = family_axis(job.kind, job.config)
-                anchors = fidelity.grid.anchor_values(
-                    job.kind, axis_scale(job.kind, canon)
-                )
-                if anchors[0] <= x <= anchors[-1]:
-                    candidate = UipcFitJob(
-                        job.kind, job.workloads, canon, job.sampling,
-                        fidelity.grid,
-                    )
-            except UnsupportedConfigError:
-                candidate = job
-        if candidate.key not in seen:
-            seen.add(candidate.key)
-            out.append(candidate)
-    return out
+
+    def grid(fidelity: Fidelity | None = None, **kwargs) -> list:
+        recording: list = []
+        token = _recording.set(recording)
+        try:
+            run(fidelity, **kwargs)
+        finally:
+            _recording.reset(token)
+        return list(dict.fromkeys(recording))
+
+    grid.__doc__ = f"The job grid ``{run.__module__}.run`` reads."
+    return grid

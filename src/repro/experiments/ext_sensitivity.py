@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.cpu.config import CacheConfig, CoreConfig, UncoreConfig
-from repro.experiments.common import Fidelity, pair_uipc
+from repro.experiments.common import Fidelity, pair_uipc, recorded_jobs
 from repro.util.tables import format_table
 
-__all__ = ["SensitivityResult", "run", "PAIRS"]
+__all__ = ["SensitivityResult", "run", "jobs", "PAIRS"]
 
 PAIRS = (
     ("web_search", "zeusmp"),
@@ -113,3 +113,6 @@ def run(fidelity: Fidelity | None = None) -> SensitivityResult:
             )
         )
     return SensitivityResult(points=points)
+
+
+jobs = recorded_jobs(run)

@@ -95,6 +95,10 @@ def _max_safe_load(service: ServiceSimulator, factor: float) -> float:
     return safe
 
 
+# No ``jobs = recorded_jobs(run)`` here: ``run`` feeds the UIPCs it looks
+# up into the queueing DES, so a recording pass would run that DES on the
+# neutral 1.0 values (2.5 s on a 2-vCPU Xeon) to list ten jobs.  ``run``
+# simulates them itself.
 def run(
     fidelity: Fidelity | None = None,
     scheme: PartitionScheme = DEFAULT_Q_MODE,

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.job import SimJob
 from repro.experiments.common import (
     BATCH_WORKLOADS,
     Fidelity,
     LS_WORKLOADS,
     config_all_shared,
     config_solo,
-    grid_jobs,
     pair_uipc,
+    recorded_jobs,
     solo_uipc,
 )
 from repro.util.stats import DistributionSummary, summarize
@@ -80,23 +79,6 @@ class Fig3Result:
         )
 
 
-def jobs(fidelity: Fidelity | None = None) -> list:
-    """The simulation job grid behind :func:`run` (for the execution engine)."""
-    fid = fidelity or Fidelity.from_env()
-    sampling = fid.sampling
-    shared, solo = config_all_shared(), config_solo()
-    grid = [
-        SimJob.solo(workload, solo, sampling)
-        for workload in (*LS_WORKLOADS, *BATCH_WORKLOADS)
-    ]
-    grid += [
-        SimJob.pair(ls, batch, shared, sampling)
-        for ls in LS_WORKLOADS
-        for batch in BATCH_WORKLOADS
-    ]
-    return grid_jobs(grid, fid)
-
-
 def run(fidelity: Fidelity | None = None) -> Fig3Result:
     """Regenerate Figure 3 over all 4 x 29 colocations."""
     fid = fidelity or Fidelity.from_env()
@@ -114,3 +96,6 @@ def run(fidelity: Fidelity | None = None) -> Fig3Result:
             )
         pairs[ls] = rows
     return Fig3Result(pairs=pairs)
+
+
+jobs = recorded_jobs(run)

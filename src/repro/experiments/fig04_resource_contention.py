@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.job import SimJob
 from repro.experiments.common import (
     BATCH_WORKLOADS,
     Fidelity,
     config_share_only,
     config_solo,
-    grid_jobs,
     pair_uipc,
+    recorded_jobs,
     solo_uipc,
 )
 from repro.util.stats import DistributionSummary, summarize
@@ -84,25 +83,6 @@ class ResourceContentionResult:
         )
 
 
-def jobs(
-    fidelity: Fidelity | None = None, ls_workload: str = "web_search"
-) -> list:
-    """The simulation job grid behind :func:`run` (for the execution engine)."""
-    fid = fidelity or Fidelity.from_env()
-    sampling = fid.sampling
-    solo = config_solo()
-    grid = [
-        SimJob.solo(workload, solo, sampling)
-        for workload in (ls_workload, *BATCH_WORKLOADS)
-    ]
-    grid += [
-        SimJob.pair(ls_workload, batch, config_share_only(resource), sampling)
-        for resource in RESOURCES
-        for batch in BATCH_WORKLOADS
-    ]
-    return grid_jobs(grid, fid)
-
-
 def run(
     fidelity: Fidelity | None = None, ls_workload: str = "web_search"
 ) -> ResourceContentionResult:
@@ -122,3 +102,6 @@ def run(
             )
         by_resource[resource] = rows
     return ResourceContentionResult(ls_workload=ls_workload, by_resource=by_resource)
+
+
+jobs = recorded_jobs(run)

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.job import SimJob
-from repro.experiments.common import Fidelity, LS_WORKLOADS
+from repro.experiments.common import Fidelity, LS_WORKLOADS, recorded_jobs
 from repro.experiments.fig04_resource_contention import (
     RESOURCES,
     ResourceContentionResult,
-    jobs as jobs_fig04,
     run as run_fig04,
 )
 from repro.util.tables import format_table
@@ -68,14 +66,6 @@ class Fig5Result:
         )
 
 
-def jobs(fidelity: Fidelity | None = None) -> list:
-    """The simulation job grid behind :func:`run` (for the execution engine)."""
-    fid = fidelity or Fidelity.from_env()
-    return [
-        job for name in LS_WORKLOADS for job in jobs_fig04(fid, ls_workload=name)
-    ]
-
-
 def run(fidelity: Fidelity | None = None) -> Fig5Result:
     """Regenerate Figure 5 (Figure 4 across all four services)."""
     fid = fidelity or Fidelity.from_env()
@@ -83,3 +73,6 @@ def run(fidelity: Fidelity | None = None) -> Fig5Result:
         name: run_fig04(fid, ls_workload=name) for name in LS_WORKLOADS
     }
     return Fig5Result(per_service=per_service)
+
+
+jobs = recorded_jobs(run)

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.job import SimJob
 from repro.experiments.common import (
     BATCH_WORKLOADS,
     Fidelity,
     LS_WORKLOADS,
     config_solo,
-    grid_jobs,
+    recorded_jobs,
     solo_uipc_many,
 )
 from repro.util.chart import render_chart
@@ -69,24 +68,6 @@ class Fig6Result:
         )
 
 
-def jobs(fidelity: Fidelity | None = None) -> list:
-    """The simulation job grid behind :func:`run` (for the execution engine).
-
-    At the surrogate tier the per-size jobs collapse into one
-    :class:`~repro.cpu.surrogate.UipcFitJob` per workload (via
-    :func:`~repro.experiments.common.grid_jobs`).
-    """
-    fid = fidelity or Fidelity.from_env()
-    return grid_jobs(
-        (
-            SimJob.solo(workload, config_solo(size), fid.sampling)
-            for workload in (*LS_WORKLOADS, *BATCH_WORKLOADS)
-            for size in ROB_SIZES
-        ),
-        fid,
-    )
-
-
 def run(fidelity: Fidelity | None = None) -> Fig6Result:
     """Regenerate Figure 6: ROB sweeps for LS workloads, batch avg, zeusmp."""
     fid = fidelity or Fidelity.from_env()
@@ -109,3 +90,6 @@ def run(fidelity: Fidelity | None = None) -> Fig6Result:
     }
     curves[HIGHLIGHT_BATCH] = batch_curves[HIGHLIGHT_BATCH]
     return Fig6Result(curves=curves)
+
+
+jobs = recorded_jobs(run)

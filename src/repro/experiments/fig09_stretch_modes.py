@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.partitioning import B_MODES, Q_MODES, PartitionScheme
-from repro.engine.job import SimJob
 from repro.experiments.common import (
     BATCH_WORKLOADS,
     Fidelity,
     LS_WORKLOADS,
     config_all_shared,
-    grid_jobs,
     pair_uipc_many,
+    recorded_jobs,
 )
 from repro.util.stats import DistributionSummary, summarize
 from repro.util.tables import format_table
@@ -98,31 +97,6 @@ class Fig9Result:
         )
 
 
-def jobs(
-    fidelity: Fidelity | None = None,
-    schemes: tuple[PartitionScheme, ...] | None = None,
-) -> list:
-    """The simulation job grid behind :func:`run` (for the execution engine).
-
-    At the surrogate tier the per-scheme jobs collapse into one
-    :class:`~repro.cpu.surrogate.UipcFitJob` per colocated pair (via
-    :func:`~repro.experiments.common.grid_jobs`).
-    """
-    fid = fidelity or Fidelity.from_env()
-    sampling = fid.sampling
-    base = config_all_shared()
-    configs = [base] + [s.apply(base) for s in (schemes or ALL_SCHEMES)]
-    return grid_jobs(
-        (
-            SimJob.pair(ls, batch, config, sampling)
-            for config in configs
-            for ls in LS_WORKLOADS
-            for batch in BATCH_WORKLOADS
-        ),
-        fid,
-    )
-
-
 def run(
     fidelity: Fidelity | None = None,
     schemes: tuple[PartitionScheme, ...] = ALL_SCHEMES,
@@ -144,3 +118,6 @@ def run(
                     ls_mode / ls_base - 1.0, batch_mode / batch_base - 1.0,
                 ))
     return Fig9Result(by_scheme=by_scheme)
+
+
+jobs = recorded_jobs(run)

@@ -11,14 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.partitioning import DEFAULT_B_MODE
-from repro.engine.job import SimJob
 from repro.experiments.common import (
     BATCH_WORKLOADS,
     Fidelity,
     LS_WORKLOADS,
     config_all_shared,
-    grid_jobs,
     pair_uipc,
+    recorded_jobs,
 )
 from repro.util.tables import format_table
 
@@ -53,22 +52,6 @@ class Fig10Result:
         )
 
 
-def jobs(fidelity: Fidelity | None = None) -> list:
-    """The simulation job grid behind :func:`run` (for the execution engine)."""
-    fid = fidelity or Fidelity.from_env()
-    sampling = fid.sampling
-    base = config_all_shared()
-    return grid_jobs(
-        (
-            SimJob.pair(ls, batch, config, sampling)
-            for config in (base, DEFAULT_B_MODE.apply(base))
-            for ls in LS_WORKLOADS
-            for batch in BATCH_WORKLOADS
-        ),
-        fid,
-    )
-
-
 def run(fidelity: Fidelity | None = None) -> Fig10Result:
     """Regenerate Figure 10 (B-mode 56-136 per-benchmark speedups)."""
     fid = fidelity or Fidelity.from_env()
@@ -84,3 +67,6 @@ def run(fidelity: Fidelity | None = None) -> Fig10Result:
         rows.sort(key=lambda item: -item[1])
         speedups[ls] = rows
     return Fig10Result(speedups=speedups)
+
+
+jobs = recorded_jobs(run)

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.job import SimJob
 from repro.experiments.common import (
     BATCH_WORKLOADS,
     Fidelity,
     LS_WORKLOADS,
     config_all_shared,
     config_dynamic_rob,
-    grid_jobs,
     pair_uipc,
+    recorded_jobs,
 )
 from repro.util.stats import DistributionSummary, summarize
 from repro.util.tables import format_table
@@ -70,21 +69,6 @@ class Fig11Result:
         )
 
 
-def jobs(fidelity: Fidelity | None = None) -> list:
-    """The simulation job grid behind :func:`run` (for the execution engine)."""
-    fid = fidelity or Fidelity.from_env()
-    sampling = fid.sampling
-    return grid_jobs(
-        (
-            SimJob.pair(ls, batch, config, sampling)
-            for config in (config_all_shared(), config_dynamic_rob())
-            for ls in LS_WORKLOADS
-            for batch in BATCH_WORKLOADS
-        ),
-        fid,
-    )
-
-
 def run(fidelity: Fidelity | None = None) -> Fig11Result:
     """Regenerate Figure 11 over all colocations."""
     fid = fidelity or Fidelity.from_env()
@@ -101,3 +85,6 @@ def run(fidelity: Fidelity | None = None) -> Fig11Result:
             )
         pairs[ls] = rows
     return Fig11Result(pairs=pairs)
+
+
+jobs = recorded_jobs(run)

@@ -17,15 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.partitioning import DEFAULT_B_MODE
-from repro.engine.job import SimJob
 from repro.experiments.common import (
     BATCH_WORKLOADS,
     Fidelity,
     LS_WORKLOADS,
     config_all_shared,
     config_dynamic_rob,
-    grid_jobs,
     pair_uipc,
+    recorded_jobs,
 )
 from repro.util.tables import format_table
 
@@ -69,27 +68,6 @@ class Fig12Result:
         return f"{table}\n{summary}"
 
 
-def jobs(fidelity: Fidelity | None = None) -> list:
-    """The simulation job grid behind :func:`run` (for the execution engine)."""
-    fid = fidelity or Fidelity.from_env()
-    sampling = fid.sampling
-    equal = config_all_shared()
-    configs = [equal, DEFAULT_B_MODE.apply(equal)]
-    configs += [
-        replace(config_dynamic_rob(), fetch_policy="ratio", fetch_ratio=(1, m))
-        for m in THROTTLE_RATIOS
-    ]
-    return grid_jobs(
-        (
-            SimJob.pair(ls, batch, config, sampling)
-            for config in configs
-            for ls in LS_WORKLOADS
-            for batch in BATCH_WORKLOADS
-        ),
-        fid,
-    )
-
-
 def run(fidelity: Fidelity | None = None) -> Fig12Result:
     """Regenerate Figure 12 (throttling sweep + Stretch reference)."""
     fid = fidelity or Fidelity.from_env()
@@ -120,3 +98,6 @@ def run(fidelity: Fidelity | None = None) -> Fig12Result:
         by_policy[f"FT 1:{m}"] = measure(config)
     by_policy["Stretch"] = measure(DEFAULT_B_MODE.apply(equal))
     return Fig12Result(by_policy=by_policy)
+
+
+jobs = recorded_jobs(run)

@@ -15,15 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.partitioning import DEFAULT_B_MODE
-from repro.engine.job import SimJob
 from repro.experiments.common import (
     BATCH_WORKLOADS,
     Fidelity,
     LS_WORKLOADS,
     config_all_private,
     config_all_shared,
-    grid_jobs,
     pair_uipc,
+    recorded_jobs,
 )
 from repro.util.tables import format_table
 
@@ -59,28 +58,6 @@ class Fig13Result:
         )
 
 
-def jobs(fidelity: Fidelity | None = None) -> list:
-    """The simulation job grid behind :func:`run` (for the execution engine)."""
-    fid = fidelity or Fidelity.from_env()
-    sampling = fid.sampling
-    baseline = config_all_shared()
-    configs = [
-        baseline,
-        config_all_private(),
-        DEFAULT_B_MODE.apply(baseline),
-        DEFAULT_B_MODE.apply(config_all_private()),
-    ]
-    return grid_jobs(
-        (
-            SimJob.pair(ls, batch, config, sampling)
-            for config in configs
-            for ls in LS_WORKLOADS
-            for batch in BATCH_WORKLOADS
-        ),
-        fid,
-    )
-
-
 def run(fidelity: Fidelity | None = None) -> Fig13Result:
     """Regenerate Figure 13 over all colocations."""
     fid = fidelity or Fidelity.from_env()
@@ -105,3 +82,6 @@ def run(fidelity: Fidelity | None = None) -> Fig13Result:
                 gains.append(batch_uipc / base_batch[batch] - 1.0)
             speedups[policy][ls] = sum(gains) / len(gains)
     return Fig13Result(speedups=speedups)
+
+
+jobs = recorded_jobs(run)

@@ -23,6 +23,7 @@ from repro.experiments.common import (
     Fidelity,
     config_all_shared,
     pair_uipc,
+    recorded_jobs,
 )
 from repro.qos.diurnal import (
     DiurnalCaseStudy,
@@ -31,7 +32,7 @@ from repro.qos.diurnal import (
 )
 from repro.util.tables import format_table
 
-__all__ = ["Fig14Result", "run"]
+__all__ = ["Fig14Result", "run", "jobs"]
 
 
 @dataclass(frozen=True)
@@ -98,3 +99,6 @@ def run(fidelity: Fidelity | None = None) -> Fig14Result:
             )
         )
     return Fig14Result(rows=rows)
+
+
+jobs = recorded_jobs(run)

@@ -53,6 +53,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.cpu.surrogate import UipcFitJob
 from repro.engine import EngineConfig, ExecutionEngine, default_store
 from repro.engine.executor import parse_workers
 from repro.experiments.common import Fidelity, fidelity_names
@@ -154,18 +155,15 @@ def result_to_jsonable(result) -> object:
     return str(result)
 
 
-def _warm_store(name: str, module, fidelity: Fidelity, workers: int,
+def _warm_store(name: str, jobs: list, workers: int,
                 tracer: SpanTracer | None = None, profiler=None):
-    """Pre-execute an experiment's simulation grid through the engine.
+    """Pre-execute an experiment's simulation grid (its module's
+    ``jobs(fidelity)``) through the engine.
 
-    Runs whenever the experiment module exposes ``jobs(fidelity)`` — with
-    one worker the grid executes serially (same work, now with engine
+    With one worker the grid executes serially (same work, now with engine
     telemetry and tracing); with more it lands on the process pool.  The
     subsequent ``module.run()`` then assembles figures from cache hits.
     """
-    if not hasattr(module, "jobs"):
-        return None
-    jobs = list(module.jobs(fidelity))
     if not jobs:
         return None
     engine = ExecutionEngine(EngineConfig(workers=workers))
@@ -850,9 +848,12 @@ def main(argv: list[str] | None = None) -> int:
             module = importlib.import_module(EXPERIMENTS[name])
             start = time.time()
             span_start = tracer.now_us() if tracer is not None else 0.0
-            report = _warm_store(name, module, fidelity, args.jobs,
+            grid = list(module.jobs(fidelity)) if hasattr(module, "jobs") else []
+            report = _warm_store(name, grid, args.jobs,
                                  tracer=tracer, profiler=profiler)
+            misses = store.stats.misses
             result = module.run(fidelity)
+            run_store_misses = store.stats.misses - misses
             elapsed = time.time() - start
             if tracer is not None:
                 tracer.complete(
@@ -864,6 +865,7 @@ def main(argv: list[str] | None = None) -> int:
             print(result.format())
             print()
             if json_dir:
+                fits = sum(isinstance(job, UipcFitJob) for job in grid)
                 payload = {
                     "experiment": name,
                     "fidelity": fidelity.name,
@@ -871,6 +873,12 @@ def main(argv: list[str] | None = None) -> int:
                     "jobs": args.jobs,
                     "elapsed_seconds": round(elapsed, 3),
                     "engine": report.stats.as_dict() if report else None,
+                    # At a surrogate tier the exact jobs are the queries
+                    # no fit covers.  After a prefetch, a store miss in
+                    # run() is a job the grid lacked.
+                    "grid_fit_jobs": fits,
+                    "grid_exact_jobs": len(grid) - fits,
+                    "run_store_misses": run_store_misses,
                     "result": result_to_jsonable(result),
                 }
                 (json_dir / f"{name}.json").write_text(json.dumps(payload, indent=2))

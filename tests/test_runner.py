@@ -36,7 +36,7 @@ class TestRegistry:
         import importlib
 
         for name in ("fig03", "fig04", "fig05", "fig06", "fig09", "fig10",
-                     "fig11", "fig12", "fig13"):
+                     "fig11", "fig12", "fig13", "fig14", "ext_sensitivity"):
             module = importlib.import_module(EXPERIMENTS[name])
             assert callable(module.jobs), name
 

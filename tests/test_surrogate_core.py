@@ -3,9 +3,9 @@
 Covers the fit itself (CRN reproducibility through the store, anchor
 predictions bit-identical to the exact sampler, honest error bounds on
 fresh seeds), the batched window evaluation, the configuration-family
-mapping, and the tier plumbing (``Fidelity`` dispatch, ``grid_jobs``
-collapse, and the regression that the surrogate can never leak into
-exact-tier golden paths).
+mapping, and the tier plumbing (``Fidelity`` dispatch, the family
+collapse of ``recorded_jobs`` grids, and the regression that the surrogate
+can never leak into exact-tier golden paths).
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ from repro.experiments.common import (
     config_all_shared,
     config_dynamic_rob,
     config_solo,
-    grid_jobs,
+    pair_uipc,
     pair_uipc_many,
+    recorded_jobs,
     solo_uipc_many,
 )
 from repro.util.rng import derive_seed
@@ -270,23 +271,32 @@ class TestFidelityDispatch:
         assert (solo_uipc_many("gamess", configs, fid)
                 == solo_uipc_many("gamess", configs, TINY))
 
-    def test_grid_jobs_identity_at_exact_tier(self):
-        jobs = [SimJob.solo("gamess", config_solo(x), TINY) for x in (16, 96)]
-        assert grid_jobs(jobs, TINY) == jobs
-        assert grid_jobs(jobs, Fidelity("quick", TINY)) == jobs
+    def test_recorded_jobs_identity_at_exact_tier(self):
+        from repro.engine.store import default_store
 
-    def test_grid_jobs_collapses_families(self):
-        fid = tiny_surrogate_fidelity()
-        jobs = [
-            SimJob.solo("gamess", config_solo(x), TINY)
-            for x in (16, 48, 96, 192)
-        ] + [SimJob.pair("web_search", "gamess", config_dynamic_rob(), TINY)]
-        collapsed = grid_jobs(jobs, fid)
-        fits = [j for j in collapsed if isinstance(j, UipcFitJob)]
-        passthrough = [j for j in collapsed if isinstance(j, SimJob)]
+        def sweep(effort):
+            solo_uipc_many("gamess", [config_solo(x) for x in (16, 96)], effort)
+
+        jobs = [SimJob.solo("gamess", config_solo(x), TINY) for x in (16, 96)]
+        assert recorded_jobs(sweep)(TINY) == jobs
+        assert recorded_jobs(sweep)(Fidelity("quick", TINY)) == jobs
+        assert default_store().stats.lookups == 0  # recording runs nothing
+
+    def test_recorded_jobs_collapse_families(self):
+        def sweep(effort):
+            configs = [config_solo(x) for x in (16, 48, 96, 192)]
+            solo_uipc_many("gamess", configs, effort)
+            pair_uipc("web_search", "gamess", config_dynamic_rob(), effort)
+
+        jobs = recorded_jobs(sweep)(tiny_surrogate_fidelity())
+        fits = [j for j in jobs if isinstance(j, UipcFitJob)]
+        passthrough = [j for j in jobs if isinstance(j, SimJob)]
         assert len(fits) == 1  # one family across all four sweep points
         assert fits[0].config == config_solo()
-        assert passthrough == [jobs[-1]]  # unsupported family stays exact
+        # The unsupported family stays exact.
+        assert passthrough == [
+            SimJob.pair("web_search", "gamess", config_dynamic_rob(), TINY)
+        ]
 
     def test_surrogate_never_leaks_into_exact_paths(self, monkeypatch):
         """REPRO_FIDELITY=surrogate must not change explicit exact runs."""
