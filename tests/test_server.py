@@ -1,11 +1,35 @@
-"""Tests for the closed-loop colocated server simulation."""
+"""Tests for the closed-loop colocated server simulation.
 
+Golden days: ``tests/golden/server_day_legacy.json`` holds every
+``WindowRecord`` field of twelve one-server days written by the
+per-object loop (``ColocatedServer.run_day`` for the eight fixed-monitor
+days, ``ColocatedServer.run_day_adaptive`` for the four adaptive ones),
+each run with the mapped seed ``derive_seed(seed, "server", 0) &
+0x7FFFFF`` that a one-server fleet with ``FleetConfig(seed=seed)`` gives
+its only server.  The file is never regenerated by
+``REPRO_GOLDEN_UPDATE``.
+"""
+
+import dataclasses
+import functools
+import hashlib
+import json
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
 import pytest
 
+from repro.core.adaptive import AdaptiveStretchPolicy
 from repro.core.colocation import ColocationPerformance, ModePerformance
-from repro.core.monitor import MonitorConfig
+from repro.core.monitor import MODE_ORDER, MonitorConfig
+from repro.core.partitioning import scheme_by_name
 from repro.core.server import ColocatedServer, ServerTimeline, WindowRecord
 from repro.core.stretch import StretchMode
+from repro.fleet import FleetConfig, FleetEngine
+from repro.fleet.engine import FleetStepper
+from repro.fleet.policies import resolve_load_curve
+from repro.util.rng import derive_seed
 from repro.workloads.registry import get_profile
 
 
@@ -21,6 +45,272 @@ def performance_model() -> ColocationPerformance:
             StretchMode.Q_MODE: ModePerformance(ls_uipc=0.58, batch_uipc=0.40),
         },
     )
+
+
+GOLDEN = Path(__file__).parent / "golden" / "server_day_legacy"
+
+#: Per-mode (LS UIPC, batch UIPC) rows of the golden days' models, in
+#: ``MODE_ORDER``; every model has an LS solo UIPC of 0.6.
+GOLDEN_MODELS = {
+    "fixed": ((0.52, 0.50), (0.46, 0.58), (0.58, 0.40)),
+    "adaptive": ((0.55, 0.50), (0.48, 0.58), (0.58, 0.40)),
+}
+
+#: Twelve one-server days.  Unlisted knobs default to ``ls="web_search"``,
+#: ``monitor=MonitorConfig()``, Q-mode available and the model named after
+#: the controller; ``adaptive`` lists the provisioned B-modes and the
+#: safety margin.
+GOLDEN_CASES = {
+    "web_search_5min": dict(
+        load="web_search", window_minutes=5.0, requests_per_window=300,
+        seed=1,
+    ),
+    "youtube_60min": dict(
+        load="youtube", window_minutes=60.0, requests_per_window=600, seed=2,
+    ),
+    "data_serving_youtube_30min": dict(
+        ls="data_serving", load="youtube", window_minutes=30.0,
+        requests_per_window=500, seed=3,
+    ),
+    "web_serving_20min": dict(
+        ls="web_serving", load="web_search", window_minutes=20.0,
+        requests_per_window=400, seed=4,
+    ),
+    "media_streaming_flat": dict(
+        ls="media_streaming", load="flat:0.5", window_minutes=60.0,
+        requests_per_window=400, seed=5,
+    ),
+    "throttle_no_q_mode": dict(
+        load="flat:1.15", window_minutes=30.0, requests_per_window=400,
+        seed=13, monitor=(0.6, 2, 1, 4), q_mode_available=False,
+    ),
+    "throttle_q_mode_10min": dict(
+        load="youtube", window_minutes=10.0, requests_per_window=300, seed=2,
+        monitor=(0.7, 2, 1, 4),
+    ),
+    "data_serving_flat_240min": dict(
+        ls="data_serving", load="flat:0.2", window_minutes=240.0,
+        requests_per_window=300, seed=8, monitor=(0.5, 2, 3, 10),
+    ),
+    "adaptive_flat": dict(
+        load="flat:0.3", window_minutes=60.0, requests_per_window=600, seed=6,
+        adaptive=(("64-128", "56-136", "48-144", "40-152", "32-160"), 0.85),
+    ),
+    "adaptive_zero_load": dict(
+        load="flat:0.0", window_minutes=120.0, requests_per_window=400,
+        seed=6,
+        adaptive=(("64-128", "56-136", "48-144", "40-152", "32-160"), 0.85),
+    ),
+    "adaptive_web_search": dict(
+        load="web_search", window_minutes=30.0, requests_per_window=600,
+        seed=9,
+        adaptive=(("64-128", "56-136", "48-144", "40-152", "32-160"), 0.85),
+    ),
+    "adaptive_data_serving": dict(
+        ls="data_serving", load="youtube", window_minutes=60.0,
+        requests_per_window=400, seed=10,
+        adaptive=(("64-128", "56-136", "48-144"), 0.7),
+    ),
+}
+FIXED_CASES = sorted(n for n, c in GOLDEN_CASES.items() if "adaptive" not in c)
+#: The ``WindowRecord`` fields, in declaration order.
+RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(WindowRecord))
+
+
+def golden_spec(name: str) -> dict:
+    """The full case spec, defaults filled in (stored beside the data)."""
+    case = GOLDEN_CASES[name]
+    spec = dict(
+        ls="web_search", monitor=dataclasses.astuple(MonitorConfig()),
+        q_mode_available=True, adaptive=None,
+        model="adaptive" if case.get("adaptive") else "fixed",
+    )
+    spec.update(case)
+    spec["monitor"] = list(spec["monitor"])
+    if spec["adaptive"] is not None:
+        b_modes, margin = spec["adaptive"]
+        spec["adaptive"] = {"b_modes": list(b_modes), "safety_margin": margin}
+    return spec
+
+
+def golden_model(spec: dict) -> ColocationPerformance:
+    rows = GOLDEN_MODELS[spec["model"]]
+    return ColocationPerformance(
+        ls_workload=spec["ls"],
+        batch_workload="zeusmp",
+        ls_solo_uipc=0.6,
+        per_mode={
+            mode: ModePerformance(*row) for mode, row in zip(MODE_ORDER, rows)
+        },
+    )
+
+
+def golden_policy(spec: dict, model: ColocationPerformance):
+    if spec["adaptive"] is None:
+        return None
+    return AdaptiveStretchPolicy(
+        get_profile(spec["ls"]).qos, model,
+        tuple(scheme_by_name(n) for n in spec["adaptive"]["b_modes"]),
+        safety_margin=spec["adaptive"]["safety_margin"],
+    )
+
+
+def record_fields(windows) -> dict:
+    """Per-field window lists of a ``ServerTimeline`` (JSON-ready)."""
+    out = {name: [] for name in RECORD_FIELDS}
+    for record in windows:
+        for name in RECORD_FIELDS:
+            value = getattr(record, name)
+            if isinstance(value, StretchMode):
+                value = value.value
+            elif isinstance(value, (bool, np.bool_)):
+                value = bool(value)
+            elif not isinstance(value, str):
+                value = float(value)
+            out[name].append(value)
+    return out
+
+
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@functools.lru_cache(maxsize=None)
+def golden_cases() -> dict:
+    payload = json.loads(GOLDEN.with_suffix(".json").read_text())
+    digest = hashlib.sha256(_canonical(payload).encode()).hexdigest()
+    assert digest == GOLDEN.with_suffix(".sha256").read_text().strip(), (
+        "server_day_legacy.json does not match its committed digest"
+    )
+    return payload["cases"]
+
+
+def legacy_day(name: str) -> dict:
+    """Golden case ``name`` on the per-object loop (the frozen writer)."""
+    spec = golden_spec(name)
+    profile = get_profile(spec["ls"])
+    model = golden_model(spec)
+    server = ColocatedServer(
+        profile, model, MonitorConfig(*spec["monitor"]),
+        seed=derive_seed(spec["seed"], "server", 0) & 0x7FFFFF,
+        q_mode_available=spec["q_mode_available"],
+    )
+    load_fn = resolve_load_curve(spec["load"])[1]
+    policy = golden_policy(spec, model)
+    if policy is None:
+        timeline = server.run_day(
+            load_fn, window_minutes=spec["window_minutes"],
+            requests_per_window=spec["requests_per_window"],
+        )
+    else:
+        timeline = server.run_day_adaptive(
+            load_fn, policy, window_minutes=spec["window_minutes"],
+            requests_per_window=spec["requests_per_window"],
+        )
+    return record_fields(timeline.windows)
+
+
+def fleet_day(name: str) -> dict:
+    """A fixed-monitor golden case as a one-server ``tail="exact"`` fleet."""
+    spec = golden_spec(name)
+    config = FleetConfig(
+        n_servers=1, overprovision=1.0, policy="uniform", seed=spec["seed"],
+        window_minutes=spec["window_minutes"],
+        requests_per_window=spec["requests_per_window"],
+        q_mode_available=spec["q_mode_available"],
+        monitor=MonitorConfig(*spec["monitor"]),
+    )
+    loads = []
+    tails_of = FleetStepper._tails
+
+    def recording(self, window, window_loads, perf, u, offset, rows=None):
+        loads.append(float(window_loads[0]))
+        return tails_of(self, window, window_loads, perf, u, offset, rows)
+
+    with mock.patch.object(FleetStepper, "_tails", recording):
+        day = FleetEngine(
+            get_profile(spec["ls"]), golden_model(spec), config
+        ).run_day(spec["load"], tail="exact")
+    return {
+        "hour": day.hours.tolist(),
+        "load_fraction": loads,
+        "mode": [MODE_ORDER[int(row.argmax())].value for row in day.mode_counts],
+        "tail_latency_ms": day.tail_ms_sum.tolist(),
+        "qos_violated": [bool(v) for v in day.violations],
+        "throttled": [bool(v) for v in day.throttled],
+        "batch_uipc": day.batch_uipc_sum.tolist(),
+        "scheme": [""] * day.n_windows,
+    }
+
+
+def check_golden(name: str, fields: dict) -> None:
+    case = golden_cases()[name]
+    assert case["spec"] == golden_spec(name)
+    assert case["mapped_seed"] == (
+        derive_seed(case["spec"]["seed"], "server", 0) & 0x7FFFFF
+    )
+    for field in RECORD_FIELDS:
+        assert fields[field] == case["windows"][field], field
+
+
+class TestFrozenServerDays:
+    """The frozen one-server days (see the module docstring)."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_per_object_loop_reproduces_frozen_day(self, name):
+        check_golden(name, legacy_day(name))
+
+    @pytest.mark.parametrize("name", FIXED_CASES)
+    def test_one_server_fleet_reproduces_frozen_day(self, name):
+        check_golden(name, fleet_day(name))
+
+
+class TestFrozenCoverage:
+    def test_cases_cover_the_closed_loop(self):
+        cases = golden_cases()
+        fixed = [c for c in cases.values() if c["spec"]["adaptive"] is None]
+        adaptive = [c for c in cases.values() if c["spec"]["adaptive"]]
+        assert len(fixed) >= 8 and len(adaptive) >= 4
+        assert {c["spec"]["ls"] for c in fixed} == {
+            "web_search", "data_serving", "web_serving", "media_streaming",
+        }
+        loads = [x for c in cases.values() for x in c["windows"]["load_fraction"]]
+        assert 0.02 <= min(loads) and max(loads) <= 1.2
+        throttled = {
+            c["spec"]["q_mode_available"] for c in fixed
+            if any(c["windows"]["throttled"])
+        }
+        assert throttled == {True, False}
+        assert any(
+            set(c["windows"]["load_fraction"]) == {0.02} for c in adaptive
+        )
+
+    def test_adaptive_days_start_on_baseline(self):
+        # The first window runs Baseline: decide(target) picks it.
+        for name, case in golden_cases().items():
+            spec = case["spec"]
+            if spec["adaptive"] is None:
+                continue
+            policy = golden_policy(spec, golden_model(spec))
+            target = get_profile(spec["ls"]).qos.target_ms
+            assert policy.decide(target).scheme.name == "96-96", name
+            assert case["windows"]["scheme"][0] == "96-96", name
+
+
+def golden_payload() -> dict:
+    """The frozen file's content, from the per-object loop."""
+    return {
+        "cases": {
+            name: {
+                "spec": golden_spec(name),
+                "mapped_seed": derive_seed(
+                    GOLDEN_CASES[name]["seed"], "server", 0
+                ) & 0x7FFFFF,
+                "windows": legacy_day(name),
+            }
+            for name in sorted(GOLDEN_CASES)
+        }
+    }
 
 
 def make_server(**kwargs) -> ColocatedServer:
