@@ -6,7 +6,7 @@ A from-scratch Python reproduction of Margaritov et al., HPCA 2019
 Package map
 -----------
 * :mod:`repro.core` — the paper's contribution: Stretch partition schemes,
-  control register, software monitor, and the closed-loop colocated server.
+  control register, software monitor, and the closed-loop day's records.
 * :mod:`repro.cpu` — the dual-thread SMT out-of-order core timing simulator
   (partitionable ROB/LSQ, shared caches/predictors, MSHRs, prefetcher).
 * :mod:`repro.workloads` — statistical workload profiles and the synthetic
@@ -48,14 +48,12 @@ from repro.core import (
     DEFAULT_B_MODE,
     DEFAULT_Q_MODE,
     Q_MODES,
-    ColocatedServer,
     ColocationPerformance,
     ControlRegister,
     MonitorConfig,
     PartitionScheme,
     StretchCore,
     StretchMode,
-    StretchMonitor,
 )
 from repro.cpu.config import CoreConfig
 from repro.cpu.sampling import SamplingConfig, mean_uipc, sample_colocation, sample_solo
@@ -72,10 +70,8 @@ __all__ = [
     "PartitionScheme",
     "StretchCore",
     "StretchMode",
-    "StretchMonitor",
     "MonitorConfig",
     "ControlRegister",
-    "ColocatedServer",
     "ColocationPerformance",
     "CoreConfig",
     "SamplingConfig",

@@ -9,7 +9,8 @@ names (``seed``, ``n_samples``, ``fidelity``, ``sampling``, ``engine``,
 * :func:`measure` — a pair's full per-mode performance model
   (:class:`~repro.core.colocation.ColocationPerformance`);
 * :func:`run_day` — one colocated server's 24-hour closed loop
-  (:class:`~repro.core.server.ServerTimeline`);
+  (:class:`~repro.core.server.ServerTimeline`), a one-server fleet day on
+  the exact queueing DES;
 * :func:`run_fleet` — a fleet/cluster day at any scale
   (:class:`~repro.fleet.engine.FleetTimeline`): ``tail=`` picks the
   per-server tail evaluator (``"surrogate"`` or the ``"exact"`` DES) and
@@ -52,19 +53,21 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from repro.core.adaptive import AdaptiveStretchPolicy
 from repro.core.colocation import (
     ColocationPerformance,
     _measure_colocation_performance,
 )
-from repro.core.monitor import MonitorConfig
+from repro.core.monitor import MODE_ORDER, MonitorConfig
 from repro.core.partitioning import (
     BASELINE,
     DEFAULT_B_MODE,
     DEFAULT_Q_MODE,
     PartitionScheme,
 )
-from repro.core.server import ColocatedServer, ServerTimeline
+from repro.core.server import ServerTimeline, WindowRecord
 from repro.core.stretch import StretchMode
 from repro.cpu.config import CoreConfig
 from repro.cpu.sampling import SamplingConfig
@@ -72,9 +75,14 @@ from repro.engine.executor import EngineConfig, ExecutionEngine
 from repro.engine.job import SimJob
 from repro.engine.store import default_store
 from repro.experiments.common import Fidelity, pair_uipc_many, solo_uipc
-from repro.fleet.engine import FleetConfig, FleetEngine, FleetTimeline
-from repro.fleet.policies import resolve_load_curve
+from repro.fleet.engine import (
+    LOAD_BOUNDS,
+    FleetConfig,
+    FleetEngine,
+    FleetTimeline,
+)
 from repro.fleet.shard import run_fleet_sharded
+from repro.obs.fleet import publish_fleet_metrics
 from repro.scenarios import as_scenario
 from repro.service import FleetService
 from repro.tune import (
@@ -411,13 +419,20 @@ def run_day(
 ) -> ServerTimeline:
     """One colocated server's 24-hour closed loop.
 
-    ``load`` is a registered curve name, a ``"flat:<x>"`` spec, or a
-    callable ``hour -> fraction``.  Supply a pre-measured ``performance``
-    model, or a ``batch`` workload to measure one on the fly (using the
-    facade's sampling kwargs).  With ``adaptive=`` the multi-B-mode policy
-    loop runs instead of the fixed monitor.  ``seed`` drives the server's
-    request streams (not the sampling seed — set that via ``sampling=`` /
-    ``fidelity=``).
+    The day is a one-server fleet day on the exact queueing DES:
+    ``FleetConfig(n_servers=1, overprovision=1.0, policy="uniform",
+    seed=seed, ...)`` stepped with ``tail="exact"``, one
+    :class:`~repro.core.server.WindowRecord` per window.  ``load`` is a
+    registered curve name, a ``"flat:<x>"`` spec, or a callable ``hour ->
+    fraction``; each window's load is clipped to
+    :data:`~repro.fleet.engine.LOAD_BOUNDS`.  Supply a pre-measured
+    ``performance`` model, or a ``batch`` workload to measure one on the
+    fly (using the facade's sampling kwargs).  With ``adaptive=`` the
+    multi-B-mode policy replaces the fixed monitor and each record's
+    ``scheme`` names the partition the window ran.  ``seed`` is the fleet
+    seed, which drives the server's request streams (not the sampling
+    seed — set that via ``sampling=`` / ``fidelity=``).  ``metrics``
+    receives the day's ``fleet.*`` instruments.
     """
     ls_profile = _resolve_profile(ls)
     if performance is None:
@@ -427,30 +442,39 @@ def run_day(
             ls_profile, batch,
             sampling=sampling, fidelity=fidelity, n_samples=n_samples,
         )
-    _, load_fn = resolve_load_curve(load)
-    server = ColocatedServer(
-        ls_profile,
-        performance,
-        monitor_config=(
-            monitor if monitor is not None
-            else MonitorConfig()
-        ),
-        n_workers=n_workers,
-        seed=seed,
-        q_mode_available=q_mode_available,
-        metrics=metrics,
-    )
-    if adaptive is not None:
-        return server.run_day_adaptive(
-            load_fn, adaptive,
-            window_minutes=window_minutes,
-            requests_per_window=requests_per_window,
-        )
-    return server.run_day(
-        load_fn,
+    config = FleetConfig(
+        n_servers=1,
+        overprovision=1.0,
+        policy="uniform",
         window_minutes=window_minutes,
         requests_per_window=requests_per_window,
+        n_workers=n_workers,
+        q_mode_available=q_mode_available,
+        seed=seed,
+        monitor=monitor if monitor is not None else MonitorConfig(),
     )
+    stepper = FleetEngine(
+        ls_profile, performance, config, adaptive=adaptive
+    ).stepper(load, tail="exact")
+    day = stepper.timeline
+    windows = []
+    while not stepper.done:
+        row = int(stepper.state.mode[0])
+        record = stepper.step()
+        k = record["window"]
+        windows.append(WindowRecord(
+            hour=record["hour"],
+            load_fraction=float(np.clip(record["cluster_load"], *LOAD_BOUNDS)),
+            mode=MODE_ORDER[int(day.mode_counts[k].argmax())],
+            tail_latency_ms=float(day.tail_ms_sum[k]),
+            qos_violated=bool(day.violations[k]),
+            throttled=bool(day.throttled[k]),
+            batch_uipc=float(day.batch_uipc_sum[k]),
+            scheme="" if adaptive is None else adaptive.rows[row][0].name,
+        ))
+    if metrics is not None:
+        publish_fleet_metrics(metrics, day)
+    return ServerTimeline(windows)
 
 
 def run_fleet(
@@ -566,8 +590,6 @@ def run_fleet(
         corunners=corunners, scenario=scenario,
     )
     if metrics is not None:
-        from repro.obs.fleet import publish_fleet_metrics
-
         publish_fleet_metrics(metrics, timeline)
     return timeline
 

@@ -12,9 +12,12 @@ This package is the paper's primary contribution (§IV):
   watches a QoS metric (tail latency) and engages B-mode when slack exists,
   falls back to Baseline/Q-mode on violations, and throttles the co-runner
   if violations persist;
-* :mod:`repro.core.server` — a closed-loop simulation of a colocated server:
-  diurnal load → queueing latency → monitor decision → ROB reconfiguration →
-  service/batch performance.
+* :mod:`repro.core.adaptive` — the §IV-D policy choosing among several
+  provisioned B-modes by the measured slack;
+* :mod:`repro.core.server` — the per-window records of a colocated
+  server's closed-loop day (diurnal load → queueing latency → monitor
+  decision → ROB reconfiguration → service/batch performance), which
+  :func:`repro.api.run_day` runs as a one-server fleet day.
 """
 
 from repro.core.partitioning import (
@@ -31,11 +34,10 @@ from repro.core.monitor import (
     MonitorDecision,
     QueueLengthMonitor,
     QueueLengthMonitorConfig,
-    StretchMonitor,
 )
 from repro.core.adaptive import AdaptiveDecision, AdaptiveStretchPolicy, SlackBudget
 from repro.core.colocation import ColocationPerformance
-from repro.core.server import ColocatedServer, ServerTimeline
+from repro.core.server import ServerTimeline
 
 __all__ = [
     "BASELINE",
@@ -49,13 +51,11 @@ __all__ = [
     "StretchMode",
     "MonitorConfig",
     "MonitorDecision",
-    "StretchMonitor",
     "QueueLengthMonitor",
     "QueueLengthMonitorConfig",
     "AdaptiveStretchPolicy",
     "AdaptiveDecision",
     "SlackBudget",
     "ColocationPerformance",
-    "ColocatedServer",
     "ServerTimeline",
 ]

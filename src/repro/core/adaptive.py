@@ -13,7 +13,10 @@ This module implements that sophistication:
 * :class:`AdaptiveStretchPolicy` picks, each monitoring window, the deepest
   provisioned B-mode whose predicted latency impact stays inside that
   budget — falling back toward Baseline (and Q-mode under violations)
-  exactly like the two-point monitor.
+  exactly like the two-point monitor.  :meth:`~AdaptiveStretchPolicy.decide`
+  is the scalar rule; :meth:`~AdaptiveStretchPolicy.next_rows` applies it
+  element-wise over a fleet's tails (``FleetEngine(..., adaptive=policy)``),
+  and an exhaustive test holds the two equal.
 
 The latency prediction uses the queueing-theoretic first-order rule that
 tail latency scales with service-time inflation as long as the system stays
@@ -25,10 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.colocation import ColocationPerformance
-from repro.core.partitioning import BASELINE, PartitionScheme
+from repro.core.partitioning import BASELINE, DEFAULT_B_MODE, PartitionScheme
 from repro.core.stretch import StretchMode
-from repro.obs.metrics import MetricsRegistry
 from repro.workloads.profiles import QoSSpec
 
 __all__ = ["SlackBudget", "AdaptiveStretchPolicy", "AdaptiveDecision"]
@@ -91,7 +95,6 @@ class AdaptiveStretchPolicy:
         performance: ColocationPerformance,
         b_modes: tuple[PartitionScheme, ...],
         safety_margin: float = 0.85,
-        metrics: MetricsRegistry | None = None,
     ):
         if not b_modes:
             raise ValueError("provision at least one B-mode")
@@ -101,23 +104,34 @@ class AdaptiveStretchPolicy:
         self.performance = performance
         self.b_modes = b_modes
         self.safety_margin = safety_margin
-        self.metrics = metrics
-        self.windows_observed = 0
         self._factors = {scheme: self._estimate_factor(scheme) for scheme in b_modes}
         self._factors[BASELINE] = performance.ls_perf_factor(StretchMode.BASELINE)
+        #: Row ``j`` of :meth:`next_rows`: the scheme it runs and the mode
+        #: it reports — Baseline, each B-mode, then Baseline after a
+        #: violation (reported as Q-mode, as :meth:`decide` does).
+        self.rows: tuple[tuple[PartitionScheme, StretchMode], ...] = (
+            ((BASELINE, StretchMode.BASELINE),)
+            + tuple((scheme, StretchMode.B_MODE) for scheme in b_modes)
+            + ((BASELINE, StretchMode.Q_MODE),)
+        )
+        # decide()'s per-scheme inflation, shallow to deep.
+        current = self._factors[BASELINE]
+        self._inflation = np.array(
+            [current / max(self._factors[scheme], 1e-9) for scheme in b_modes]
+        )
 
     def _estimate_factor(self, scheme: PartitionScheme) -> float:
         """LS performance factor of a scheme, interpolated on partition size.
 
-        Anchored at the measured Baseline (96 entries) and measured B-mode;
-        other skews scale linearly in LS-partition size between those two
-        anchors (and extrapolate below, floored at 20% of Baseline).  This
-        mirrors what production software would do: profile a couple of
-        points, interpolate the rest.
+        Anchored at the measured Baseline and B-mode (``BASELINE`` and
+        ``DEFAULT_B_MODE``); other skews scale linearly in LS-partition size
+        between those two anchors (and extrapolate below, floored at 20% of
+        Baseline).  This mirrors what production software would do: profile
+        a couple of points, interpolate the rest.
         """
         base_entries = BASELINE.ls_entries
         base_factor = self.performance.ls_perf_factor(StretchMode.BASELINE)
-        b_scheme_entries = 56  # the measured B-mode anchor (DEFAULT_B_MODE)
+        b_scheme_entries = DEFAULT_B_MODE.ls_entries
         b_factor = self.performance.ls_perf_factor(StretchMode.B_MODE)
         if scheme.ls_entries >= base_entries:
             return base_factor
@@ -129,26 +143,20 @@ class AdaptiveStretchPolicy:
         """Estimated LS performance factor under ``scheme``."""
         return self._factors[scheme]
 
-    def decide(self, observation) -> AdaptiveDecision:
+    def decide(self, tail_latency_ms: float) -> AdaptiveDecision:
         """Pick the deepest scheme whose predicted tail stays within target.
 
-        ``observation`` is a per-window sample from the observability layer
-        (anything with a ``tail_latency_ms`` attribute, e.g.
-        :class:`~repro.obs.sampler.ServiceWindowSample`) or a bare tail
-        latency in milliseconds.  On a violation the policy returns Q-mode's
-        scheme if the measured model has one (otherwise Baseline).
+        On a violation the policy returns Baseline reported as Q-mode.
+        This scalar rule is the oracle of :meth:`next_rows`.
         """
-        tail_latency_ms = float(
-            getattr(observation, "tail_latency_ms", observation)
-        )
+        tail_latency_ms = float(tail_latency_ms)
         if tail_latency_ms < 0:
             raise ValueError("latency cannot be negative")
         budget = SlackBudget(tail_latency_ms, self.qos.target_ms,
                              self.safety_margin)
         if tail_latency_ms > self.qos.target_ms:
-            decision = AdaptiveDecision(BASELINE, StretchMode.Q_MODE,
-                                        budget.headroom)
-            return self._record(tail_latency_ms, decision)
+            return AdaptiveDecision(BASELINE, StretchMode.Q_MODE,
+                                    budget.headroom)
 
         current = self._factors[BASELINE]
         chosen = BASELINE
@@ -159,21 +167,23 @@ class AdaptiveStretchPolicy:
             else:
                 break
         mode = StretchMode.BASELINE if chosen is BASELINE else StretchMode.B_MODE
-        return self._record(
-            tail_latency_ms, AdaptiveDecision(chosen, mode, budget.headroom)
-        )
+        return AdaptiveDecision(chosen, mode, budget.headroom)
 
-    def _record(self, tail_latency_ms: float,
-                decision: AdaptiveDecision) -> AdaptiveDecision:
-        self.windows_observed += 1
-        registry = self.metrics
-        if registry is not None:
-            registry.counter("adaptive.windows").inc()
-            registry.series("adaptive.tail_latency_ms").append(
-                self.windows_observed, tail_latency_ms
-            )
-            registry.series("adaptive.headroom").append(
-                self.windows_observed, decision.headroom
-            )
-            registry.counter(f"adaptive.scheme.{decision.scheme.name}").inc()
-        return decision
+    def next_rows(self, tails: np.ndarray) -> np.ndarray:
+        """Element-wise :meth:`decide`: the :attr:`rows` index per tail.
+
+        Same float operations as :meth:`decide`: the headroom is
+        ``(target * margin) / tail`` (infinite at a zero tail), the row is
+        the length of the leading run of B-modes whose inflation fits it
+        (``decide`` stops at the first that does not), and a violated tail
+        gives the last row.
+        """
+        tails = np.asarray(tails, dtype=float)
+        headroom = np.full(tails.shape, np.inf)
+        with np.errstate(over="ignore"):  # tiny tails: inf, as in decide
+            np.divide(self.qos.target_ms * self.safety_margin, tails,
+                      out=headroom, where=tails > 0.0)
+        fits = self._inflation <= headroom[:, None]
+        rows = np.cumprod(fits, axis=1).sum(axis=1)
+        rows[tails > self.qos.target_ms] = len(self.rows) - 1
+        return rows

@@ -69,7 +69,7 @@ class ColocationPerformance:
         """
         base = self.per_mode[StretchMode.BASELINE]
         bmode = self.per_mode[StretchMode.B_MODE]
-        ls_anchor, b_anchor = 96, 56  # LS entries at the two anchors
+        ls_anchor, b_anchor = BASELINE.ls_entries, DEFAULT_B_MODE.ls_entries
         ls_slope = (base.ls_uipc - bmode.ls_uipc) / (ls_anchor - b_anchor)
         batch_slope = (bmode.batch_uipc - base.batch_uipc) / (ls_anchor - b_anchor)
         delta = ls_anchor - scheme.ls_entries  # >0 means deeper than baseline

@@ -12,13 +12,13 @@ service's performance slack:
 * if violations persist, it takes CPI²'s corrective action: **throttle the
   co-runner** for an interval of time.
 
-The monitor is a pure decision-making state machine: feed it one per-window
-observation — a :class:`~repro.obs.sampler.ServiceWindowSample` from the
-observability layer's :class:`~repro.obs.sampler.ServiceSampler` (or a bare
-float, still accepted everywhere) — and act on the returned
-:class:`MonitorDecision`.  When constructed with a
-:class:`~repro.obs.metrics.MetricsRegistry`, every observation and mode
-transition is mirrored into it (``monitor.*`` metrics).
+The monitor is a pure state machine, :func:`monitor_transition`: one
+window's ``violated`` / ``slack`` verdict moves a :class:`MonitorState`.
+The fleet engine applies it element-wise over every server
+(:func:`repro.fleet.engine.monitor_transition_vec`, held equal to it by an
+exhaustive test), which is also how :func:`repro.api.run_day` runs one
+server's day.  :class:`QueueLengthMonitor` drives the same transition
+from queue depth instead of tail latency.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "MonitorConfig",
     "MonitorDecision",
     "MonitorState",
-    "StretchMonitor",
     "QueueLengthMonitorConfig",
     "QueueLengthMonitor",
     "monitor_transition",
@@ -42,25 +41,9 @@ __all__ = [
 ]
 
 #: Canonical mode indexing shared by the scalar monitor, the metrics
-#: pipeline (``monitor.mode`` series) and the vectorized fleet engine:
-#: 0 = BASELINE, 1 = B_MODE, 2 = Q_MODE.
+#: pipeline and the vectorized fleet engine: 0 = BASELINE, 1 = B_MODE,
+#: 2 = Q_MODE.
 MODE_ORDER: tuple[StretchMode, ...] = tuple(StretchMode)
-
-
-def _tail_latency_ms(observation) -> float:
-    """Read the tail latency from a window sample (or accept a bare float)."""
-    return float(getattr(observation, "tail_latency_ms", observation))
-
-
-def _queue_depth(observation) -> float:
-    """Read the mean queue depth from a window sample (or a bare float)."""
-    depth = getattr(observation, "mean_queue_depth", observation)
-    if depth is None:
-        raise ValueError(
-            "window sample carries no mean_queue_depth; feed the "
-            "QueueLengthMonitor samples from a queue-aware ServiceSampler"
-        )
-    return float(depth)
 
 
 @dataclass(frozen=True)
@@ -160,16 +143,16 @@ def monitor_transition(
     state: MonitorState,
     violated: bool,
     slack: bool,
-    config: MonitorConfig,
+    config: MonitorConfig | QueueLengthMonitorConfig,
     q_mode_available: bool = True,
 ) -> tuple[MonitorState, bool, bool]:
     """One window of the Stretch monitor state machine, as a pure function.
 
     This is the single source of truth for the monitor's decision logic:
-    :class:`StretchMonitor` applies it per observation, and the vectorized
-    fleet engine (:mod:`repro.fleet`) applies the same rules element-wise
-    over server arrays (equivalence is enforced by an exhaustive
-    state-space test).
+    :class:`QueueLengthMonitor` applies it per observation, and the
+    vectorized fleet engine (:mod:`repro.fleet`) applies the same rules
+    element-wise over server arrays (equivalence is enforced by an
+    exhaustive state-space test).
 
     Parameters mirror one digested window: ``violated`` means the QoS
     metric exceeded its target, ``slack`` means it sat below the engage
@@ -222,88 +205,6 @@ def monitor_transition(
     return MonitorState(mode, cs, vs, 0), False, False
 
 
-class StretchMonitor:
-    """Windowed tail-latency state machine driving the Stretch control bits."""
-
-    def __init__(
-        self,
-        qos: QoSSpec,
-        config: MonitorConfig = MonitorConfig(),
-        q_mode_available: bool = True,
-        metrics: MetricsRegistry | None = None,
-    ):
-        self.qos = qos
-        self.config = config
-        self.q_mode_available = q_mode_available
-        self.metrics = metrics
-        self.mode = StretchMode.BASELINE
-        self.windows_observed = 0
-        self.violations = 0
-        self.throttle_orders = 0
-        self._compliant_streak = 0
-        self._violation_streak = 0
-        self._throttle_remaining = 0
-
-    @property
-    def throttling(self) -> bool:
-        return self._throttle_remaining > 0
-
-    def _record(self, tail_latency_ms: float, decision: MonitorDecision) -> None:
-        registry = self.metrics
-        if registry is None:
-            return
-        registry.counter("monitor.windows").inc()
-        registry.series("monitor.tail_latency_ms").append(
-            self.windows_observed, tail_latency_ms
-        )
-        registry.series("monitor.mode").append(
-            self.windows_observed, list(StretchMode).index(decision.mode)
-        )
-        if tail_latency_ms > self.qos.target_ms:
-            registry.counter("monitor.violations").inc()
-        if decision.throttle_corunner:
-            registry.counter("monitor.throttled_windows").inc()
-
-    def observe_window(self, observation) -> MonitorDecision:
-        """Digest one monitoring window; emit a decision.
-
-        ``observation`` is a per-window sample from the observability
-        layer (anything with a ``tail_latency_ms`` attribute, e.g.
-        :class:`~repro.obs.sampler.ServiceWindowSample`) or a bare tail
-        latency in milliseconds.
-        """
-        tail_latency_ms = _tail_latency_ms(observation)
-        decision = self._observe(tail_latency_ms)
-        self._record(tail_latency_ms, decision)
-        return decision
-
-    def _observe(self, tail_latency_ms: float) -> MonitorDecision:
-        if tail_latency_ms < 0:
-            raise ValueError("latency cannot be negative")
-        self.windows_observed += 1
-        violated = tail_latency_ms > self.qos.target_ms
-        slack = tail_latency_ms <= self.qos.target_ms * self.config.engage_fraction
-
-        state = MonitorState(
-            MODE_ORDER.index(self.mode),
-            self._compliant_streak,
-            self._violation_streak,
-            self._throttle_remaining,
-        )
-        state, throttle_corunner, ordered = monitor_transition(
-            state, violated, slack, self.config, self.q_mode_available
-        )
-        self.mode = MODE_ORDER[state.mode]
-        self._compliant_streak = state.compliant_streak
-        self._violation_streak = state.violation_streak
-        self._throttle_remaining = state.throttle_remaining
-        if violated:
-            self.violations += 1
-        if ordered:
-            self.throttle_orders += 1
-        return MonitorDecision(self.mode, throttle_corunner=throttle_corunner)
-
-
 @dataclass(frozen=True)
 class QueueLengthMonitorConfig:
     """Thresholds for the queue-length monitor variant.
@@ -346,7 +247,8 @@ class QueueLengthMonitor:
     requests in the system over the monitoring window — an indirect but
     cheaply available slack signal: an empty queue means per-request
     processing time has plenty of headroom, a deep queue means single-thread
-    performance is needed *now*.
+    performance is needed *now*.  A deep queue counts as a violation and a
+    calm one as slack in :func:`monitor_transition`.
     """
 
     def __init__(
@@ -358,81 +260,48 @@ class QueueLengthMonitor:
         self.config = config
         self.q_mode_available = q_mode_available
         self.metrics = metrics
-        self.mode = StretchMode.BASELINE
+        self.state = MonitorState()
         self.windows_observed = 0
+        #: Deep-queue windows, throttled ones included.
         self.deep_queue_windows = 0
         self.throttle_orders = 0
-        self._calm_streak = 0
-        self._deep_streak = 0
-        self._throttle_remaining = 0
+
+    @property
+    def mode(self) -> StretchMode:
+        return MODE_ORDER[self.state.mode]
 
     @property
     def throttling(self) -> bool:
-        return self._throttle_remaining > 0
+        return self.state.throttle_remaining > 0
 
     def observe_window(self, observation) -> MonitorDecision:
         """Digest one window's mean queue depth; emit a decision.
 
-        ``observation`` is a per-window sample carrying
-        ``mean_queue_depth`` (e.g. a queue-aware
-        :class:`~repro.obs.sampler.ServiceWindowSample`) or a bare depth.
+        ``observation`` is the depth, or anything carrying it as
+        ``mean_queue_depth`` (e.g. the queueing DES's
+        :class:`~repro.qos.queueing.LatencyStats`).
         """
-        mean_queue_depth = _queue_depth(observation)
-        decision = self._observe(mean_queue_depth)
+        mean_queue_depth = float(
+            getattr(observation, "mean_queue_depth", observation)
+        )
+        if mean_queue_depth < 0:
+            raise ValueError("queue depth cannot be negative")
+        self.windows_observed += 1
+        deep = mean_queue_depth > self.config.violate_depth
+        self.state, throttle, ordered = monitor_transition(
+            self.state, deep,
+            mean_queue_depth <= self.config.engage_max_depth,
+            self.config, self.q_mode_available,
+        )
+        self.deep_queue_windows += deep
+        self.throttle_orders += ordered
+        decision = MonitorDecision(self.mode, throttle_corunner=throttle)
         registry = self.metrics
         if registry is not None:
             registry.counter("monitor.windows").inc()
             registry.series("monitor.queue_depth").append(
                 self.windows_observed, mean_queue_depth
             )
-            if decision.throttle_corunner:
+            if throttle:
                 registry.counter("monitor.throttled_windows").inc()
         return decision
-
-    def _observe(self, mean_queue_depth: float) -> MonitorDecision:
-        if mean_queue_depth < 0:
-            raise ValueError("queue depth cannot be negative")
-        self.windows_observed += 1
-        deep = mean_queue_depth > self.config.violate_depth
-        calm = mean_queue_depth <= self.config.engage_max_depth
-
-        if self._throttle_remaining > 0:
-            self._throttle_remaining -= 1
-            if deep:
-                self.deep_queue_windows += 1
-            return MonitorDecision(
-                self.mode, throttle_corunner=self._throttle_remaining > 0
-            )
-
-        if deep:
-            self.deep_queue_windows += 1
-            self._calm_streak = 0
-            if self.mode is StretchMode.B_MODE:
-                self.mode = (
-                    StretchMode.Q_MODE if self.q_mode_available else StretchMode.BASELINE
-                )
-                self._deep_streak = 1
-            else:
-                self._deep_streak += 1
-                if self.mode is StretchMode.BASELINE and self.q_mode_available:
-                    self.mode = StretchMode.Q_MODE
-                if self._deep_streak >= self.config.violation_windows_to_throttle:
-                    self.throttle_orders += 1
-                    self._throttle_remaining = self.config.throttle_windows
-                    self._deep_streak = 0
-                    return MonitorDecision(self.mode, throttle_corunner=True)
-            return MonitorDecision(self.mode)
-
-        self._deep_streak = 0
-        if calm:
-            self._calm_streak += 1
-            if (
-                self.mode is not StretchMode.B_MODE
-                and self._calm_streak >= self.config.engage_windows
-            ):
-                self.mode = StretchMode.B_MODE
-        else:
-            self._calm_streak = 0
-            if self.mode is not StretchMode.BASELINE:
-                self.mode = StretchMode.BASELINE
-        return MonitorDecision(self.mode)

@@ -1,35 +1,22 @@
-"""Closed-loop colocated-server simulation.
+"""Records of one colocated server's closed-loop day.
 
-Ties every layer of the reproduction together, the way a deployed Stretch
-system would operate (paper §IV-C, §VI-D):
-
-1. a diurnal (or synthetic) load curve drives request arrivals;
-2. the queueing substrate produces per-window tail latency, with service
-   times scaled by the latency-sensitive thread's current performance factor
-   (which depends on the engaged Stretch mode, measured by the SMT core
-   simulator via :class:`~repro.core.colocation.ColocationPerformance`);
-3. the CPI²-extended :class:`~repro.core.monitor.StretchMonitor` digests the
-   tail latency and programs the control register for the next window;
-4. batch throughput accumulates according to the engaged mode (and drops to
-   zero while the monitor throttles the co-runner).
+The loop itself (paper §IV-C, §VI-D) is :func:`repro.api.run_day`: a
+one-server fleet day on the exact queueing DES, in which a load curve
+drives request arrivals, service times scale with the engaged Stretch
+mode's latency-sensitive performance factor, the CPI²-extended monitor
+(:func:`~repro.core.monitor.monitor_transition`) or the §IV-D adaptive
+policy picks the next window's mode, and batch throughput accrues by mode
+(zero while the monitor throttles the co-runner).  This module holds the
+per-window record it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
-from repro.core.adaptive import AdaptiveStretchPolicy
-from repro.core.colocation import ColocationPerformance
-from repro.core.monitor import MonitorConfig, StretchMonitor, validate_monitor_config
-from repro.core.partitioning import PartitionScheme
 from repro.core.stretch import StretchMode
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sampler import ServiceSampler
-from repro.qos.queueing import ServiceSimulator
-from repro.workloads.profiles import WorkloadProfile
 
-__all__ = ["WindowRecord", "ServerTimeline", "ColocatedServer"]
+__all__ = ["WindowRecord", "ServerTimeline"]
 
 
 @dataclass(frozen=True)
@@ -43,7 +30,7 @@ class WindowRecord:
     qos_violated: bool
     throttled: bool
     batch_uipc: float
-    #: Engaged partition scheme name (adaptive runs select among several).
+    #: Partition scheme the adaptive policy ran ("" under the fixed monitor).
     scheme: str = ""
 
 
@@ -71,137 +58,3 @@ class ServerTimeline:
             return 0.0
         mean = sum(w.batch_uipc for w in self.windows) / len(self.windows)
         return mean / baseline_batch_uipc - 1.0
-
-
-class ColocatedServer:
-    """A server colocating one latency-sensitive and one batch workload."""
-
-    def __init__(
-        self,
-        ls_profile: WorkloadProfile,
-        performance: ColocationPerformance,
-        monitor_config: MonitorConfig | None = None,
-        n_workers: int = 8,
-        seed: int = 0,
-        q_mode_available: bool = True,
-        metrics: MetricsRegistry | None = None,
-    ):
-        if ls_profile.qos is None:
-            raise ValueError(f"{ls_profile.name!r} has no QoS contract")
-        if ls_profile.name != performance.ls_workload:
-            raise ValueError(
-                f"performance model is for {performance.ls_workload!r}, "
-                f"not {ls_profile.name!r}"
-            )
-        if monitor_config is None:
-            monitor_config = MonitorConfig()
-        validate_monitor_config(monitor_config)
-        self.ls_profile = ls_profile
-        self.performance = performance
-        self.service = ServiceSimulator(ls_profile.qos, n_workers=n_workers, seed=seed)
-        # Per-window observations flow through the observability sampler so
-        # the monitor's inputs and the metrics pipeline always agree.
-        self.sampler = ServiceSampler(registry=metrics)
-        self.monitor = StretchMonitor(
-            ls_profile.qos, monitor_config, q_mode_available=q_mode_available,
-            metrics=metrics,
-        )
-
-    def run_day(
-        self,
-        load_fn: Callable[[float], float],
-        window_minutes: float = 5.0,
-        requests_per_window: int = 3000,
-    ) -> ServerTimeline:
-        """Simulate 24 hours of operation under ``load_fn``."""
-        if window_minutes <= 0:
-            raise ValueError("window_minutes must be positive")
-        # Calibrate the peak with a long horizon regardless of the (short)
-        # monitoring windows — a short-horizon estimate overstates the
-        # sustainable rate and would push every "90% load" window into
-        # effective overload.
-        peak = self.service.peak_load(n_requests=max(20000, requests_per_window))
-        timeline = ServerTimeline()
-        n_windows = int(round(24 * 60 / window_minutes))
-        mode = self.monitor.mode
-        throttled = False
-        for k in range(n_windows):
-            hour = k * window_minutes / 60.0
-            load = max(load_fn(hour), 0.02)
-            if throttled:
-                # Co-runner suspended: the service owns the whole core.
-                perf = 1.0
-                batch_uipc = 0.0
-            else:
-                perf = max(self.performance.ls_perf_factor(mode), 0.05)
-                batch_uipc = self.performance.per_mode[mode].batch_uipc
-            stats = self.service.run(
-                peak * load, perf, requests_per_window, seed_offset=k + 1
-            )
-            tail = stats.percentile(self.ls_profile.qos.percentile)
-            violated = tail > self.ls_profile.qos.target_ms
-            timeline.windows.append(
-                WindowRecord(
-                    hour=hour,
-                    load_fraction=load,
-                    mode=mode,
-                    tail_latency_ms=tail,
-                    qos_violated=violated,
-                    throttled=throttled,
-                    batch_uipc=batch_uipc,
-                )
-            )
-            sample = self.sampler.observe(tail, load_fraction=load)
-            decision = self.monitor.observe_window(sample)
-            mode = decision.mode
-            throttled = decision.throttle_corunner
-        return timeline
-
-    def run_day_adaptive(
-        self,
-        load_fn: Callable[[float], float],
-        policy: AdaptiveStretchPolicy,
-        window_minutes: float = 5.0,
-        requests_per_window: int = 3000,
-    ) -> ServerTimeline:
-        """Simulate 24 hours under the multi-B-mode adaptive policy (§IV-D).
-
-        Each window, the policy picks the deepest provisioned B-mode whose
-        predicted tail latency stays inside the QoS budget; per-scheme
-        performance comes from :meth:`ColocationPerformance.interpolate`.
-        """
-        if window_minutes <= 0:
-            raise ValueError("window_minutes must be positive")
-        peak = self.service.peak_load(n_requests=max(20000, requests_per_window))
-        timeline = ServerTimeline()
-        n_windows = int(round(24 * 60 / window_minutes))
-        scheme: PartitionScheme = policy.decide(self.ls_profile.qos.target_ms).scheme
-        mode = StretchMode.BASELINE
-        ls_solo = self.performance.ls_solo_uipc
-        for k in range(n_windows):
-            hour = k * window_minutes / 60.0
-            load = max(load_fn(hour), 0.02)
-            estimate = self.performance.interpolate(scheme)
-            perf = max(min(estimate.ls_uipc / ls_solo, 1.0), 0.05)
-            stats = self.service.run(
-                peak * load, perf, requests_per_window, seed_offset=k + 1
-            )
-            tail = stats.percentile(self.ls_profile.qos.percentile)
-            violated = tail > self.ls_profile.qos.target_ms
-            timeline.windows.append(
-                WindowRecord(
-                    hour=hour,
-                    load_fraction=load,
-                    mode=mode,
-                    tail_latency_ms=tail,
-                    qos_violated=violated,
-                    throttled=False,
-                    batch_uipc=estimate.batch_uipc,
-                    scheme=scheme.name,
-                )
-            )
-            sample = self.sampler.observe(tail, load_fraction=load)
-            decision = policy.decide(sample)
-            scheme = decision.scheme
-            mode = decision.mode
-        return timeline

@@ -4,7 +4,8 @@ The paper provisions one B-mode and suggests that "multiple configurations
 ... would enable finer-grain control over per-thread performance" at the
 cost of "more sophisticated software control".  This harness measures that
 trade exactly: the same colocated server runs a 24-hour Web Search diurnal
-day under
+day (:func:`repro.api.run_day`, seed 11, so both days serve the same
+request streams) under
 
 * the two-point monitor (Baseline + the single 56-136 B-mode, optionally
   Q-mode), and
@@ -19,13 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.api import measure
+from repro.api import measure, run_day
 from repro.core.adaptive import AdaptiveStretchPolicy
 from repro.core.partitioning import B_MODES
-from repro.core.server import ColocatedServer
 from repro.core.stretch import StretchMode
 from repro.experiments.common import Fidelity
-from repro.qos.diurnal import web_search_cluster_load
 from repro.util.tables import format_table
 from repro.workloads.registry import get_profile
 
@@ -82,29 +81,18 @@ def run(fidelity: Fidelity | None = None) -> AdaptiveComparison:
         performance = measure(ls, batch_name, fidelity=fid)
         baseline_uipc = performance.per_mode[StretchMode.BASELINE].batch_uipc
 
-        fixed_server = ColocatedServer(ls, performance, seed=11)
-        fixed = fixed_server.run_day(
-            web_search_cluster_load, window_minutes=15, requests_per_window=1200
-        )
-        days.append(PolicyDay(
-            policy="two-point",
-            batch=batch_name,
-            bmode_fraction=fixed.bmode_fraction,
-            violation_rate=fixed.violation_rate,
-            daily_batch_gain=fixed.batch_throughput_gain(baseline_uipc),
-        ))
-
-        adaptive_server = ColocatedServer(ls, performance, seed=11)
-        policy = AdaptiveStretchPolicy(ls.qos, performance, tuple(B_MODES))
-        adaptive = adaptive_server.run_day_adaptive(
-            web_search_cluster_load, policy,
-            window_minutes=15, requests_per_window=1200,
-        )
-        days.append(PolicyDay(
-            policy="adaptive",
-            batch=batch_name,
-            bmode_fraction=adaptive.bmode_fraction,
-            violation_rate=adaptive.violation_rate,
-            daily_batch_gain=adaptive.batch_throughput_gain(baseline_uipc),
-        ))
+        adaptive = AdaptiveStretchPolicy(ls.qos, performance, tuple(B_MODES))
+        for name, policy in (("two-point", None), ("adaptive", adaptive)):
+            day = run_day(
+                ls, performance=performance, load="web_search",
+                adaptive=policy, window_minutes=15, requests_per_window=1200,
+                seed=11,
+            )
+            days.append(PolicyDay(
+                policy=name,
+                batch=batch_name,
+                bmode_fraction=day.bmode_fraction,
+                violation_rate=day.violation_rate,
+                daily_batch_gain=day.batch_throughput_gain(baseline_uipc),
+            ))
     return AdaptiveComparison(days=days)

@@ -4,7 +4,10 @@ Advances **all servers of a window as array operations**: per-server
 Stretch monitor state lives in integer arrays (mode index, compliant and
 violation streaks, remaining throttle windows) and each window applies the
 extracted :func:`repro.core.monitor.monitor_transition` rules element-wise
-via :func:`monitor_transition_vec`.  Tail latency comes from either
+via :func:`monitor_transition_vec`.  An engine built with ``adaptive=``
+runs the §IV-D multi-B-mode policy instead
+(:meth:`~repro.core.adaptive.AdaptiveStretchPolicy.next_rows`).  Tail
+latency comes from either
 
 * ``tail="surrogate"`` — the fitted queueing surrogate
   (:mod:`repro.fleet.surrogate`), one vectorized evaluation per window,
@@ -14,7 +17,9 @@ via :func:`monitor_transition_vec`.  Tail latency comes from either
   ``max(20000, requests_per_window)`` requests, one request stream per
   window).  It is the oracle the surrogate is gated against; with the
   ``jittered`` policy it reproduces the retired per-object cluster loop's
-  days bit for bit (``tests/golden/fleet_exact_legacy.json``).
+  days bit for bit (``tests/golden/fleet_exact_legacy.json``), and as a
+  one-server ``uniform`` fleet it is :func:`repro.api.run_day`
+  (``tests/golden/server_day_legacy.json``).
 
 ``run_day(server_range=(lo, hi))`` simulates any contiguous slice of the
 fleet while drawing every per-server random stream from the *global*
@@ -32,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.adaptive import AdaptiveStretchPolicy
 from repro.core.colocation import ColocationPerformance
 from repro.core.monitor import (
     MODE_ORDER,
@@ -56,6 +62,7 @@ from repro.workloads.profiles import WorkloadProfile
 
 __all__ = [
     "DEFAULT_CHUNK_SERVERS",
+    "LOAD_BOUNDS",
     "FleetConfig",
     "FleetState",
     "FleetStepper",
@@ -68,6 +75,11 @@ __all__ = [
 _BASELINE, _B_MODE, _Q_MODE = 0, 1, 2
 #: Extra perf row used while the co-runner is throttled (service owns the core).
 _THROTTLED_ROW = 3
+
+#: Per-server load bounds of every window: the floor keeps every arrival
+#: rate positive, the ceiling keeps loads in the range the tail
+#: evaluators were calibrated for.
+LOAD_BOUNDS = (0.02, 1.2)
 
 #: Servers advanced per inner chunk of a window.  Chunking bounds the
 #: per-server temporaries of one window step — about a dozen 8-byte
@@ -487,7 +499,9 @@ class FleetState:
     lo: int
     hi: int
     window: int
-    mode: np.ndarray  # (n,) int64, MODE_ORDER indices
+    # (n,) int64: MODE_ORDER indices, or under an adaptive engine the
+    # AdaptiveStretchPolicy.rows index each server runs next window.
+    mode: np.ndarray
     compliant: np.ndarray  # (n,) int64 compliant-streak counters
     violation: np.ndarray  # (n,) int64 violation-streak counters
     throttle: np.ndarray  # (n,) int64 remaining throttle windows
@@ -591,6 +605,7 @@ class FleetEngine:
         store=None,
         metrics: MetricsRegistry | None = None,
         scenario: ScenarioSpec | None = None,
+        adaptive: AdaptiveStretchPolicy | None = None,
     ):
         if ls_profile.qos is None:
             raise ValueError(f"{ls_profile.name!r} has no QoS contract")
@@ -612,19 +627,41 @@ class FleetEngine:
         self.metrics = metrics
         self._store = store
         self._surrogate = surrogate
-        # Rows 0..2: per-mode LS perf factor (floored at 0.05, as in
-        # ColocatedServer, so service times stay finite) / batch UIPC;
-        # row 3: throttled (service owns the core, batch suspended).
-        self._perf_rows = np.array(
-            [max(performance.ls_perf_factor(m), 0.05) for m in MODE_ORDER]
-            + [1.0]
-        )
-        self._batch_rows = np.array(
-            [performance.per_mode[m].batch_uipc for m in MODE_ORDER] + [0.0]
-        )
+        self.adaptive = adaptive
+        if adaptive is None:
+            # Rows 0..2: per-mode LS perf factor (floored at 0.05 so service
+            # times stay finite) / batch UIPC; row 3: throttled (service
+            # owns the core, batch suspended).
+            self._perf_rows = np.array(
+                [max(performance.ls_perf_factor(m), 0.05) for m in MODE_ORDER]
+                + [1.0]
+            )
+            self._batch_rows = np.array(
+                [performance.per_mode[m].batch_uipc for m in MODE_ORDER]
+                + [0.0]
+            )
+            #: Mode reported per state row (``None``: the row is the mode).
+            self._row_modes = None
+        else:
+            # One row per policy row, interpolated on the partition size;
+            # the adaptive policy never throttles.
+            estimates = [performance.interpolate(s) for s, _ in adaptive.rows]
+            self._perf_rows = np.array([
+                max(min(e.ls_uipc / performance.ls_solo_uipc, 1.0), 0.05)
+                for e in estimates
+            ])
+            self._batch_rows = np.array([e.batch_uipc for e in estimates])
+            self._row_modes = np.array(
+                [MODE_ORDER.index(m) for _, m in adaptive.rows]
+            )
         # Heterogeneous co-runner population: one measured model per
         # profile, condensed into the (P, 4) placement profile table.
         population = self.config.population
+        if population and adaptive is not None:
+            raise ValueError(
+                "adaptive control runs on homogeneous fleets only; drop the "
+                "co-runner population or adaptive="
+            )
         if population:
             if corunners is None:
                 raise ValueError(
@@ -1018,7 +1055,7 @@ class FleetStepper:
             float(cluster_load), window_index, self._ctx
         )[state.lo:state.hi]
         # Scenario load perturbations multiply the raw balanced loads
-        # (full-fleet vectors, sliced) before the [0.02, 1.2] clip, so the
+        # (full-fleet vectors, sliced) before the LOAD_BOUNDS clip, so the
         # loads stay in the range the tail evaluators were calibrated for.
         scenario_lf = None
         if self._sampler is not None:
@@ -1026,7 +1063,7 @@ class FleetStepper:
             if full_lf is not None:
                 scenario_lf = full_lf[state.lo:state.hi]
                 loads = loads * scenario_lf
-        loads = np.maximum(np.clip(loads, 0.0, 1.2), 0.02)
+        loads = np.clip(loads, *LOAD_BOUNDS)
         u = self._window_noise(k)
         if self._placement is not None:
             # Full-fleet assignment, sliced — shard-count invariant by the
@@ -1054,6 +1091,7 @@ class FleetStepper:
         else:
             pidx4 = None
             perf_table, batch_table = engine._perf_rows, engine._batch_rows
+        adaptive, row_modes = engine.adaptive, engine._row_modes
         if tick is not None:
             t_loads = tick() - t0
             t_gather = t_tails = t_monitor = t_agg = 0.0
@@ -1102,26 +1140,35 @@ class FleetStepper:
             violated = tails > self._target_ms
             slack = tails <= self._engage_ms
 
-            mode_counts += np.bincount(mode, minlength=3)
+            label = mode if row_modes is None else row_modes[mode]
+            mode_counts += np.bincount(label, minlength=3)
             violations += int(violated.sum())
             throttled += int(throttled_now.sum())
             tail_ms_sum += float(tails.sum())
             batch_uipc_sum += batch_chunk_sum
             out.server_violations[s0:s1] += violated
-            out.server_bmode_windows[s0:s1] += mode == _B_MODE
+            out.server_bmode_windows[s0:s1] += label == _B_MODE
             if tick is not None:
                 t3 = tick()
                 t_agg += t3 - t2
 
-            monitor_transition_vec(
-                mode, state.compliant[s0:s1], state.violation[s0:s1],
-                throttle, violated, slack, cfg.monitor, cfg.q_mode_available,
-            )
+            if adaptive is None:
+                monitor_transition_vec(
+                    mode, state.compliant[s0:s1], state.violation[s0:s1],
+                    throttle, violated, slack, cfg.monitor,
+                    cfg.q_mode_available,
+                )
+            else:
+                mode[:] = adaptive.next_rows(tails)
             if tick is not None:
                 t_monitor += tick() - t3
             if top_k > 0:
                 idx = np.flatnonzero(violated)
                 if len(idx):
+                    now, after = rows[idx], mode[idx]
+                    if row_modes is not None:
+                        # Adaptive rows report their mode, as in the counts.
+                        now, after = row_modes[now], row_modes[after]
                     # Columns: global server, day violations (cumulative,
                     # incl. this window), mode row at violation time
                     # (0-2 per MODE_ORDER, 3 = throttled), then the
@@ -1129,8 +1176,8 @@ class FleetStepper:
                     captured.append(np.column_stack((
                         idx + (state.lo + s0),
                         out.server_violations[s0 + idx],
-                        rows[idx],
-                        mode[idx],
+                        now,
+                        after,
                         state.violation[s0:s1][idx],
                         throttle[idx],
                     )))

@@ -9,8 +9,9 @@ kind of visibility:
   histograms, windowed time series) with near-zero overhead when disabled;
 * :mod:`repro.obs.sampler` — interval sampling: per-window UIPC, ROB/LSQ
   occupancy, stall breakdowns and miss rates from :class:`FastCore` runs
-  (:class:`IntervalSampler`), and the typed per-window service
-  observations the Stretch monitors consume (:class:`ServiceSampler`);
+  (:class:`IntervalSampler`);
+* :mod:`repro.obs.fleet` — the per-window ``fleet.*`` instruments of fleet
+  and one-server days;
 * :mod:`repro.obs.tracer` — a span tracer emitting Chrome trace-event
   JSON (Perfetto-viewable) for the engine job lifecycle and, via
   :func:`pipeline_trace`, the SMT pipeline's µop interleaving;
@@ -57,8 +58,6 @@ from repro.obs.sampler import (
     METRICS_ENV,
     IntervalSampler,
     JsonlSink,
-    ServiceSampler,
-    ServiceWindowSample,
     ThreadWindow,
     WindowSample,
     attach_core_observers,
@@ -96,8 +95,6 @@ __all__ = [
     "Profiler",
     "SLOEngine",
     "SLOSpec",
-    "ServiceSampler",
-    "ServiceWindowSample",
     "SpanTracer",
     "ThreadWindow",
     "TimeSeries",

@@ -1,28 +1,19 @@
-"""Interval sampling: per-window performance signals as structured records.
+"""Interval sampling: per-window core signals as structured records.
 
-Two samplers cover the stack's two time bases:
-
-* :class:`IntervalSampler` attaches to a :class:`~repro.cpu.fast_core.FastCore`
-  (``core.sampler = IntervalSampler(...)``) and snapshots the measured phase
-  every ``window_cycles`` simulated cycles, emitting one
-  :class:`WindowSample` per window with the signals the paper's software
-  monitor would watch: per-thread UIPC, ROB/LSQ occupancy against the
-  current limit registers, the dispatch-stall breakdown, MSHR/MLP occupancy
-  and branch/L1 miss rates.  The sampler only *reads* core state, so an
-  attached sampler leaves cycles and instruction counts bit-identical to an
-  unobserved run; detached (the default), the core pays a single
-  ``is None`` check per loop iteration.
-
-* :class:`ServiceSampler` runs on the wall-clock side of the closed loop:
-  each monitoring window it wraps the queueing substrate's tail latency
-  (and optionally queue depth and offered load) into a
-  :class:`ServiceWindowSample` — the typed observation
-  :class:`~repro.core.monitor.StretchMonitor` and
-  :class:`~repro.core.adaptive.AdaptiveStretchPolicy` consume — while
-  recording the same values into a metrics registry.
+:class:`IntervalSampler` attaches to a :class:`~repro.cpu.fast_core.FastCore`
+(``core.sampler = IntervalSampler(...)``) and snapshots the measured phase
+every ``window_cycles`` simulated cycles, emitting one :class:`WindowSample`
+per window with the signals the paper's software monitor would watch:
+per-thread UIPC, ROB/LSQ occupancy against the current limit registers,
+the dispatch-stall breakdown, MSHR/MLP occupancy and branch/L1 miss rates.
+The sampler only *reads* core state, so an attached sampler leaves cycles
+and instruction counts bit-identical to an unobserved run; detached (the
+default), the core pays a single ``is None`` check per loop iteration.
+The closed loop's per-window service signals are the fleet's
+(:mod:`repro.obs.fleet`).
 
 ``stretch-repro run --metrics FILE`` streams every window record as JSONL:
-set :data:`METRICS_ENV` and the samplers attach themselves inside worker
+set :data:`METRICS_ENV` and the sampler attaches itself inside worker
 processes too (see :func:`attach_core_observers`).
 """
 
@@ -43,9 +34,7 @@ __all__ = [
     "DEFAULT_WINDOW_CYCLES",
     "ThreadWindow",
     "WindowSample",
-    "ServiceWindowSample",
     "IntervalSampler",
-    "ServiceSampler",
     "JsonlSink",
     "attach_core_observers",
 ]
@@ -104,21 +93,6 @@ class WindowSample:
     @property
     def total_uipc(self) -> float:
         return sum(t.uipc for t in self.threads)
-
-
-@dataclass(frozen=True)
-class ServiceWindowSample:
-    """One monitoring window of the service-level closed loop.
-
-    This is the per-window observation the Stretch software monitor
-    consumes; a bare float still works everywhere one is accepted (it is
-    read as the tail latency), keeping pre-obs call sites valid.
-    """
-
-    index: int
-    tail_latency_ms: float
-    mean_queue_depth: float | None = None
-    load_fraction: float | None = None
 
 
 class JsonlSink:
@@ -278,49 +252,6 @@ class IntervalSampler:
             l1d_miss_rate=l1d / loads if loads else 0.0,
             l1i_misses=snap["l1i_misses"] - prev["l1i_misses"],
         )
-
-
-class ServiceSampler:
-    """Per-window service telemetry feed for the Stretch monitors.
-
-    Wraps each monitoring window's observations into a
-    :class:`ServiceWindowSample` and mirrors them into ``registry``
-    (``service.tail_latency_ms`` series, ``service.windows`` counter), so
-    the monitor's inputs and the metrics pipeline always agree.
-    """
-
-    def __init__(self, registry: MetricsRegistry | None = None,
-                 sink: JsonlSink | None = None):
-        self.registry = registry
-        self.sink = sink
-        self.windows = 0
-
-    def observe(
-        self,
-        tail_latency_ms: float,
-        mean_queue_depth: float | None = None,
-        load_fraction: float | None = None,
-    ) -> ServiceWindowSample:
-        sample = ServiceWindowSample(
-            index=self.windows,
-            tail_latency_ms=tail_latency_ms,
-            mean_queue_depth=mean_queue_depth,
-            load_fraction=load_fraction,
-        )
-        self.windows += 1
-        registry = self.registry
-        if registry is not None:
-            registry.counter("service.windows").inc()
-            registry.series("service.tail_latency_ms").append(
-                sample.index, tail_latency_ms
-            )
-            if mean_queue_depth is not None:
-                registry.series("service.queue_depth").append(
-                    sample.index, mean_queue_depth
-                )
-        if self.sink is not None:
-            self.sink.write({"type": "service_window", **asdict(sample)})
-        return sample
 
 
 def attach_core_observers(core, meta: dict | None = None) -> None:

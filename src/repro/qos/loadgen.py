@@ -4,8 +4,8 @@ Beyond the two empirical diurnal shapes of :mod:`repro.qos.diurnal`, these
 composable generators cover the situations an operator would test a Stretch
 deployment against: steady load, step changes (deploy/failover), flash
 crowds (sudden spikes with decay), and sinusoidal day/night swings.  Every
-generator returns an ``hour -> load fraction`` callable compatible with
-:meth:`~repro.core.server.ColocatedServer.run_day`.
+generator returns an ``hour -> load fraction`` callable, a valid ``load``
+for :func:`repro.api.run_day` and :func:`repro.api.run_fleet`.
 """
 
 from __future__ import annotations

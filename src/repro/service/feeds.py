@@ -15,9 +15,8 @@ Three families cover the service's ingestion modes:
   oscillating segments with optional deterministic per-window jitter):
   flash crowds, incident spikes, slow drifts;
 * :class:`ReplayFeed` — replay of recorded JSONL window streams (the
-  service's own ``fleet_window`` output, or ``service_window`` records
-  from :class:`~repro.obs.sampler.ServiceSampler`), closing the
-  record-then-replay loop.
+  service's own ``fleet_window`` output, or any records carrying a load),
+  closing the record-then-replay loop.
 
 All feed randomness derives from ``(seed, "feed", window)`` label paths —
 no carried RNG state — so a feed is resumable: a checkpointed service
@@ -223,9 +222,8 @@ class PhaseFeed(LoadFeed):
 class ReplayFeed(LoadFeed):
     """Replay a recorded JSONL window stream as a live feed.
 
-    Accepts the service's own ``fleet_window`` records, ``service_window``
-    records from :class:`~repro.obs.sampler.ServiceSampler`, or any JSONL
-    whose objects carry one of ``cluster_load``/``load``/``load_fraction``.
+    Accepts the service's own ``fleet_window`` records, or any JSONL whose
+    objects carry one of ``cluster_load``/``load``/``load_fraction``.
     Windows with no record are *gaps* (``None``) — the service's
     hold-last-window fill and bounded-lag shutdown take over.
     """

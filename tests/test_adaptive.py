@@ -1,12 +1,15 @@
 """Tests for the multi-configuration adaptive Stretch policy (§IV-D)."""
 
+import numpy as np
 import pytest
 
+from repro import api
 from repro.core.adaptive import AdaptiveStretchPolicy, SlackBudget
 from repro.core.colocation import ColocationPerformance, ModePerformance
 from repro.core.partitioning import B_MODES, BASELINE
 from repro.core.stretch import StretchMode
 from repro.workloads.profiles import QoSSpec
+from repro.workloads.registry import get_profile
 
 QOS = QoSSpec(target_ms=100.0, percentile=99.0, base_service_ms=8.0)
 
@@ -140,18 +143,103 @@ class TestInterpolation:
         assert tiny.ls_uipc > 0.0
 
 
+class TestNextRowsOracle:
+    """``next_rows`` against the scalar ``decide`` it vectorizes."""
+
+    MODELS = {
+        "measured": performance(),
+        "shallow-b": performance(baseline_ls=0.55, bmode_ls=0.48),
+        # B-mode's LS factor above Baseline's: every inflation is below 1.
+        "b-above-baseline": performance(baseline_ls=0.45, bmode_ls=0.58),
+        # Deep skews hit the 20%-of-Baseline floor.
+        "floored": performance(baseline_ls=0.50, bmode_ls=0.10),
+    }
+    PROVISIONS = (
+        tuple(B_MODES), tuple(B_MODES[:2]), tuple(B_MODES[1:4]),
+        (B_MODES[-1],),
+    )
+    MARGINS = (0.85, 0.7, 0.5, 1.0)
+
+    @staticmethod
+    def probe_tails(policy) -> np.ndarray:
+        """Each scheme's fit cut and the target, ±2 ulp, plus edges."""
+        cut = QOS.target_ms * policy.safety_margin
+        centres = [cut / policy.factor_for(BASELINE) * policy.factor_for(s)
+                   for s in policy.b_modes]
+        centres += [cut / (policy.factor_for(BASELINE)
+                           / max(policy.factor_for(s), 1e-9))
+                    for s in policy.b_modes]
+        centres.append(QOS.target_ms)
+        tails = [0.0, 5e-324, 1e-3, 1.0, 1e6, np.inf]
+        for centre in centres:
+            below = above = centre
+            tails.append(centre)
+            for _ in range(2):
+                below = np.nextafter(below, -np.inf)
+                above = np.nextafter(above, np.inf)
+                tails += [below, above]
+        return np.array(tails)
+
+    def policies(self):
+        for model in self.MODELS.values():
+            for b_modes in self.PROVISIONS:
+                for margin in self.MARGINS:
+                    yield AdaptiveStretchPolicy(
+                        QOS, model, b_modes, safety_margin=margin
+                    )
+
+    def test_matches_decide_exhaustively(self):
+        points = mismatches = 0
+        for policy in self.policies():
+            tails = self.probe_tails(policy)
+            rows = policy.next_rows(tails)
+            for tail, row in zip(tails, rows):
+                decision = policy.decide(tail)
+                points += 1
+                mismatches += policy.rows[row] != (
+                    decision.scheme, decision.mode
+                )
+        assert points > 2000
+        assert mismatches == 0
+
+    def test_some_b_mode_fits_below_baseline_factor(self):
+        policy = AdaptiveStretchPolicy(
+            QOS, self.MODELS["b-above-baseline"], tuple(B_MODES)
+        )
+        # A tail at the target leaves no slack, yet B-mode's inflation
+        # (below 1) fits the margin-scaled budget.
+        assert policy.next_rows(np.array([QOS.target_ms]))[0] > 0
+        assert policy.decide(QOS.target_ms).mode is StretchMode.B_MODE
+
+    def test_violated_tails_never_engage_b_mode(self):
+        # A window whose tail violates always retreats: Baseline reported
+        # as Q-mode, whatever the slack rule would allow.
+        tails = np.nextafter(QOS.target_ms, np.inf) * np.array(
+            [1.0, 1.5, 5.0, 100.0]
+        )
+        for policy in self.policies():
+            rows = policy.next_rows(tails)
+            assert set(rows.tolist()) == {len(policy.rows) - 1}
+            assert policy.rows[-1] == (BASELINE, StretchMode.Q_MODE)
+            for tail in tails:
+                assert policy.decide(tail).mode is StretchMode.Q_MODE
+
+
+def adaptive_day(load, *, adaptive=True, **kwargs):
+    """One web_search day through ``api.run_day`` at seed 6."""
+    ls = get_profile("web_search")
+    perf = performance(baseline_ls=0.55, bmode_ls=0.48)
+    policy = AdaptiveStretchPolicy(ls.qos, perf, tuple(B_MODES))
+    return api.run_day(
+        ls, performance=perf, load=load,
+        adaptive=policy if adaptive else None, seed=6, **kwargs,
+    )
+
+
 class TestAdaptiveClosedLoop:
     def test_run_day_adaptive(self):
-        from repro.core.server import ColocatedServer
-        from repro.core.stretch import StretchMode
-        from repro.workloads.registry import get_profile
-
-        ls = get_profile("web_search")
-        perf = performance(baseline_ls=0.55, bmode_ls=0.48)
-        server = ColocatedServer(ls, perf, seed=6)
-        policy = AdaptiveStretchPolicy(ls.qos, perf, tuple(B_MODES))
-        timeline = server.run_day_adaptive(
-            lambda h: 0.3, policy, window_minutes=60, requests_per_window=600
+        timeline = adaptive_day(
+            lambda h: 0.3, window_minutes=60, requests_per_window=600
         )
         assert len(timeline.windows) == 24
         # Low constant load: the policy settles into deep B-modes.
@@ -161,22 +249,11 @@ class TestAdaptiveClosedLoop:
         assert schemes & {"40-152", "32-160"}
 
     def test_adaptive_beats_fixed_at_low_load(self):
-        from repro.core.server import ColocatedServer
-        from repro.core.stretch import StretchMode
-        from repro.workloads.registry import get_profile
-
-        ls = get_profile("web_search")
-        perf = performance(baseline_ls=0.55, bmode_ls=0.48)
-        baseline_uipc = perf.per_mode[StretchMode.BASELINE].batch_uipc
-
-        server = ColocatedServer(ls, perf, seed=6)
-        fixed = server.run_day(lambda h: 0.25, window_minutes=60,
-                               requests_per_window=600)
-        server2 = ColocatedServer(ls, perf, seed=6)
-        policy = AdaptiveStretchPolicy(ls.qos, perf, tuple(B_MODES))
-        adaptive = server2.run_day_adaptive(lambda h: 0.25, policy,
-                                            window_minutes=60,
-                                            requests_per_window=600)
+        baseline_uipc = 0.5
+        fixed = adaptive_day(lambda h: 0.25, adaptive=False,
+                             window_minutes=60, requests_per_window=600)
+        adaptive = adaptive_day(lambda h: 0.25, window_minutes=60,
+                                requests_per_window=600)
         # With abundant slack, deeper skews buy more batch throughput than
         # the single fixed B-mode.
         assert adaptive.batch_throughput_gain(baseline_uipc) >= (
@@ -184,16 +261,8 @@ class TestAdaptiveClosedLoop:
         )
 
     def test_run_day_adaptive_zero_load(self):
-        from repro.core.server import ColocatedServer
-        from repro.core.stretch import StretchMode
-        from repro.workloads.registry import get_profile
-
-        ls = get_profile("web_search")
-        perf = performance(baseline_ls=0.55, bmode_ls=0.48)
-        server = ColocatedServer(ls, perf, seed=6)
-        policy = AdaptiveStretchPolicy(ls.qos, perf, tuple(B_MODES))
-        timeline = server.run_day_adaptive(
-            lambda h: 0.0, policy, window_minutes=120, requests_per_window=400
+        timeline = adaptive_day(
+            lambda h: 0.0, window_minutes=120, requests_per_window=400
         )
         # Zero offered load clamps to the 2% floor: permanent slack.
         assert all(w.load_fraction == 0.02 for w in timeline.windows)
@@ -204,21 +273,60 @@ class TestAdaptiveClosedLoop:
         assert {w.scheme for w in engaged} & {"40-152", "32-160"}
 
     def test_run_day_adaptive_saturating_load(self):
-        from repro.core.server import ColocatedServer
-        from repro.core.stretch import StretchMode
-        from repro.workloads.registry import get_profile
+        # 5x the calibrated peak clips to the 1.2 ceiling, as in every
+        # fleet day: the day is the 1.2-load day, bit for bit.
+        saturating = adaptive_day(
+            "flat:5.0", window_minutes=120, requests_per_window=400
+        )
+        ceiling = adaptive_day(
+            "flat:1.2", window_minutes=120, requests_per_window=400
+        )
+        assert all(w.load_fraction == 1.2 for w in saturating.windows)
+        assert saturating == ceiling
+
+
+class TestAdaptiveFleet:
+    def make_engine(self, **config):
+        from repro.fleet import FleetConfig, FleetEngine
 
         ls = get_profile("web_search")
         perf = performance(baseline_ls=0.55, bmode_ls=0.48)
-        server = ColocatedServer(ls, perf, seed=6)
         policy = AdaptiveStretchPolicy(ls.qos, perf, tuple(B_MODES))
-        timeline = server.run_day_adaptive(
-            lambda h: 5.0, policy, window_minutes=120, requests_per_window=400
+        return FleetEngine(
+            ls, perf, FleetConfig(**config), adaptive=policy
         )
-        # 5x the calibrated peak: the queue never drains, every window
-        # violates, and the policy never finds budget for any B-mode.
-        assert all(w.load_fraction == 5.0 for w in timeline.windows)
-        assert timeline.violation_rate == 1.0
-        assert not any(
-            w.mode is StretchMode.B_MODE for w in timeline.windows
+
+    def test_rows_label_modes_and_never_throttle(self):
+        engine = self.make_engine(
+            n_servers=2, window_minutes=240.0, requests_per_window=300,
+            seed=3,
         )
+        stepper = engine.stepper("flat:0.9", tail="exact")
+        day = stepper.run()
+        assert day.mode_counts.sum(axis=1).tolist() == [2] * 6
+        assert day.throttled.sum() == 0
+        assert day.mode_counts[0].tolist() == [2, 0, 0]  # rows start at 0
+        assert 0 <= stepper.state.mode.min()
+        assert stepper.state.mode.max() < len(engine.adaptive.rows)
+        assert not stepper.state.throttle.any()
+
+    def test_captured_violators_report_modes(self):
+        engine = self.make_engine(
+            n_servers=4, overprovision=1.0, window_minutes=240.0,
+            requests_per_window=3000, seed=3,
+        )
+        stepper = engine.stepper("flat:1.2", tail="exact")
+        stepper.capture_violators = 4
+        captured = []
+        for _ in range(6):
+            stepper.step()
+            captured += stepper.last_violators
+        assert captured
+        names = {m.value for m in StretchMode}
+        for row in captured:
+            assert row["mode"] in names and row["mode_after"] in names
+            assert row["mode_after"] == "q-mode"
+
+    def test_population_rejected(self):
+        with pytest.raises(ValueError, match="homogeneous"):
+            self.make_engine(population=("zeusmp", "milc"))

@@ -156,6 +156,25 @@ class TestRunDay:
         assert len(timeline.windows) == 6
         assert any(w.scheme != "96-96" for w in timeline.windows)
 
+    def test_metrics_publish_fleet_instruments(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        timeline = api.run_day(
+            "web_search", performance=performance_model(),
+            load="flat:0.3", window_minutes=240, requests_per_window=300,
+            seed=11, metrics=registry,
+        )
+        assert registry.counter("fleet.windows").value == 6
+        assert registry.gauge("fleet.violation_rate").value == (
+            timeline.violation_rate
+        )
+        assert registry.gauge("fleet.mode_occupancy.b_mode").value == (
+            timeline.bmode_fraction
+        )
+        assert not any(name.startswith(("monitor.", "service.", "adaptive."))
+                       for name in registry.collect())
+
     def test_callable_load_and_missing_model(self):
         timeline = api.run_day(
             "web_search", performance=performance_model(),

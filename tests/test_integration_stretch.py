@@ -12,8 +12,7 @@ These exercise the paper's core claims at reduced scale:
 import pytest
 
 from repro import quick_colocation_demo
-from repro.api import measure
-from repro.core.server import ColocatedServer
+from repro.api import measure, run_day
 from repro.core.stretch import StretchMode
 from repro.cpu.sampling import SamplingConfig
 from repro.qos.diurnal import web_search_cluster_load
@@ -58,12 +57,10 @@ class TestStretchTradeoff:
 class TestClosedLoop:
     def test_diurnal_day_bmode_only(self, ws_zeusmp_performance):
         """The paper's case-study configuration: B-mode or equal partitioning."""
-        server = ColocatedServer(
-            get_profile("web_search"), ws_zeusmp_performance, seed=4,
-            q_mode_available=False,
-        )
-        timeline = server.run_day(
-            web_search_cluster_load, window_minutes=30, requests_per_window=800
+        timeline = run_day(
+            get_profile("web_search"), performance=ws_zeusmp_performance,
+            load=web_search_cluster_load, window_minutes=30,
+            requests_per_window=800, q_mode_available=False, seed=4,
         )
         # The monitor finds off-peak slack and engages B-mode there.
         assert timeline.bmode_fraction > 0.1
@@ -76,12 +73,12 @@ class TestClosedLoop:
     def test_q_mode_trades_batch_for_qos(self, ws_zeusmp_performance):
         """With Q-mode provisioned, peak-hour QoS improves at batch cost."""
         def run(q_mode_available: bool):
-            server = ColocatedServer(
-                get_profile("web_search"), ws_zeusmp_performance, seed=4,
-                q_mode_available=q_mode_available,
+            return run_day(
+                get_profile("web_search"), performance=ws_zeusmp_performance,
+                load=web_search_cluster_load, window_minutes=30,
+                requests_per_window=800, q_mode_available=q_mode_available,
+                seed=4,
             )
-            return server.run_day(web_search_cluster_load, window_minutes=30,
-                                  requests_per_window=800)
 
         with_q = run(True)
         without_q = run(False)
@@ -92,11 +89,10 @@ class TestClosedLoop:
         )
 
     def test_b_mode_concentrates_off_peak(self, ws_zeusmp_performance):
-        server = ColocatedServer(
-            get_profile("web_search"), ws_zeusmp_performance, seed=4
-        )
-        timeline = server.run_day(
-            web_search_cluster_load, window_minutes=30, requests_per_window=800
+        timeline = run_day(
+            get_profile("web_search"), performance=ws_zeusmp_performance,
+            load=web_search_cluster_load, window_minutes=30,
+            requests_per_window=800, seed=4,
         )
         off_peak = [w for w in timeline.windows if w.load_fraction < 0.6]
         on_peak = [w for w in timeline.windows if w.load_fraction > 0.9]

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.api import run_day
 from repro.core.colocation import ColocationPerformance, ModePerformance
-from repro.core.server import ColocatedServer
 from repro.core.stretch import StretchMode
 from repro.qos.loadgen import (
     clamp,
@@ -70,7 +70,7 @@ class TestPatterns:
 
 
 class TestClosedLoopWithPatterns:
-    def make_server(self) -> ColocatedServer:
+    def run_day(self, load, **kwargs):
         performance = ColocationPerformance(
             ls_workload="web_search", batch_workload="zeusmp",
             ls_solo_uipc=0.6,
@@ -80,13 +80,16 @@ class TestClosedLoopWithPatterns:
                 StretchMode.Q_MODE: ModePerformance(0.58, 0.40),
             },
         )
-        return ColocatedServer(get_profile("web_search"), performance, seed=13)
+        return run_day(
+            get_profile("web_search"), performance=performance, load=load,
+            seed=13, **kwargs,
+        )
 
     def test_flash_crowd_forces_mode_retreat(self):
         """A spike mid-day pulls the server out of B-mode."""
         fn = compose_max([constant(0.25),
                           flash_crowd(0.0, 1.05, at_hour=12.0, decay_hours=2.0)])
-        timeline = self.make_server().run_day(
+        timeline = self.run_day(
             clamp(fn, hi=1.1), window_minutes=30, requests_per_window=600
         )
         before = [w for w in timeline.windows if 8 <= w.hour < 11.5]

@@ -1,16 +1,40 @@
-"""Tests for the CPI²-extended Stretch software monitor."""
+"""Tests for the CPI²-extended Stretch software monitor's transition."""
 
 import pytest
 
-from repro.core.monitor import MonitorConfig, StretchMonitor
+from repro.core.monitor import (
+    MODE_ORDER,
+    MonitorConfig,
+    MonitorState,
+    monitor_transition,
+)
 from repro.core.stretch import StretchMode
 from repro.workloads.profiles import QoSSpec
 
 QOS = QoSSpec(target_ms=100.0, percentile=99.0, base_service_ms=5.0)
 
 
-def make_monitor(q_mode=True, **config) -> StretchMonitor:
-    return StretchMonitor(QOS, MonitorConfig(**config), q_mode_available=q_mode)
+def fold(tails, q_mode=True, qos=QOS, **config) -> list[tuple]:
+    """Feed tail latencies through :func:`monitor_transition`.
+
+    Returns one ``(mode, throttle_corunner, throttle_ordered)`` per window,
+    ``mode`` being the mode chosen for the next window.
+    """
+    config = MonitorConfig(**config)
+    state = MonitorState()
+    out = []
+    for tail in tails:
+        state, throttle, ordered = monitor_transition(
+            state, tail > qos.target_ms,
+            tail <= qos.target_ms * config.engage_fraction,
+            config, q_mode,
+        )
+        out.append((MODE_ORDER[state.mode], throttle, ordered))
+    return out
+
+
+def modes(tails, **kwargs) -> list[StretchMode]:
+    return [mode for mode, _, _ in fold(tails, **kwargs)]
 
 
 class TestConfigValidation:
@@ -25,96 +49,66 @@ class TestConfigValidation:
 
 class TestEngagement:
     def test_starts_in_baseline(self):
-        assert make_monitor().mode is StretchMode.BASELINE
+        assert MODE_ORDER[MonitorState().mode] is StretchMode.BASELINE
 
     def test_engages_b_mode_after_streak(self):
-        m = make_monitor(engage_windows=3)
-        for _ in range(2):
-            assert m.observe_window(20.0).mode is StretchMode.BASELINE
-        assert m.observe_window(20.0).mode is StretchMode.B_MODE
+        assert modes([20.0] * 3, engage_windows=3) == [
+            StretchMode.BASELINE, StretchMode.BASELINE, StretchMode.B_MODE,
+        ]
 
     def test_streak_must_be_consecutive(self):
-        m = make_monitor(engage_windows=3)
-        m.observe_window(20.0)
-        m.observe_window(20.0)
-        m.observe_window(85.0)  # compliant but no slack: resets the streak
-        assert m.observe_window(20.0).mode is StretchMode.BASELINE
+        # 85 ms is compliant but leaves no slack: it resets the streak.
+        tails = [20.0, 20.0, 85.0, 20.0]
+        assert modes(tails, engage_windows=3)[-1] is StretchMode.BASELINE
 
     def test_no_engagement_without_slack(self):
-        m = make_monitor(engage_windows=2)
-        for _ in range(10):
-            decision = m.observe_window(90.0)  # below target, above 75%
-        assert decision.mode is not StretchMode.B_MODE
+        # Below target, above the engage threshold.
+        assert StretchMode.B_MODE not in modes([90.0] * 10, engage_windows=2)
 
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            make_monitor().observe_window(-1.0)
+
+#: Enough slack windows to engage B-mode under the default config.
+ENGAGE = [10.0] * MonitorConfig().engage_windows
 
 
 class TestViolationResponse:
-    def engaged(self, **kwargs) -> StretchMonitor:
-        m = make_monitor(**kwargs)
-        for _ in range(m.config.engage_windows):
-            m.observe_window(10.0)
-        assert m.mode is StretchMode.B_MODE
-        return m
+    def test_engaged_prefix(self):
+        assert modes(ENGAGE)[-1] is StretchMode.B_MODE
 
     def test_violation_disengages_b_mode(self):
-        m = self.engaged()
-        decision = m.observe_window(150.0)
-        assert decision.mode is StretchMode.Q_MODE  # Q provisioned
+        # Q-mode provisioned.
+        assert modes(ENGAGE + [150.0])[-1] is StretchMode.Q_MODE
 
     def test_violation_without_q_mode(self):
-        m = self.engaged(q_mode=False)
-        decision = m.observe_window(150.0)
-        assert decision.mode is StretchMode.BASELINE
+        assert modes(ENGAGE + [150.0], q_mode=False)[-1] is StretchMode.BASELINE
 
     def test_persistent_violation_throttles(self):
-        m = self.engaged(violation_windows_to_throttle=2)
-        m.observe_window(150.0)  # leaves B-mode
-        decision = m.observe_window(150.0)
-        assert decision.throttle_corunner
-        assert m.throttle_orders == 1
+        # The first violation leaves B-mode, the second orders a throttle.
+        out = fold(ENGAGE + [150.0, 150.0], violation_windows_to_throttle=2)
+        assert out[-1][1]
+        assert sum(ordered for _, _, ordered in out) == 1
 
     def test_throttle_lasts_configured_windows(self):
-        m = self.engaged(violation_windows_to_throttle=1, throttle_windows=3)
-        m.observe_window(150.0)  # first response: leave B-mode
-        decision = m.observe_window(150.0)  # persists -> throttle
-        assert decision.throttle_corunner
-        states = [m.observe_window(10.0).throttle_corunner for _ in range(3)]
-        assert states == [True, True, False]
-
-    def test_violations_counted(self):
-        m = make_monitor()
-        m.observe_window(150.0)
-        m.observe_window(150.0)
-        assert m.violations == 2
+        out = fold(
+            ENGAGE + [150.0, 150.0, 10.0, 10.0, 10.0],
+            violation_windows_to_throttle=1, throttle_windows=3,
+        )
+        throttles = [throttle for _, throttle, _ in out[len(ENGAGE):]]
+        assert throttles == [False, True, True, True, False]
 
 
 class TestRecovery:
     def test_q_mode_relaxes_to_baseline(self):
-        m = make_monitor()
-        m.observe_window(150.0)  # -> Q-mode
-        assert m.mode is StretchMode.Q_MODE
-        decision = m.observe_window(85.0)  # compliant, no slack
-        assert decision.mode is StretchMode.BASELINE
+        # A violation, then a compliant window without slack.
+        assert modes([150.0, 85.0]) == [
+            StretchMode.Q_MODE, StretchMode.BASELINE,
+        ]
 
     def test_full_cycle_back_to_b_mode(self):
-        m = make_monitor(engage_windows=2)
-        m.observe_window(150.0)  # violation
-        for _ in range(2):
-            decision = m.observe_window(10.0)
-        assert decision.mode is StretchMode.B_MODE
+        tails = [150.0, 10.0, 10.0]
+        assert modes(tails, engage_windows=2)[-1] is StretchMode.B_MODE
 
     def test_b_mode_steps_down_when_slack_shrinks(self):
-        m = make_monitor(engage_windows=1)
-        m.observe_window(10.0)
-        assert m.mode is StretchMode.B_MODE
-        decision = m.observe_window(85.0)  # compliant but tight
-        assert decision.mode is StretchMode.BASELINE
-
-    def test_windows_observed_counter(self):
-        m = make_monitor()
-        for _ in range(5):
-            m.observe_window(10.0)
-        assert m.windows_observed == 5
+        # Compliant but tight after an engaged window.
+        assert modes([10.0, 85.0], engage_windows=1) == [
+            StretchMode.B_MODE, StretchMode.BASELINE,
+        ]

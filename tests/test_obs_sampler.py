@@ -17,7 +17,6 @@ from repro.obs.sampler import (
     IntervalSampler,
     JsonlSink,
     METRICS_ENV,
-    ServiceSampler,
     WINDOW_ENV,
     attach_core_observers,
 )
@@ -130,19 +129,6 @@ class TestJsonlSink:
         core.run(INSTRUCTIONS)
         series = registry.series("core.window.uipc.t0")
         assert len(series.values()) == len(core.sampler.samples)
-
-
-class TestServiceSampler:
-    def test_wraps_observation(self):
-        registry = MetricsRegistry()
-        sampler = ServiceSampler(registry=registry)
-        s0 = sampler.observe(4.0, load_fraction=0.5)
-        s1 = sampler.observe(6.0, mean_queue_depth=2.0)
-        assert (s0.index, s1.index) == (0, 1)
-        assert s1.tail_latency_ms == 6.0
-        assert registry.counter("service.windows").value == 2
-        assert registry.series("service.tail_latency_ms").values() == [4.0, 6.0]
-        assert registry.series("service.queue_depth").values() == [2.0]
 
 
 class TestAttachCoreObservers:

@@ -2,7 +2,9 @@
 
 Whatever latency / queue-depth sequence arrives, the monitors must keep
 their invariants: legal mode values, bounded throttling, consistent
-counters, and no B-mode engagement without an observed-slack streak.
+counters, and no B-mode engagement without an observed-slack streak.  The
+latency monitor is :func:`~repro.core.monitor.monitor_transition`, driven
+through the ``fold`` helper of ``tests/test_monitor.py``.
 """
 
 from hypothesis import given, settings
@@ -14,11 +16,11 @@ from repro.core.monitor import (
     MonitorConfig,
     QueueLengthMonitor,
     QueueLengthMonitorConfig,
-    StretchMonitor,
 )
 from repro.core.partitioning import B_MODES
 from repro.core.stretch import StretchMode
 from repro.workloads.profiles import QoSSpec
+from tests.test_monitor import fold
 
 QOS = QoSSpec(target_ms=100.0, percentile=99.0, base_service_ms=8.0)
 
@@ -30,50 +32,44 @@ class TestLatencyMonitorProperties:
     @given(latencies)
     @settings(max_examples=80, deadline=None)
     def test_invariants_hold_for_any_sequence(self, seq):
-        m = StretchMonitor(QOS, MonitorConfig())
+        out = fold(seq, qos=QOS)
         throttle_run = 0
-        for latency in seq:
-            decision = m.observe_window(latency)
-            assert decision.mode in StretchMode
-            if decision.throttle_corunner:
+        for mode, throttle, ordered in out:
+            assert mode in StretchMode
+            if throttle:
                 throttle_run += 1
-                assert throttle_run <= m.config.throttle_windows
+                assert throttle_run <= MonitorConfig().throttle_windows
             else:
                 throttle_run = 0
-        assert m.windows_observed == len(seq)
-        assert m.violations == sum(latency > QOS.target_ms for latency in seq)
+            assert not ordered or throttle
+        assert len(out) == len(seq)
 
     @given(latencies)
     @settings(max_examples=60, deadline=None)
     def test_no_b_mode_without_slack_streak(self, seq):
         config = MonitorConfig(engage_windows=3)
-        m = StretchMonitor(QOS, config)
         streak = 0
-        for latency in seq:
-            decision = m.observe_window(latency)
+        for latency, (mode, _, _) in zip(seq, fold(seq, qos=QOS,
+                                                   engage_windows=3)):
             if latency <= QOS.target_ms * config.engage_fraction:
                 streak += 1
             else:
                 streak = 0
-            if decision.mode is StretchMode.B_MODE:
+            if mode is StretchMode.B_MODE:
                 assert streak >= config.engage_windows
 
     @given(st.lists(st.floats(150.0, 500.0), min_size=5, max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_sustained_violations_never_engage_b(self, seq):
-        m = StretchMonitor(QOS, MonitorConfig())
-        for latency in seq:
-            assert m.observe_window(latency).mode is not StretchMode.B_MODE
+        for mode, _, _ in fold(seq, qos=QOS):
+            assert mode is not StretchMode.B_MODE
 
     @given(st.lists(st.floats(0.0, 30.0), min_size=5, max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_sustained_slack_settles_in_b(self, seq):
-        m = StretchMonitor(QOS, MonitorConfig(engage_windows=3))
-        decision = None
-        for latency in seq:
-            decision = m.observe_window(latency)
-        assert decision.mode is StretchMode.B_MODE
-        assert m.throttle_orders == 0
+        out = fold(seq, qos=QOS, engage_windows=3)
+        assert out[-1][0] is StretchMode.B_MODE
+        assert not any(ordered for _, _, ordered in out)
 
 
 class TestQueueMonitorProperties:
