@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 from repro.core.stretch import StretchMode
 from repro.obs.metrics import MetricsRegistry
-from repro.workloads.profiles import QoSSpec
 
 __all__ = [
     "MODE_ORDER",
