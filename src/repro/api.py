@@ -1,8 +1,8 @@
 """The stable public facade (``repro.api``).
 
 Four verbs cover the reproduction's entry points, with consistent keyword
-names (``seed``, ``n_samples``, ``fidelity``, ``sampling``, ``engine``,
-``tail``, ``workers`` mean the same thing everywhere):
+names (``seed``, ``n_samples``, ``fidelity``, ``sampling``, ``tail``,
+``workers`` mean the same thing everywhere):
 
 * :func:`simulate` — mean UIPC of a stand-alone workload or a colocated
   pair on the SMT core timing model;
@@ -35,15 +35,14 @@ Sampling effort resolves the same way in every verb: pass ``sampling=``
 :func:`repro.experiments.common.fidelity_names` — or a
 :class:`~repro.experiments.common.Fidelity`), optionally overridden by
 ``seed=`` / ``n_samples=``; with neither, the library defaults apply.
-``simulate``/``measure`` accept ``engine="store"`` (memoized through the
-content-addressed result store) or ``engine="direct"`` (always re-run in
-process); both produce identical values.  No other verb takes
-``engine``.  At ``fidelity="surrogate"``
-the partitioned-ROB queries answer from a store-memoized
-:class:`~repro.cpu.surrogate.UipcSurrogate` fit (error bound reported
-per fit; anything the fit does not cover falls back to the exact
-sampler), and ``tune_policy`` screens candidates with the surrogate
-model before confirming the winner at the exact tier.
+``simulate`` and ``measure`` memoize every query through the
+content-addressed result store, registered and custom workload profiles
+alike (their deprecated ``engine=`` keyword changes nothing).  At
+``fidelity="surrogate"`` the partitioned-ROB queries answer from a
+store-memoized :class:`~repro.cpu.surrogate.UipcSurrogate` fit (error
+bound reported per fit; anything the fit does not cover falls back to
+the exact sampler), and ``tune_policy`` screens candidates with the
+surrogate model before confirming the winner at the exact tier.
 
 How superseded entry points are retired is the "Stable API & deprecation
 policy" note in ``docs/API.md``.
@@ -51,15 +50,13 @@ policy" note in ``docs/API.md``.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 
 from repro.core.adaptive import AdaptiveStretchPolicy
-from repro.core.colocation import (
-    ColocationPerformance,
-    _measure_colocation_performance,
-)
+from repro.core.colocation import ColocationPerformance, ModePerformance
 from repro.core.monitor import MODE_ORDER, MonitorConfig
 from repro.core.partitioning import (
     BASELINE,
@@ -72,9 +69,12 @@ from repro.core.stretch import StretchMode
 from repro.cpu.config import CoreConfig
 from repro.cpu.sampling import SamplingConfig
 from repro.engine.executor import EngineConfig, ExecutionEngine
-from repro.engine.job import SimJob
-from repro.engine.store import default_store
-from repro.experiments.common import Fidelity, pair_uipc_many, solo_uipc
+from repro.experiments.common import (
+    Fidelity,
+    pair_uipc,
+    pair_uipc_many,
+    solo_uipc,
+)
 from repro.fleet.engine import (
     LOAD_BOUNDS,
     FleetConfig,
@@ -92,8 +92,8 @@ from repro.tune import (
     confirm_candidates,
     tune_monitor,
 )
-from repro.workloads import get_profile
 from repro.workloads.profiles import WorkloadProfile
+from repro.workloads.registry import resolve_profile
 
 __all__ = [
     "simulate",
@@ -109,25 +109,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Shared argument resolution
 # ----------------------------------------------------------------------
-
-
-def _resolve_profile(workload) -> WorkloadProfile:
-    if isinstance(workload, WorkloadProfile):
-        return workload
-    return get_profile(str(workload))
-
-
-def _registered(profile: WorkloadProfile) -> bool:
-    """Is this exact profile reachable through the registry by name?
-
-    The memoized (store) paths address jobs by workload *name*; a custom
-    profile object that shadows a registry name must fall back to direct
-    execution or the cache would serve the wrong workload.
-    """
-    try:
-        return get_profile(profile.name) == profile
-    except KeyError:
-        return False
 
 
 def _resolve_effort(
@@ -165,22 +146,23 @@ def _resolve_effort(
     return (replace(base, **overrides) if overrides else base), None
 
 
-def _check_surrogate_engine(engine: str) -> None:
-    if engine == "direct":
-        raise ValueError(
-            "fidelity='surrogate' requires engine='store': surrogate fits "
-            "memoize through the content-addressed result store"
-        )
+def _check_engine(engine: str | None) -> None:
+    """The deprecated ``engine=`` of simulate/measure: warn, change nothing."""
+    if engine is None:
+        return
+    if engine not in ("store", "direct"):
+        raise ValueError(f"engine must be 'store' or 'direct', got {engine!r}")
+    warnings.warn(
+        "engine= is deprecated and has no effect: simulate and measure "
+        "always memoize through the result store",
+        DeprecationWarning,
+        stacklevel=3,
+    )
 
 
-def _check_surrogate_profiles(*profiles: WorkloadProfile) -> None:
-    for profile in profiles:
-        if not _registered(profile):
-            raise ValueError(
-                f"fidelity='surrogate' addresses workloads by registry "
-                f"name, but profile {profile.name!r} does not match the "
-                f"registered one; use an exact tier for custom profiles"
-            )
+def _check_tail(tail: str) -> None:
+    if tail not in ("surrogate", "exact"):
+        raise ValueError(f"tail must be 'surrogate' or 'exact', got {tail!r}")
 
 
 _MODE_SCHEMES = {
@@ -213,14 +195,6 @@ def _resolve_scheme(mode) -> PartitionScheme:
     return _MODE_SCHEMES[mode]
 
 
-def _run_job(job: SimJob, engine: str) -> tuple[float, ...]:
-    if engine == "store":
-        return default_store().compute(job)
-    if engine == "direct":
-        return job.run()
-    raise ValueError(f"engine must be 'store' or 'direct', got {engine!r}")
-
-
 # ----------------------------------------------------------------------
 # simulate / measure — SMT-core sampling
 # ----------------------------------------------------------------------
@@ -231,7 +205,7 @@ def simulate(
     *,
     mode=None,
     config: CoreConfig | None = None,
-    engine: str = "store",
+    engine: str | None = None,
     sampling: SamplingConfig | None = None,
     fidelity=None,
     seed: int | None = None,
@@ -245,43 +219,24 @@ def simulate(
     ``"q_mode"``, a :class:`~repro.core.stretch.StretchMode`, or an
     explicit :class:`~repro.core.partitioning.PartitionScheme`); returns a
     single float for stand-alone runs and ``(ls_uipc, batch_uipc)`` for
-    pairs.
+    pairs.  ``engine`` is deprecated and ignored.
     """
+    _check_engine(engine)
     sampling, fid = _resolve_effort(sampling, fidelity, seed, n_samples)
-    use_surrogate = fid is not None and fid.is_surrogate
-    if use_surrogate:
-        _check_surrogate_engine(engine)
+    effort = fid if fid is not None and fid.is_surrogate else sampling
     base = config if config is not None else CoreConfig()
     if isinstance(workloads, (str, WorkloadProfile)):
         if mode is not None:
             raise ValueError("mode= applies to colocated pairs only")
-        profile = _resolve_profile(workloads)
-        solo_config = base.single_thread(base.rob_entries)
-        if use_surrogate:
-            _check_surrogate_profiles(profile)
-            return solo_uipc(profile.name, solo_config, fid)
-        if engine == "store" and not _registered(profile):
-            engine = "direct"
-        job = SimJob.solo(profile.name, solo_config, sampling)
-        return _run_job(job, engine)[0]
-
+        return solo_uipc(
+            resolve_profile(workloads), base.single_thread(base.rob_entries),
+            effort,
+        )
     ls, batch = workloads
-    ls_profile, batch_profile = _resolve_profile(ls), _resolve_profile(batch)
     scheme = _resolve_scheme(mode)
-    if use_surrogate:
-        _check_surrogate_profiles(ls_profile, batch_profile)
-        return pair_uipc_many(
-            ls_profile.name, batch_profile.name, (scheme.apply(base),), fid
-        )[0]
-    if engine == "store" and not (
-        _registered(ls_profile) and _registered(batch_profile)
-    ):
-        engine = "direct"
-    job = SimJob.pair(
-        ls_profile.name, batch_profile.name, scheme.apply(base), sampling
+    return pair_uipc(
+        resolve_profile(ls), resolve_profile(batch), scheme.apply(base), effort
     )
-    values = _run_job(job, engine)
-    return values[0], values[1]
 
 
 def measure(
@@ -291,7 +246,7 @@ def measure(
     b_mode: PartitionScheme = DEFAULT_B_MODE,
     q_mode: PartitionScheme | None = DEFAULT_Q_MODE,
     config: CoreConfig | None = None,
-    engine: str = "store",
+    engine: str | None = None,
     sampling: SamplingConfig | None = None,
     fidelity=None,
     seed: int | None = None,
@@ -300,9 +255,9 @@ def measure(
     """Measure a pair's per-mode performance model.
 
     Runs the pair under Baseline, ``b_mode`` and ``q_mode`` plus the LS
-    workload's stand-alone reference: in process with ``engine="direct"``,
-    or (the default) as the same jobs memoized through the result store,
-    with bit-identical values either way.
+    workload's stand-alone reference, as jobs memoized through the result
+    store (a custom profile memoizes under its own keys).  ``engine`` is
+    deprecated and ignored.
 
     At ``fidelity="surrogate"`` the solo reference and per-mode pair
     grids are answered by the family's fitted
@@ -310,33 +265,13 @@ def measure(
     mode), falling back to exact jobs for configurations the fit does
     not cover.
     """
+    _check_engine(engine)
     sampling, fid = _resolve_effort(sampling, fidelity, seed, n_samples)
-    use_surrogate = fid is not None and fid.is_surrogate
-    if use_surrogate:
-        _check_surrogate_engine(engine)
-    ls_profile, batch_profile = _resolve_profile(ls), _resolve_profile(batch)
-    if use_surrogate:
-        _check_surrogate_profiles(ls_profile, batch_profile)
-    elif engine == "store" and not (
-        _registered(ls_profile) and _registered(batch_profile)
-    ):
-        engine = "direct"
-    if engine == "direct":
-        return _measure_colocation_performance(
-            ls_profile, batch_profile, config, b_mode, q_mode, sampling
-        )
-    if engine != "store":
-        raise ValueError(f"engine must be 'store' or 'direct', got {engine!r}")
-
-    # Memoized path: the exact job grid of the direct implementation,
-    # routed through the content-addressed store (or, at the surrogate
-    # tier, through the family's fitted surrogate where it applies).
-    from repro.core.colocation import ModePerformance
-
+    effort = fid if fid is not None and fid.is_surrogate else sampling
+    ls_profile, batch_profile = resolve_profile(ls), resolve_profile(batch)
     base = config if config is not None else CoreConfig()
-    effort = fid if use_surrogate else sampling
     solo = solo_uipc(
-        ls_profile.name, base.single_thread(base.rob_entries), effort
+        ls_profile, base.single_thread(base.rob_entries), effort
     )
     schemes: dict[StretchMode, PartitionScheme] = {
         StretchMode.BASELINE: BASELINE,
@@ -345,14 +280,13 @@ def measure(
     if q_mode is not None:
         schemes[StretchMode.Q_MODE] = q_mode
     pairs = pair_uipc_many(
-        ls_profile.name, batch_profile.name,
+        ls_profile, batch_profile,
         [scheme.apply(base) for scheme in schemes.values()], effort,
     )
-    per_mode = {}
-    for (stretch_mode, __), values in zip(schemes.items(), pairs):
-        per_mode[stretch_mode] = ModePerformance(
-            ls_uipc=values[0], batch_uipc=values[1]
-        )
+    per_mode = {
+        stretch_mode: ModePerformance(ls_uipc=values[0], batch_uipc=values[1])
+        for stretch_mode, values in zip(schemes, pairs)
+    }
     if q_mode is None:
         per_mode[StretchMode.Q_MODE] = per_mode[StretchMode.BASELINE]
     return ColocationPerformance(
@@ -434,7 +368,7 @@ def run_day(
     seed — set that via ``sampling=`` / ``fidelity=``).  ``metrics``
     receives the day's ``fleet.*`` instruments.
     """
-    ls_profile = _resolve_profile(ls)
+    ls_profile = resolve_profile(ls)
     if performance is None:
         if batch is None:
             raise ValueError("pass a performance model or a batch workload")
@@ -519,10 +453,10 @@ def run_fleet(
     ``workers`` selects the process model.  ``None`` or ``1`` steps the
     whole fleet in this process.  ``N > 1`` splits it into ``N``
     content-addressed shard jobs (:func:`~repro.fleet.shard.run_fleet_sharded`)
-    run on an ``N``-worker :class:`~repro.engine.ExecutionEngine` pool;
-    ``load`` must then be a named curve and ``ls`` a registered workload
-    (workers look it up by name).  The integer aggregates of a
-    pooled day equal the in-process day's exactly; its two float window
+    run on an ``N``-worker :class:`~repro.engine.ExecutionEngine` pool,
+    which takes any profile and any ``load`` (the jobs carry the profile
+    and the day's per-window loads by value).  The integer aggregates of
+    a pooled day equal the in-process day's exactly; its two float window
     sums match up to summation order.
 
     ``seed`` drives the fleet's per-server streams; sampling kwargs only
@@ -538,17 +472,10 @@ def run_fleet(
     :mod:`repro.scenarios` (spec, preset name, or dict); a null scenario
     is bit-identical to no scenario at all.
     """
-    if tail not in ("surrogate", "exact"):
-        raise ValueError(f"tail must be 'surrogate' or 'exact', got {tail!r}")
+    _check_tail(tail)
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
-    ls_profile = _resolve_profile(ls)
-    if workers is not None and workers > 1 and not _registered(ls_profile):
-        raise ValueError(
-            f"pool workers look up {ls_profile.name!r} by registry name, but "
-            "this profile differs from the registered one; run it in "
-            "process (workers=None)"
-        )
+    ls_profile = resolve_profile(ls)
     if performance is None:
         if batch is None:
             raise ValueError("pass a performance model or a batch workload")
@@ -654,7 +581,8 @@ def serve(
     identity and can be swapped mid-day via
     :meth:`~repro.service.FleetService.reconfigure`.
     """
-    ls_profile = _resolve_profile(ls)
+    _check_tail(tail)
+    ls_profile = resolve_profile(ls)
     if performance is None:
         if batch is None:
             raise ValueError("pass a performance model or a batch workload")
@@ -749,7 +677,7 @@ def tune_policy(
     effort — the returned ``best``/``default`` rows carry exact scores,
     while ``candidates`` keeps the screening ranking.
     """
-    ls_profile = _resolve_profile(ls)
+    ls_profile = resolve_profile(ls)
     __, fid = _resolve_effort(sampling, fidelity, None, n_samples)
     screening = (
         fid is not None and fid.is_surrogate

@@ -1,9 +1,10 @@
 """Per-mode colocation performance model.
 
 Bridges the cycle-level SMT simulator and the request-level QoS loop: for a
-given (latency-sensitive, batch) pair it measures UIPC of both threads under
+given (latency-sensitive, batch) pair it holds the UIPC of both threads under
 each provisioned Stretch mode, plus the latency-sensitive workload's
-stand-alone full-core UIPC as the normalization reference the paper uses.
+stand-alone full-core UIPC as the normalization reference the paper uses
+(:func:`repro.api.measure` measures them).
 
 The closed-loop server simulation then maps modes to service performance
 factors (service time inflation) and batch throughput without re-running the
@@ -14,16 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.partitioning import (  # noqa: F401 (PartitionScheme is API)
-    BASELINE,
-    DEFAULT_B_MODE,
-    DEFAULT_Q_MODE,
-    PartitionScheme,
-)
+from repro.core.partitioning import BASELINE, DEFAULT_B_MODE, PartitionScheme
 from repro.core.stretch import StretchMode
-from repro.cpu.config import CoreConfig
-from repro.cpu.sampling import SamplingConfig, mean_uipc, sample_colocation, sample_solo
-from repro.workloads.profiles import WorkloadProfile
 
 __all__ = ["ModePerformance", "ColocationPerformance"]
 
@@ -78,40 +71,3 @@ class ColocationPerformance:
             batch_uipc=max(base.batch_uipc + batch_slope * delta,
                            0.05 * base.batch_uipc),
         )
-
-
-def _measure_colocation_performance(
-    ls_profile: WorkloadProfile,
-    batch_profile: WorkloadProfile,
-    base_config: CoreConfig | None = None,
-    b_mode: PartitionScheme = DEFAULT_B_MODE,
-    q_mode: PartitionScheme | None = DEFAULT_Q_MODE,
-    sampling: SamplingConfig = SamplingConfig(),
-) -> ColocationPerformance:
-    """Simulate the pair under Baseline, B-mode and (optionally) Q-mode."""
-    config = base_config or CoreConfig()
-    solo = mean_uipc(
-        sample_solo(ls_profile, config.single_thread(config.rob_entries), sampling)
-    )
-    schemes: dict[StretchMode, PartitionScheme] = {
-        StretchMode.BASELINE: BASELINE,
-        StretchMode.B_MODE: b_mode,
-    }
-    if q_mode is not None:
-        schemes[StretchMode.Q_MODE] = q_mode
-    per_mode = {}
-    for mode, scheme in schemes.items():
-        results = sample_colocation(
-            ls_profile, batch_profile, scheme.apply(config), sampling
-        )
-        per_mode[mode] = ModePerformance(
-            ls_uipc=mean_uipc(results, 0), batch_uipc=mean_uipc(results, 1)
-        )
-    if q_mode is None:
-        per_mode[StretchMode.Q_MODE] = per_mode[StretchMode.BASELINE]
-    return ColocationPerformance(
-        ls_workload=ls_profile.name,
-        batch_workload=batch_profile.name,
-        ls_solo_uipc=solo,
-        per_mode=per_mode,
-    )

@@ -46,6 +46,8 @@ from repro.cpu.sampling import (
     sample_uniforms,
 )
 from repro.util.rng import derive_seed
+from repro.workloads.profiles import WorkloadProfile
+from repro.workloads.registry import resolve_profile
 
 __all__ = [
     "UIPC_SURROGATE_VERSION",
@@ -351,7 +353,7 @@ def _validation_sampling(sampling: SamplingConfig, rep: int) -> SamplingConfig:
 
 def calibration_jobs(
     kind: str,
-    workloads: tuple[str, ...],
+    workloads: tuple[str | WorkloadProfile, ...],
     config: CoreConfig,
     sampling: SamplingConfig,
     grid: UipcGrid = UipcGrid(),
@@ -376,7 +378,7 @@ def calibration_jobs(
 
 def fit_uipc_surrogate(
     kind: str,
-    workloads: tuple[str, ...],
+    workloads: tuple[str | WorkloadProfile, ...],
     config: CoreConfig,
     sampling: SamplingConfig,
     grid: UipcGrid = UipcGrid(),
@@ -387,7 +389,9 @@ def fit_uipc_surrogate(
     ``compute`` maps a job to its result tuple; it defaults to the
     content-addressed store, so anchors and validation replays memoize
     (and a re-fit after a grid change reuses every overlapping point).
+    ``workloads`` are profiles or registered names.
     """
+    workloads = tuple(resolve_profile(w) for w in workloads)
     if compute is None:
         from repro.engine.store import default_store
 
@@ -407,7 +411,7 @@ def fit_uipc_surrogate(
 
     surrogate = UipcSurrogate(
         kind=kind,
-        workloads=tuple(workloads),
+        workloads=tuple(p.name for p in workloads),
         anchors=anchors,
         quantiles=quantiles,
         error_bound=0.0,
@@ -446,15 +450,16 @@ class UipcFitJob:
     """Content-addressed surrogate calibration (cacheable, picklable).
 
     Runs on the execution engine like any simulation job: ``key``
-    content-addresses the workloads (full profile definitions), the
-    *family* configuration, the sampling config and the calibration grid;
-    ``run`` returns the flattened surrogate.  ``config`` must already be
-    the family's canonical member (see :func:`family_axis`), so every
-    member of a sweep maps to the same fit entry.
+    content-addresses the workloads (full profile definitions, carried by
+    value; names passed in are resolved), the *family* configuration, the
+    sampling config and the calibration grid; ``run`` returns the
+    flattened surrogate.  ``config`` must already be the family's
+    canonical member (see :func:`family_axis`), so every member of a
+    sweep maps to the same fit entry.
     """
 
     kind: str
-    workloads: tuple[str, ...]
+    workloads: tuple[WorkloadProfile, ...]
     config: CoreConfig
     sampling: SamplingConfig
     grid: UipcGrid = UipcGrid()
@@ -466,20 +471,21 @@ class UipcFitJob:
                 "UipcFitJob.config must be the family's canonical member; "
                 "use family_axis() to normalize"
             )
+        object.__setattr__(
+            self, "workloads", tuple(resolve_profile(w) for w in self.workloads)
+        )
 
     @property
     def key(self) -> str:
         from repro.engine.store import CACHE_VERSION
-        from repro.workloads.registry import get_profile
 
-        profiles = tuple(repr(get_profile(name)) for name in self.workloads)
         payload = repr((
             CACHE_VERSION,
             UIPC_SURROGATE_VERSION,
             "uipc-surrogate",
             self.kind,
-            self.workloads,
-            profiles,
+            tuple(p.name for p in self.workloads),
+            tuple(repr(p) for p in self.workloads),
             self.config,
             self.sampling,
             self.grid,
@@ -493,4 +499,6 @@ class UipcFitJob:
 
     def load(self, values) -> UipcSurrogate:
         """Rehydrate a stored fit result."""
-        return UipcSurrogate.from_values(values, self.workloads)
+        return UipcSurrogate.from_values(
+            values, tuple(p.name for p in self.workloads)
+        )

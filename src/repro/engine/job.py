@@ -1,16 +1,17 @@
 """Hashable simulation jobs and content-addressed job keys.
 
 A :class:`SimJob` is the unit of work the execution engine schedules: one
-``solo`` or ``pair`` sampling run, fully described by workload names, a
-:class:`~repro.cpu.config.CoreConfig` and a
+``solo`` or ``pair`` sampling run, fully described by workload profiles
+(carried by value), a :class:`~repro.cpu.config.CoreConfig` and a
 :class:`~repro.cpu.sampling.SamplingConfig`.  Jobs are frozen dataclasses,
 picklable across process boundaries, and deterministic: all randomness
 derives from ``sampling.seed`` through :func:`repro.util.rng.derive_seed`,
 so the same job produces bit-identical results on any worker.
 
 The job *key* hashes the full job description — including the workload
-profile definitions, not just their names, so profile recalibrations
-invalidate stale cache entries — together with the store's cache version.
+profile definitions, not just their names, so profile recalibrations and
+custom profiles get entries of their own — together with the store's
+cache version.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 
 from repro.cpu.config import CoreConfig
 from repro.cpu.sampling import SamplingConfig, sample_colocation, sample_solo
-from repro.workloads.registry import get_profile
+from repro.workloads.profiles import WorkloadProfile
+from repro.workloads.registry import resolve_profile
 
 __all__ = ["SimJob", "job_key"]
 
@@ -34,32 +36,38 @@ _KINDS = {"solo": 1, "pair": 2, "solo_samples": 1, "pair_samples": 2}
 
 def job_key(
     kind: str,
-    workloads: tuple[str, ...],
+    workloads: tuple[str | WorkloadProfile, ...],
     config: CoreConfig,
     sampling: SamplingConfig,
     version: int | None = None,
 ) -> str:
     """Content-address a job description (SHA-256 hex digest).
 
-    Keyed on the full profile definitions (not just names) so that profile
-    recalibrations invalidate stale entries, and on the cache version so a
-    model change invalidates everything at once.
+    ``workloads`` are profiles or registered names.  Keyed on the full
+    profile definitions (not just names) so that profile recalibrations
+    invalidate stale entries, and on the cache version so a model change
+    invalidates everything at once.
     """
     if version is None:
         from repro.engine.store import CACHE_VERSION
 
         version = CACHE_VERSION
-    profiles = tuple(repr(get_profile(name)) for name in workloads)
-    payload = repr((version, kind, workloads, profiles, config, sampling))
+    profiles = tuple(resolve_profile(w) for w in workloads)
+    names, reprs = tuple(p.name for p in profiles), tuple(map(repr, profiles))
+    payload = repr((version, kind, names, reprs, config, sampling))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
 class SimJob:
-    """One schedulable simulation: ``solo`` or ``pair`` × workloads × configs."""
+    """One schedulable simulation: ``solo`` or ``pair`` × workloads × configs.
+
+    ``workloads`` holds :class:`~repro.workloads.profiles.WorkloadProfile`
+    objects; names passed in are resolved through the registry.
+    """
 
     kind: str
-    workloads: tuple[str, ...]
+    workloads: tuple[WorkloadProfile, ...]
     config: CoreConfig
     sampling: SamplingConfig
 
@@ -72,31 +80,34 @@ class SimJob:
                 f"{self.kind!r} jobs take {_KINDS[self.kind]} workload(s), "
                 f"got {self.workloads!r}"
             )
+        object.__setattr__(
+            self, "workloads", tuple(resolve_profile(w) for w in self.workloads)
+        )
 
     @classmethod
     def solo(
-        cls, workload: str, config: CoreConfig, sampling: SamplingConfig
+        cls, workload, config: CoreConfig, sampling: SamplingConfig
     ) -> "SimJob":
         """Stand-alone run of ``workload`` (one UIPC value)."""
         return cls("solo", (workload,), config, sampling)
 
     @classmethod
     def pair(
-        cls, ls: str, batch: str, config: CoreConfig, sampling: SamplingConfig
+        cls, ls, batch, config: CoreConfig, sampling: SamplingConfig
     ) -> "SimJob":
         """Colocated run: thread 0 = ``ls``, thread 1 = ``batch`` (two values)."""
         return cls("pair", (ls, batch), config, sampling)
 
     @classmethod
     def solo_samples(
-        cls, workload: str, config: CoreConfig, sampling: SamplingConfig
+        cls, workload, config: CoreConfig, sampling: SamplingConfig
     ) -> "SimJob":
         """Stand-alone run returning per-sample UIPCs (``n_samples`` values)."""
         return cls("solo_samples", (workload,), config, sampling)
 
     @classmethod
     def pair_samples(
-        cls, ls: str, batch: str, config: CoreConfig, sampling: SamplingConfig
+        cls, ls, batch, config: CoreConfig, sampling: SamplingConfig
     ) -> "SimJob":
         """Colocated run returning per-sample UIPCs (thread 0's ``n_samples``
         values followed by thread 1's)."""
@@ -111,17 +122,12 @@ class SimJob:
         """Execute the simulation; mean UIPC per thread, or the per-sample
         UIPC vectors for the ``*_samples`` kinds."""
         if self.kind in ("solo", "solo_samples"):
-            results = sample_solo(
-                get_profile(self.workloads[0]), self.config, self.sampling
-            )
+            results = sample_solo(self.workloads[0], self.config, self.sampling)
             if self.kind == "solo_samples":
                 return tuple(r.threads[0].uipc for r in results)
             return (sum(r.threads[0].uipc for r in results) / len(results),)
         results = sample_colocation(
-            get_profile(self.workloads[0]),
-            get_profile(self.workloads[1]),
-            self.config,
-            self.sampling,
+            self.workloads[0], self.workloads[1], self.config, self.sampling
         )
         if self.kind == "pair_samples":
             return tuple(r.threads[0].uipc for r in results) + tuple(

@@ -15,7 +15,8 @@
   and the batched :func:`solo_uipc_many` / :func:`pair_uipc_many`)
   backed by the content-addressed result store of :mod:`repro.engine`,
   since many figures reuse the same baseline colocation runs.  All four
-  accept either a raw :class:`~repro.cpu.sampling.SamplingConfig` (always
+  take workload names or profiles, and either a raw
+  :class:`~repro.cpu.sampling.SamplingConfig` (always
   exact) or a :class:`Fidelity` (tier-aware: the surrogate tier predicts
   where its fitted family covers the query and transparently falls back
   to the exact sampler everywhere else);
@@ -44,6 +45,7 @@ from repro.cpu.surrogate import (
 from repro.engine.job import SimJob
 from repro.engine.store import CACHE_VERSION, default_store
 from repro.workloads.cloudsuite import CLOUDSUITE_NAMES
+from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.spec2006 import SPEC2006_NAMES
 
 __all__ = [
@@ -334,7 +336,7 @@ def _surrogate_family(
 @shared_sampling_points()
 def _uipc_many(
     kind: str,
-    workloads: tuple[str, ...],
+    workloads: tuple[str | WorkloadProfile, ...],
     configs,
     effort: SamplingConfig | Fidelity,
 ) -> tuple[tuple[float, ...], ...]:
@@ -380,15 +382,17 @@ def _uipc_many(
 
 
 def solo_uipc(
-    workload: str, config: CoreConfig, effort: SamplingConfig | Fidelity
+    workload: str | WorkloadProfile,
+    config: CoreConfig,
+    effort: SamplingConfig | Fidelity,
 ) -> float:
     """Mean stand-alone UIPC of ``workload`` under ``config`` (memoized)."""
     return solo_uipc_many(workload, (config,), effort)[0]
 
 
 def pair_uipc(
-    ls_workload: str,
-    batch_workload: str,
+    ls_workload: str | WorkloadProfile,
+    batch_workload: str | WorkloadProfile,
     config: CoreConfig,
     effort: SamplingConfig | Fidelity,
 ) -> tuple[float, float]:
@@ -401,15 +405,15 @@ def pair_uipc(
 
 
 def solo_uipc_many(
-    workload: str, configs, effort: SamplingConfig | Fidelity
+    workload: str | WorkloadProfile, configs, effort: SamplingConfig | Fidelity
 ) -> tuple[float, ...]:
     """Batched :func:`solo_uipc` over a config sweep (one value per config)."""
     return tuple(v for v, in _uipc_many("solo", (workload,), configs, effort))
 
 
 def pair_uipc_many(
-    ls_workload: str,
-    batch_workload: str,
+    ls_workload: str | WorkloadProfile,
+    batch_workload: str | WorkloadProfile,
     configs,
     effort: SamplingConfig | Fidelity,
 ) -> tuple[tuple[float, float], ...]:

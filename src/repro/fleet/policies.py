@@ -55,7 +55,7 @@ EXACT_JITTER_MAX = 4096
 
 
 # ----------------------------------------------------------------------
-# Named load curves (content-addressable, picklable across shard workers)
+# Named load curves
 # ----------------------------------------------------------------------
 
 _LOAD_CURVES: dict[str, Callable[[float], float]] = {
@@ -63,15 +63,9 @@ _LOAD_CURVES: dict[str, Callable[[float], float]] = {
     "youtube": youtube_cluster_load,
 }
 
-#: Curve names resolvable in any fresh process without registration.
-#: Anything else registered via :func:`register_load_curve` lives only in
-#: the registering process — sharded runs must ship it in the job payload
-#: (see :class:`repro.fleet.shard.FleetShardJob.curve_samples`).
-_BUILTIN_CURVES = frozenset(_LOAD_CURVES)
-
 
 def register_load_curve(name: str, fn: Callable[[float], float]) -> None:
-    """Register a named diurnal load curve for sharded fleet runs."""
+    """Register a named diurnal load curve."""
     _LOAD_CURVES[str(name)] = fn
 
 
@@ -81,8 +75,7 @@ def resolve_load_curve(load) -> tuple[str | None, Callable[[float], float]]:
     Accepts a registered curve name, ``"flat:<fraction>"`` for a constant
     load, ``"replay:<path>"`` to replay a recorded JSONL window stream
     (see :func:`repro.service.feeds.replay_curve`), or a bare callable
-    (name ``None`` — usable everywhere except sharded runs, which need a
-    content-addressable name).
+    (name ``None``).
     """
     if callable(load):
         return None, load

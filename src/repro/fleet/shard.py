@@ -22,17 +22,14 @@ import numpy as np
 from repro.core.colocation import ColocationPerformance
 from repro.core.monitor import MODE_ORDER
 from repro.fleet.engine import FleetConfig, FleetEngine, FleetTimeline
-from repro.fleet.policies import (
-    _BUILTIN_CURVES,
-    register_load_curve,
-    resolve_load_curve,
-)
+from repro.fleet.policies import resolve_load_curve
 from repro.scenarios import ScenarioSpec
+from repro.workloads.profiles import WorkloadProfile
 
-__all__ = ["FleetShardJob", "run_fleet_sharded", "shard_bounds"]
+__all__ = ["FleetShardJob", "run_fleet_sharded", "shard_bounds", "window_loads"]
 
 #: Bump to invalidate cached fleet shard results after engine changes.
-FLEET_VERSION = 3
+FLEET_VERSION = 4
 
 
 def _performance_payload(performance: ColocationPerformance) -> tuple:
@@ -52,37 +49,58 @@ def _performance_payload(performance: ColocationPerformance) -> tuple:
     )
 
 
+def window_loads(load, config: FleetConfig) -> tuple[float, ...]:
+    """The day's cluster load per window of ``config``'s grid.
+
+    ``load`` is any spec :func:`~repro.fleet.policies.resolve_load_curve`
+    takes (a registered name, ``"flat:<x>"``, ``"replay:<path>"`` or a
+    callable), sampled at each window's start hour ``k * window_minutes /
+    60``, the expression :meth:`~repro.fleet.engine.FleetStepper.step`
+    evaluates a curve at.
+    """
+    __, curve = resolve_load_curve(load)
+    return tuple(
+        float(curve(k * config.window_minutes / 60.0))
+        for k in range(config.n_windows)
+    )
+
+
 @dataclass(frozen=True)
 class FleetShardJob:
     """One fleet slice ``[lo, hi)``, schedulable on the execution engine.
 
-    ``load`` must be a *named* curve (or ``"flat:<x>"`` spec) so the job
-    stays picklable and content-addressable.  Curves registered on the
-    driver via :func:`repro.fleet.policies.register_load_curve` do not
-    exist in pool workers, so their window-start samples ride along in
-    ``curve_samples`` and the worker re-registers a step function under
-    the same name — the engine only ever evaluates the curve at window
-    starts, so the sampled curve is exact.  ``surrogate_values`` carries a
-    pre-fitted :class:`~repro.fleet.surrogate.TailSurrogate` (flattened)
-    so worker processes never re-run the DES calibration.  ``corunners``
-    carries the heterogeneous co-runner population's measured models
-    (ordered like ``config.population``).  ``scenario`` attaches an
-    adversarial :class:`~repro.scenarios.ScenarioSpec`; it is part of the
-    cache key (frozen, ``repr``-stable), which is what makes CRN-paired
-    tuner evaluations content-addressable per (config, scenario) pair.
+    The job carries its inputs by value, so a pool worker looks nothing
+    up by name: ``ls_profile`` is the service's workload profile and
+    ``loads`` the day's cluster load per window (see
+    :func:`window_loads`), which ``run`` feeds to
+    :meth:`~repro.fleet.engine.FleetStepper.step` one window at a time.
+    ``surrogate_values`` carries a pre-fitted
+    :class:`~repro.fleet.surrogate.TailSurrogate` (flattened) so worker
+    processes never re-run the DES calibration.  ``corunners`` carries
+    the heterogeneous co-runner population's measured models (ordered
+    like ``config.population``).  ``scenario`` attaches an adversarial
+    :class:`~repro.scenarios.ScenarioSpec`; it is part of the cache key
+    (frozen, ``repr``-stable), which is what makes CRN-paired tuner
+    evaluations content-addressable per (config, scenario) pair.
     """
 
-    profile_name: str
+    ls_profile: WorkloadProfile
     performance: ColocationPerformance
     config: FleetConfig
-    load: str
+    loads: tuple[float, ...]
     lo: int
     hi: int
     tail: str = "surrogate"
     surrogate_values: tuple[float, ...] | None = None
     corunners: tuple[ColocationPerformance, ...] | None = None
-    curve_samples: tuple[float, ...] | None = None
     scenario: ScenarioSpec | None = None
+
+    def __post_init__(self) -> None:
+        if len(self.loads) != self.config.n_windows:
+            raise ValueError(
+                f"got {len(self.loads)} window loads for a "
+                f"{self.config.n_windows}-window day"
+            )
 
     @property
     def key(self) -> str:
@@ -92,10 +110,10 @@ class FleetShardJob:
             CACHE_VERSION,
             FLEET_VERSION,
             "fleet-shard",
-            self.profile_name,
+            self.ls_profile,
             _performance_payload(self.performance),
             self.config,
-            self.load,
+            self.loads,
             self.lo,
             self.hi,
             self.tail,
@@ -103,43 +121,29 @@ class FleetShardJob:
             None
             if self.corunners is None
             else tuple(_performance_payload(c) for c in self.corunners),
-            self.curve_samples,
             self.scenario,
         ))
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def run(self) -> tuple[float, ...]:
         from repro.fleet.surrogate import TailSurrogate
-        from repro.workloads import get_profile
 
-        if self.curve_samples is not None:
-            samples = np.asarray(self.curve_samples, dtype=float)
-            wm = self.config.window_minutes
-
-            def sampled_curve(hour: float) -> float:
-                # round(), not int(): k*wm/60 can reconstruct to k - 1e-13
-                # and truncation would shift those windows by one sample.
-                idx = min(round(hour * 60.0 / wm), len(samples) - 1)
-                return float(samples[idx])
-
-            register_load_curve(self.load, sampled_curve)
         surrogate = (
             TailSurrogate.from_values(self.surrogate_values)
             if self.surrogate_values is not None
             else None
         )
-        engine = FleetEngine(
-            get_profile(self.profile_name),
+        stepper = FleetEngine(
+            self.ls_profile,
             self.performance,
             self.config,
             surrogate=surrogate,
             corunners=self.corunners,
             scenario=self.scenario,
-        )
-        timeline = engine.run_day(
-            self.load, tail=self.tail, server_range=(self.lo, self.hi)
-        )
-        return timeline.to_values()
+        ).stepper(tail=self.tail, server_range=(self.lo, self.hi))
+        for load in self.loads:
+            stepper.step(load)
+        return stepper.timeline.to_values()
 
 
 def shard_bounds(n_servers: int, n_shards: int) -> list[tuple[int, int]]:
@@ -169,27 +173,15 @@ def run_fleet_sharded(
 ) -> FleetTimeline:
     """Run a fleet day as shard jobs on the execution engine; merge results.
 
-    The tail surrogate is fitted (or fetched) once in the parent and
-    shipped to every shard, so the DES calibration never repeats across
-    worker processes.  Driver-registered custom curves are sampled at
-    window starts and shipped in the job payload (workers don't share the
-    driver's curve registry); heterogeneous populations ship their
-    ``corunners`` models the same way.
+    ``load`` is any load spec (a registered name, ``"flat:<x>"``,
+    ``"replay:<path>"`` or a callable).  It is sampled once here, per
+    window, and every shard carries those loads, the LS profile and the
+    heterogeneous population's ``corunners`` models by value, so workers
+    share no registry with this process.  The tail surrogate is fitted
+    (or fetched) once here and shipped to every shard, so the DES
+    calibration never repeats across worker processes.
     """
-    if not isinstance(load, str):
-        raise TypeError(
-            "sharded fleet runs need a named load curve (str); register "
-            "custom curves with repro.fleet.register_load_curve"
-        )
-    _, load_fn = resolve_load_curve(load)  # fail fast on unknown names
-    curve_samples = None
-    if load not in _BUILTIN_CURVES and not load.startswith(("flat:", "replay:")):
-        # Driver-local registration: ship exact window-start samples.
-        curve_samples = tuple(
-            float(load_fn(k * config.window_minutes / 60.0))
-            for k in range(config.n_windows)
-        )
-
+    loads = window_loads(load, config)
     if store is None:
         from repro.engine.store import default_store
 
@@ -212,16 +204,15 @@ def run_fleet_sharded(
         n_shards = getattr(engine.config, "workers", 1) or 1
     jobs = [
         FleetShardJob(
-            profile_name=ls_profile.name,
+            ls_profile=ls_profile,
             performance=performance,
             config=config,
-            load=load,
+            loads=loads,
             lo=lo,
             hi=hi,
             tail=tail,
             surrogate_values=surrogate_values,
             corunners=corunners,
-            curve_samples=curve_samples,
             scenario=scenario,
         )
         for lo, hi in shard_bounds(config.n_servers, n_shards)

@@ -28,6 +28,12 @@ from repro.workloads.profiles import TRACKED_PERCENTILES, QoSSpec
 
 __all__ = ["MMPPConfig", "LatencyStats", "RequestStream", "ServiceSimulator"]
 
+#: Peak rates found by :meth:`ServiceSimulator.peak_load`, keyed on all the
+#: bisection reads: ``(qos, n_workers, mmpp, seed, n_requests)``.  Oldest
+#: entries go first once it holds :data:`_PEAK_MEMO_SIZE` of them.
+_PEAK_MEMO: dict[tuple, float] = {}
+_PEAK_MEMO_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class MMPPConfig:
@@ -326,7 +332,6 @@ class ServiceSimulator:
         self.n_workers = n_workers
         self.mmpp = mmpp
         self.seed = int(seed)
-        self._peak_rate_cache: dict[int, float] = {}
 
     # ------------------------------------------------------------------
 
@@ -378,9 +383,11 @@ class ServiceSimulator:
         The largest rate whose tail latency still meets the QoS target —
         the paper's "100% load" reference point, found by bisection.  All
         41 probes serve one stream: the service times are drawn once and
-        each probe only rescales the arrival gaps.
+        each probe only rescales the arrival gaps.  Equal simulators share
+        the result through a bounded module-level memo.
         """
-        cached = self._peak_rate_cache.get(n_requests)
+        key = (self.qos, self.n_workers, self.mmpp, self.seed, n_requests)
+        cached = _PEAK_MEMO.get(key)
         if cached is not None:
             return cached
         # Upper bound: service capacity; lower bound: near-zero load.
@@ -397,7 +404,9 @@ class ServiceSimulator:
                 lo = mid
             else:
                 hi = mid
-        self._peak_rate_cache[n_requests] = lo
+        if len(_PEAK_MEMO) >= _PEAK_MEMO_SIZE:
+            del _PEAK_MEMO[next(iter(_PEAK_MEMO))]
+        _PEAK_MEMO[key] = lo
         return lo
 
     def latency_vs_load(

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.monitor import MonitorConfig
 from repro.fleet.engine import FleetConfig, FleetEngine, FleetTimeline
-from repro.fleet.shard import FleetShardJob
+from repro.fleet.shard import FleetShardJob, window_loads
 from repro.obs.slo import SLOSpec, parse_slo
 from repro.scenarios import ScenarioSpec, as_scenario
 from repro.util.rng import derive_seed
@@ -234,11 +234,12 @@ class _Evaluator:
         self._memo: dict[MonitorConfig, CandidateScore] = {}
 
     def _day(self, monitor: MonitorConfig, entry: PortfolioEntry):
+        load = entry.load if entry.load is not None else self.load
         job = FleetShardJob(
-            profile_name=self.ls_profile.name,
+            ls_profile=self.ls_profile,
             performance=self.performance,
             config=replace(self.config, monitor=monitor),
-            load=entry.load if entry.load is not None else self.load,
+            loads=window_loads(load, self.config),
             lo=0,
             hi=self.config.n_servers,
             surrogate_values=self.surrogate_values,

@@ -6,7 +6,7 @@ from repro.workloads.cloudsuite import CLOUDSUITE
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.spec2006 import SPEC2006
 
-__all__ = ["all_profiles", "get_profile"]
+__all__ = ["all_profiles", "get_profile", "resolve_profile"]
 
 
 def all_profiles() -> dict[str, WorkloadProfile]:
@@ -28,3 +28,10 @@ def get_profile(name: str) -> WorkloadProfile:
         raise KeyError(
             f"unknown workload {name!r}; known: {', '.join(sorted(profiles))}"
         ) from None
+
+
+def resolve_profile(workload: str | WorkloadProfile) -> WorkloadProfile:
+    """A profile passes through as given; a name is looked up."""
+    if isinstance(workload, WorkloadProfile):
+        return workload
+    return get_profile(str(workload))

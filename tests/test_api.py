@@ -6,16 +6,24 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.core.colocation import (
-    ColocationPerformance,
-    ModePerformance,
-    _measure_colocation_performance,
+from repro.core.colocation import ColocationPerformance, ModePerformance
+from repro.core.partitioning import (
+    BASELINE,
+    DEFAULT_B_MODE,
+    DEFAULT_Q_MODE,
+    PartitionScheme,
 )
-from repro.core.partitioning import DEFAULT_B_MODE
 from repro.core.stretch import StretchMode
-from repro.cpu.sampling import SamplingConfig
+from repro.cpu.config import CoreConfig
+from repro.cpu.fast_core import FastCore
+from repro.cpu.sampling import (
+    SamplingConfig,
+    mean_uipc,
+    sample_colocation,
+    sample_solo,
+)
 from repro.engine.executor import ExecutionEngine
-from repro.engine.store import ResultStore
+from repro.engine.store import ResultStore, reset_default_stores
 from repro.experiments.common import Fidelity
 from repro.fleet import (
     FleetEngine,
@@ -25,6 +33,55 @@ from repro.fleet import (
 )
 from repro.workloads.registry import get_profile
 from tests.test_cluster import golden_cases, golden_config, golden_spec
+
+
+def measure_in_process(
+    ls_profile,
+    batch_profile,
+    base_config: CoreConfig | None = None,
+    b_mode: PartitionScheme = DEFAULT_B_MODE,
+    q_mode: PartitionScheme | None = DEFAULT_Q_MODE,
+    sampling: SamplingConfig = SamplingConfig(),
+) -> ColocationPerformance:
+    """Oracle for ``api.measure``: the pair's grid sampled in process.
+
+    The library's own in-process implementation before every measurement
+    went through the memoized store, kept here as the reference.
+    """
+    config = base_config or CoreConfig()
+    solo = mean_uipc(
+        sample_solo(ls_profile, config.single_thread(config.rob_entries), sampling)
+    )
+    schemes: dict[StretchMode, PartitionScheme] = {
+        StretchMode.BASELINE: BASELINE,
+        StretchMode.B_MODE: b_mode,
+    }
+    if q_mode is not None:
+        schemes[StretchMode.Q_MODE] = q_mode
+    per_mode = {}
+    for mode, scheme in schemes.items():
+        results = sample_colocation(
+            ls_profile, batch_profile, scheme.apply(config), sampling
+        )
+        per_mode[mode] = ModePerformance(
+            ls_uipc=mean_uipc(results, 0), batch_uipc=mean_uipc(results, 1)
+        )
+    if q_mode is None:
+        per_mode[StretchMode.Q_MODE] = per_mode[StretchMode.BASELINE]
+    return ColocationPerformance(
+        ls_workload=ls_profile.name,
+        batch_workload=batch_profile.name,
+        ls_solo_uipc=solo,
+        per_mode=per_mode,
+    )
+
+
+@pytest.fixture
+def isolated_store(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    reset_default_stores()
+    yield
+    reset_default_stores()
 
 
 def performance_model() -> ColocationPerformance:
@@ -90,11 +147,23 @@ class TestSimulate(object):
             )
 
     def test_engines_agree(self, tiny_sampling):
+        # engine= is a deprecated no-op: one warning, pointing at this
+        # caller, and the memoized path's value.
         stored = api.simulate("web_search", sampling=tiny_sampling)
-        direct = api.simulate(
-            "web_search", sampling=tiny_sampling, engine="direct"
+        for engine in ("direct", "store"):
+            with pytest.warns(DeprecationWarning, match="engine=") as caught:
+                value = api.simulate(
+                    "web_search", sampling=tiny_sampling, engine=engine
+                )
+            assert value == stored
+            assert len(caught) == 1 and caught[0].filename == __file__
+        with pytest.warns(DeprecationWarning, match="engine="):
+            perf = api.measure(
+                "web_search", "zeusmp", sampling=tiny_sampling, engine="direct"
+            )
+        assert perf == api.measure(
+            "web_search", "zeusmp", sampling=tiny_sampling
         )
-        assert stored == direct
 
     def test_rejections(self, tiny_sampling):
         with pytest.raises(ValueError, match="pairs only"):
@@ -110,7 +179,7 @@ class TestSimulate(object):
 class TestMeasure:
     def test_matches_legacy_implementation(self, tiny_sampling):
         ls, batch = get_profile("web_search"), get_profile("zeusmp")
-        legacy = _measure_colocation_performance(ls, batch, sampling=tiny_sampling)
+        legacy = measure_in_process(ls, batch, sampling=tiny_sampling)
         facade = api.measure("web_search", "zeusmp", sampling=tiny_sampling)
         assert facade == legacy
 
@@ -122,13 +191,31 @@ class TestMeasure:
             perf.per_mode[StretchMode.BASELINE]
         )
 
-    def test_unregistered_profile_falls_back_to_direct(self, tiny_sampling):
+    def test_custom_profile_memoizes_under_its_own_key(
+        self, tiny_sampling, isolated_store, monkeypatch
+    ):
         custom = dataclasses.replace(
-            get_profile("web_search"), description="locally tweaked"
+            get_profile("web_search"), cold_miss_frac=0.2
         )
-        perf = api.measure(custom, "zeusmp", sampling=tiny_sampling)
-        assert perf.ls_workload == "web_search"
-        assert perf.ls_solo_uipc > 0.0
+        first = api.measure(custom, "zeusmp", sampling=tiny_sampling)
+        runs = []
+        core_run = FastCore.run
+
+        def counting(self, *args, **kwargs):
+            runs.append(1)
+            return core_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(FastCore, "run", counting)
+        second = api.measure(custom, "zeusmp", sampling=tiny_sampling)
+        assert len(runs) == 0
+        oracle = measure_in_process(
+            custom, get_profile("zeusmp"), sampling=tiny_sampling
+        )
+        assert first == second == oracle
+        registered = api.measure("web_search", "zeusmp", sampling=tiny_sampling)
+        assert first.ls_workload == registered.ls_workload == "web_search"
+        assert first.ls_solo_uipc != registered.ls_solo_uipc
+        assert first.per_mode != registered.per_mode
 
 
 class TestRunDay:
@@ -245,15 +332,28 @@ class TestRunFleet:
         with pytest.raises(ValueError, match=match):
             api.run_fleet("web_search", "zeusmp", **kwargs)
 
-    def test_pool_rejects_unregistered_profile(self, monkeypatch):
-        # Pool workers resolve the LS workload by name: a custom profile
-        # would silently run as the registered one.
-        monkeypatch.setattr(api, "run_fleet_sharded", None)
+    def test_pool_runs_custom_profile_and_callable_load(self, tmp_path):
+        # Shard jobs carry the profile and the day's loads by value, so a
+        # pool takes what an in-process day takes.
+        profile = get_profile("web_search")
         custom = dataclasses.replace(
-            get_profile("web_search"), description="locally tweaked"
+            profile, qos=dataclasses.replace(profile.qos, target_ms=60.0)
         )
-        with pytest.raises(ValueError, match="registry name"):
-            api.run_fleet(custom, performance=performance_model(), workers=2)
+        common = dict(
+            performance=performance_model(), load=lambda hour: 0.3 + 0.02 * hour,
+            n_servers=4, window_minutes=240.0, requests_per_window=300,
+            seed=5, tail="exact",
+        )
+        in_process = api.run_fleet(custom, **common)
+        pooled = api.run_fleet(
+            custom, workers=2, store=ResultStore(tmp_path), **common
+        )
+        for field in INTEGER_FIELDS:
+            assert np.array_equal(
+                getattr(pooled, field), getattr(in_process, field)
+            ), field
+        assert np.allclose(pooled.tail_ms_sum, in_process.tail_ms_sum,
+                           rtol=1e-12)
 
     @pytest.mark.parametrize("tail", ["surrogate", "exact"])
     def test_workers_run_shards_on_a_pool(
@@ -299,3 +399,16 @@ class TestRunFleet:
         assert repro.run_fleet is api.run_fleet
         for name in ("simulate", "measure", "run_day", "run_fleet"):
             assert name in repro.__all__
+
+
+class TestServe:
+    @pytest.mark.parametrize("tail", ["warp", "Exact", None])
+    def test_rejects_bad_tail_before_any_work(self, monkeypatch, tail):
+        # run_fleet's check, before measure() or any fleet object.
+        def forbidden(*args, **kw):
+            raise AssertionError("built work before validating arguments")
+
+        for name in ("measure", "FleetEngine", "FleetService"):
+            monkeypatch.setattr(api, name, forbidden)
+        with pytest.raises(ValueError, match="tail must be"):
+            api.serve("web_search", "zeusmp", tail=tail)

@@ -47,7 +47,6 @@ class TestMeasurement:
         return measure(
             get_profile("web_search"),
             get_profile("zeusmp"),
-            engine="direct",
             sampling=SamplingConfig(n_samples=1, warmup_instructions=3000,
                                     measure_instructions=3000, seed=5),
         )
@@ -76,7 +75,6 @@ class TestMeasurement:
             get_profile("web_search"),
             get_profile("gamess"),
             q_mode=None,
-            engine="direct",
             sampling=SamplingConfig(n_samples=1, warmup_instructions=1000,
                                     measure_instructions=1000, seed=5),
         )

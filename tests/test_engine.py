@@ -11,10 +11,14 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pytest
 
+from repro.core.partitioning import DEFAULT_B_MODE
+from repro.cpu.config import CoreConfig
+from repro.cpu.sampling import SamplingConfig
+from repro.cpu.surrogate import UipcFitJob, family_axis
 from repro.engine import (
     CACHE_VERSION,
     EngineConfig,
@@ -22,9 +26,12 @@ from repro.engine import (
     JobTimeoutError,
     ResultStore,
     SimJob,
+    job_key,
 )
 from repro.engine.executor import parse_workers
 from repro.engine.telemetry import EngineStats
+from repro.experiments.common import config_all_shared, config_solo
+from repro.workloads.registry import get_profile
 
 
 @dataclass(frozen=True)
@@ -95,11 +102,17 @@ class FailOnceJob:
 
 
 class TestJobModel:
-    def test_solo_pair_constructors(self, tiny_sampling, base_config):
+    def test_solo_pair_constructors(
+        self, tiny_sampling, base_config, gamess_profile, web_search_profile
+    ):
+        # Names resolve to the registered profiles, carried by value.
         solo = SimJob.solo("gamess", base_config, tiny_sampling)
         pair = SimJob.pair("web_search", "gamess", base_config, tiny_sampling)
-        assert solo.kind == "solo" and solo.workloads == ("gamess",)
-        assert pair.kind == "pair" and pair.workloads == ("web_search", "gamess")
+        assert solo.kind == "solo" and solo.workloads == (gamess_profile,)
+        assert pair.kind == "pair" and pair.workloads == (
+            web_search_profile, gamess_profile
+        )
+        assert SimJob.solo(gamess_profile, base_config, tiny_sampling) == solo
 
     def test_invalid_kind_and_arity(self, tiny_sampling, base_config):
         with pytest.raises(ValueError):
@@ -124,6 +137,71 @@ class TestJobModel:
     def test_solo_run_matches_pair_arity(self, tiny_sampling, base_config):
         solo = SimJob.solo("gamess", base_config, tiny_sampling)
         assert len(solo.run()) == 1
+
+
+class TestPinnedKeys:
+    """Job keys captured before jobs carried their profiles by value.
+
+    Cache entries, goldens and the benchmark's expected counts all rest on
+    these keys not moving.  A ``CACHE_VERSION`` or
+    ``UIPC_SURROGATE_VERSION`` bump changes every key: refresh the
+    literals then (print ``job.key`` for each job below).
+    """
+
+    SAMPLING = SamplingConfig(
+        n_samples=1, warmup_instructions=500, measure_instructions=500, seed=2
+    )
+    KEYS = {
+        "solo": "f00a482eaa0f76bb5da880fc6f36c29f5cbd585c9d0daddf0927a8cb3bf1496b",
+        "pair": "bce14799d33b0997638fad450954d2a78d352274e43b3129b8e21353a7482bc8",
+        "solo_samples": "a31c50bbaab71adee521a137cb879519bfe3a95c6423737e44bd4100db7d414a",
+        "pair_samples": "79780c3501209cc2c3d125e741c25f7dc35558e9c5625a482cc22c8e16b2cdd3",
+        "solo_fit": "384ab8ff57ec1fab376ed75f9f85022c14f5720df80af18631069b73c3dfdad2",
+        "pair_fit": "642e710a10ae1312b1d551cf810789c97c85db52446fa208b9d64f741e5da7f4",
+    }
+
+    def jobs(self, resolve) -> dict:
+        s = self.SAMPLING
+        pair_family = family_axis("pair", config_all_shared())[0]
+        return {
+            "solo": SimJob.solo(resolve("gamess"), config_solo(), s),
+            "pair": SimJob.pair(
+                resolve("web_search"), resolve("zeusmp"), config_all_shared(), s
+            ),
+            "solo_samples": SimJob.solo_samples(
+                resolve("web_search"), config_solo(96), s
+            ),
+            "pair_samples": SimJob.pair_samples(
+                resolve("web_search"), resolve("mcf"),
+                DEFAULT_B_MODE.apply(CoreConfig()), s,
+            ),
+            "solo_fit": UipcFitJob(
+                "solo", (resolve("web_search"),), config_solo(), s
+            ),
+            "pair_fit": UipcFitJob(
+                "pair", (resolve("web_search"), resolve("zeusmp")),
+                pair_family, s,
+            ),
+        }
+
+    @pytest.mark.parametrize("resolve", [str, get_profile],
+                             ids=["names", "profiles"])
+    def test_keys_match_the_literals(self, resolve):
+        keys = {kind: job.key for kind, job in self.jobs(resolve).items()}
+        assert keys == self.KEYS
+        assert job_key(
+            "solo", ("gamess",), config_solo(), self.SAMPLING
+        ) == self.KEYS["solo"]
+
+    def test_custom_profile_has_a_key_of_its_own(self):
+        custom = replace(get_profile("gamess"), cold_miss_frac=0.09)
+        assert SimJob.solo(custom, config_solo(), self.SAMPLING).key != (
+            self.KEYS["solo"]
+        )
+        assert UipcFitJob(
+            "solo", (replace(get_profile("web_search"), description="x"),),
+            config_solo(), self.SAMPLING,
+        ).key != self.KEYS["solo_fit"]
 
 
 class TestResultStore:

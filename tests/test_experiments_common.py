@@ -204,18 +204,16 @@ class TestMemoization:
         b = job_key("solo", ("gamess",), config_solo(96), sampling)
         assert a != b
 
-    def test_key_depends_on_profile_definition(self, monkeypatch):
+    def test_key_depends_on_profile_definition(self):
         from dataclasses import replace
 
-        import repro.engine.job as engine_job
         import repro.workloads.registry as registry
         from repro.engine.job import job_key
 
         sampling = self._sampling()
         before = job_key("solo", ("gamess",), config_solo(), sampling)
         tweaked = replace(registry.get_profile("gamess"), cold_miss_frac=0.09)
-        monkeypatch.setattr(engine_job, "get_profile", lambda name: tweaked)
-        after = job_key("solo", ("gamess",), config_solo(), sampling)
+        after = job_key("solo", (tweaked,), config_solo(), sampling)
         assert before != after
 
     def test_key_depends_on_cache_version(self):

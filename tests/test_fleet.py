@@ -534,7 +534,7 @@ class TestSharding:
         # on the driver but raised KeyError inside run_fleet_sharded
         # workers.  A spawn-context pool reproduces the clean-process
         # worker state (fork would inherit the driver's registry and mask
-        # the bug); the fix ships window-start samples in the job payload.
+        # the bug); shard jobs now carry the day's per-window loads.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -561,13 +561,24 @@ class TestSharding:
         assert np.array_equal(sharded.mode_counts, full.mode_counts)
         assert np.allclose(sharded.tail_ms_sum, full.tail_ms_sum, rtol=1e-12)
 
-    def test_sharded_requires_named_curve(self):
-        config = fleet_config(n_servers=4)
-        with pytest.raises(TypeError, match="named load curve"):
-            run_fleet_sharded(
-                get_profile("web_search"), performance_model(), config,
-                lambda hour: 0.5,
-            )
+    def test_in_process_shard_leaves_registered_curve(
+        self, tmp_path, surrogate
+    ):
+        # A shard runs on the loads it carries; it used to re-register a
+        # window-start step function under the curve's name, which then
+        # answered every later lookup in this process.
+        def ramp(hour):
+            return 0.2 + 0.02 * hour
+
+        register_load_curve("test-ramp-in-process", ramp)
+        run_fleet_sharded(
+            get_profile("web_search"), performance_model(),
+            fleet_config(n_servers=2, window_minutes=240.0),
+            "test-ramp-in-process",
+            engine=ExecutionEngine(EngineConfig(workers=1)),
+            store=ResultStore(tmp_path), n_shards=1, surrogate=surrogate,
+        )
+        assert resolve_load_curve("test-ramp-in-process")[1] is ramp
 
 
 class TestFleetTimeline:

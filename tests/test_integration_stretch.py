@@ -25,8 +25,7 @@ SAMPLING = SamplingConfig(n_samples=3, warmup_instructions=4000,
 @pytest.fixture(scope="module")
 def ws_zeusmp_performance():
     return measure(
-        get_profile("web_search"), get_profile("zeusmp"),
-        engine="direct", sampling=SAMPLING,
+        get_profile("web_search"), get_profile("zeusmp"), sampling=SAMPLING
     )
 
 

@@ -16,6 +16,7 @@ from repro.obs.profiler import (
     disable_profiling,
     enable_profiling,
 )
+from repro.qos import queueing
 from repro.workloads.generator import generate_trace
 from repro.workloads.registry import get_profile
 
@@ -180,6 +181,9 @@ class TestQueueingProfile:
         )
         perfs = (0.7, 1.0)
         plain = fit_tail_surrogate(qos, perfs, grid)
+        # The plain fit's peak bisections are memoized; forget them so the
+        # profiled fit runs (and counts) its own.
+        queueing._PEAK_MEMO.clear()
         profiler = enable_profiling()
         profiled = fit_tail_surrogate(qos, perfs, grid)
         disable_profiling()

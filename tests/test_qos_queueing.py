@@ -15,6 +15,7 @@ import pytest
 
 import repro.fleet.surrogate as surrogate_module
 from repro.fleet.surrogate import SurrogateGrid, _calibration_sim, fit_tail_surrogate
+from repro.qos import queueing
 from repro.qos.queueing import (
     LatencyStats,
     MMPPConfig,
@@ -249,6 +250,43 @@ class TestPeakLoad:
     def test_peak_cached(self):
         service = make_service()
         assert service.peak_load(n_requests=6000) == service.peak_load(n_requests=6000)
+
+    def test_equal_simulators_share_one_calibration(self, monkeypatch):
+        # A contract no other test uses, so no earlier test has memoized
+        # any of these peaks.
+        qos = dataclasses.replace(QOS, target_ms=97.0)
+        draws = []
+        draw = RequestStream._draw
+
+        def counting(stream):
+            draws.append((stream.sim.seed, stream.n_requests))
+            draw(stream)
+
+        monkeypatch.setattr(RequestStream, "_draw", counting)
+        first = ServiceSimulator(qos, seed=1).peak_load(n_requests=1000)
+        second = ServiceSimulator(qos, seed=1).peak_load(n_requests=1000)
+        assert len(draws) == 1
+        assert np.float64(second).tobytes() == np.float64(first).tobytes()
+        # Each of the five inputs the bisection reads is part of the key.
+        variants = [
+            (ServiceSimulator(dataclasses.replace(qos, target_ms=96.0),
+                              seed=1), 1000),
+            (ServiceSimulator(qos, n_workers=6, seed=1), 1000),
+            (ServiceSimulator(qos, mmpp=MMPPConfig(burst_rate=3.0), seed=1),
+             1000),
+            (ServiceSimulator(qos, seed=2), 1000),
+            (ServiceSimulator(qos, seed=1), 1200),
+        ]
+        for k, (sim, n_requests) in enumerate(variants, start=2):
+            sim.peak_load(n_requests=n_requests)
+            assert len(draws) == k
+
+    def test_peak_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(queueing, "_PEAK_MEMO", {})
+        monkeypatch.setattr(queueing, "_PEAK_MEMO_SIZE", 2)
+        for seed in (1, 2, 3):
+            ServiceSimulator(QOS, seed=seed).peak_load(n_requests=500)
+        assert [key[3] for key in queueing._PEAK_MEMO] == [2, 3]
 
     def test_latency_vs_load_series(self):
         service = make_service()

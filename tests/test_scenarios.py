@@ -19,7 +19,7 @@ import pytest
 
 from repro.fleet import FleetEngine, FleetTimeline, fit_tail_surrogate
 from repro.fleet.engine import FleetState
-from repro.fleet.shard import FleetShardJob
+from repro.fleet.shard import FleetShardJob, window_loads
 from repro.scenarios import (
     SCENARIO_NAMES,
     FlashCrowd,
@@ -308,11 +308,12 @@ class TestEngineBitIdentity:
 
 class TestShardJobScenario:
     def job(self, scenario=None):
+        config = fleet_config(n_servers=N_SERVERS)
         return FleetShardJob(
-            profile_name="web_search",
+            ls_profile=get_profile("web_search"),
             performance=performance_model(),
-            config=fleet_config(n_servers=N_SERVERS),
-            load="web_search",
+            config=config,
+            loads=window_loads("web_search", config),
             lo=0,
             hi=N_SERVERS,
             surrogate_values=None,
