@@ -24,7 +24,10 @@ names (``seed``, ``n_samples``, ``fidelity``, ``sampling``, ``tail``,
   adversarial-scenario portfolio (:mod:`repro.scenarios` /
   :mod:`repro.tune`).
 
-``run_fleet`` and ``serve`` accept ``scenario=`` — a
+``run_fleet``, ``serve`` and ``tune_policy`` take their fleet as
+``config=`` (default :class:`~repro.fleet.engine.FleetConfig`) with any
+``FleetConfig`` field passed as a keyword applied over it.  ``run_fleet``
+and ``serve`` accept ``scenario=`` — a
 :class:`~repro.scenarios.ScenarioSpec`, a preset name from
 :data:`repro.scenarios.SCENARIO_NAMES`, or a spec dict — attaching an
 adversarial perturbation to the fleet day.
@@ -163,6 +166,34 @@ def _check_engine(engine: str | None) -> None:
 def _check_tail(tail: str) -> None:
     if tail not in ("surrogate", "exact"):
         raise ValueError(f"tail must be 'surrogate' or 'exact', got {tail!r}")
+
+
+def _fleet_config(config: FleetConfig | None, fleet: dict) -> FleetConfig:
+    """``config`` (default ``FleetConfig()``) with the keyword fields applied.
+
+    The one way the fleet verbs take their settings: a misspelt field
+    raises ``TypeError`` naming it, before any measurement or fleet work.
+    """
+    return replace(config if config is not None else FleetConfig(), **fleet)
+
+
+def _performance(
+    ls_profile: WorkloadProfile,
+    batch,
+    performance: ColocationPerformance | None,
+    sampling: SamplingConfig | None,
+    fidelity,
+    n_samples: int | None,
+) -> ColocationPerformance:
+    """``performance``, or the pair measured on the fly via :func:`measure`."""
+    if performance is not None:
+        return performance
+    if batch is None:
+        raise ValueError("pass a performance model or a batch workload")
+    return measure(
+        ls_profile, batch,
+        sampling=sampling, fidelity=fidelity, n_samples=n_samples,
+    )
 
 
 _MODE_SCHEMES = {
@@ -369,13 +400,9 @@ def run_day(
     receives the day's ``fleet.*`` instruments.
     """
     ls_profile = resolve_profile(ls)
-    if performance is None:
-        if batch is None:
-            raise ValueError("pass a performance model or a batch workload")
-        performance = measure(
-            ls_profile, batch,
-            sampling=sampling, fidelity=fidelity, n_samples=n_samples,
-        )
+    performance = _performance(
+        ls_profile, batch, performance, sampling, fidelity, n_samples
+    )
     config = FleetConfig(
         n_servers=1,
         overprovision=1.0,
@@ -419,20 +446,6 @@ def run_fleet(
     load="web_search",
     tail: str = "surrogate",
     config: FleetConfig | None = None,
-    n_servers: int = 1000,
-    policy: str = "jittered",
-    overprovision: float = 1.2,
-    balance_jitter: float = 0.05,
-    window_minutes: float = 10.0,
-    requests_per_window: int = 2000,
-    n_workers: int = 8,
-    monitor: MonitorConfig | None = None,
-    q_mode_available: bool = True,
-    seed: int = 0,
-    population: tuple[str, ...] | None = None,
-    population_mix: tuple[float, ...] | None = None,
-    placement: str = "random",
-    placement_epoch: int = 6,
     corunners: tuple[ColocationPerformance, ...] | None = None,
     scenario=None,
     workers: int | None = None,
@@ -442,8 +455,15 @@ def run_fleet(
     sampling: SamplingConfig | None = None,
     fidelity=None,
     n_samples: int | None = None,
+    **fleet,
 ) -> FleetTimeline:
     """Simulate a 24-hour day across a fleet of colocated servers.
+
+    The fleet is ``config`` (default ``FleetConfig()``) with any
+    :class:`~repro.fleet.engine.FleetConfig` field passed as a keyword
+    applied over it (``n_servers=``, ``policy=``, ``seed=``, … — see
+    its Attributes table); a name that is not a field raises
+    ``TypeError`` before any work.
 
     ``tail`` selects the per-server tail-latency evaluator, as in
     :meth:`~repro.fleet.engine.FleetEngine.run_day`: ``"surrogate"`` (the
@@ -457,15 +477,13 @@ def run_fleet(
     which takes any profile and any ``load`` (the jobs carry the profile
     and the day's per-window loads by value).  The integer aggregates of
     a pooled day equal the in-process day's exactly; its two float window
-    sums match up to summation order.
+    sums match up to summation order.  ``metrics`` receives the day's
+    ``fleet.*`` instruments under either process model.
 
-    ``seed`` drives the fleet's per-server streams; sampling kwargs only
-    affect an on-the-fly ``measure`` when no ``performance`` is given.
-
-    A heterogeneous co-runner ``population`` (tuple of batch workload
-    names, apportioned by ``population_mix`` and assigned to servers by
-    the ``placement`` policy — see :mod:`repro.fleet.placement`) is
-    measured per profile via :func:`measure` unless pre-measured
+    ``seed=`` is the fleet's seed, driving its per-server streams;
+    sampling kwargs only affect an on-the-fly ``measure`` when no
+    ``performance`` is given.  A heterogeneous co-runner ``population``
+    is measured per profile via :func:`measure` unless pre-measured
     ``corunners`` models are supplied.
 
     ``scenario`` attaches an adversarial perturbation from
@@ -475,47 +493,28 @@ def run_fleet(
     _check_tail(tail)
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
+    config = _fleet_config(config, fleet)
     ls_profile = resolve_profile(ls)
-    if performance is None:
-        if batch is None:
-            raise ValueError("pass a performance model or a batch workload")
-        performance = measure(
-            ls_profile, batch,
-            sampling=sampling, fidelity=fidelity, n_samples=n_samples,
-        )
-    if config is None:
-        config = FleetConfig(
-            n_servers=n_servers,
-            overprovision=overprovision,
-            balance_jitter=balance_jitter,
-            policy=policy,
-            window_minutes=window_minutes,
-            requests_per_window=requests_per_window,
-            n_workers=n_workers,
-            q_mode_available=q_mode_available,
-            seed=seed,
-            monitor=monitor if monitor is not None else MonitorConfig(),
-            population=population or (),
-            population_mix=population_mix or (),
-            placement=placement,
-            placement_epoch=placement_epoch,
-        )
+    performance = _performance(
+        ls_profile, batch, performance, sampling, fidelity, n_samples
+    )
     corunners = _resolve_corunners(
         ls_profile, config, corunners, sampling, fidelity, n_samples
     )
     scenario = as_scenario(scenario)
     if workers is None or workers == 1:
-        return FleetEngine(
+        timeline = FleetEngine(
             ls_profile, performance, config,
-            surrogate=surrogate, store=store, metrics=metrics,
+            surrogate=surrogate, store=store,
             corunners=corunners, scenario=scenario,
         ).run_day(load, tail=tail)
-    timeline = run_fleet_sharded(
-        ls_profile, performance, config, load,
-        tail=tail, engine=ExecutionEngine(EngineConfig(workers=workers)),
-        store=store, n_shards=workers, surrogate=surrogate,
-        corunners=corunners, scenario=scenario,
-    )
+    else:
+        timeline = run_fleet_sharded(
+            ls_profile, performance, config, load,
+            tail=tail, engine=ExecutionEngine(EngineConfig(workers=workers)),
+            store=store, n_shards=workers, surrogate=surrogate,
+            corunners=corunners, scenario=scenario,
+        )
     if metrics is not None:
         publish_fleet_metrics(metrics, timeline)
     return timeline
@@ -529,20 +528,6 @@ def serve(
     feed="web_search",
     tail: str = "surrogate",
     config: FleetConfig | None = None,
-    n_servers: int = 1000,
-    policy: str = "jittered",
-    overprovision: float = 1.2,
-    balance_jitter: float = 0.05,
-    window_minutes: float = 10.0,
-    requests_per_window: int = 2000,
-    n_workers: int = 8,
-    monitor: MonitorConfig | None = None,
-    q_mode_available: bool = True,
-    seed: int = 0,
-    population: tuple[str, ...] | None = None,
-    population_mix: tuple[float, ...] | None = None,
-    placement: str = "random",
-    placement_epoch: int = 6,
     corunners: tuple[ColocationPerformance, ...] | None = None,
     scenario=None,
     resume: str | None = None,
@@ -559,14 +544,18 @@ def serve(
     sampling: SamplingConfig | None = None,
     fidelity=None,
     n_samples: int | None = None,
+    **fleet,
 ) -> FleetService:
     """Stand up a live :class:`~repro.service.FleetService` (not yet run).
 
-    The fleet construction kwargs mirror :func:`run_fleet`; ``feed`` is a
-    :class:`~repro.service.LoadFeed`, a registered curve name,
-    ``"flat:<x>"``, ``"phases:<spec>"``, ``"replay:<path>"``, or a
-    callable ``hour -> fraction``.  Pass ``resume=`` a checkpoint key to
-    restore mid-day state bit-identically.  ``slos`` (SLO spec strings,
+    The fleet is built as in :func:`run_fleet`: ``config`` with any
+    :class:`~repro.fleet.engine.FleetConfig` field passed as a keyword
+    applied over it, plus ``corunners``, ``scenario`` and the sampling
+    kwargs.  ``feed`` is a :class:`~repro.service.LoadFeed`, a
+    registered curve name, ``"flat:<x>"``, ``"phases:<spec>"``,
+    ``"replay:<path>"``, or a callable ``hour -> fraction``.  Pass
+    ``resume=`` a checkpoint key to restore mid-day state
+    bit-identically.  ``slos`` (SLO spec strings,
     :class:`~repro.obs.slo.SLOSpec` objects, or an
     :class:`~repro.obs.slo.SLOEngine`) scores every window against the
     declared objectives; ``recorder`` (``True`` or a
@@ -582,31 +571,11 @@ def serve(
     :meth:`~repro.service.FleetService.reconfigure`.
     """
     _check_tail(tail)
+    config = _fleet_config(config, fleet)
     ls_profile = resolve_profile(ls)
-    if performance is None:
-        if batch is None:
-            raise ValueError("pass a performance model or a batch workload")
-        performance = measure(
-            ls_profile, batch,
-            sampling=sampling, fidelity=fidelity, n_samples=n_samples,
-        )
-    if config is None:
-        config = FleetConfig(
-            n_servers=n_servers,
-            overprovision=overprovision,
-            balance_jitter=balance_jitter,
-            policy=policy,
-            window_minutes=window_minutes,
-            requests_per_window=requests_per_window,
-            n_workers=n_workers,
-            q_mode_available=q_mode_available,
-            seed=seed,
-            monitor=monitor if monitor is not None else MonitorConfig(),
-            population=population or (),
-            population_mix=population_mix or (),
-            placement=placement,
-            placement_epoch=placement_epoch,
-        )
+    performance = _performance(
+        ls_profile, batch, performance, sampling, fidelity, n_samples
+    )
     corunners = _resolve_corunners(
         ls_profile, config, corunners, sampling, fidelity, n_samples
     )
@@ -639,13 +608,6 @@ def tune_policy(
     performance: ColocationPerformance | None = None,
     load="web_search",
     config: FleetConfig | None = None,
-    n_servers: int = 1000,
-    policy: str = "jittered",
-    window_minutes: float = 10.0,
-    requests_per_window: int = 2000,
-    monitor: MonitorConfig | None = None,
-    q_mode_available: bool = True,
-    seed: int = 0,
     portfolio: tuple[PortfolioEntry, ...] | None = None,
     space: TuneSpace | None = None,
     n_trials: int = 12,
@@ -657,18 +619,21 @@ def tune_policy(
     sampling: SamplingConfig | None = None,
     fidelity=None,
     n_samples: int | None = None,
+    **fleet,
 ) -> TuneResult:
     """Tune :class:`MonitorConfig` against an adversarial-scenario portfolio.
 
-    Searches the :class:`~repro.tune.TuneSpace` grid (random trials +
-    coordinate descent) with **common random numbers**: every candidate
-    runs the same fleet ``seed`` on every portfolio scenario, and every
-    fleet day is memoized through the content-addressed result store —
-    warm re-runs simulate nothing.  ``config.monitor`` (or ``monitor=``)
-    is the incumbent the result's ``default`` row reports; ``slo``
-    supplies the violation-rate budget the score penalizes against.
-    ``tune_seed`` drives the search's own randomness, decoupled from the
-    fleet's CRN ``seed``.
+    The fleet is built as in :func:`run_fleet`: ``config`` with any
+    :class:`~repro.fleet.engine.FleetConfig` field passed as a keyword
+    applied over it.  Searches the :class:`~repro.tune.TuneSpace` grid
+    (random trials + coordinate descent) with **common random numbers**:
+    every candidate runs the same fleet ``seed`` on every portfolio
+    scenario, and every fleet day is memoized through the
+    content-addressed result store — warm re-runs simulate nothing.
+    The fleet's ``monitor`` is the incumbent the result's ``default``
+    row reports; ``slo`` supplies the violation-rate budget the score
+    penalizes against.  ``tune_seed`` drives the search's own
+    randomness, decoupled from the fleet's CRN ``seed``.
 
     At ``fidelity="surrogate"`` (with a ``batch`` workload rather than a
     pre-measured ``performance``) the search *screens* candidates with
@@ -677,31 +642,16 @@ def tune_policy(
     effort — the returned ``best``/``default`` rows carry exact scores,
     while ``candidates`` keeps the screening ranking.
     """
+    config = _fleet_config(config, fleet)
     ls_profile = resolve_profile(ls)
     __, fid = _resolve_effort(sampling, fidelity, None, n_samples)
     screening = (
         fid is not None and fid.is_surrogate
         and performance is None and batch is not None
     )
-    if performance is None:
-        if batch is None:
-            raise ValueError("pass a performance model or a batch workload")
-        performance = measure(
-            ls_profile, batch,
-            sampling=sampling, fidelity=fidelity, n_samples=n_samples,
-        )
-    if config is None:
-        config = FleetConfig(
-            n_servers=n_servers,
-            policy=policy,
-            window_minutes=window_minutes,
-            requests_per_window=requests_per_window,
-            q_mode_available=q_mode_available,
-            seed=seed,
-            monitor=monitor if monitor is not None else MonitorConfig(),
-        )
-    elif monitor is not None:
-        config = replace(config, monitor=monitor)
+    performance = _performance(
+        ls_profile, batch, performance, sampling, fidelity, n_samples
+    )
     result = tune_monitor(
         ls_profile, performance, config,
         portfolio=portfolio, space=space, load=load,

@@ -53,7 +53,6 @@ from repro.fleet.placement import (
 )
 from repro.fleet.policies import PolicyContext, make_policy, resolve_load_curve
 from repro.fleet.surrogate import SurrogateFitJob, SurrogateGrid, TailSurrogate
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import active_profiler
 from repro.qos.queueing import ServiceSimulator
 from repro.scenarios import ScenarioSampler, ScenarioSpec
@@ -182,20 +181,60 @@ def monitor_transition_vec(
 class FleetConfig:
     """Shape and control parameters of one fleet run.
 
-    The cluster's shape (size, over-provisioning headroom, balancing
-    jitter), its monitoring windows and monitor, validated eagerly at
-    construction, plus the fleet policy selection.  ``policy`` is a name from
-    :data:`repro.fleet.policies.POLICY_NAMES` so configurations stay
-    content-addressable for the shard-job cache.
+    Validated eagerly at construction; frozen and ``repr``-stable, so a
+    config is part of the shard-job and checkpoint keys.  Every field is
+    also a keyword of :func:`repro.api.run_fleet`,
+    :func:`repro.api.serve` and :func:`repro.api.tune_policy`, applied
+    over their ``config=``.
 
-    ``population`` names the heterogeneous batch co-runner profiles of
-    the fleet (empty — the default — runs every server against the
-    engine's single ``performance`` model, bit-identically to the
-    pre-placement engine).  ``population_mix`` gives their fractional
-    shares (empty = uniform), ``placement`` names the policy from
-    :data:`repro.fleet.placement.PLACEMENT_NAMES` assigning profiles to
-    servers, and ``placement_epoch`` is the reassignment period in
-    monitoring windows.
+    Attributes
+    ----------
+    n_servers:
+        Fleet size (``> 0``; default ``1000``).
+    overprovision:
+        Capacity headroom: a server's fair share of the cluster load is
+        ``cluster_load / overprovision`` (``>= 1.0``; default ``1.2``).
+    balance_jitter:
+        Half-width of the ``jittered`` policy's per-server, per-window
+        imbalance around the fair share (in ``[0, 0.5)``; default
+        ``0.05``).
+    policy:
+        Load-balancing policy, a name from
+        :data:`repro.fleet.policies.POLICY_NAMES` (default
+        ``"jittered"``).
+    window_minutes:
+        Monitoring window length; the day has ``round(1440 /
+        window_minutes)`` windows (``> 0``; default ``10.0``).
+    requests_per_window:
+        Requests the tail evaluators sample per server-window (``>= 1``;
+        default ``2000``).
+    n_workers:
+        Worker threads of each server's queueing model (``> 0``; default
+        ``8``).
+    q_mode_available:
+        Whether the monitor may fall back to Q-mode on a violation
+        (default ``True``; ``False`` falls back to Baseline).
+    seed:
+        Fleet seed: every random stream of the day (balancing jitter,
+        request streams, tail noise, placement, scenario draws) derives
+        from it (default ``0``).
+    monitor:
+        The Stretch monitor's :class:`~repro.core.monitor.MonitorConfig`
+        (default: the paper's).
+    population:
+        Batch co-runner profile names of a heterogeneous fleet; empty
+        (the default) runs every server against the engine's single
+        ``performance`` model.  Names must be unique.
+    population_mix:
+        Positive shares of ``population``, one per profile (empty, the
+        default, is uniform).
+    placement:
+        Policy assigning population profiles to servers, a name from
+        :data:`repro.fleet.placement.PLACEMENT_NAMES` (default
+        ``"random"``).
+    placement_epoch:
+        Placement reassignment period, in windows (``>= 1``; default
+        ``6``).
     """
 
     n_servers: int = 1000
@@ -603,7 +642,6 @@ class FleetEngine:
         corunners=None,
         surrogate: TailSurrogate | None = None,
         store=None,
-        metrics: MetricsRegistry | None = None,
         scenario: ScenarioSpec | None = None,
         adaptive: AdaptiveStretchPolicy | None = None,
     ):
@@ -624,7 +662,6 @@ class FleetEngine:
         self.performance = performance
         self.config = config if config is not None else FleetConfig()
         self.scenario = scenario
-        self.metrics = metrics
         self._store = store
         self._surrogate = surrogate
         self.adaptive = adaptive
@@ -789,15 +826,9 @@ class FleetEngine:
         per-server randomness keys off the *global* server index, so a
         sliced run reproduces exactly the slice of a full run.
         """
-        stepper = self.stepper(
+        return self.stepper(
             load, tail=tail, server_range=server_range, scenario=scenario
-        )
-        out = stepper.run()
-        if self.metrics is not None:
-            from repro.obs.fleet import publish_fleet_metrics
-
-            publish_fleet_metrics(self.metrics, out)
-        return out
+        ).run()
 
 
 class FleetStepper:
@@ -849,7 +880,8 @@ class FleetStepper:
         self.engine = engine
         self.tail = tail
         self._load_fn = (
-            resolve_load_curve(load)[1] if load is not None else None
+            resolve_load_curve(load, window_minutes=cfg.window_minutes)[1]
+            if load is not None else None
         )
         if state is None:
             state = FleetState.fresh(lo, hi, cfg.n_windows, cfg.window_minutes)

@@ -69,13 +69,16 @@ def register_load_curve(name: str, fn: Callable[[float], float]) -> None:
     _LOAD_CURVES[str(name)] = fn
 
 
-def resolve_load_curve(load) -> tuple[str | None, Callable[[float], float]]:
+def resolve_load_curve(
+    load, *, window_minutes: float = 10.0
+) -> tuple[str | None, Callable[[float], float]]:
     """Resolve a load spec into ``(name, fn)``.
 
     Accepts a registered curve name, ``"flat:<fraction>"`` for a constant
     load, ``"replay:<path>"`` to replay a recorded JSONL window stream
-    (see :func:`repro.service.feeds.replay_curve`), or a bare callable
-    (name ``None``).
+    whose windows are ``window_minutes`` long (see
+    :func:`repro.service.feeds.replay_curve`), or a bare callable (name
+    ``None``).
     """
     if callable(load):
         return None, load
@@ -87,7 +90,9 @@ def resolve_load_curve(load) -> tuple[str | None, Callable[[float], float]]:
         # Lazy import: repro.service.feeds imports this module at load.
         from repro.service.feeds import replay_curve
 
-        return name, replay_curve(name.split(":", 1)[1])
+        return name, replay_curve(
+            name.split(":", 1)[1], window_minutes=window_minutes
+        )
     try:
         return name, _LOAD_CURVES[name]
     except KeyError:

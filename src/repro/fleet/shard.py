@@ -56,9 +56,10 @@ def window_loads(load, config: FleetConfig) -> tuple[float, ...]:
     takes (a registered name, ``"flat:<x>"``, ``"replay:<path>"`` or a
     callable), sampled at each window's start hour ``k * window_minutes /
     60``, the expression :meth:`~repro.fleet.engine.FleetStepper.step`
-    evaluates a curve at.
+    evaluates a curve at.  A replayed stream is read at ``config``'s
+    window length, so window ``k`` gets the load recorded at window ``k``.
     """
-    __, curve = resolve_load_curve(load)
+    __, curve = resolve_load_curve(load, window_minutes=config.window_minutes)
     return tuple(
         float(curve(k * config.window_minutes / 60.0))
         for k in range(config.n_windows)

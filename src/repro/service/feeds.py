@@ -25,7 +25,7 @@ re-reads exactly the loads an uninterrupted one would have seen.
 :func:`replay_curve` additionally exposes a recorded stream as an
 ``hour -> fraction`` step function, which is how ``"replay:<path>"``
 specs become *named load curves* usable by :func:`repro.api.run_day` and
-:func:`repro.api.run_fleet` (see
+:func:`repro.api.run_fleet`, read at the day's own window length (see
 :func:`repro.fleet.policies.resolve_load_curve`).
 """
 
@@ -319,7 +319,11 @@ class ReplayFeed(LoadFeed):
 def replay_curve(
     path: str | Path, *, window_minutes: float = 10.0
 ) -> Callable[[float], float]:
-    """Load a recorded JSONL stream as an ``hour -> fraction`` curve."""
+    """Load a recorded JSONL stream as an ``hour -> fraction`` curve.
+
+    Record ``k`` starts at hour ``k * window_minutes / 60``; a
+    ``"replay:<path>"`` load spec passes the day's own window length.
+    """
     return ReplayFeed.from_jsonl(path, window_minutes=window_minutes).curve()
 
 

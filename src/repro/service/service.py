@@ -342,17 +342,39 @@ class FleetService:
             chunk_size=self._chunk_size,
         )
 
-    def _shadow_engine(self, config, scenario=_UNSET) -> FleetEngine:
-        """An engine clone under ``config`` sharing the fitted surrogate."""
+    def _alternate(
+        self, verb: str, monitor, policy, placement, scenario
+    ) -> FleetEngine:
+        """The engine a :meth:`whatif` or :meth:`reconfigure` switches to.
+
+        The live configuration with the given monitor, policy and
+        placement (``None`` keeps each) under ``scenario`` (``_UNSET``
+        keeps the live one), sharing the fitted surrogate.
+        """
+        if (monitor is None and policy is None and placement is None
+                and scenario is _UNSET):
+            raise ValueError(
+                f"{verb} needs a monitor, policy, placement, and/or "
+                "scenario change"
+            )
+        if placement is not None and not self.engine.config.population:
+            raise ValueError(
+                f"{verb}(placement=...) needs a heterogeneous population"
+            )
+        changes = dict(monitor=monitor, policy=policy, placement=placement)
         return FleetEngine(
             self.engine.ls_profile,
             self.engine.performance,
-            config,
+            replace(
+                self.engine.config,
+                **{k: v for k, v in changes.items() if v is not None},
+            ),
             surrogate=self.engine._surrogate,
             store=self.engine._store,
             corunners=self.engine.corunners,
             scenario=(
-                self.engine.scenario if scenario is _UNSET else scenario
+                self.engine.scenario if scenario is _UNSET
+                else as_scenario(scenario)
             ),
         )
 
@@ -379,16 +401,7 @@ class FleetService:
         alternate under a different adversarial scenario — e.g. what-if
         a tuned monitor against the incident the live fleet is in.
         """
-        if (monitor is None and policy is None and placement is None
-                and scenario is _UNSET):
-            raise ValueError(
-                "whatif needs a monitor, policy, placement, and/or "
-                "scenario change"
-            )
-        if placement is not None and not self.engine.config.population:
-            raise ValueError(
-                "placement what-ifs need a heterogeneous population"
-            )
+        alt = self._alternate("whatif", monitor, policy, placement, scenario)
         horizon = int(horizon)
         if horizon < 1:
             raise ValueError(
@@ -399,42 +412,30 @@ class FleetService:
             raise ValueError("no windows remaining to project over")
         loads = self._forecast_loads(horizon)
         k = self.window
-        alt_scenario = (
-            self.engine.scenario if scenario is _UNSET
-            else as_scenario(scenario)
-        )
-        alt_config = replace(
-            self.engine.config,
-            monitor=monitor if monitor is not None else
-            self.engine.config.monitor,
-            policy=policy if policy is not None else self.engine.config.policy,
-            placement=placement if placement is not None else
-            self.engine.config.placement,
-        )
-        shadow = self._fork(self._shadow_engine(alt_config, alt_scenario))
+        shadow = self._fork(alt)
         for load in loads:
             shadow.step(load)
         live = self._project_live(loads).slice_metrics(k, k + horizon)
-        alt = shadow.timeline.slice_metrics(k, k + horizon)
+        projected = shadow.timeline.slice_metrics(k, k + horizon)
         diff = {
-            key: alt[key] - live[key]
+            key: projected[key] - live[key]
             for key in live
             if isinstance(live[key], float)
         }
         out = {
             "window": k,
             "horizon": horizon,
-            "monitor": asdict(alt_config.monitor),
-            "policy": alt_config.policy,
+            "monitor": asdict(alt.config.monitor),
+            "policy": alt.config.policy,
             "scenario": (
-                None if alt_scenario is None else alt_scenario.to_dict()
+                None if alt.scenario is None else alt.scenario.to_dict()
             ),
             "live": live,
-            "whatif": alt,
+            "whatif": projected,
             "diff": diff,
         }
         if self.engine.config.population:
-            out["placement"] = alt_config.placement
+            out["placement"] = alt.config.placement
         if self.slo is not None:
             budget = {}
             for spec in self.slo.specs:
@@ -444,7 +445,7 @@ class FleetService:
                     which: self.slo.budget_impact(
                         spec.name, side["violation_rate"], horizon
                     )
-                    for which, side in (("live", live), ("whatif", alt))
+                    for which, side in (("live", live), ("whatif", projected))
                 }
                 impacts["diff"] = impacts["whatif"] - impacts["live"]
                 budget[spec.name] = impacts
@@ -489,29 +490,9 @@ class FleetService:
         injects (or, with ``None``, lifts) an adversarial scenario into
         the live fleet — the incident-drill path.
         """
-        if (monitor is None and policy is None and placement is None
-                and scenario is _UNSET):
-            raise ValueError(
-                "reconfigure needs a monitor, policy, placement, and/or "
-                "scenario change"
-            )
-        if placement is not None and not self.engine.config.population:
-            raise ValueError(
-                "placement reconfiguration needs a heterogeneous population"
-            )
-        new_scenario = (
-            self.engine.scenario if scenario is _UNSET
-            else as_scenario(scenario)
+        self.engine = self._alternate(
+            "reconfigure", monitor, policy, placement, scenario
         )
-        config = replace(
-            self.engine.config,
-            monitor=monitor if monitor is not None else
-            self.engine.config.monitor,
-            policy=policy if policy is not None else self.engine.config.policy,
-            placement=placement if placement is not None else
-            self.engine.config.placement,
-        )
-        self.engine = self._shadow_engine(config, new_scenario)
         self._drop_projection()
         self._stepper = self.engine.stepper(
             None, tail=self.tail, state=self.state,
@@ -519,13 +500,12 @@ class FleetService:
         )
         if self.recorder is not None:
             self._stepper.capture_violators = self.recorder.top_k
+        config, scenario = self.engine.config, self.engine.scenario
         result = {
             "window": self.window,
             "monitor": asdict(config.monitor),
             "policy": config.policy,
-            "scenario": (
-                None if new_scenario is None else new_scenario.to_dict()
-            ),
+            "scenario": None if scenario is None else scenario.to_dict(),
         }
         if config.population:
             result["placement"] = config.placement

@@ -1,12 +1,14 @@
 """Tests for the stable `repro.api` facade."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 from repro import api
 from repro.core.colocation import ColocationPerformance, ModePerformance
+from repro.core.monitor import MonitorConfig
 from repro.core.partitioning import (
     BASELINE,
     DEFAULT_B_MODE,
@@ -22,15 +24,19 @@ from repro.cpu.sampling import (
     sample_colocation,
     sample_solo,
 )
+from repro.cpu.surrogate import UipcGrid
 from repro.engine.executor import ExecutionEngine
 from repro.engine.store import ResultStore, reset_default_stores
 from repro.experiments.common import Fidelity
 from repro.fleet import (
+    FleetConfig,
     FleetEngine,
     FleetTimeline,
     SurrogateGrid,
     fit_tail_surrogate,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.tune import PortfolioEntry, confirm_candidates, tune_monitor
 from repro.workloads.registry import get_profile
 from tests.test_cluster import golden_cases, golden_config, golden_spec
 
@@ -412,3 +418,307 @@ class TestServe:
             monkeypatch.setattr(api, name, forbidden)
         with pytest.raises(ValueError, match="tail must be"):
             api.serve("web_search", "zeusmp", tail=tail)
+
+
+# ----------------------------------------------------------------------
+# Fleet settings: a FleetConfig plus same-named keyword overrides
+# ----------------------------------------------------------------------
+
+FLEET_FIELDS = tuple(f.name for f in dataclasses.fields(FleetConfig))
+#: Each verb's measurement and fleet entry points, replaced by a trap in
+#: the tests that must fail before any work.
+VERB_WORK = {
+    "run_fleet": ("measure", "FleetEngine", "run_fleet_sharded"),
+    "serve": ("measure", "FleetEngine", "FleetService"),
+    "tune_policy": ("measure", "tune_monitor", "confirm_candidates"),
+}
+TINY_PORTFOLIO = (PortfolioEntry("calm"), PortfolioEntry("incident"))
+
+
+def spelled_out_config(**fields) -> FleetConfig:
+    """A ``FleetConfig`` with all 14 fields given, ``fields`` overriding the
+    defaults run_fleet and serve used to list as their own keywords."""
+    built = dict(
+        n_servers=1000, overprovision=1.2, balance_jitter=0.05,
+        policy="jittered", window_minutes=10.0, requests_per_window=2000,
+        n_workers=8, q_mode_available=True, seed=0, monitor=MonitorConfig(),
+        population=(), population_mix=(), placement="random",
+        placement_epoch=6,
+    )
+    built.update(fields)
+    return FleetConfig(**built)
+
+
+class _Built(Exception):
+    """Raised by a capturing stub once it holds the verb's FleetConfig."""
+
+
+class TestFleetKeywords:
+    def test_signatures_name_no_fleet_field(self):
+        for verb in VERB_WORK:
+            params = inspect.signature(getattr(api, verb)).parameters
+            assert not set(params) & set(FLEET_FIELDS), verb
+            assert params["fleet"].kind is inspect.Parameter.VAR_KEYWORD
+        assert "metrics" not in inspect.signature(FleetEngine).parameters
+
+    def test_run_fleet_applies_keywords_over_config(self):
+        # Keywords passed beside config= used to be dropped silently: this
+        # call returned the 2-server, seed-3 day.
+        common = dict(
+            performance=performance_model(), load="flat:0.3", tail="exact",
+        )
+        merged = api.run_fleet(
+            "web_search",
+            config=FleetConfig(
+                n_servers=2, window_minutes=480.0, requests_per_window=200,
+                seed=3,
+            ),
+            n_servers=5, seed=99, policy="uniform", **common,
+        )
+        explicit = api.run_fleet(
+            "web_search",
+            config=FleetConfig(
+                n_servers=5, window_minutes=480.0, requests_per_window=200,
+                seed=99, policy="uniform",
+            ),
+            **common,
+        )
+        assert merged.n_servers == 5
+        assert merged.to_values() == explicit.to_values()
+
+    def test_serve_applies_keywords_over_config(self, small_surrogate):
+        base = FleetConfig(
+            n_servers=2, window_minutes=240.0, requests_per_window=300, seed=3
+        )
+        common = dict(
+            performance=performance_model(), feed="web_search",
+            surrogate=small_surrogate,
+        )
+        merged = api.serve(
+            "web_search", config=base, n_servers=4, seed=9,
+            monitor=MonitorConfig(engage_windows=2), **common,
+        )
+        explicit = api.serve(
+            "web_search",
+            config=dataclasses.replace(
+                base, n_servers=4, seed=9,
+                monitor=MonitorConfig(engage_windows=2),
+            ),
+            **common,
+        )
+        assert merged.engine.config == explicit.engine.config
+        merged.run(), explicit.run()
+        assert merged.timeline.to_values() == explicit.timeline.to_values()
+
+    def test_tune_policy_applies_keywords_over_config(
+        self, tmp_path, small_surrogate
+    ):
+        base = FleetConfig(
+            n_servers=2, window_minutes=240.0, requests_per_window=300, seed=3
+        )
+        keywords = dict(n_servers=16, window_minutes=60.0, seed=5)
+        common = dict(
+            performance=performance_model(), portfolio=TINY_PORTFOLIO,
+            n_trials=1, descent_rounds=0, surrogate=small_surrogate,
+        )
+        merged, explicit, base_only = (
+            api.tune_policy(
+                "web_search", store=ResultStore(tmp_path / name),
+                **fleet, **common,
+            )
+            for name, fleet in (
+                ("merged", dict(config=base, **keywords)),
+                ("explicit", dict(
+                    config=dataclasses.replace(base, **keywords)
+                )),
+                ("base", dict(config=base)),
+            )
+        )
+        assert merged == explicit
+        assert merged.fleet_runs > 0
+        assert merged.best.outcomes != base_only.best.outcomes
+
+    @pytest.mark.parametrize("verb", sorted(VERB_WORK))
+    def test_misspelt_field_raises_before_any_work(self, monkeypatch, verb):
+        def forbidden(*args, **kw):
+            raise AssertionError("built work before validating arguments")
+
+        for name in VERB_WORK[verb]:
+            monkeypatch.setattr(api, name, forbidden)
+        with pytest.raises(TypeError, match="n_server"):
+            getattr(api, verb)("web_search", "zeusmp", n_server=5)
+        with pytest.raises(TypeError, match="n_server"):
+            getattr(api, verb)(
+                "web_search", "zeusmp", config=FleetConfig(), n_server=5
+            )
+
+    def test_in_repo_call_shapes_build_unchanged_configs(self, monkeypatch):
+        # The fleet each in-repo caller gets is the one it got when the
+        # verbs copied the fields as their own keywords: same value, same
+        # repr, so no shard key or checkpoint identity moves.
+        from repro.experiments import ext_fleet, ext_placement, runner
+
+        built = []
+
+        def capture(ls_profile, performance, config, **kwargs):
+            built.append(config)
+            raise _Built
+
+        monkeypatch.setattr(api, "measure", lambda *a, **kw: performance_model())
+        monkeypatch.setattr(api, "FleetEngine", capture)
+        monkeypatch.setattr(api, "tune_monitor", capture)
+        perf = performance_model()
+        corunners = (perf,) * len(ext_placement.POPULATION)
+        calls = [
+            # repro.experiments.ext_fleet
+            (lambda: api.run_fleet(
+                "web_search", performance=perf, load="web_search",
+                n_servers=10_000, seed=ext_fleet.SEED, surrogate=None,
+            ), spelled_out_config(n_servers=10_000, seed=ext_fleet.SEED)),
+            # repro.experiments.ext_placement: homogeneous, then a policy
+            (lambda: api.run_fleet(
+                "web_search", performance=perf, load=ext_placement.LOAD,
+                n_servers=1000, seed=ext_placement.SEED, surrogate=None,
+            ), spelled_out_config(seed=ext_placement.SEED)),
+            (lambda: api.run_fleet(
+                "web_search", performance=perf, load=ext_placement.LOAD,
+                n_servers=1000, seed=ext_placement.SEED, surrogate=None,
+                population=ext_placement.POPULATION, placement="symbiosis",
+                corunners=corunners,
+            ), spelled_out_config(
+                seed=ext_placement.SEED,
+                population=ext_placement.POPULATION, placement="symbiosis",
+            )),
+            # examples/cluster_capacity.py (an int window length stays int)
+            (lambda: api.run_fleet(
+                "web_search", performance=perf, load="web_search",
+                tail="exact", n_servers=4, overprovision=1.25, seed=17,
+                window_minutes=20, requests_per_window=1000,
+            ), spelled_out_config(
+                n_servers=4, overprovision=1.25, seed=17, window_minutes=20,
+                requests_per_window=1000,
+            )),
+            # `stretch-repro serve` with its default flags
+            (lambda: runner.main(["serve", "--no-control"]), spelled_out_config()),
+            # perfbench's serve-whatif options, live and resumed
+            *(
+                (lambda extra=extra: api.serve(
+                    "web_search", "zeusmp", registry=MetricsRegistry(),
+                    feed="web_search", n_servers=20_000,
+                    population=("zeusmp", "lbm", "milc", "namd"),
+                    scenario="black_friday", seed=0, fidelity="quick",
+                    slos=["qos:violation_rate<0.05"], recorder=True,
+                    postmortem_path="postmortem.jsonl", **extra,
+                ), spelled_out_config(
+                    n_servers=20_000,
+                    population=("zeusmp", "lbm", "milc", "namd"),
+                ))
+                for extra in ({}, {"resume": "mid-day-key"})
+            ),
+            # tune_policy's defaults, which set seven fields by hand
+            (lambda: api.tune_policy("web_search", performance=perf),
+             FleetConfig(
+                 n_servers=1000, policy="jittered", window_minutes=10.0,
+                 requests_per_window=2000, q_mode_available=True, seed=0,
+                 monitor=MonitorConfig(),
+             )),
+        ]
+        for call, expected in calls:
+            built.clear()
+            with pytest.raises(_Built):
+                call()
+            assert built == [expected]
+            assert repr(built[0]) == repr(expected)
+
+    def test_run_fleet_publishes_metrics_under_either_process_model(
+        self, tmp_path, small_surrogate
+    ):
+        common = dict(
+            performance=performance_model(), load="web_search",
+            n_servers=4, window_minutes=240.0, requests_per_window=300,
+            seed=5, surrogate=small_surrogate,
+        )
+        registries = {}
+        for workers in (1, 2):
+            registries[workers] = MetricsRegistry()
+            day = api.run_fleet(
+                "web_search", workers=workers, metrics=registries[workers],
+                store=ResultStore(tmp_path), **common,
+            )
+            assert registries[workers].counter("fleet.windows").value == (
+                day.total_windows
+            )
+        for name in ("fleet.violation_rate", "fleet.mode_occupancy.b_mode",
+                     "fleet.throttled_fraction"):
+            assert registries[1].gauge(name).value == (
+                registries[2].gauge(name).value
+            ), name
+
+
+#: The surrogate tier of tests/test_job_grids.py: tiny samples, a coarse
+#: UIPC grid (3-job fits) over the stock anchor range.
+SURROGATE_TIER = Fidelity(
+    "surrogate",
+    SamplingConfig(n_samples=2, warmup_instructions=500,
+                   measure_instructions=600, seed=11),
+    grid=UipcGrid(
+        solo_anchors=(1 / 12, 1.0), solo_validation=(1 / 2,),
+        pair_anchors=(1 / 6, 5 / 6), pair_validation=(1 / 2,),
+        n_val_reps=1,
+    ),
+)
+
+
+class TestTunePolicy:
+    def test_surrogate_screening_confirms_at_the_exact_tier(
+        self, isolated_store
+    ):
+        ls = get_profile("web_search")
+        fleet = dict(n_servers=16, requests_per_window=300)
+        config = FleetConfig(**fleet)
+        screened = api.measure(ls, "zeusmp", fidelity=SURROGATE_TIER)
+        exact = api.measure(ls, "zeusmp", sampling=SURROGATE_TIER.sampling)
+        # One coarse tail surrogate covering both passes' perf factors.
+        surrogate = fit_tail_surrogate(
+            ls.qos,
+            sorted({
+                factor for model in (screened, exact)
+                for factor in FleetEngine(ls, model, config).perf_factors
+            }),
+            SurrogateGrid(
+                loads=(0.02, 0.6, 1.2), n_requests=300, peak_requests=20000,
+                n_reps=2, n_val_reps=1, seed=0,
+            ),
+        )
+        search = dict(
+            portfolio=TINY_PORTFOLIO, n_trials=1, descent_rounds=0,
+            surrogate=surrogate,
+        )
+        result = api.tune_policy(
+            "web_search", "zeusmp", fidelity=SURROGATE_TIER, **fleet, **search,
+        )
+        # Both passes below read the cold run's fleet days from the store.
+        screening = tune_monitor(ls, screened, config, **search)
+        monitors = [result.best.monitor]
+        if result.default.monitor != result.best.monitor:
+            monitors.append(result.default.monitor)
+        scores, fleet_runs, cached_runs = confirm_candidates(
+            ls, exact, config, monitors,
+            portfolio=TINY_PORTFOLIO, surrogate=surrogate,
+        )
+        assert result.candidates == screening.candidates
+        assert result.best == scores[0]
+        assert result.default == scores[-1]
+        assert (screening.fleet_runs, fleet_runs) == (0, 0)
+        assert result.fleet_runs == screening.cached_runs + cached_runs
+        assert result.cached_runs == 0
+        # The exact rows are re-scored, not the screening ones.
+        assert result.best != screening.best
+
+        warm = api.tune_policy(
+            "web_search", "zeusmp", fidelity=SURROGATE_TIER, **fleet, **search,
+        )
+        assert (warm.fleet_runs, warm.cached_runs) == (0, result.fleet_runs)
+        assert warm == dataclasses.replace(
+            result, fleet_runs=0, cached_runs=result.fleet_runs
+        )

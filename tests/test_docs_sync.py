@@ -3,7 +3,8 @@
 Two classes of documentation are load-bearing enough to test:
 
 * numpy-style ``Attributes`` tables on frozen config dataclasses
-  (:class:`~repro.core.monitor.MonitorConfig` and friends) — every
+  (:class:`~repro.fleet.engine.FleetConfig`,
+  :class:`~repro.core.monitor.MonitorConfig` and friends) — every
   dataclass field must appear in the table and vice versa, so adding a
   field without documenting it (or documenting a field that was removed)
   fails here instead of silently drifting;
@@ -28,6 +29,7 @@ import pytest
 
 import repro.obs.fleet as obs_fleet
 from repro.core.monitor import MonitorConfig, QueueLengthMonitorConfig
+from repro.fleet.engine import FleetConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.scenarios import (
     FlashCrowd,
@@ -39,6 +41,7 @@ from repro.scenarios import (
 )
 
 DOCUMENTED_DATACLASSES = [
+    FleetConfig,
     MonitorConfig,
     QueueLengthMonitorConfig,
     Stragglers,

@@ -37,6 +37,7 @@ from repro.fleet import (
     fit_tail_surrogate,
     resolve_load_curve,
 )
+from repro.fleet.shard import window_loads
 from repro.obs import MetricsRegistry, SpanTracer
 from repro.obs.sampler import JsonlSink
 from repro.scenarios import as_scenario
@@ -247,6 +248,37 @@ class TestReplayFeed:
         name, fn = resolve_load_curve(f"replay:{path}")
         assert name == f"replay:{path}"
         assert fn(12.0) == pytest.approx(0.25)
+
+    def five_minute_day(self, tmp_path):
+        """A day recorded at 5-minute windows (288), every load distinct."""
+        loads = [0.2 + 0.7 * k / 287 for k in range(288)]
+        path = self.write_stream(tmp_path / "day.jsonl", [
+            {"type": "fleet_window", "window": k, "cluster_load": load}
+            for k, load in enumerate(loads)
+        ])
+        return f"replay:{path}", loads
+
+    def test_replay_spec_reads_the_fleet_window_length(self, tmp_path):
+        # Read at 10-minute windows, window 287 got window 143's load.
+        spec, loads = self.five_minute_day(tmp_path)
+        assert window_loads(spec, FleetConfig(window_minutes=5.0)) == (
+            tuple(loads)
+        )
+
+    def test_run_day_steps_the_loads_serve_ingests(self, tmp_path):
+        from repro.api import run_day, serve
+
+        spec, loads = self.five_minute_day(tmp_path)
+        common = dict(
+            performance=performance_model(), window_minutes=5.0,
+            requests_per_window=100, seed=5,
+        )
+        day = run_day("web_search", load=spec, **common)
+        service = serve(
+            "web_search", feed=spec, n_servers=1, tail="exact", **common
+        )
+        served = [r["cluster_load"] for r in service.advance(288)]
+        assert [w.load_fraction for w in day.windows] == served == loads
 
     def test_make_feed_dispatch(self, tmp_path):
         path = self.write_stream(tmp_path / "s.jsonl", [
@@ -534,8 +566,11 @@ def fresh_live_projection(service, loads):
     window of the horizon, as every what-if did before the rolling
     projection.
     """
-    engine = service._shadow_engine(
-        service.engine.config, service.engine.scenario
+    live = service.engine
+    engine = FleetEngine(
+        live.ls_profile, live.performance, live.config,
+        surrogate=live._surrogate, store=live._store,
+        corunners=live.corunners, scenario=live.scenario,
     )
     shadow = engine.stepper(
         None,
