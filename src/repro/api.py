@@ -41,11 +41,12 @@ Sampling effort resolves the same way in every verb: pass ``sampling=``
 ``simulate`` and ``measure`` memoize every query through the
 content-addressed result store, registered and custom workload profiles
 alike (their deprecated ``engine=`` keyword changes nothing).  At
-``fidelity="surrogate"`` the partitioned-ROB queries answer from a
-store-memoized :class:`~repro.cpu.surrogate.UipcSurrogate` fit (error
-bound reported per fit; anything the fit does not cover falls back to
-the exact sampler), and ``tune_policy`` screens candidates with the
-surrogate model before confirming the winner at the exact tier.
+``fidelity="surrogate"`` a partitioned-ROB sweep that asks an off-anchor
+ROB split answers from a store-memoized
+:class:`~repro.cpu.surrogate.UipcSurrogate` fit (error bound reported per
+fit); anchor values and anything a fit does not cover read the exact
+tier's jobs.  ``tune_policy`` screens candidates with the surrogate-tier
+model before confirming the winner at the exact tier.
 
 How superseded entry points are retired is the "Stable API & deprecation
 policy" note in ``docs/API.md``.
@@ -290,11 +291,12 @@ def measure(
     store (a custom profile memoizes under its own keys).  ``engine`` is
     deprecated and ignored.
 
-    At ``fidelity="surrogate"`` the solo reference and per-mode pair
-    grids are answered by the family's fitted
-    :class:`~repro.cpu.surrogate.UipcSurrogate` (one fit serves every
-    mode), falling back to exact jobs for configurations the fit does
-    not cover.
+    At ``fidelity="surrogate"`` the per-mode pair grid is answered by
+    the family's fitted :class:`~repro.cpu.surrogate.UipcSurrogate` (one
+    fit serves every mode) when a mode's ROB split lies off the fit's
+    anchors.  The stock modes and the solo reference are anchors of the
+    stock grid, so they read the exact tier's jobs and the model equals
+    the exact one.
     """
     _check_engine(engine)
     sampling, fid = _resolve_effort(sampling, fidelity, seed, n_samples)
@@ -633,7 +635,9 @@ def tune_policy(
     The fleet's ``monitor`` is the incumbent the result's ``default``
     row reports; ``slo`` supplies the violation-rate budget the score
     penalizes against.  ``tune_seed`` drives the search's own
-    randomness, decoupled from the fleet's CRN ``seed``.
+    randomness, decoupled from the fleet's CRN ``seed``.  A
+    heterogeneous co-runner ``population`` is measured per profile via
+    :func:`measure`, as in :func:`run_fleet`.
 
     At ``fidelity="surrogate"`` (with a ``batch`` workload rather than a
     pre-measured ``performance``) the search *screens* candidates with
@@ -652,25 +656,32 @@ def tune_policy(
     performance = _performance(
         ls_profile, batch, performance, sampling, fidelity, n_samples
     )
+    corunners = _resolve_corunners(
+        ls_profile, config, None, sampling, fidelity, n_samples
+    )
     result = tune_monitor(
         ls_profile, performance, config,
         portfolio=portfolio, space=space, load=load,
         n_trials=n_trials, descent_rounds=descent_rounds, seed=tune_seed,
-        slo=slo, surrogate=surrogate, store=store,
+        slo=slo, surrogate=surrogate, corunners=corunners, store=store,
     )
     if not screening:
         return result
 
-    # Exact-tier confirmation: re-measure the pair exactly (same sampling
-    # effort as the surrogate's calibration) and re-score the short list.
+    # Exact-tier confirmation: re-measure the pair (and any co-runner
+    # population) exactly, at the same sampling effort as the surrogate's
+    # calibration, and re-score the short list.
     exact_performance = measure(ls_profile, batch, sampling=fid.sampling)
+    exact_corunners = _resolve_corunners(
+        ls_profile, config, None, fid.sampling, None, None
+    )
     monitors = [result.best.monitor]
     if result.default.monitor != result.best.monitor:
         monitors.append(result.default.monitor)
     scores, fleet_runs, cached_runs = confirm_candidates(
         ls_profile, exact_performance, config, monitors,
         portfolio=result.portfolio, load=load, slo=result.slo,
-        surrogate=surrogate, store=store,
+        surrogate=surrogate, corunners=exact_corunners, store=store,
     )
     confirmed = {score.monitor: score for score in scores}
     best = confirmed[result.best.monitor]

@@ -26,6 +26,7 @@ from repro.cpu.surrogate import (
     family_axis,
     family_config_at,
 )
+from repro.engine.job import SimJob, thread_means
 from repro.util.rng import derive_seed
 
 __all__ = [
@@ -168,7 +169,6 @@ def surrogate_accuracy_sweep(
     variation — the same variation the fit's ``error_margin`` is meant to
     absorb.
     """
-    from repro.cpu.surrogate import _mean_job  # shared job constructors
     from repro.engine.store import default_store
     from repro.experiments.common import Fidelity
 
@@ -191,8 +191,9 @@ def surrogate_accuracy_sweep(
             sampling,
             seed=derive_seed(seed, "surrogate-gate-exact", case.seed_index),
         )
-        exact = store.compute(
-            _mean_job(case.kind, case.workloads, member, fresh)
+        exact = thread_means(
+            store.compute(SimJob(case.kind, case.workloads, member, fresh)),
+            len(case.workloads),
         )
         predicted = tuple(
             surrogate.predict(case.x, thread=t)
@@ -201,7 +202,7 @@ def surrogate_accuracy_sweep(
         result = GateResult(
             case=case,
             predicted=predicted,
-            exact=tuple(float(v) for v in exact),
+            exact=exact,
             error_bound=surrogate.error_bound,
         )
         results.append(result)

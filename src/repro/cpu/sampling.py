@@ -41,8 +41,6 @@ __all__ = [
     "sample_solo",
     "sample_colocation",
     "mean_uipc",
-    "sample_uniforms",
-    "evaluate_sample_windows",
 ]
 
 
@@ -339,84 +337,3 @@ def mean_uipc(results: list[SimulationResult], thread: int = 0) -> float:
     if not results:
         raise ValueError("no simulation results to aggregate")
     return sum(r.threads[thread].uipc for r in results) / len(results)
-
-
-# ----------------------------------------------------------------------
-# Batched sample-window evaluation (the surrogate tier's fast path)
-# ----------------------------------------------------------------------
-#
-# The surrogate fidelity tier (:mod:`repro.cpu.surrogate`) replaces serial
-# per-config core runs with array operations over a fitted per-anchor
-# sample distribution.  Two pieces live here, next to the sampling
-# methodology they mirror:
-#
-# * :func:`sample_uniforms` — the deterministic per-(workload, sample)
-#   uniforms that stand in for a sample's exogenous window draw.  They are
-#   derived exactly like the per-sample trace seeds above (same
-#   ``derive_seed(seed, name, …, sample)`` convention), so surrogate-tier
-#   comparisons across configurations are paired the same way the exact
-#   tier's "same sampling points across all colocations" pairing works.
-# * :func:`evaluate_sample_windows` — the pure-numpy inverse-CDF
-#   evaluation of whole (config x sample) grids against sorted per-anchor
-#   quantile stacks.
-
-
-def sample_uniforms(
-    sampling: SamplingConfig, name: str, n_samples: int | None = None
-) -> np.ndarray:
-    """Deterministic per-sample uniforms in [0, 1) for one workload.
-
-    Sample ``s``'s uniform depends only on ``(sampling.seed, name, s)`` —
-    not on the core configuration — so every configuration of a sweep sees
-    the same window draws (common random numbers, the surrogate analogue
-    of reusing trace seeds across configs).
-    """
-    n = sampling.n_samples if n_samples is None else int(n_samples)
-    return np.array([
-        np.random.default_rng(
-            derive_seed(sampling.seed, name, "window-u", s)
-        ).random()
-        for s in range(n)
-    ])
-
-
-def evaluate_sample_windows(
-    anchors: np.ndarray,
-    quantiles: np.ndarray,
-    xs: np.ndarray,
-    uniforms: np.ndarray,
-) -> np.ndarray:
-    """Inverse-CDF sample-window evaluation over a whole config grid.
-
-    ``anchors`` (n_anchors,) is the increasing calibration axis;
-    ``quantiles`` (n_anchors, n_reps) holds the sorted per-sample UIPCs at
-    each anchor; ``xs`` (n_configs,) are the queried axis values and
-    ``uniforms`` (n_windows,) the callers' deterministic window draws.
-    Returns a ``(n_configs, n_windows)`` UIPC array: the quantile stacks
-    of the two neighboring anchors are blended linearly (sortedness is
-    preserved), then each uniform picks an order statistic with midpoint
-    plotting positions — one numpy expression instead of
-    ``n_configs x n_windows`` core simulations.
-    """
-    anchors = np.asarray(anchors, dtype=float)
-    quantiles = np.asarray(quantiles, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    uniforms = np.asarray(uniforms, dtype=float)
-    li = np.clip(
-        np.searchsorted(anchors, xs, side="right") - 1, 0, len(anchors) - 2
-    )
-    span = anchors[li + 1] - anchors[li]
-    weight = np.clip((xs - anchors[li]) / span, 0.0, 1.0)
-    stack = (
-        quantiles[li] * (1.0 - weight)[:, None]
-        + quantiles[li + 1] * weight[:, None]
-    )  # (n_configs, n_reps)
-
-    n_reps = stack.shape[1]
-    position = np.clip(uniforms * n_reps - 0.5, 0.0, n_reps - 1.0)
-    j0 = np.floor(position).astype(np.int64)
-    j1 = np.minimum(j0 + 1, n_reps - 1)
-    fraction = position - j0
-    v0 = stack[:, j0]  # (n_configs, n_windows)
-    v1 = stack[:, j1]
-    return v0 * (1.0 - fraction) + v1 * fraction

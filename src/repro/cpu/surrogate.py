@@ -9,17 +9,15 @@ follows proportionally), so the sweep can be answered by a fitted curve
 instead, the same way :mod:`repro.fleet.surrogate` answers per-window
 tail queries without a DES run:
 
-* **Calibration** runs the exact sampler at a handful of anchor points of
-  the ROB axis — through the content-addressed result store, with the
-  experiment's own ``SamplingConfig`` (common random numbers: anchor
-  samples reuse the exact tier's per-sample trace seeds), keeping the
-  **sorted per-sample UIPCs** at each anchor as an empirical window
-  distribution.
+* **Calibration** reads the exact tier's own jobs at a handful of anchor
+  points of the ROB axis: each anchor is the
+  :class:`~repro.engine.job.SimJob` the exact sampler runs there with the
+  experiment's own ``SamplingConfig``, one content-addressed store entry
+  holding the per-sample UIPCs.  The fit keeps them **sorted** at each
+  anchor as an empirical window distribution.
 * **Prediction** interpolates the anchor means piecewise-linearly, so a
-  query *at* an anchor reproduces the exact tier's mean bit-for-bit;
-  :meth:`UipcSurrogate.sample` draws window-to-window variation by
-  inverse-CDF over deterministic per-(workload, sample) uniforms
-  (:func:`repro.cpu.sampling.sample_uniforms`).
+  query *at* an anchor reproduces the exact tier's mean (bit-for-bit at
+  two samples per anchor, where the sorted mean is the sample-order one).
 * **Validation** replays the exact sampler with *held-out* derived seeds
   at off-anchor midpoints; the worst absolute mean-UIPC error times a
   safety margin is reported as :attr:`UipcSurrogate.error_bound` next to
@@ -29,7 +27,9 @@ tail queries without a DES run:
 Configurations outside the partitioned-ROB family (dynamically shared
 ROB, custom LSQ splits) raise :class:`UnsupportedConfigError`; the
 fidelity tier falls back to the exact sampler for those, so the surrogate
-never silently answers a question it was not fitted for.
+never silently answers a question it was not fitted for.  The tier fits a
+family only for a lookup that asks it an off-anchor value: anchors alone
+are the exact jobs themselves.
 """
 
 from __future__ import annotations
@@ -40,11 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.cpu.config import CoreConfig
-from repro.cpu.sampling import (
-    SamplingConfig,
-    evaluate_sample_windows,
-    sample_uniforms,
-)
+from repro.cpu.sampling import SamplingConfig
+from repro.engine.job import SimJob, thread_means
 from repro.util.rng import derive_seed
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.registry import resolve_profile
@@ -58,7 +55,6 @@ __all__ = [
     "family_axis",
     "family_config_at",
     "axis_scale",
-    "calibration_jobs",
     "fit_uipc_surrogate",
 ]
 
@@ -205,9 +201,8 @@ class UipcSurrogate:
 
     ``quantiles`` has shape ``(n_threads, n_anchors, n_samples)`` and is
     sorted along the sample axis — the empirical window-UIPC distribution
-    at each ROB-axis anchor.  Means interpolate linearly between anchors
-    (and are bit-identical to the exact sampler *at* anchors, since the
-    anchors were measured with the experiment's own sampling seeds).
+    at each ROB-axis anchor.  Means interpolate linearly between anchors;
+    at an anchor they are the mean of the exact tier's own entry there.
     """
 
     kind: str
@@ -242,39 +237,6 @@ class UipcSurrogate:
         xs = np.asarray(xs, dtype=float)
         self._check_range(xs)
         return np.interp(xs, self.anchors, self.mean_curve[thread])
-
-    def sample(self, xs, uniforms, thread: int = 0) -> np.ndarray:
-        """Window-to-window UIPC draws by inverse-CDF over ``uniforms``.
-
-        Returns a ``(len(xs), len(uniforms))`` grid; pass the CRN uniforms
-        from :func:`repro.cpu.sampling.sample_uniforms` so draws are
-        paired across configurations like the exact tier's shared trace
-        seeds.
-        """
-        xs = np.asarray(xs, dtype=float)
-        self._check_range(xs)
-        return evaluate_sample_windows(
-            np.asarray(self.anchors, dtype=float),
-            self.quantiles[thread],
-            xs,
-            uniforms,
-        )
-
-    def evaluate_grid(
-        self, xs, sampling: SamplingConfig, n_samples: int | None = None
-    ) -> np.ndarray:
-        """Whole sample grid as one array op — shape (n_threads, n_xs, n).
-
-        Thread ``t``'s uniforms derive from ``(sampling.seed,
-        workloads[t], sample)``, mirroring the exact tier's per-workload
-        trace-seed convention.
-        """
-        return np.stack([
-            self.sample(
-                xs, sample_uniforms(sampling, name, n_samples), thread=t
-            )
-            for t, name in enumerate(self.workloads)
-        ])
 
     # -- content-addressed persistence ---------------------------------
 
@@ -326,22 +288,6 @@ class UipcSurrogate:
 # ----------------------------------------------------------------------
 
 
-def _sample_job(kind, workloads, config, sampling):
-    from repro.engine.job import SimJob
-
-    if kind == "solo":
-        return SimJob.solo_samples(workloads[0], config, sampling)
-    return SimJob.pair_samples(workloads[0], workloads[1], config, sampling)
-
-
-def _mean_job(kind, workloads, config, sampling):
-    from repro.engine.job import SimJob
-
-    if kind == "solo":
-        return SimJob.solo(workloads[0], config, sampling)
-    return SimJob.pair(workloads[0], workloads[1], config, sampling)
-
-
 def _validation_sampling(sampling: SamplingConfig, rep: int) -> SamplingConfig:
     # Held-out seeds: derived from — but never equal to — the fit seed, so
     # the reported bound covers seed-to-seed sampling variation on top of
@@ -349,31 +295,6 @@ def _validation_sampling(sampling: SamplingConfig, rep: int) -> SamplingConfig:
     return replace(
         sampling, seed=derive_seed(sampling.seed, "uipc-surrogate-val", rep)
     )
-
-
-def calibration_jobs(
-    kind: str,
-    workloads: tuple[str | WorkloadProfile, ...],
-    config: CoreConfig,
-    sampling: SamplingConfig,
-    grid: UipcGrid = UipcGrid(),
-) -> list:
-    """Every store job a fit needs (for execution-engine pre-warming)."""
-    canon, __ = family_axis(kind, config)
-    scale = axis_scale(kind, canon)
-    jobs = [
-        _sample_job(
-            kind, workloads, family_config_at(kind, canon, x), sampling
-        )
-        for x in grid.anchor_values(kind, scale)
-    ]
-    for v in grid.validation_values(kind, scale):
-        for rep in range(grid.n_val_reps):
-            jobs.append(_mean_job(
-                kind, workloads, family_config_at(kind, canon, v),
-                _validation_sampling(sampling, rep),
-            ))
-    return jobs
 
 
 def fit_uipc_surrogate(
@@ -389,7 +310,10 @@ def fit_uipc_surrogate(
     ``compute`` maps a job to its result tuple; it defaults to the
     content-addressed store, so anchors and validation replays memoize
     (and a re-fit after a grid change reuses every overlapping point).
-    ``workloads`` are profiles or registered names.
+    The anchors are the exact tier's own :class:`~repro.engine.job.SimJob`
+    entries, so a fit after an exact run of the same sweep simulates
+    only its validation replays.  ``workloads`` are profiles or
+    registered names.
     """
     workloads = tuple(resolve_profile(w) for w in workloads)
     if compute is None:
@@ -403,7 +327,7 @@ def fit_uipc_surrogate(
 
     quantiles = np.empty((n_threads, len(anchors), sampling.n_samples))
     for k, x in enumerate(anchors):
-        values = compute(_sample_job(
+        values = compute(SimJob(
             kind, workloads, family_config_at(kind, canon, x), sampling
         ))
         per_thread = np.asarray(values, dtype=float).reshape(n_threads, -1)
@@ -422,9 +346,9 @@ def fit_uipc_surrogate(
     for v in grid.validation_values(kind, scale):
         member = family_config_at(kind, canon, v)
         for rep in range(grid.n_val_reps):
-            exact = compute(_mean_job(
+            exact = thread_means(compute(SimJob(
                 kind, workloads, member, _validation_sampling(sampling, rep)
-            ))
+            )), n_threads)
             for t in range(n_threads):
                 worst = max(
                     worst, abs(surrogate.predict(v, thread=t) - exact[t])

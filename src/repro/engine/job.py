@@ -8,6 +8,11 @@ picklable across process boundaries, and deterministic: all randomness
 derives from ``sampling.seed`` through :func:`repro.util.rng.derive_seed`,
 so the same job produces bit-identical results on any worker.
 
+A job's value is its per-sample UIPC vector (thread 0's samples first), so
+one store entry per simulation serves the exact tiers, which read its
+per-thread means through :func:`thread_means`, and the UIPC surrogate's
+anchors, which keep its window-to-window distribution.
+
 The job *key* hashes the full job description — including the workload
 profile definitions, not just their names, so profile recalibrations and
 custom profiles get entries of their own — together with the store's
@@ -24,14 +29,10 @@ from repro.cpu.sampling import SamplingConfig, sample_colocation, sample_solo
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.registry import resolve_profile
 
-__all__ = ["SimJob", "job_key"]
+__all__ = ["SimJob", "job_key", "thread_means"]
 
-#: Job kind -> workload arity.  The ``*_samples`` kinds return the
-#: per-sample UIPC vector instead of its mean — the calibration unit of
-#: the core-level surrogate (:mod:`repro.cpu.surrogate`), which needs the
-#: window-to-window distribution, not just the aggregate.  Keys embed the
-#: kind, so sample jobs never collide with the mean-valued entries.
-_KINDS = {"solo": 1, "pair": 2, "solo_samples": 1, "pair_samples": 2}
+#: Job kind -> workload arity.
+_KINDS = {"solo": 1, "pair": 2}
 
 
 def job_key(
@@ -88,30 +89,16 @@ class SimJob:
     def solo(
         cls, workload, config: CoreConfig, sampling: SamplingConfig
     ) -> "SimJob":
-        """Stand-alone run of ``workload`` (one UIPC value)."""
+        """Stand-alone run of ``workload`` (one UIPC per sample)."""
         return cls("solo", (workload,), config, sampling)
 
     @classmethod
     def pair(
         cls, ls, batch, config: CoreConfig, sampling: SamplingConfig
     ) -> "SimJob":
-        """Colocated run: thread 0 = ``ls``, thread 1 = ``batch`` (two values)."""
+        """Colocated run: thread 0 = ``ls``, thread 1 = ``batch`` (each thread's
+        UIPC per sample)."""
         return cls("pair", (ls, batch), config, sampling)
-
-    @classmethod
-    def solo_samples(
-        cls, workload, config: CoreConfig, sampling: SamplingConfig
-    ) -> "SimJob":
-        """Stand-alone run returning per-sample UIPCs (``n_samples`` values)."""
-        return cls("solo_samples", (workload,), config, sampling)
-
-    @classmethod
-    def pair_samples(
-        cls, ls, batch, config: CoreConfig, sampling: SamplingConfig
-    ) -> "SimJob":
-        """Colocated run returning per-sample UIPCs (thread 0's ``n_samples``
-        values followed by thread 1's)."""
-        return cls("pair_samples", (ls, batch), config, sampling)
 
     @property
     def key(self) -> str:
@@ -119,22 +106,27 @@ class SimJob:
         return job_key(self.kind, self.workloads, self.config, self.sampling)
 
     def run(self) -> tuple[float, ...]:
-        """Execute the simulation; mean UIPC per thread, or the per-sample
-        UIPC vectors for the ``*_samples`` kinds."""
-        if self.kind in ("solo", "solo_samples"):
+        """Execute the simulation; the per-sample UIPCs, thread 0's first."""
+        if self.kind == "solo":
             results = sample_solo(self.workloads[0], self.config, self.sampling)
-            if self.kind == "solo_samples":
-                return tuple(r.threads[0].uipc for r in results)
-            return (sum(r.threads[0].uipc for r in results) / len(results),)
-        results = sample_colocation(
-            self.workloads[0], self.workloads[1], self.config, self.sampling
-        )
-        if self.kind == "pair_samples":
-            return tuple(r.threads[0].uipc for r in results) + tuple(
-                r.threads[1].uipc for r in results
+        else:
+            results = sample_colocation(
+                self.workloads[0], self.workloads[1], self.config, self.sampling
             )
-        n = len(results)
-        return (
-            sum(r.threads[0].uipc for r in results) / n,
-            sum(r.threads[1].uipc for r in results) / n,
+        return tuple(
+            r.threads[t].uipc
+            for t in range(len(self.workloads))
+            for r in results
         )
+
+
+def thread_means(values, n_threads: int) -> tuple[float, ...]:
+    """Per-thread mean UIPC of a job's per-sample vector.
+
+    Each thread's samples are summed in sample order with the builtin
+    ``sum``, so every reader of a store entry gets the same doubles.
+    """
+    n = len(values) // n_threads
+    return tuple(
+        sum(values[t * n:(t + 1) * n]) / n for t in range(n_threads)
+    )

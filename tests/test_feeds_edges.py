@@ -99,6 +99,25 @@ class TestReplayEdges:
         assert feed.load(1, 0.0) is None  # the torn window is a gap
         assert feed.load(2, 0.0) == 0.6
 
+    @pytest.mark.parametrize(
+        "window_minutes, n_windows", [(10.0, 144), (5.0, 288), (1.0, 1440)]
+    )
+    def test_hour_keyed_records_land_on_their_windows(
+        self, tmp_path, window_minutes, n_windows
+    ):
+        # Start hours such as 49 * 10 / 60 come out 48.999... windows in:
+        # truncated, they left gaps and overwrote the window before.
+        path = tmp_path / "hours.jsonl"
+        loads = [k / n_windows for k in range(n_windows)]
+        path.write_text("".join(
+            json.dumps({"hour": k * window_minutes / 60.0, "load": load})
+            + "\n"
+            for k, load in enumerate(loads)
+        ))
+        feed = ReplayFeed.from_jsonl(path, window_minutes=window_minutes)
+        assert feed.n_records == n_windows
+        assert [feed.load(k, 0.0) for k in range(n_windows)] == loads
+
     def test_gap_at_window_zero(self, tmp_path, surrogate):  # noqa: F811
         path = tmp_path / "late.jsonl"
         path.write_text('{"window": 3, "cluster_load": 0.7}\n')

@@ -4,7 +4,10 @@ Grid experiments define ``jobs = recorded_jobs(run)``: the grid that
 ``stretch-repro --jobs N`` pre-executes is recorded from ``run`` itself.
 Prefetching it must leave ``run`` nothing to simulate (no store miss) and
 nothing unread (every prefetched key is read), at an exact tier and at the
-surrogate tier, whose fits and exact fallbacks follow one coverage rule.
+surrogate tier, whose fits and exact jobs follow one coverage rule: a
+lookup fits a family only when it asks it an off-anchor value.  The
+surrogate tier's values are pinned by digest, and its anchors are the
+exact tier's own store entries.
 """
 
 from __future__ import annotations
@@ -15,15 +18,18 @@ import pytest
 
 from repro.cpu.sampling import SamplingConfig
 from repro.cpu.surrogate import UipcFitJob, UipcGrid
-from repro.engine import EngineConfig, ExecutionEngine
+from repro.engine import EngineConfig, ExecutionEngine, SimJob
 from repro.engine.store import default_store, reset_default_stores
 from repro.experiments.common import Fidelity
-from repro.experiments.runner import EXPERIMENTS
+from repro.experiments.runner import EXPERIMENTS, result_to_jsonable
+from repro.util.rng import derive_seed
+from tests.test_golden_digests import _digest
 
 TINY = SamplingConfig(n_samples=2, warmup_instructions=500,
                       measure_instructions=600, seed=11)
-#: The stock grid's anchor range, so it covers the same queries, with one
-#: validation point and no interior anchors: each fit runs 3 jobs, not 13-15.
+#: The stock grid's anchor range with one validation point and no interior
+#: anchors: each fit runs 3 jobs, not 13-15, and every experiment's slice
+#: asks it off-anchor values, so each surrogate case below runs fits.
 COARSE = UipcGrid(
     solo_anchors=(1 / 12, 1.0), solo_validation=(1 / 2,),
     pair_anchors=(1 / 6, 5 / 6), pair_validation=(1 / 2,), n_val_reps=1,
@@ -35,20 +41,24 @@ TIERS = {
 
 #: Experiment id -> (quick grid, surrogate fit jobs, surrogate exact jobs)
 #: over the full 4 x 29 colocations.  At the surrogate tier the exact jobs
-#: are the queries no fit covers (dynamically shared ROB, fetch throttling).
+#: are the queries no fit answers: families asked only anchor values, the
+#: dynamically shared ROB and fetch throttling.
 FULL_GRIDS = {
-    "fig03": (149, 149, 0),
-    "fig04": (146, 146, 0),
-    "fig05": (497, 497, 0),
+    "fig03": (149, 0, 149),
+    "fig04": (146, 0, 146),
+    "fig05": (497, 0, 497),
     "fig06": (396, 33, 0),
     "fig09": (1276, 116, 0),
-    "fig10": (232, 116, 0),
-    "fig11": (232, 116, 116),
-    "fig12": (696, 116, 464),
-    "fig13": (464, 232, 0),
-    "fig14": (116, 58, 0),
-    "ext_sensitivity": (56, 28, 0),
+    "fig10": (232, 0, 232),
+    "fig11": (232, 0, 232),
+    "fig12": (696, 0, 696),
+    "fig13": (464, 0, 464),
+    "fig14": (116, 0, 116),
+    "ext_sensitivity": (56, 0, 56),
 }
+#: The experiments whose lookups ask the stock surrogate grid only anchor
+#: values: their surrogate tier runs exactly the quick tier's jobs.
+ANCHOR_ONLY = {name for name, (__, fits, __e) in FULL_GRIDS.items() if not fits}
 
 #: One LS service and one batch co-runner (zeusmp: fig06 highlights it).
 SLICE = {
@@ -78,18 +88,36 @@ def test_full_grid_sizes(name):
     assert (len(quick), fits, len(surrogate) - fits) == FULL_GRIDS[name]
     assert len(set(quick)) == len(quick)
     assert len(module.jobs(Fidelity.full())) == len(quick)
+    if name in ANCHOR_ONLY:
+        assert surrogate == quick
+
+
+def _narrow(monkeypatch, tmp_path, attrs: dict):
+    """Set ``attrs`` on every experiment module; isolate the store."""
+    for module_name in EXPERIMENTS.values():
+        module = importlib.import_module(module_name)
+        for attr, value in attrs.items():
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, value)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    reset_default_stores()
 
 
 @pytest.fixture
 def sliced(monkeypatch, tmp_path):
     """Narrow every experiment's workload lists; isolate the store."""
-    for module_name in EXPERIMENTS.values():
-        module = importlib.import_module(module_name)
-        for attr, value in SLICE.items():
-            if hasattr(module, attr):
-                monkeypatch.setattr(module, attr, value)
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    _narrow(monkeypatch, tmp_path, SLICE)
+    yield
     reset_default_stores()
+
+
+@pytest.fixture
+def stock_sliced(monkeypatch, tmp_path):
+    """The workload slice with every other sweep (fig06's ROB sizes) as
+    shipped, so fig06 asks the stock grid off-anchor values."""
+    _narrow(monkeypatch, tmp_path, {
+        attr: value for attr, value in SLICE.items() if attr != "ROB_SIZES"
+    })
     yield
     reset_default_stores()
 
@@ -121,3 +149,84 @@ def test_run_reads_exactly_the_prefetched_grid(name, kwargs, tier, sliced,
     module.run(fidelity, **kwargs)
     assert store.stats.misses == misses
     assert reads == {job.key for job in grid}
+
+
+# ----------------------------------------------------------------------
+# The stock surrogate tier: pinned values, shared store entries
+# ----------------------------------------------------------------------
+
+STOCK = {
+    "quick": Fidelity("quick", TINY),
+    "surrogate": Fidelity("surrogate", TINY, grid=UipcGrid()),
+}
+
+#: sha256 of the canonical JSON of ``result_to_jsonable(run(...))`` at
+#: ``STOCK["surrogate"]`` on the stock slice.  They were captured on code
+#: that fitted every family a lookup could interpolate, whatever values it
+#: asked, so they also show that answering an anchor-only family from its
+#: exact jobs moves no value.
+SURROGATE_DIGESTS = {
+    "fig03": "7d269933146cfa94e4c59b551c53b243381d3023b694b28e773c68d0d3b3ab34",
+    "fig04": "4f4d162948e8848f73600ac8733c6f6f3ca9883ecb4f42dc1581c666c70823fc",
+    "fig05": "cdea1b329255305c33e7d3dde9e3f17b8029f5473842b4da58051d06fb4aa8ec",
+    "fig06": "a5e9a60e2328fd62aa67562b8850cb5180142079efa358cc8a8c40679d39a66a",
+    "fig09": "7c59c6ed534bba339328468c60faaa9520396fcbd9755f3b7b448bc703245cff",
+    "fig10": "8b3147b97fa7389e050c6baab4a5f112509800fd3bc9597e9906bf963bf35132",
+    "fig11": "707315adc5b5136e40744a7e165a1fddcf644c098ac0766e036c99c2555f90b3",
+    "fig12": "b3365a4185886532bd35c6250ba936574eeddb7cb351cff51aefb8bfbd6d4d0f",
+    "fig13": "b73feb62ca70de47c41f84162f747c3938cb8d8bad8b59ca79715b22aa279b83",
+    "fig14": "eb2899d268c13b43a0beb29c8ddd1dd5d2da8fdd54cda6b50e349abc0034fcc1",
+    "ext_sensitivity": (
+        "37ff33c048995767c6e45b453e3b927d4658ab8d93d7f4e475dc4e0f067133e0"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_GRIDS))
+def test_surrogate_tier_values_are_pinned(name, stock_sliced):
+    result = _module(name).run(STOCK["surrogate"])
+    assert _digest(result_to_jsonable(result)) == SURROGATE_DIGESTS[name]
+
+
+@pytest.fixture
+def simulated(monkeypatch):
+    """The SimJobs that run (not store hits), in order."""
+    ran: list[SimJob] = []
+    run = SimJob.run
+
+    def recording_run(job):
+        ran.append(job)
+        return run(job)
+
+    monkeypatch.setattr(SimJob, "run", recording_run)
+    return ran
+
+
+def test_surrogate_after_quick_runs_nothing_anchor_only(stock_sliced,
+                                                        simulated):
+    module = _module("ext_sensitivity")
+    quick = module.run(STOCK["quick"])
+    assert simulated
+    simulated.clear()
+    misses = default_store().stats.misses
+    assert module.run(STOCK["surrogate"]) == quick
+    assert simulated == []
+    assert default_store().stats.misses == misses
+
+
+def test_surrogate_after_quick_runs_only_validation_replays(stock_sliced,
+                                                            simulated):
+    module, grid = _module("fig06"), UipcGrid()
+    module.run(STOCK["quick"])
+    simulated.clear()
+    fits = module.jobs(STOCK["surrogate"])
+    assert fits and all(isinstance(job, UipcFitJob) for job in fits)
+    module.run(STOCK["surrogate"])
+    replays = len(grid.validation_values("solo", 192)) * grid.n_val_reps
+    assert replays == 8
+    assert len(simulated) == replays * len(fits)
+    validation_seeds = {
+        derive_seed(TINY.seed, "uipc-surrogate-val", rep)
+        for rep in range(grid.n_val_reps)
+    }
+    assert {job.sampling.seed for job in simulated} == validation_seeds

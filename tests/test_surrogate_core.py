@@ -2,37 +2,30 @@
 
 Covers the fit itself (CRN reproducibility through the store, anchor
 predictions bit-identical to the exact sampler, honest error bounds on
-fresh seeds), the batched window evaluation, the configuration-family
-mapping, and the tier plumbing (``Fidelity`` dispatch, the family
-collapse of ``recorded_jobs`` grids, and the regression that the surrogate
-can never leak into exact-tier golden paths).
+fresh seeds), the configuration-family mapping, and the tier plumbing
+(``Fidelity`` dispatch, the coverage rule of ``recorded_jobs`` grids, and
+the regression that the surrogate can never leak into exact-tier golden
+paths).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from repro.cpu.config import CoreConfig
-from repro.cpu.sampling import (
-    SamplingConfig,
-    evaluate_sample_windows,
-    sample_uniforms,
-)
+from repro.cpu.sampling import SamplingConfig
 from repro.cpu.surrogate import (
     UipcFitJob,
     UipcGrid,
     UipcSurrogate,
     UnsupportedConfigError,
     axis_scale,
-    calibration_jobs,
     family_axis,
     family_config_at,
     fit_uipc_surrogate,
 )
-from repro.engine.job import SimJob
+from repro.engine.job import SimJob, thread_means
 from repro.experiments.common import (
     Fidelity,
     config_all_shared,
@@ -103,44 +96,14 @@ class TestFamilies:
             assert vals and not (set(vals) & anchors)
 
 
-class TestWindowEvaluation:
-    def test_inverse_cdf_midpoints(self):
-        # 3 sorted replicates at one anchor: u=0.5 lands exactly on the
-        # middle replicate (plotting position 3*0.5 - 0.5 = 1.0).
-        anchors = np.array([0.0, 1.0])
-        quantiles = np.array([[1.0, 2.0, 3.0], [5.0, 6.0, 7.0]])
-        out = evaluate_sample_windows(
-            anchors, quantiles, np.array([0.0, 1.0]), np.array([0.5])
-        )
-        assert out.shape == (2, 1)
-        assert out[0, 0] == 2.0 and out[1, 0] == 6.0
-
-    def test_anchor_blend_is_linear(self):
-        anchors = np.array([0.0, 2.0])
-        quantiles = np.array([[0.0, 0.0], [4.0, 4.0]])
-        out = evaluate_sample_windows(
-            anchors, quantiles, np.array([1.0]), np.array([0.25, 0.75])
-        )
-        assert np.allclose(out, 2.0)
-
-    def test_uniforms_deterministic_and_distinct(self):
-        a = sample_uniforms(TINY, "web_search")
-        b = sample_uniforms(TINY, "web_search")
-        c = sample_uniforms(TINY, "zeusmp")
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-        assert a.shape == (TINY.n_samples,)
-        assert np.all((0 <= a) & (a < 1))
-
-
 class TestFitThroughStore:
     def test_anchor_prediction_bit_identical_to_exact(self):
         from repro.engine.store import default_store
 
         surrogate = fit_uipc_surrogate("solo", ("gamess",), config_solo(), TINY)
-        exact = default_store().compute(
+        exact = thread_means(default_store().compute(
             SimJob.solo("gamess", config_solo(96), TINY)
-        )
+        ), 1)
         assert surrogate.predict(96) == exact[0]
 
     def test_fit_reproducible_through_store(self):
@@ -179,9 +142,9 @@ class TestFitThroughStore:
                                        TINY)
         x = 88  # off-anchor, off-validation
         fresh = replace(TINY, seed=derive_seed(TINY.seed, "fresh-heldout", 0))
-        exact = default_store().compute(
+        exact = thread_means(default_store().compute(
             SimJob.solo("xalancbmk", config_solo(x), fresh)
-        )
+        ), 1)
         assert abs(surrogate.predict(x) - exact[0]) <= surrogate.error_bound
 
     def test_out_of_range_raises(self):
@@ -197,33 +160,9 @@ class TestFitThroughStore:
         batched = surrogate.predict_many(xs)
         assert list(batched) == [surrogate.predict(x) for x in xs]
 
-    def test_evaluate_grid_shape_and_mean_consistency(self):
-        surrogate = fit_uipc_surrogate("solo", ("gamess",), config_solo(), TINY)
-        xs = [32, 96, 192]
-        grid = surrogate.evaluate_grid(xs, TINY)
-        assert grid.shape == (1, 3, TINY.n_samples)
-        # Draws at an anchor stay inside that anchor's replicate range.
-        k = surrogate.anchors.index(96)
-        lo, hi = surrogate.quantiles[0, k, 0], surrogate.quantiles[0, k, -1]
-        assert np.all((lo <= grid[0, xs.index(96)])
-                      & (grid[0, xs.index(96)] <= hi))
-        # Extreme uniforms hit the extreme replicates exactly (with 2
-        # replicates, plotting positions clip at u<=0.25 and u>=0.75).
-        draws = surrogate.sample([96], np.array([0.1, 0.9]))
-        assert draws[0, 0] == lo and draws[0, 1] == hi
-
     def test_fit_job_requires_canonical_config(self):
         with pytest.raises(ValueError):
             UipcFitJob("solo", ("gamess",), config_solo(96), TINY)
-
-    def test_calibration_jobs_enumerates_fit_inputs(self):
-        grid = UipcGrid()
-        jobs = calibration_jobs("solo", ("gamess",), config_solo(), TINY, grid)
-        n_anchors = len(grid.anchor_values("solo", 192))
-        n_val = len(grid.validation_values("solo", 192)) * grid.n_val_reps
-        assert len(jobs) == n_anchors + n_val
-        kinds = {job.kind for job in jobs}
-        assert kinds == {"solo_samples", "solo"}
 
     def test_fit_key_disjoint_from_sim_keys(self):
         fit = UipcFitJob("solo", ("gamess",), config_solo(), TINY)
@@ -249,9 +188,9 @@ class TestFidelityDispatch:
         base = config_all_shared()
         member = base.with_rob_partition(72, 120)
         (pred,) = pair_uipc_many("web_search", "gamess", (member,), fid)
-        exact = default_store().compute(
+        exact = thread_means(default_store().compute(
             SimJob.pair("web_search", "gamess", member, TINY)
-        )
+        ), 2)
         job = UipcFitJob("pair", ("web_search", "gamess"), base, TINY,
                          fid.grid)
         bound = job.load(default_store().compute(job)).error_bound
@@ -282,13 +221,23 @@ class TestFidelityDispatch:
         assert recorded_jobs(sweep)(Fidelity("quick", TINY)) == jobs
         assert default_store().stats.lookups == 0  # recording runs nothing
 
-    def test_recorded_jobs_collapse_families(self):
-        def sweep(effort):
-            configs = [config_solo(x) for x in (16, 48, 96, 192)]
+    @staticmethod
+    def sweep(sizes):
+        def run(effort):
+            configs = [config_solo(x) for x in sizes]
             solo_uipc_many("gamess", configs, effort)
             pair_uipc("web_search", "gamess", config_dynamic_rob(), effort)
 
-        jobs = recorded_jobs(sweep)(tiny_surrogate_fidelity())
+        return recorded_jobs(run)
+
+    def test_recorded_jobs_anchor_only_sweep_reads_exact_jobs(self):
+        # Every size is a stock anchor: the fit would hand back the exact
+        # means, so the surrogate tier records the quick tier's jobs.
+        sweep = self.sweep((16, 48, 96, 192))
+        assert sweep(tiny_surrogate_fidelity()) == sweep(Fidelity("quick", TINY))
+
+    def test_recorded_jobs_off_anchor_value_fits_the_family(self):
+        jobs = self.sweep((16, 48, 80, 192))(tiny_surrogate_fidelity())
         fits = [j for j in jobs if isinstance(j, UipcFitJob)]
         passthrough = [j for j in jobs if isinstance(j, SimJob)]
         assert len(fits) == 1  # one family across all four sweep points
