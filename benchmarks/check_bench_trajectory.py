@@ -13,7 +13,10 @@ baselines under ``benchmarks/results/``:
   10k-vs-100k falloff ratio (how much throughput the working-set jump
   costs — ROADMAP's memory-bandwidth trail) is recorded for both
   payloads and printed; it is informational, since the per-size gates
-  already bound each end of the ratio.
+  already bound each end of the ratio.  The placement and scenario
+  overhead probes fail when the fresh payload's lower confidence bound
+  on the median paired ratio (:func:`median_lower_bound`) exceeds their
+  budget.
 * ``BENCH_core.json`` — per-scenario ``speedup`` of ``FastCore`` over
   the ``ReferenceCore`` oracle from the core benchmark, same rule (both
   cores are timed in the same run, so the ratio does not follow the
@@ -51,10 +54,36 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+
+
+def median_lower_bound(ratios, confidence: float = 0.98) -> float:
+    """Distribution-free lower confidence bound on the median of ``ratios``.
+
+    The k-th smallest of n independent samples lies above their median
+    only when at most k - 1 samples fall below it, which has probability
+    P[Bin(n, 1/2) <= k - 1].  The bound is the largest such order
+    statistic whose probability stays within ``1 - confidence``: for the
+    fleet probes' nine paired ratios it is the 2nd smallest, at 98 %
+    (P[Bin(9, 1/2) <= 1] = 10/512).  An overhead probe gating it fails
+    only when the data show the median overhead is above the budget.
+    """
+    ordered = sorted(float(r) for r in ratios)
+    n = len(ordered)
+    k = 0
+    while k < n and sum(
+        math.comb(n, i) for i in range(k + 1)
+    ) / 2 ** n <= 1.0 - confidence:
+        k += 1
+    if k == 0:
+        raise ValueError(
+            f"{n} samples cannot bound a median at {confidence:.0%} confidence"
+        )
+    return ordered[k - 1]
 
 
 def load(path: Path) -> dict | None:
@@ -115,24 +144,27 @@ def check_fleet(baseline: dict, fresh: dict, max_regression: float,
             falloff = float(payload["10000"]) / float(payload["100000"])
             print(f"  10k-vs-100k falloff ({name}): {falloff:.2f}x")
 
-    # Heterogeneous-placement stepping overhead vs the homogeneous path.
-    # The benchmark itself asserts the budget; the trajectory guard only
-    # fails when a fresh payload breaches it (older baselines may predate
-    # the field entirely).
+    # Heterogeneous-placement and scenario stepping overheads.  The
+    # benchmark itself asserts the budget on the lower confidence bound
+    # of the median paired ratio (``median_lower_bound``); the trajectory
+    # guard fails only when a fresh payload's bound breaches it.  Payloads
+    # that predate the bound are judged on their median, and older
+    # baselines may predate the fields entirely.
     for kind in ("placement", "scenario"):
         budget = fresh.get(f"{kind}_overhead_budget")
         for name, payload in (("baseline", baseline), ("fresh", fresh)):
             overhead = payload.get(f"{kind}_overhead")
             if overhead is None:
                 continue
+            bound = payload.get(f"{kind}_overhead_bound", overhead)
             servers = payload.get(f"{kind}_overhead_servers", "?")
             print(f"  {kind} overhead ({name}, {servers} servers): "
-                  f"{float(overhead):+.1%}")
+                  f"median {float(overhead):+.1%}, bound {float(bound):+.1%}")
             if name == "fresh" and budget is not None \
-                    and float(overhead) > float(budget):
+                    and float(bound) > float(budget):
                 failures.append(
-                    f"fleet: {kind} overhead {float(overhead):+.1%} exceeds "
-                    f"budget {float(budget):.0%}"
+                    f"fleet: {kind} overhead bound {float(bound):+.1%} "
+                    f"exceeds budget {float(budget):.0%}"
                 )
 
 

@@ -163,8 +163,10 @@ class ResultStore:
                 dir=path.parent, prefix=f".{key[:16]}.", suffix=".tmp"
             )
             try:
+                # json.dumps, not json.dump: only the one-shot encoder is
+                # the C one, and the text is the same.
                 with os.fdopen(fd, "w") as handle:
-                    json.dump(list(values), handle)
+                    handle.write(json.dumps(list(values)))
                 os.replace(tmp, path)
             except BaseException:
                 try:

@@ -26,12 +26,21 @@ fleet while drawing every per-server random stream from the *global*
 server index, so sharding the fleet across processes
 (:mod:`repro.fleet.shard`) leaves every per-server value and integer
 aggregate unchanged; the float window sums match up to summation order.
+
+A window with several chunks steps them on a per-step thread pool, one
+thread per usable core, and adds their partial sums in chunk order: the
+float sums vary with the chunk size, never with the worker count.
 """
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
 import os
+import queue
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -93,6 +102,9 @@ LOAD_BOUNDS = (0.02, 1.2)
 DEFAULT_CHUNK_SERVERS = 65536
 _CHUNK_ENV = "REPRO_FLEET_CHUNK"
 
+#: ``fleet.step.<phase>`` profiler sections timed inside each chunk.
+_CHUNK_PHASES = ("gather", "tails", "aggregate", "monitor")
+
 #: "Inherit the engine's scenario" sentinel for stepper()/run_day().
 _UNSET = object()
 
@@ -113,6 +125,23 @@ def _resolve_chunk_size(chunk_size: int | None) -> int:
     if chunk_size < 1:
         raise ValueError(f"{source} must be positive")
     return chunk_size
+
+
+def _step_workers(n_chunks: int) -> int:
+    """Threads that step one window's ``n_chunks`` chunks.
+
+    The process's usable cores, capped by the chunk count.  A
+    ``multiprocessing`` child gets one, so a pool of shard processes keeps
+    one busy thread per process, and a one-chunk window never builds a
+    pool.
+    """
+    if n_chunks < 2 or multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cores = os.cpu_count() or 1
+    return min(cores, n_chunks)
 
 
 def monitor_transition_vec(
@@ -475,21 +504,19 @@ class FleetTimeline:
 
     def to_values(self) -> tuple[float, ...]:
         """Flatten for the content-addressed result store (shard transport)."""
-        return tuple(
-            [
-                float(self.n_servers),
-                float(self.shard_lo),
-                float(self.n_windows),
-                float(self.window_minutes),
-            ]
-            + [float(v) for v in self.mode_counts.ravel()]
-            + [float(v) for v in self.violations]
-            + [float(v) for v in self.throttled]
-            + [float(v) for v in self.tail_ms_sum]
-            + [float(v) for v in self.batch_uipc_sum]
-            + [float(v) for v in self.server_violations]
-            + [float(v) for v in self.server_bmode_windows]
-        )
+        return tuple(self._flat().tolist())
+
+    def _flat(self) -> np.ndarray:
+        return np.concatenate((
+            [self.n_servers, self.shard_lo, self.n_windows, self.window_minutes],
+            self.mode_counts.ravel(),
+            self.violations,
+            self.throttled,
+            self.tail_ms_sum,
+            self.batch_uipc_sum,
+            self.server_violations,
+            self.server_bmode_windows,
+        ), dtype=float)
 
     @classmethod
     def from_values(cls, values) -> "FleetTimeline":
@@ -591,14 +618,14 @@ class FleetState:
 
     def to_values(self) -> tuple[float, ...]:
         """Flatten for the content-addressed store (checkpoint payload)."""
-        return tuple(
-            [float(self.lo), float(self.hi), float(self.window)]
-            + [float(v) for v in self.mode]
-            + [float(v) for v in self.compliant]
-            + [float(v) for v in self.violation]
-            + [float(v) for v in self.throttle]
-            + list(self.timeline.to_values())
-        )
+        return tuple(np.concatenate((
+            [self.lo, self.hi, self.window],
+            self.mode,
+            self.compliant,
+            self.violation,
+            self.throttle,
+            self.timeline._flat(),
+        ), dtype=float).tolist())
 
     @classmethod
     def from_values(cls, values) -> "FleetState":
@@ -847,8 +874,10 @@ class FleetStepper:
     cache-resident at 100k–1M+ servers.  Chunking is deterministic, so a
     resumed stepper is bit-identical to an uninterrupted one; integer
     aggregates are chunk-size-invariant, float window sums vary only by
-    summation order.  The ``exact`` tail path is per-server DES-bound and
-    runs unchunked.
+    summation order.  A window of several chunks steps them on one thread
+    per usable core and adds their partial sums in chunk order, so the
+    float sums vary with the chunk size, never with the worker count.  The
+    ``exact`` tail path is per-server DES-bound and runs unchunked.
 
     Setting :attr:`capture_violators` to K > 0 additionally exposes, in
     :attr:`last_violators`, the window's top-K violating servers (by
@@ -965,7 +994,11 @@ class FleetStepper:
         qos = engine.ls_profile.qos
         self._target_ms = qos.target_ms
         self._engage_ms = qos.target_ms * cfg.monitor.engage_fraction
-        self._heap_pin: tuple | None = None
+        # Per-window vectors are written into these buffers, so a window
+        # allocates no full-fleet vector that outlives it.
+        self._loads = np.empty(hi - lo)
+        self._noise = np.empty(cfg.n_servers) if tail == "surrogate" else None
+        self._heap_pin: list = []
         #: Top-K violating servers to expose per window (0 disables).
         self.capture_violators = 0
         #: Last window's captured violators (see :meth:`step`).
@@ -1023,15 +1056,14 @@ class FleetStepper:
 
         Drawn for the *whole* fleet and sliced, so shard boundaries never
         change the streams (same discipline as the balancing policies).
+        Every window draws into the same buffer.
         """
         if self._surrogate is None:
             return None
         rng = np.random.default_rng(
             derive_seed(self.engine.config.seed, "fleet-noise", window)
         )
-        return rng.random(self.engine.config.n_servers)[
-            self.state.lo:self.state.hi
-        ]
+        return rng.random(out=self._noise)[self.state.lo:self.state.hi]
 
     def _tails(
         self, window, loads, perf, u, offset: int, rows=None
@@ -1064,9 +1096,9 @@ class FleetStepper:
             )
         engine = self.engine
         cfg = engine.config
-        # Phase timers accumulate in locals and flush once per window so
-        # the hot chunk loop costs two perf_counter calls per phase when
-        # profiling is on and a single predictable branch when it is off.
+        # Each chunk times its own phases and the step flushes their sums
+        # once per window, so profiling costs two perf_counter calls per
+        # phase and chunk when on and a single predictable branch when off.
         prof = self._profiler
         tick = time.perf_counter if prof is not None else None
         if tick is not None:
@@ -1083,151 +1115,128 @@ class FleetStepper:
         # where the division does not round-trip the two differ, and the
         # recorded days (tests/golden) were drawn with this expression.
         window_index = int(hour * 60.0 / cfg.window_minutes)
-        loads = self._policy.server_loads(
-            float(cluster_load), window_index, self._ctx
-        )[state.lo:state.hi]
-        # Scenario load perturbations multiply the raw balanced loads
-        # (full-fleet vectors, sliced) before the LOAD_BOUNDS clip, so the
-        # loads stay in the range the tail evaluators were calibrated for.
-        scenario_lf = None
-        if self._sampler is not None:
-            full_lf = self._sampler.load_factors(k, hour)
-            if full_lf is not None:
-                scenario_lf = full_lf[state.lo:state.hi]
-                loads = loads * scenario_lf
-        loads = np.clip(loads, *LOAD_BOUNDS)
-        u = self._window_noise(k)
-        if self._placement is not None:
-            # Full-fleet assignment, sliced — shard-count invariant by the
-            # same discipline as the balancing policies.  Pre-scaled by the
-            # table width so the chunk loop's combined index is one add and
-            # each lookup a single flat 1-D gather; cached per epoch (the
-            # policy returns one array per epoch) so steady-state windows
-            # allocate nothing here.
-            table = self.engine.corunner_table
-            assign = self._placement.assign(window_index, self._pctx)
-            if self._pidx4 is None or self._pidx4[0] is not assign:
-                sliced = assign[state.lo:state.hi]
-                counts = np.bincount(sliced, minlength=table.n_profiles)
-                self._pidx4 = (
-                    assign,
-                    sliced * table.perf_rows.shape[1],
-                    {
-                        name: int(counts[i])
-                        for i, name in enumerate(table.profiles)
-                    },
-                )
-            pidx4 = self._pidx4[1]
-            perf_table = table.perf_rows.ravel()
-            batch_table = table.batch_rows.ravel()
-        else:
-            pidx4 = None
-            perf_table, batch_table = engine._perf_rows, engine._batch_rows
-        adaptive, row_modes = engine.adaptive, engine._row_modes
-        if tick is not None:
-            t_loads = tick() - t0
-            t_gather = t_tails = t_monitor = t_agg = 0.0
+        n = state.n_servers
+        starts = range(0, n, self._chunk)
+        workers = _step_workers(len(starts))
+        # The calling thread is one of the workers.  Helper threads live
+        # only inside this block: none outlives the step, so a process
+        # forked between steps inherits none.
+        with (
+            ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()
+        ) as pool:
+            # The window's two full-fleet draws run concurrently.
+            noise = None if pool is None else pool.submit(
+                self._window_noise, k
+            )
+            loads = self._policy.server_loads(
+                float(cluster_load), window_index, self._ctx
+            )[state.lo:state.hi]
+            # Scenario load perturbations multiply the raw balanced loads
+            # (full-fleet vectors, sliced) before the LOAD_BOUNDS clip, so
+            # the loads stay in the range the tail evaluators were
+            # calibrated for.
+            scenario_lf = None
+            if self._sampler is not None:
+                full_lf = self._sampler.load_factors(k, hour)
+                if full_lf is not None:
+                    scenario_lf = full_lf[state.lo:state.hi]
+                    loads = np.multiply(loads, scenario_lf, out=self._loads)
+            loads = np.clip(loads, *LOAD_BOUNDS, out=self._loads)
+            u = self._window_noise(k) if noise is None else noise.result()
+            if self._placement is not None:
+                # Full-fleet assignment, sliced — shard-count invariant by
+                # the same discipline as the balancing policies.
+                # Pre-scaled by the table width so a chunk's combined
+                # index is one add and each lookup a single flat 1-D
+                # gather; cached per epoch (the policy returns one array
+                # per epoch) so steady-state windows allocate nothing here.
+                table = self.engine.corunner_table
+                assign = self._placement.assign(window_index, self._pctx)
+                if self._pidx4 is None or self._pidx4[0] is not assign:
+                    sliced = assign[state.lo:state.hi]
+                    counts = np.bincount(sliced, minlength=table.n_profiles)
+                    self._pidx4 = (
+                        assign,
+                        sliced * table.perf_rows.shape[1],
+                        {
+                            name: int(counts[i])
+                            for i, name in enumerate(table.profiles)
+                        },
+                    )
+                pidx4 = self._pidx4[1]
+                perf_table = table.perf_rows.ravel()
+                batch_table = table.batch_rows.ravel()
+            else:
+                pidx4 = None
+                perf_table, batch_table = engine._perf_rows, engine._batch_rows
+            top_k = int(self.capture_violators)
+            if tick is not None:
+                t1 = tick()
+            chunk = functools.partial(
+                self._step_chunk, k=k, loads=loads, u=u, pidx4=pidx4,
+                perf_table=perf_table, batch_table=batch_table, top_k=top_k,
+                tick=tick,
+            )
+            # Every worker takes the next chunk left, so one descheduled
+            # thread holds up at most one chunk; with one worker this is
+            # the chunks in order.
+            parts: list = [None] * len(starts)
+            todo = queue.SimpleQueue()
+            for i in range(len(starts)):
+                todo.put(i)
+            # Each worker's last chunk temporaries (see _heap_pin below).
+            held: list = []
+
+            def drain() -> None:
+                temporaries = None
+                while True:
+                    try:
+                        i = todo.get_nowait()
+                    except queue.Empty:
+                        break
+                    parts[i], temporaries = chunk(starts[i])
+                held.append(temporaries)
+
+            helpers = [pool.submit(drain) for _ in range(workers - 1)]
+            try:
+                drain()
+            finally:
+                for helper in helpers:
+                    helper.result()
 
         out = state.timeline
         out.hours[k] = hour
-        n = state.n_servers
         mode_counts = np.zeros(3, dtype=np.int64)
         violations = throttled = 0
         tail_ms_sum = batch_uipc_sum = 0.0
-        top_k = int(self.capture_violators)
         captured: list[np.ndarray] = []
-        for s0 in range(0, n, self._chunk):
-            if tick is not None:
-                t0 = tick()
-            s1 = min(s0 + self._chunk, n)
-            mode = state.mode[s0:s1]
-            throttle = state.throttle[s0:s1]
-            throttled_now = throttle > 0
-            rows = np.where(throttled_now, _THROTTLED_ROW, mode)
-            # Heterogeneous fleets index the raveled (profile, mode row)
-            # table: pre-scaled profile row + mode row.
-            flat = rows if pidx4 is None else pidx4[s0:s1] + rows
-            batch_chunk_sum = float(batch_table[flat].sum())
-            if self._srows is None:
-                # Only the exact DES path reads per-server perf factors;
-                # the surrogate samples from precomputed grid rows.
-                perf, srows = perf_table[flat], None
-            else:
-                perf, srows = None, self._srows[flat]
-            if tick is not None:
-                t1 = tick()
-                t_gather += t1 - t0
-            tails = self._tails(
-                k, loads[s0:s1], perf, None if u is None else u[s0:s1], s0,
-                srows,
-            )
-            if self._scenario_tail is not None:
-                # Static per-server slowdowns (stragglers, generations);
-                # unaffected servers carry exactly 1.0, preserving bits.
-                # _tails always returns a fresh array, so in place is safe.
-                np.multiply(tails, self._scenario_tail[s0:s1], out=tails)
-            if tick is not None:
-                t2 = tick()
-                t_tails += t2 - t1
-            violated = tails > self._target_ms
-            slack = tails <= self._engage_ms
-
-            label = mode if row_modes is None else row_modes[mode]
-            mode_counts += np.bincount(label, minlength=3)
-            violations += int(violated.sum())
-            throttled += int(throttled_now.sum())
-            tail_ms_sum += float(tails.sum())
-            batch_uipc_sum += batch_chunk_sum
-            out.server_violations[s0:s1] += violated
-            out.server_bmode_windows[s0:s1] += label == _B_MODE
-            if tick is not None:
-                t3 = tick()
-                t_agg += t3 - t2
-
-            if adaptive is None:
-                monitor_transition_vec(
-                    mode, state.compliant[s0:s1], state.violation[s0:s1],
-                    throttle, violated, slack, cfg.monitor,
-                    cfg.q_mode_available,
-                )
-            else:
-                mode[:] = adaptive.next_rows(tails)
-            if tick is not None:
-                t_monitor += tick() - t3
-            if top_k > 0:
-                idx = np.flatnonzero(violated)
-                if len(idx):
-                    now, after = rows[idx], mode[idx]
-                    if row_modes is not None:
-                        # Adaptive rows report their mode, as in the counts.
-                        now, after = row_modes[now], row_modes[after]
-                    # Columns: global server, day violations (cumulative,
-                    # incl. this window), mode row at violation time
-                    # (0-2 per MODE_ORDER, 3 = throttled), then the
-                    # post-transition monitor state.
-                    captured.append(np.column_stack((
-                        idx + (state.lo + s0),
-                        out.server_violations[s0 + idx],
-                        now,
-                        after,
-                        state.violation[s0:s1][idx],
-                        throttle[idx],
-                    )))
-        # Keep the final window temporaries alive until the next step.  If
-        # they all die when this frame returns, the top of the heap frees
-        # entirely and glibc trims it back to the OS — re-faulting ~3 MB of
-        # pages per window (measured: ~770 minor faults/window, +50% wall
-        # time at 10k servers).  Holding the last chunk's arrays pins the
-        # heap top so the arena is reused across windows.
-        self._heap_pin = (
-            loads, u, rows, flat, perf, srows, tails, violated, slack,
-        )
+        busy = [0.0] * len(_CHUNK_PHASES)
+        # Chunk order, as a serial loop adds them: the float sums are the
+        # same doubles whatever the number of workers.
+        for counts, n_violated, n_throttled, tails, batch, found, phases in (
+            parts
+        ):
+            mode_counts += counts
+            violations += n_violated
+            throttled += n_throttled
+            tail_ms_sum += tails
+            batch_uipc_sum += batch
+            if found is not None:
+                captured.append(found)
+            if phases is not None:
+                busy = [a + b for a, b in zip(busy, phases)]
+        # Keep each worker's last chunk temporaries alive until the next
+        # step.  If they all die with the step, the top of the heap frees
+        # and glibc trims it back to the OS, re-faulting those pages every
+        # window (DESIGN.md §9 counts the minor faults per window).
+        self._heap_pin = held
         if prof is not None:
-            prof.add("fleet.step.loads", t_loads)
-            prof.add("fleet.step.gather", t_gather)
-            prof.add("fleet.step.tails", t_tails)
-            prof.add("fleet.step.aggregate", t_agg)
-            prof.add("fleet.step.monitor", t_monitor)
+            prof.add("fleet.step.loads", t1 - t0)
+            # Busy seconds, summed over every chunk task; the chunk
+            # region's wall time is ``fleet.step.chunks``.
+            for phase, seconds in zip(_CHUNK_PHASES, busy):
+                prof.add(f"fleet.step.{phase}", seconds)
+            prof.add("fleet.step.chunks", tick() - t1)
         if top_k > 0:
             self.last_violators = self._rank_violators(captured, top_k)
         out.mode_counts[k] = mode_counts
@@ -1263,6 +1272,103 @@ class FleetStepper:
             # Fresh copies per window: records are caller-owned.
             record["scenario"] = {**summary, "active": list(active)}
         return record
+
+    def _step_chunk(
+        self, s0: int, *, k, loads, u, pidx4, perf_table, batch_table,
+        top_k: int, tick,
+    ) -> tuple:
+        """Advance servers ``[s0, s0 + chunk)`` through window ``k``.
+
+        Writes only the chunk's slices of the state arrays and of the
+        per-server timeline arrays, so chunks may run on any threads.
+        Returns the chunk's partials: mode counts, violations, throttled
+        servers, the tail and batch-UIPC sums, the captured violator rows
+        (``None`` when there are none to capture) and the seconds of each
+        :data:`_CHUNK_PHASES` phase (``None`` unprofiled).
+        """
+        state = self.state
+        out = state.timeline
+        engine = self.engine
+        cfg = engine.config
+        row_modes = engine._row_modes
+        if tick is not None:
+            t0 = tick()
+        s1 = min(s0 + self._chunk, state.n_servers)
+        mode = state.mode[s0:s1]
+        throttle = state.throttle[s0:s1]
+        throttled_now = throttle > 0
+        rows = np.where(throttled_now, _THROTTLED_ROW, mode)
+        # Heterogeneous fleets index the raveled (profile, mode row)
+        # table: pre-scaled profile row + mode row.
+        flat = rows if pidx4 is None else pidx4[s0:s1] + rows
+        batch_sum = float(batch_table[flat].sum())
+        if self._srows is None:
+            # Only the exact DES path reads per-server perf factors;
+            # the surrogate samples from precomputed grid rows.
+            perf, srows = perf_table[flat], None
+        else:
+            perf, srows = None, self._srows[flat]
+        if tick is not None:
+            t1 = tick()
+        tails = self._tails(
+            k, loads[s0:s1], perf, None if u is None else u[s0:s1], s0, srows,
+        )
+        if self._scenario_tail is not None:
+            # Static per-server slowdowns (stragglers, generations);
+            # unaffected servers carry exactly 1.0, preserving bits.
+            # _tails always returns a fresh array, so in place is safe.
+            np.multiply(tails, self._scenario_tail[s0:s1], out=tails)
+        if tick is not None:
+            t2 = tick()
+        violated = tails > self._target_ms
+        slack = tails <= self._engage_ms
+
+        label = mode if row_modes is None else row_modes[mode]
+        partials = (
+            np.bincount(label, minlength=3),
+            int(violated.sum()),
+            int(throttled_now.sum()),
+            float(tails.sum()),
+            batch_sum,
+        )
+        out.server_violations[s0:s1] += violated
+        out.server_bmode_windows[s0:s1] += label == _B_MODE
+        if tick is not None:
+            t3 = tick()
+
+        if engine.adaptive is None:
+            monitor_transition_vec(
+                mode, state.compliant[s0:s1], state.violation[s0:s1],
+                throttle, violated, slack, cfg.monitor, cfg.q_mode_available,
+            )
+        else:
+            mode[:] = engine.adaptive.next_rows(tails)
+        if tick is not None:
+            t4 = tick()
+        found = None
+        if top_k > 0:
+            idx = np.flatnonzero(violated)
+            if len(idx):
+                now, after = rows[idx], mode[idx]
+                if row_modes is not None:
+                    # Adaptive rows report their mode, as in the counts.
+                    now, after = row_modes[now], row_modes[after]
+                # Columns: global server, day violations (cumulative,
+                # incl. this window), mode row at violation time (0-2 per
+                # MODE_ORDER, 3 = throttled), then the post-transition
+                # monitor state.
+                found = np.column_stack((
+                    idx + (state.lo + s0),
+                    out.server_violations[s0 + idx],
+                    now,
+                    after,
+                    state.violation[s0:s1][idx],
+                    throttle[idx],
+                ))
+        phases = None if tick is None else (t1 - t0, t2 - t1, t3 - t2, t4 - t3)
+        return partials + (found, phases), (
+            rows, flat, perf, srows, tails, violated, slack,
+        )
 
     @staticmethod
     def _rank_violators(captured: list[np.ndarray], top_k: int) -> list[dict]:

@@ -182,15 +182,19 @@ class JitteredPolicy(LoadBalancingPolicy):
     def server_loads(self, cluster_load, window, ctx):
         share = cluster_load / ctx.overprovision
         if ctx.n_servers <= EXACT_JITTER_MAX:
-            jitter = self._jitter_matrix(ctx, window + 1)[:, window]
-        else:
-            rng = np.random.default_rng(
-                derive_seed(ctx.seed, "fleet-jitter", window)
-            )
-            jitter = 1.0 + rng.uniform(
-                -ctx.balance_jitter, ctx.balance_jitter, size=ctx.n_servers
-            )
-        return share * jitter
+            # A view into the cached matrix: scale a copy.
+            return share * self._jitter_matrix(ctx, window + 1)[:, window]
+        rng = np.random.default_rng(
+            derive_seed(ctx.seed, "fleet-jitter", window)
+        )
+        # The draw is this call's own vector, so ``share * (1.0 + x)``
+        # runs in place: the same doubles without two full-fleet temporaries.
+        loads = rng.uniform(
+            -ctx.balance_jitter, ctx.balance_jitter, size=ctx.n_servers
+        )
+        loads += 1.0
+        loads *= share
+        return loads
 
 
 class PowerOfTwoPolicy(LoadBalancingPolicy):

@@ -31,15 +31,19 @@ CHECKPOINT_VERSION = 1
 
 def checkpoint_key(identity: str, state: FleetState) -> str:
     """Deterministic key for ``state`` snapshotted under ``identity``."""
+    return _key(identity, state.window, state.to_values())
+
+
+def _key(identity: str, window: int, values: tuple[float, ...]) -> str:
     digest = hashlib.sha256(
-        np.asarray(state.to_values(), dtype=np.float64).tobytes()
+        np.asarray(values, dtype=np.float64).tobytes()
     ).hexdigest()
     payload = repr((
         CACHE_VERSION,
         CHECKPOINT_VERSION,
         "fleet-checkpoint",
         identity,
-        int(state.window),
+        int(window),
         digest,
     ))
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -50,8 +54,9 @@ def save_checkpoint(
 ) -> str:
     """Persist ``state`` and return its content-addressed key."""
     store = store if store is not None else default_store()
-    key = checkpoint_key(identity, state)
-    store.put(key, tuple(state.to_values()))
+    values = state.to_values()
+    key = _key(identity, state.window, values)
+    store.put(key, values)
     return key
 
 

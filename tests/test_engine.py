@@ -7,6 +7,7 @@ without real simulations; the simulation-equivalence property tests live in
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import threading
@@ -204,6 +205,21 @@ class TestResultStore:
         assert json.loads(entry.read_text()) == [1.5, 2.5]
         # No stray tempfiles left behind by the atomic write.
         assert list(tmp_path.glob("**/*.tmp")) == []
+
+    def test_entry_bytes_match_streamed_json(self, tmp_path):
+        # put() encodes with the one-shot (C) encoder; the file must hold
+        # the bytes json.dump's streaming encoder wrote, special values
+        # included.
+        values = (
+            float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+            float(2 ** 53), 2.0 ** 53 + 2, 0.1 + 0.2, 1e-300, -1.5e308,
+        )
+        store = ResultStore(tmp_path)
+        store.put("special", values)
+        streamed = io.StringIO()
+        json.dump(list(values), streamed)
+        entry = tmp_path / f"v{CACHE_VERSION}" / "special.json"
+        assert entry.read_bytes() == streamed.getvalue().encode()
 
     def test_disk_hit_after_memory_flush(self, tmp_path):
         store = ResultStore(tmp_path)

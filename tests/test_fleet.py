@@ -15,10 +15,15 @@ The load-bearing guarantees:
 """
 
 import itertools
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+import repro.fleet.engine as fleet_engine
+from repro.core.adaptive import AdaptiveStretchPolicy
 from repro.core.colocation import ColocationPerformance, ModePerformance
 from repro.core.monitor import MonitorConfig, MonitorState, monitor_transition
 from repro.core.stretch import StretchMode
@@ -27,6 +32,8 @@ from repro.engine.store import ResultStore
 from repro.fleet import (
     FleetConfig,
     FleetEngine,
+    FleetState,
+    FleetStepper,
     FleetTimeline,
     SurrogateGrid,
     TailSurrogate,
@@ -38,7 +45,9 @@ from repro.fleet import (
     run_fleet_sharded,
     shard_bounds,
 )
+from repro.core.partitioning import B_MODES
 from repro.fleet.policies import EXACT_JITTER_MAX, PolicyContext
+from repro.scenarios import get_scenario
 from repro.util.rng import derive_seed
 from repro.workloads.registry import get_profile
 from tests.test_cluster import exact_day, golden_cases
@@ -603,6 +612,40 @@ class TestFleetTimeline:
         with pytest.raises(ValueError):
             FleetTimeline.merge([])
 
+    def test_to_values_equal_the_elementwise_construction(self, surrogate):
+        stepper = FleetEngine(
+            get_profile("web_search"), performance_model(),
+            fleet_config(n_servers=6), surrogate=surrogate,
+        ).stepper("web_search", server_range=(1, 6))
+        stepper.run(n_windows=5)
+        state, t = stepper.state, stepper.timeline
+        timeline_values = tuple(
+            [
+                float(t.n_servers), float(t.shard_lo), float(t.n_windows),
+                float(t.window_minutes),
+            ]
+            + [float(v) for v in t.mode_counts.ravel()]
+            + [float(v) for v in t.violations]
+            + [float(v) for v in t.throttled]
+            + [float(v) for v in t.tail_ms_sum]
+            + [float(v) for v in t.batch_uipc_sum]
+            + [float(v) for v in t.server_violations]
+            + [float(v) for v in t.server_bmode_windows]
+        )
+        state_values = tuple(
+            [float(state.lo), float(state.hi), float(state.window)]
+            + [float(v) for v in state.mode]
+            + [float(v) for v in state.compliant]
+            + [float(v) for v in state.violation]
+            + [float(v) for v in state.throttle]
+        ) + timeline_values
+        for got, want in (
+            (t.to_values(), timeline_values), (state.to_values(), state_values)
+        ):
+            assert got == want
+            assert all(type(v) is float for v in got)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_empty_aggregates(self):
         t = FleetTimeline.empty(0, 0, 10.0)
         assert t.violation_rate == 0.0
@@ -795,3 +838,293 @@ class TestFleetStepper:
         # float sums reassociate across the slice boundary
         assert merged.tail_ms_sum == pytest.approx(whole.tail_ms_sum)
         assert merged.batch_uipc_sum == pytest.approx(whole.batch_uipc_sum)
+
+
+# ----------------------------------------------------------------------
+# Threaded chunk steps
+# ----------------------------------------------------------------------
+
+#: 5 000 servers in 700-server chunks: eight chunks per window.
+THREADED_SERVERS = 5000
+THREADED_CHUNK = 700
+THREADED_POPULATION = ("zeusmp", "lbm")
+
+
+def threaded_corunners() -> tuple[ColocationPerformance, ...]:
+    """zeusmp as performance_model(), plus an aggressor co-runner."""
+    return (
+        performance_model(),
+        ColocationPerformance(
+            ls_workload="web_search",
+            batch_workload="lbm",
+            ls_solo_uipc=0.6,
+            per_mode={
+                StretchMode.BASELINE: ModePerformance(0.44, 0.55),
+                StretchMode.B_MODE: ModePerformance(0.38, 0.63),
+                StretchMode.Q_MODE: ModePerformance(0.49, 0.45),
+            },
+        ),
+    )
+
+
+def threaded_adaptive() -> AdaptiveStretchPolicy:
+    return AdaptiveStretchPolicy(
+        get_profile("web_search").qos, performance_model(), tuple(B_MODES)
+    )
+
+
+@pytest.fixture(scope="module")
+def threaded_surrogate(web_search_qos) -> TailSurrogate:
+    """One surrogate for every threaded case: it covers the population's
+    and the adaptive policy's perf factors."""
+    population = FleetEngine(
+        get_profile("web_search"), performance_model(),
+        fleet_config(population=THREADED_POPULATION),
+        corunners=threaded_corunners(),
+    )
+    adaptive = FleetEngine(
+        get_profile("web_search"), performance_model(), fleet_config(),
+        adaptive=threaded_adaptive(),
+    )
+    factors = sorted(set(population.perf_factors) | set(adaptive.perf_factors))
+    return fit_tail_surrogate(web_search_qos, tuple(factors), TEST_GRID)
+
+
+def force_workers(monkeypatch, workers: int) -> None:
+    monkeypatch.setattr(
+        fleet_engine, "_step_workers", lambda n_chunks: min(workers, n_chunks)
+    )
+
+
+def threaded_stepper(case: str, surrogate, state=None):
+    """The stepper of one threaded case, at ``THREADED_CHUNK``."""
+    kwargs = {}
+    cfg = dict(n_servers=THREADED_SERVERS)
+    if case == "placement_black_friday":
+        cfg.update(population=THREADED_POPULATION, placement="symbiosis")
+        kwargs.update(
+            corunners=threaded_corunners(),
+            scenario=get_scenario("black_friday"),
+        )
+    elif case == "adaptive":
+        kwargs["adaptive"] = threaded_adaptive()
+    engine = FleetEngine(
+        get_profile("web_search"), performance_model(), fleet_config(**cfg),
+        surrogate=surrogate, **kwargs,
+    )
+    load = None if case == "fed" else "web_search"
+    stepper = engine.stepper(load, chunk_size=THREADED_CHUNK, state=state)
+    if case == "capture":
+        stepper.capture_violators = 8
+    return stepper
+
+
+def threaded_day(case: str, surrogate) -> dict:
+    """Everything a threaded case writes: step records, captured
+    violators, the timeline and the state arrays."""
+    stepper = threaded_stepper(case, surrogate)
+    records, violators = [], []
+    while not stepper.done:
+        if case == "resumed" and stepper.state.window == 5:
+            values = stepper.state.to_values()
+            stepper = threaded_stepper(
+                case, surrogate, state=FleetState.from_values(values)
+            )
+        hour = stepper.state.window * 2.0
+        fed = 0.25 + 0.5 * np.sin(hour / 4.0) ** 2 if case == "fed" else None
+        records.append(stepper.step(fed))
+        violators.append(stepper.last_violators)
+    arrays = {
+        name: getattr(stepper.timeline, name)
+        for name in (
+            "hours", "mode_counts", "violations", "throttled",
+            "tail_ms_sum", "batch_uipc_sum", "server_violations",
+            "server_bmode_windows",
+        )
+    }
+    for name in ("mode", "compliant", "violation", "throttle"):
+        arrays[f"state.{name}"] = getattr(stepper.state, name)
+    return {"records": records, "violators": violators, "arrays": arrays}
+
+
+def assert_same_day(got: dict, want: dict) -> None:
+    assert got["records"] == want["records"]
+    assert got["violators"] == want["violators"]
+    for name, array in want["arrays"].items():
+        assert np.array_equal(got["arrays"][name], array), name
+
+
+class TestThreadedStep:
+    """A window's chunks step on several threads and write the serial
+    step's bits: chunk boundaries stay fixed and the partial sums add in
+    chunk order."""
+
+    @pytest.mark.parametrize("case", [
+        "jittered", "placement_black_friday", "adaptive", "capture", "fed",
+        "resumed",
+    ])
+    def test_every_worker_count_writes_the_serial_bits(
+        self, case, threaded_surrogate, monkeypatch
+    ):
+        force_workers(monkeypatch, 1)
+        serial = threaded_day(case, threaded_surrogate)
+        if case == "capture":
+            assert any(serial["violators"])
+        threads = set()
+        step_chunk = FleetStepper._step_chunk
+
+        def recording(self, *args, **kwargs):
+            threads.add(threading.get_ident())
+            return step_chunk(self, *args, **kwargs)
+
+        monkeypatch.setattr(FleetStepper, "_step_chunk", recording)
+        for workers in (2, 3):
+            force_workers(monkeypatch, workers)
+            assert_same_day(threaded_day(case, threaded_surrogate), serial)
+        assert len(threads) >= 2  # the chunks did run on several threads
+
+    def test_partial_sums_add_in_chunk_order(
+        self, threaded_surrogate, monkeypatch
+    ):
+        force_workers(monkeypatch, 3)
+        partials = {}
+        step_chunk = FleetStepper._step_chunk
+
+        def recording(self, s0, **kwargs):
+            result = step_chunk(self, s0, **kwargs)
+            partials[s0] = result[0][3:5]  # the tail and batch-UIPC sums
+            return result
+
+        monkeypatch.setattr(FleetStepper, "_step_chunk", recording)
+        stepper = threaded_stepper("jittered", threaded_surrogate)
+        for k in range(3):
+            partials.clear()
+            stepper.step()
+            tail_sum = batch_sum = 0.0
+            for s0 in sorted(partials):
+                tail_sum += partials[s0][0]
+                batch_sum += partials[s0][1]
+            assert len(partials) == 8
+            assert stepper.timeline.tail_ms_sum[k] == tail_sum
+            assert stepper.timeline.batch_uipc_sum[k] == batch_sum
+
+    def test_one_chunk_builds_no_pool(self, surrogate, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk window built a thread pool")
+
+        monkeypatch.setattr(fleet_engine, "ThreadPoolExecutor", no_pool)
+        FleetEngine(
+            get_profile("web_search"), performance_model(), fleet_config(),
+            surrogate=surrogate,
+        ).run_day("web_search")
+
+    def test_no_thread_outlives_a_step(self, threaded_surrogate, monkeypatch):
+        force_workers(monkeypatch, 3)
+        before = threading.active_count()
+        stepper = threaded_stepper("jittered", threaded_surrogate)
+        stepper.step()
+        assert threading.active_count() == before
+
+    def test_chunk_error_raises_without_leaking_threads(
+        self, threaded_surrogate, monkeypatch
+    ):
+        force_workers(monkeypatch, 3)
+        stepper = threaded_stepper("jittered", threaded_surrogate)
+        stepper.step()
+        before = threading.active_count()
+        calls = itertools.count()
+        transition = fleet_engine.monitor_transition_vec
+
+        def failing(*args, **kwargs):
+            if next(calls) == 2:
+                raise RuntimeError("third chunk failed")
+            return transition(*args, **kwargs)
+
+        monkeypatch.setattr(fleet_engine, "monitor_transition_vec", failing)
+        with pytest.raises(RuntimeError, match="third chunk failed"):
+            stepper.step()
+        assert threading.active_count() == before
+
+    def test_pool_fork_after_a_threaded_step(
+        self, threaded_surrogate, monkeypatch, tmp_path
+    ):
+        from repro import api
+
+        force_workers(monkeypatch, 2)
+        threaded_stepper("jittered", threaded_surrogate).step()
+        common = dict(
+            performance=performance_model(), load="web_search",
+            n_servers=8, window_minutes=120.0,
+            requests_per_window=TEST_RPW, seed=5,
+            surrogate=threaded_surrogate,
+        )
+        in_process = api.run_fleet("web_search", **common)
+        with warnings.catch_warnings():
+            # Python 3.12 warns when a multi-threaded process forks.
+            warnings.simplefilter("error", DeprecationWarning)
+            pooled = api.run_fleet(
+                "web_search", workers=2, store=ResultStore(tmp_path),
+                **common,
+            )
+        for name in ("mode_counts", "violations", "throttled",
+                     "server_violations", "server_bmode_windows"):
+            assert np.array_equal(
+                getattr(pooled, name), getattr(in_process, name)
+            ), name
+        assert np.allclose(
+            pooled.tail_ms_sum, in_process.tail_ms_sum, rtol=1e-12
+        )
+        assert np.allclose(
+            pooled.batch_uipc_sum, in_process.batch_uipc_sum, rtol=1e-12
+        )
+
+    def test_profiled_phases_flush_once_per_window(
+        self, threaded_surrogate, monkeypatch
+    ):
+        from repro.obs.profiler import disable_profiling, enable_profiling
+
+        force_workers(monkeypatch, 1)
+        serial = threaded_day("jittered", threaded_surrogate)
+        force_workers(monkeypatch, 2)
+        profiler = enable_profiling()
+        try:
+            profiler.reset()
+            profiled = threaded_day("jittered", threaded_surrogate)
+            for phase in ("loads", "gather", "tails", "aggregate", "monitor",
+                          "chunks"):
+                assert profiler.calls(f"fleet.step.{phase}") == 12, phase
+        finally:
+            disable_profiling()
+        assert_same_day(profiled, serial)
+
+    def test_more_workers_than_cores_under_fast_switching(
+        self, threaded_surrogate, monkeypatch
+    ):
+        # Six workers on eight chunks, switching threads every
+        # microsecond: a chunk taken twice, or a partial lost, would
+        # change the day.
+        force_workers(monkeypatch, 1)
+        serial = threaded_day("capture", threaded_surrogate)
+        force_workers(monkeypatch, 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = threaded_day("capture", threaded_surrogate)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_day(threaded, serial)
+
+    def test_worker_count_is_derived(self):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        assert fleet_engine._step_workers(1) == 1
+        assert 1 <= fleet_engine._step_workers(8) <= 8
+        assert fleet_engine._step_workers(2) <= 2
+        # A multiprocessing child steps its chunks on one thread.
+        with ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            assert pool.submit(
+                fleet_engine._step_workers, 8
+            ).result(timeout=60) == 1

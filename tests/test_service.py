@@ -25,6 +25,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.fleet.engine as fleet_engine
 from repro.core.colocation import ColocationPerformance, ModePerformance
 from repro.core.monitor import MonitorConfig
 from repro.core.stretch import StretchMode
@@ -32,6 +33,7 @@ from repro.engine.store import ResultStore
 from repro.fleet import (
     FleetConfig,
     FleetEngine,
+    FleetState,
     SurrogateGrid,
     TailSurrogate,
     fit_tail_surrogate,
@@ -57,6 +59,7 @@ from repro.service import (
     replay_curve,
     save_checkpoint,
 )
+from repro.service.checkpoint import checkpoint_key
 from repro.workloads.registry import get_profile
 
 
@@ -462,6 +465,39 @@ class TestCheckpointResume:
         restored = load_checkpoint(store, key)
         assert restored.window == 3
         assert timelines_equal(restored.timeline, service.timeline)
+
+    @staticmethod
+    def fixed_state() -> FleetState:
+        state = FleetState.fresh(2, 8, 4, 360.0)
+        state.window = 3
+        state.mode[:] = [0, 1, 2, 1, 0, 2]
+        state.compliant[:] = [0, 3, 1, 4, 2, 0]
+        state.violation[:] = [1, 0, 0, 2, 0, 1]
+        state.throttle[:] = [0, 0, 2, 0, 1, 0]
+        t = state.timeline
+        t.mode_counts[:3] = [[2, 3, 1], [1, 4, 1], [3, 1, 2]]
+        t.violations[:3] = [1, 2, 0]
+        t.throttled[:3] = [0, 1, 1]
+        t.tail_ms_sum[:3] = [312.5, 0.1 + 0.2, 1e-300]
+        t.batch_uipc_sum[:3] = [2.75, 1 / 3, 2.0]
+        t.server_violations[:] = [1, 0, 2, 0, 0, 1]
+        t.server_bmode_windows[:] = [0, 2, 1, 3, 0, 1]
+        return state
+
+    def test_checkpoint_key_literal(self):
+        # A key that moves strands every stored checkpoint: the state's
+        # flattening and digest must keep producing this one.
+        assert checkpoint_key("web_search|fixed", self.fixed_state()) == (
+            "588584c3bd57dd93a093fcb9bc0afa2ec6c199b3efce1a4e1f6c057ad8c456bc"
+        )
+
+    def test_saved_under_its_key_as_its_values(self, tmp_path):
+        state = self.fixed_state()
+        store = ResultStore(tmp_path)
+        key = save_checkpoint(store, "web_search|fixed", state)
+        assert key == checkpoint_key("web_search|fixed", state)
+        store.clear_memory()
+        assert store.get(key) == state.to_values()
 
 
 # ----------------------------------------------------------------------
@@ -1007,3 +1043,52 @@ class TestServeFacade:
 
         with pytest.raises(ValueError, match="performance model or a batch"):
             serve("web_search")
+
+
+# ----------------------------------------------------------------------
+# Threaded chunk steps
+# ----------------------------------------------------------------------
+
+
+class TestThreadedService:
+    """A multi-chunk service steps its windows, what-if forks and resumed
+    days on several threads and writes the one-thread bits."""
+
+    def serve(self, surrogate, monkeypatch, store, workers) -> tuple:
+        monkeypatch.setattr(
+            fleet_engine, "_step_workers",
+            lambda n_chunks: min(workers, n_chunks),
+        )
+        # 5 000 servers in 700-server chunks: eight chunks per window.
+        options = dict(chunk_size=700, store=store, recorder=True)
+        service = FleetService(
+            make_engine(surrogate, n_servers=5000), "web_search", **options
+        )
+        records = service.advance(4)
+        reply = service.whatif(
+            monitor=MonitorConfig(engage_fraction=0.7), horizon=3
+        )
+        key = service.checkpoint()["key"]
+        resumed = FleetService.resume(
+            key, make_engine(surrogate, n_servers=5000), "web_search",
+            **options,
+        )
+        records += resumed.advance(4)
+        return (
+            json.dumps(records, sort_keys=True), reply_bytes(reply), key,
+            resumed.timeline,
+        )
+
+    def test_served_day_matches_one_worker(
+        self, surrogate, monkeypatch, tmp_path
+    ):
+        records, reply, key, timeline = self.serve(
+            surrogate, monkeypatch, ResultStore(tmp_path / "serial"), 1
+        )
+        for workers in (2, 3):
+            got = self.serve(
+                surrogate, monkeypatch,
+                ResultStore(tmp_path / f"threads{workers}"), workers,
+            )
+            assert got[:3] == (records, reply, key)
+            assert timelines_equal(got[3], timeline)
