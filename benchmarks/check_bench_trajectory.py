@@ -7,9 +7,9 @@ baselines under ``benchmarks/results/``:
 * ``BENCH_fleet.json`` — per-size ``server_windows_per_s`` from the
   fleet scaling benchmark.  A size present in both payloads may not
   regress by more than ``--max-regression`` (default 25%); neither may
-  ``surrogate_fit_s``, the process time of one cold tail-surrogate fit
-  (the queueing DES), where lower is better and a baseline that
-  predates the field skips the gate.  The
+  ``surrogate_fit_s``, the wall time of one cold tail-surrogate fit
+  (the queueing DES, its replicates on every usable core), where lower
+  is better and a baseline that predates the field skips the gate.  The
   10k-vs-100k falloff ratio (how much throughput the working-set jump
   costs — ROADMAP's memory-bandwidth trail) is recorded for both
   payloads and printed; it is informational, since the per-size gates
@@ -131,7 +131,7 @@ def check_fleet(baseline: dict, fresh: dict, max_regression: float,
         check_ratio(f"fleet[{size}]", float(base_sws[size]),
                     float(fresh_sws[size]), max_regression, failures)
 
-    # Cold tail-surrogate fit, in process seconds: the queueing DES.
+    # Cold tail-surrogate fit, in wall seconds: the queueing DES.
     if "surrogate_fit_s" in baseline and "surrogate_fit_s" in fresh:
         check_ratio("surrogate_fit_s", float(baseline["surrogate_fit_s"]),
                     float(fresh["surrogate_fit_s"]), max_regression,

@@ -32,6 +32,9 @@ into a :class:`~repro.engine.store.ResultStore` from the parent process
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -51,6 +54,7 @@ __all__ = [
     "ExecutionEngine",
     "JobTimeoutError",
     "parse_workers",
+    "usable_workers",
 ]
 
 #: Exceptions that mean "the worker process died", not "the job raised".
@@ -67,12 +71,36 @@ class JobTimeoutError(TimeoutError):
     """A job exceeded the per-job timeout on every allowed attempt."""
 
 
-def parse_workers(value: str | int) -> int:
-    """Parse a ``--jobs`` value: a positive integer or ``auto`` (= CPU count)."""
-    import os
+def usable_workers(n_jobs: int) -> int:
+    """Workers worth starting for ``n_jobs`` independent jobs.
 
+    The cores this process may run on (its CPU affinity mask, else the
+    CPU count), capped by ``n_jobs``.  It is 1 in a ``multiprocessing``
+    child, so a pool of processes keeps one busy thread per process, and
+    1 while any other Python thread is alive: that thread may be busy on
+    a core, and forking a process pool beside it can copy a lock it holds
+    into the children (Python 3.12 warns on such a fork).  The fleet's
+    chunk threads, its surrogate fit and ``--jobs auto`` size themselves
+    here.
+    """
+    if (
+        n_jobs < 2
+        or multiprocessing.parent_process() is not None
+        or threading.active_count() > 1
+    ):
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cores = os.cpu_count() or 1
+    return min(cores, n_jobs)
+
+
+def parse_workers(value: str | int) -> int:
+    """Parse a ``--jobs`` value: a positive integer or ``auto`` (one per
+    usable core, :func:`usable_workers`)."""
     if isinstance(value, str) and value.strip().lower() == "auto":
-        return os.cpu_count() or 1
+        return usable_workers(os.cpu_count() or 1)
     try:
         workers = int(value)
     except (TypeError, ValueError):
@@ -362,7 +390,8 @@ class ExecutionEngine:
 
     @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down hard (running futures cannot be cancelled)."""
+        """Tear a pool down hard (running futures cannot be cancelled):
+        on a timeout, a broken pool or an error that ends the run."""
         processes = getattr(pool, "_processes", None) or {}
         for process in list(processes.values()):
             try:
@@ -412,6 +441,7 @@ class ExecutionEngine:
             pool = self._new_pool()
             return pool is not None
 
+        finished = False
         try:
             while pending or running:
                 # Windowed submission: at most ``workers`` in flight, so a
@@ -518,6 +548,12 @@ class ExecutionEngine:
                                 pending, store, report, emit, in_process=True
                             )
                             return
+            finished = True
         finally:
-            if pool is not None:
+            if pool is not None and finished:
+                # Nothing runs: join the workers and the pool's own
+                # threads, so none outlives run_jobs and a process forked
+                # next is single-threaded.
+                pool.shutdown(wait=True)
+            elif pool is not None:
                 self._kill_pool(pool)

@@ -769,7 +769,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--jobs", type=_jobs_arg, default=1, metavar="N|auto",
         help="worker processes for the simulation engine (default: 1 = "
-             "serial; 'auto' = CPU count); results are bit-identical to "
+             "serial; 'auto' = usable cores); results are bit-identical to "
              "serial runs",
     )
     parser.add_argument(

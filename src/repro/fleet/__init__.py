@@ -53,6 +53,7 @@ from repro.fleet.shard import FleetShardJob, run_fleet_sharded, shard_bounds
 from repro.fleet.surrogate import (
     SurrogateFitJob,
     SurrogateGrid,
+    SurrogateReplicateJob,
     TailSurrogate,
     fit_tail_surrogate,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "PlacementPolicy",
     "SurrogateFitJob",
     "SurrogateGrid",
+    "SurrogateReplicateJob",
     "TailSurrogate",
     "fit_tail_surrogate",
     "make_placement",

@@ -35,7 +35,6 @@ float sums vary with the chunk size, never with the worker count.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
 import queue
 import time
@@ -54,6 +53,7 @@ from repro.core.monitor import (
     validate_monitor_config,
 )
 from repro.core.stretch import StretchMode
+from repro.engine.executor import EngineConfig, ExecutionEngine, usable_workers
 from repro.fleet.placement import (
     CorunnerTable,
     PlacementContext,
@@ -127,21 +127,27 @@ def _resolve_chunk_size(chunk_size: int | None) -> int:
     return chunk_size
 
 
-def _step_workers(n_chunks: int) -> int:
-    """Threads that step one window's ``n_chunks`` chunks.
+def _fit_surrogate(job: SurrogateFitJob, store) -> tuple[float, ...]:
+    """``job``'s values, its replicates run on every usable core.
 
-    The process's usable cores, capped by the chunk count.  A
-    ``multiprocessing`` child gets one, so a pool of shard processes keeps
-    one busy thread per process, and a one-chunk window never builds a
-    pool.
+    The replicates are store jobs on an :class:`ExecutionEngine` of
+    :func:`usable_workers` processes, so each lands in ``store`` and a fit
+    cut short resumes from the ones it finished.  Assembled in replicate
+    order, the values are ``job.run()``'s bits.  Each replicate's peak is
+    remembered here, so a process forked after (the next fit's pool)
+    inherits it and runs no bisection for that simulator.
     """
-    if n_chunks < 2 or multiprocessing.parent_process() is not None:
-        return 1
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cores = os.cpu_count() or 1
-    return min(cores, n_chunks)
+    replicates = job.replicates()
+    engine = ExecutionEngine(
+        EngineConfig(workers=usable_workers(len(replicates)))
+    )
+    results = engine.run_jobs(
+        replicates, store, profiler=active_profiler()
+    ).results
+    parts = [results[replicate.key] for replicate in replicates]
+    for replicate, values in zip(replicates, parts):
+        replicate.simulator().remember_peak(values[0], replicate.peak_requests)
+    return job.assemble(parts).to_values()
 
 
 def monitor_transition_vec(
@@ -794,7 +800,12 @@ class FleetEngine:
         )
 
     def ensure_surrogate(self) -> TailSurrogate:
-        """Fit (or fetch from the result store) the tail surrogate."""
+        """Fit (or fetch from the result store) the tail surrogate.
+
+        A miss runs the fit's replicates on every usable core
+        (:func:`_fit_surrogate`), then stores the fit; the profiler's
+        ``fleet.fit`` section is its wall time.
+        """
         if self._surrogate is None:
             job = SurrogateFitJob(
                 qos=self.ls_profile.qos,
@@ -807,7 +818,17 @@ class FleetEngine:
                 from repro.engine.store import default_store
 
                 store = default_store()
-            self._surrogate = TailSurrogate.from_values(store.compute(job))
+            values = store.get(job.key)
+            if values is None:
+                prof = active_profiler()
+                section = (
+                    prof.section("fleet.fit") if prof is not None
+                    else nullcontext()
+                )
+                with section:
+                    values = _fit_surrogate(job, store)
+                    store.put(job.key, values)
+            self._surrogate = TailSurrogate.from_values(values)
         return self._surrogate
 
     # -- evaluation ------------------------------------------------------
@@ -1117,7 +1138,7 @@ class FleetStepper:
         window_index = int(hour * 60.0 / cfg.window_minutes)
         n = state.n_servers
         starts = range(0, n, self._chunk)
-        workers = _step_workers(len(starts))
+        workers = usable_workers(len(starts))
         # The calling thread is one of the workers.  Helper threads live
         # only inside this block: none outlives the step, so a process
         # forked between steps inherits none.

@@ -25,6 +25,12 @@ per ``(QoS contract, perf-factor set)``:
 Only the load axis interpolates (piecewise-linear).  Performance factors
 are categorical: the fleet uses exactly one factor per Stretch mode plus
 1.0 for throttled windows, and each gets its own fitted row.
+
+Each replicate (one simulator seed: its peak bisection and its grid
+streams) is a :class:`SurrogateReplicateJob` of its own, and a fit is its
+replicates' values assembled in replicate order, so the replicates can run
+on any number of processes and the fit keeps its bits
+(:meth:`repro.fleet.FleetEngine.ensure_surrogate` runs them on every core).
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from repro.workloads.profiles import QoSSpec
 __all__ = [
     "SurrogateGrid",
     "SurrogateFitJob",
+    "SurrogateReplicateJob",
     "TailSurrogate",
     "fit_tail_surrogate",
 ]
@@ -87,40 +94,84 @@ class SurrogateGrid:
             raise ValueError("n_val_reps must be >= 1")
 
 
-def _calibration_sim(
-    qos: QoSSpec, grid: SurrogateGrid, label: str, rep: int, n_workers: int
-) -> ServiceSimulator:
-    # Replicate seeds are drawn exactly like fleet server seeds (masked
-    # derive_seed), so across-replicate spread reflects across-server and
-    # across-window spread in the fleet.
-    seed = derive_seed(grid.seed, label, rep) & 0x7FFFFF
-    return ServiceSimulator(qos, n_workers=n_workers, seed=seed)
+def _fit_rows(perf_factors) -> tuple[float, ...]:
+    """The fitted perf rows: the distinct factors, ascending."""
+    perfs = tuple(sorted(set(float(p) for p in perf_factors)))
+    if not perfs:
+        raise ValueError("perf_factors must be non-empty")
+    return perfs
 
 
-def _measure_surface(
-    qos: QoSSpec,
-    perf_factors: tuple[float, ...],
-    loads: tuple[float, ...],
-    grid: SurrogateGrid,
-    label: str,
-    n_reps: int,
-    n_workers: int,
-) -> np.ndarray:
-    """DES tail surface, shape ``(n_reps, n_perf, n_loads)``.
+def _measure_replicate(job: "SurrogateReplicateJob") -> tuple[float, np.ndarray]:
+    """One replicate's peak rate and DES tails, shape ``(n_perf, n_loads)``.
 
-    Load-major: each (replicate, load) point is one request stream, whose
-    arrivals are computed once and served at every perf row.
+    Load-major: each load is one request stream, whose arrivals are
+    computed once and served at every perf row.
     """
-    surface = np.empty((n_reps, len(perf_factors), len(loads)))
-    for rep in range(n_reps):
-        sim = _calibration_sim(qos, grid, label, rep, n_workers)
-        peak = sim.peak_load(n_requests=grid.peak_requests)
-        for l, load in enumerate(loads):
-            stream = sim.stream(grid.n_requests, seed_offset=l + 1)
-            rate = peak * load
-            for p, perf in enumerate(perf_factors):
-                surface[rep, p, l] = stream.tail(rate, perf)
-    return surface
+    sim = job.simulator()
+    peak = sim.peak_load(n_requests=job.peak_requests)
+    tails = np.empty((len(job.perf_factors), len(job.loads)))
+    for l, load in enumerate(job.loads):
+        stream = sim.stream(job.n_requests, seed_offset=l + 1)
+        rate = peak * load
+        for p, perf in enumerate(job.perf_factors):
+            tails[p, l] = stream.tail(rate, perf)
+    return peak, tails
+
+
+@dataclass(frozen=True)
+class SurrogateReplicateJob:
+    """One DES replicate of a surrogate fit (cacheable, picklable).
+
+    Replicate ``rep`` of the fit's ``label`` series (``"surrogate-cal"``
+    over the grid's loads, ``"surrogate-val"`` over their midpoints): one
+    simulator, its ``peak_load(peak_requests)`` bisection, then one
+    ``n_requests`` stream per load served at every perf row.  ``run``
+    returns ``(peak, *tails)``, the tails in ``(perf, load)`` row-major
+    order.  ``key`` covers everything the replicate reads, under the
+    fit's versions.
+    """
+
+    qos: QoSSpec
+    perf_factors: tuple[float, ...]
+    loads: tuple[float, ...]
+    n_requests: int
+    peak_requests: int
+    seed: int
+    label: str
+    rep: int
+    n_workers: int = 8
+
+    def simulator(self) -> ServiceSimulator:
+        # Replicate seeds are drawn exactly like fleet server seeds (masked
+        # derive_seed), so across-replicate spread reflects across-server
+        # and across-window spread in the fleet.
+        seed = derive_seed(self.seed, self.label, self.rep) & 0x7FFFFF
+        return ServiceSimulator(self.qos, n_workers=self.n_workers, seed=seed)
+
+    @property
+    def key(self) -> str:
+        from repro.engine.store import CACHE_VERSION
+
+        payload = repr((
+            CACHE_VERSION,
+            SURROGATE_VERSION,
+            "fleet-surrogate-replicate",
+            self.qos,
+            self.perf_factors,
+            self.loads,
+            self.n_requests,
+            self.peak_requests,
+            self.seed,
+            self.label,
+            self.rep,
+            self.n_workers,
+        ))
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    def run(self) -> tuple[float, ...]:
+        peak, tails = _measure_replicate(self)
+        return (peak, *tails.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -330,43 +381,12 @@ def fit_tail_surrogate(
     evaluate (one per Stretch mode, plus 1.0 for throttled windows); each
     becomes a fitted row.  The returned surrogate's
     :attr:`~TailSurrogate.error_bound_ms` is measured on held-out simulator
-    seeds at midpoint loads never used in calibration.
+    seeds at midpoint loads never used in calibration.  The replicates run
+    here, one after another; :meth:`repro.fleet.FleetEngine.ensure_surrogate`
+    runs the same replicates on every core and assembles the same bits.
     """
-    perfs = tuple(sorted(set(float(p) for p in perf_factors)))
-    if not perfs:
-        raise ValueError("perf_factors must be non-empty")
-
-    calibration = _measure_surface(
-        qos, perfs, grid.loads, grid, "surrogate-cal", grid.n_reps, n_workers
-    )
-    quantiles = np.sort(np.transpose(calibration, (1, 0, 2)), axis=1)
-
-    surrogate = TailSurrogate(
-        qos=qos,
-        perf_factors=perfs,
-        loads=tuple(float(l) for l in grid.loads),
-        quantiles_ms=quantiles,
-        error_bound_ms=0.0,
-    )
-
-    # Held-out validation: fresh simulator seeds, off-grid midpoint loads.
-    loads = np.asarray(grid.loads)
-    midpoints = tuple((loads[:-1] + loads[1:]) / 2.0)
-    validation = _measure_surface(
-        qos, perfs, midpoints, grid, "surrogate-val", grid.n_val_reps, n_workers
-    ).mean(axis=0)
-    predicted = np.stack(
-        [surrogate.predict(np.asarray(midpoints), p) for p in perfs]
-    )
-    error_bound = float(np.max(np.abs(predicted - validation)))
-
-    return TailSurrogate(
-        qos=qos,
-        perf_factors=perfs,
-        loads=surrogate.loads,
-        quantiles_ms=quantiles,
-        error_bound_ms=error_bound,
-    )
+    job = SurrogateFitJob(qos, tuple(perf_factors), grid, n_workers)
+    return job.assemble([replicate.run() for replicate in job.replicates()])
 
 
 @dataclass(frozen=True)
@@ -375,7 +395,9 @@ class SurrogateFitJob:
 
     Runs on the :class:`~repro.engine.ExecutionEngine` like any simulation
     job: ``key`` content-addresses the QoS contract, perf-factor set and
-    calibration grid; ``run`` returns the flattened surrogate.
+    calibration grid; ``run`` returns the flattened surrogate.  The fit is
+    :meth:`replicates` assembled by :meth:`assemble`; ``run`` runs them in
+    this process.
     """
 
     qos: QoSSpec
@@ -397,6 +419,67 @@ class SurrogateFitJob:
             self.n_workers,
         ))
         return hashlib.sha256(payload.encode()).hexdigest()
+
+    def _midpoints(self) -> tuple[float, ...]:
+        loads = np.asarray(self.grid.loads)
+        return tuple((loads[:-1] + loads[1:]) / 2.0)
+
+    def replicates(self) -> tuple[SurrogateReplicateJob, ...]:
+        """The ``n_reps`` calibration replicates over the grid's loads,
+        then the ``n_val_reps`` validation replicates over the midpoints
+        (fresh seeds, loads never calibrated): the order :meth:`assemble`
+        reads."""
+        perfs = _fit_rows(self.perf_factors)
+        grid = self.grid
+        series = (
+            ("surrogate-cal", grid.loads, grid.n_reps),
+            ("surrogate-val", self._midpoints(), grid.n_val_reps),
+        )
+        return tuple(
+            SurrogateReplicateJob(
+                qos=self.qos,
+                perf_factors=perfs,
+                loads=tuple(float(load) for load in loads),
+                n_requests=grid.n_requests,
+                peak_requests=grid.peak_requests,
+                seed=grid.seed,
+                label=label,
+                rep=rep,
+                n_workers=self.n_workers,
+            )
+            for label, loads, n_reps in series
+            for rep in range(n_reps)
+        )
+
+    def assemble(self, values) -> TailSurrogate:
+        """The fitted surrogate from its replicates' values, given in
+        :meth:`replicates` order."""
+        perfs = _fit_rows(self.perf_factors)
+        n_reps = self.grid.n_reps
+        # (replicate, perf, load) surfaces, as the replicates measured them.
+        surfaces = [np.array(v[1:]).reshape(len(perfs), -1) for v in values]
+        calibration = np.array(surfaces[:n_reps])
+        quantiles = np.sort(np.transpose(calibration, (1, 0, 2)), axis=1)
+        loads = tuple(float(load) for load in self.grid.loads)
+        surrogate = TailSurrogate(
+            qos=self.qos,
+            perf_factors=perfs,
+            loads=loads,
+            quantiles_ms=quantiles,
+            error_bound_ms=0.0,
+        )
+        # Held-out validation: fresh simulator seeds, off-grid midpoint loads.
+        validation = np.array(surfaces[n_reps:]).mean(axis=0)
+        midpoints = np.asarray(self._midpoints())
+        predicted = np.stack([surrogate.predict(midpoints, p) for p in perfs])
+        error_bound = float(np.max(np.abs(predicted - validation)))
+        return TailSurrogate(
+            qos=self.qos,
+            perf_factors=perfs,
+            loads=loads,
+            quantiles_ms=quantiles,
+            error_bound_ms=error_bound,
+        )
 
     def run(self) -> tuple[float, ...]:
         return fit_tail_surrogate(

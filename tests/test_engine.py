@@ -27,7 +27,7 @@ from repro.engine import (
     SimJob,
     job_key,
 )
-from repro.engine.executor import parse_workers
+from repro.engine.executor import parse_workers, usable_workers
 from repro.engine.telemetry import EngineStats
 from repro.experiments.common import config_all_shared, config_solo
 from repro.workloads.registry import get_profile
@@ -389,6 +389,45 @@ class TestEngineSerial:
         with pytest.raises(ValueError):
             parse_workers("many")
 
+    def test_parse_workers_auto_counts_usable_cores(self, monkeypatch):
+        # Under a CPU-affinity mask (or a cpuset) the process may run on
+        # fewer cores than the machine has.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert parse_workers("auto") == 1
+        assert parse_workers("AUTO ") == 1
+
+
+class TestUsableWorkers:
+    def test_usable_cores_capped_by_jobs(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        assert [usable_workers(n) for n in (0, 1, 2, 3, 8)] == [1, 1, 2, 3, 3]
+
+    def test_one_while_another_thread_runs(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert usable_workers(8) == 1
+        finally:
+            release.set()
+            other.join()
+
+    def test_one_in_a_multiprocessing_child(self):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            assert pool.submit(usable_workers, 8).result(timeout=60) == 1
+
 
 class TestEngineParallelScheduling:
     def test_pool_executes_and_dedups(self, tmp_path):
@@ -400,6 +439,18 @@ class TestEngineParallelScheduling:
         assert report.stats.deduplicated == 6
         assert report.stats.executed == 3
         assert report.results["fake-0"] == (0.0,)
+
+    def test_pool_joined_before_run_jobs_returns(self, tmp_path):
+        # The pool's management and queue-feeder threads used to outlive
+        # run_jobs, so the next pool forked a multi-threaded process.
+        before = threading.active_count()
+        engine = ExecutionEngine(EngineConfig(workers=2))
+        report = engine.run_jobs(
+            [FakeJob(str(i), (float(i),)) for i in range(4)],
+            store=ResultStore(tmp_path),
+        )
+        assert report.stats.executed == 4
+        assert threading.active_count() == before
 
     def test_retry_on_worker_crash(self, tmp_path):
         store = ResultStore(tmp_path)

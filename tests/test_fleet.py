@@ -11,9 +11,12 @@ The load-bearing guarantees:
 * the surrogate path matches the exact path within the surrogate's
   *stated* held-out error bound (the ISSUE's seeded equivalence gate);
 * sharding a fleet run never changes results (integer aggregates are
-  exactly equal; float sums only to summation-order noise).
+  exactly equal; float sums only to summation-order noise);
+* a surrogate fit's DES replicates run on a process pool, land in the
+  engine's store and assemble the serial fit's bits.
 """
 
+import contextlib
 import itertools
 import sys
 import threading
@@ -28,14 +31,17 @@ from repro.core.colocation import ColocationPerformance, ModePerformance
 from repro.core.monitor import MonitorConfig, MonitorState, monitor_transition
 from repro.core.stretch import StretchMode
 from repro.engine import EngineConfig, ExecutionEngine
-from repro.engine.store import ResultStore
+from repro.engine.executor import usable_workers
+from repro.engine.store import CACHE_VERSION, ResultStore
 from repro.fleet import (
     FleetConfig,
     FleetEngine,
     FleetState,
     FleetStepper,
     FleetTimeline,
+    SurrogateFitJob,
     SurrogateGrid,
+    SurrogateReplicateJob,
     TailSurrogate,
     fit_tail_surrogate,
     make_policy,
@@ -47,6 +53,7 @@ from repro.fleet import (
 )
 from repro.core.partitioning import B_MODES
 from repro.fleet.policies import EXACT_JITTER_MAX, PolicyContext
+from repro.qos import queueing
 from repro.scenarios import get_scenario
 from repro.util.rng import derive_seed
 from repro.workloads.registry import get_profile
@@ -891,8 +898,9 @@ def threaded_surrogate(web_search_qos) -> TailSurrogate:
 
 
 def force_workers(monkeypatch, workers: int) -> None:
+    """Size the chunk threads and the fit's pool at ``workers``."""
     monkeypatch.setattr(
-        fleet_engine, "_step_workers", lambda n_chunks: min(workers, n_chunks)
+        fleet_engine, "usable_workers", lambda n_jobs: min(workers, n_jobs)
     )
 
 
@@ -952,6 +960,29 @@ def assert_same_day(got: dict, want: dict) -> None:
     assert got["violators"] == want["violators"]
     for name, array in want["arrays"].items():
         assert np.array_equal(got["arrays"][name], array), name
+
+
+@contextlib.contextmanager
+def recorded_fork_warnings():
+    """Every warning raised inside, recorded (Python 3.12 warns, and does
+    not raise, when a multi-threaded process forks)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield caught
+
+
+def assert_no_fork_warning(caught) -> None:
+    forks = [str(w.message) for w in caught if "multi-threaded" in str(w.message)]
+    assert not forks, forks
+
+
+def assert_same_fleet_day(got: FleetTimeline, want: FleetTimeline) -> None:
+    """Integer aggregates exactly, float sums to summation-order noise."""
+    for name in ("mode_counts", "violations", "throttled",
+                 "server_violations", "server_bmode_windows"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.allclose(got.tail_ms_sum, want.tail_ms_sum, rtol=1e-12)
+    assert np.allclose(got.batch_uipc_sum, want.batch_uipc_sum, rtol=1e-12)
 
 
 class TestThreadedStep:
@@ -1059,24 +1090,15 @@ class TestThreadedStep:
             surrogate=threaded_surrogate,
         )
         in_process = api.run_fleet("web_search", **common)
-        with warnings.catch_warnings():
-            # Python 3.12 warns when a multi-threaded process forks.
-            warnings.simplefilter("error", DeprecationWarning)
+        before = threading.active_count()
+        with recorded_fork_warnings() as caught:
             pooled = api.run_fleet(
                 "web_search", workers=2, store=ResultStore(tmp_path),
                 **common,
             )
-        for name in ("mode_counts", "violations", "throttled",
-                     "server_violations", "server_bmode_windows"):
-            assert np.array_equal(
-                getattr(pooled, name), getattr(in_process, name)
-            ), name
-        assert np.allclose(
-            pooled.tail_ms_sum, in_process.tail_ms_sum, rtol=1e-12
-        )
-        assert np.allclose(
-            pooled.batch_uipc_sum, in_process.batch_uipc_sum, rtol=1e-12
-        )
+        assert_no_fork_warning(caught)
+        assert threading.active_count() == before
+        assert_same_fleet_day(pooled, in_process)
 
     def test_profiled_phases_flush_once_per_window(
         self, threaded_surrogate, monkeypatch
@@ -1118,13 +1140,231 @@ class TestThreadedStep:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        assert fleet_engine._step_workers(1) == 1
-        assert 1 <= fleet_engine._step_workers(8) <= 8
-        assert fleet_engine._step_workers(2) <= 2
+        # One helper sizes the chunk threads, the fit's pool and
+        # --jobs auto (its own tests are in tests/test_engine.py).
+        assert fleet_engine.usable_workers is usable_workers
+        assert usable_workers(1) == 1
+        assert 1 <= usable_workers(8) <= 8
+        assert usable_workers(2) <= 2
         # A multiprocessing child steps its chunks on one thread.
         with ProcessPoolExecutor(
             max_workers=1, mp_context=multiprocessing.get_context("spawn")
         ) as pool:
-            assert pool.submit(
-                fleet_engine._step_workers, 8
-            ).result(timeout=60) == 1
+            assert pool.submit(usable_workers, 8).result(timeout=60) == 1
+
+
+# ----------------------------------------------------------------------
+# Surrogate fits on every core
+# ----------------------------------------------------------------------
+
+#: A small fit: three calibration and two validation replicates.
+POOL_GRID = SurrogateGrid(
+    loads=(0.1, 0.6, 1.2), n_requests=TEST_RPW, peak_requests=2000,
+    n_reps=3, n_val_reps=2, seed=2,
+)
+
+
+def pool_grid_engine(monkeypatch, store) -> FleetEngine:
+    """A fleet engine whose surrogate is fitted on :data:`POOL_GRID`."""
+    monkeypatch.setattr(FleetEngine, "surrogate_grid", lambda self: POOL_GRID)
+    return FleetEngine(
+        get_profile("web_search"), performance_model(), fleet_config(),
+        store=store,
+    )
+
+
+def pool_grid_job(perf_factors) -> SurrogateFitJob:
+    return SurrogateFitJob(get_profile("web_search").qos, perf_factors, POOL_GRID)
+
+
+def grid_queries(job: SurrogateFitJob) -> int:
+    """DES queries of ``job``'s grid streams, bisections not counted."""
+    grid, n_perf = job.grid, len(set(job.perf_factors))
+    n_loads = len(grid.loads)
+    return n_perf * (
+        grid.n_reps * n_loads + grid.n_val_reps * (n_loads - 1)
+    )
+
+
+def fit_in_a_child() -> tuple[list[str], tuple]:
+    """A fit inside a multiprocessing child: how its replicates ran, and
+    its values."""
+    store = ResultStore(None)
+    job = pool_grid_job((0.7, 1.0))
+    values = fleet_engine._fit_surrogate(job, store)
+    modes = {store.job_telemetry[r.key]["mode"] for r in job.replicates()}
+    return sorted(modes), values
+
+
+@pytest.fixture
+def fit_runs(monkeypatch) -> list:
+    """``(workers, report)`` of every execution engine a fit starts."""
+    runs = []
+
+    class Recording(ExecutionEngine):
+        def run_jobs(self, jobs, *args, **kwargs):
+            report = super().run_jobs(jobs, *args, **kwargs)
+            runs.append((self.config.workers, report))
+            return report
+
+    monkeypatch.setattr(fleet_engine, "ExecutionEngine", Recording)
+    return runs
+
+
+def bits(values) -> bytes:
+    return np.array(values).tobytes()
+
+
+class TestPooledFit:
+    """``ensure_surrogate`` runs a fit's DES replicates on every core,
+    writes each into the engine's store and assembles the serial fit's
+    bits (the 1/4/13-row, 1/2/3-worker matrix is in
+    tests/test_qos_queueing.py)."""
+
+    @pytest.fixture(autouse=True)
+    def cold_peaks(self):
+        # Each fit here bisects: a peak memoized by an earlier test would
+        # answer the workers' bisections.
+        queueing._PEAK_MEMO.clear()
+
+    def test_cold_fit_runs_each_replicate_once_into_the_store(
+        self, monkeypatch, tmp_path, fit_runs
+    ):
+        force_workers(monkeypatch, 2)
+        store = ResultStore(tmp_path)
+        engine = pool_grid_engine(monkeypatch, store)
+        fitted = engine.ensure_surrogate()
+        job = pool_grid_job(engine.perf_factors)
+        replicates = job.replicates()
+        assert [(r.label, r.rep) for r in replicates] == [
+            ("surrogate-cal", 0), ("surrogate-cal", 1), ("surrogate-cal", 2),
+            ("surrogate-val", 0), ("surrogate-val", 1),
+        ]
+        [(workers, report)] = fit_runs
+        assert workers == 2
+        stats = report.stats
+        assert (stats.unique, stats.executed, stats.cache_hits) == (5, 5, 0)
+        entries = tmp_path / f"v{CACHE_VERSION}"
+        for replicate in replicates:
+            assert (entries / f"{replicate.key}.json").exists()
+            record = store.job_telemetry[replicate.key]
+            assert (record["mode"], record["tries"]) == ("pool", 1)
+        assert (entries / f"{job.key}.json").exists()
+        serial = fit_tail_surrogate(job.qos, job.perf_factors, POOL_GRID)
+        assert bits(fitted.to_values()) == bits(serial.to_values())
+
+    def test_warm_fit_runs_no_replicate_and_builds_no_pool(
+        self, monkeypatch, tmp_path
+    ):
+        force_workers(monkeypatch, 2)
+        store = ResultStore(tmp_path)
+        cold = pool_grid_engine(monkeypatch, store).ensure_surrogate()
+
+        def no_replicate(self):
+            raise AssertionError("a warm fit ran a replicate")
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("a warm fit started an execution engine")
+
+        monkeypatch.setattr(SurrogateReplicateJob, "run", no_replicate)
+        monkeypatch.setattr(fleet_engine, "ExecutionEngine", no_engine)
+        # Warm in memory, then on disk through a fresh store.
+        for warm_store in (store, ResultStore(tmp_path)):
+            warm = pool_grid_engine(monkeypatch, warm_store).ensure_surrogate()
+            assert bits(warm.to_values()) == bits(cold.to_values())
+
+    def test_fit_resumes_from_stored_replicates(
+        self, monkeypatch, tmp_path, fit_runs
+    ):
+        # A fit cut short leaves its finished replicates in the store; the
+        # next fit runs only the others.
+        force_workers(monkeypatch, 2)
+        store = ResultStore(tmp_path)
+        engine = pool_grid_engine(monkeypatch, store)
+        job = pool_grid_job(engine.perf_factors)
+        for replicate in job.replicates()[:2]:
+            store.put(replicate.key, replicate.run())
+        fitted = engine.ensure_surrogate()
+        [(__, report)] = fit_runs
+        assert (report.stats.cache_hits, report.stats.executed) == (2, 3)
+        assert bits(fitted.to_values()) == bits(job.run())
+
+    def test_fit_in_a_multiprocessing_child_runs_serially(self):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            modes, values = pool.submit(fit_in_a_child).result(timeout=120)
+        assert modes == ["serial"]
+        assert bits(values) == bits(pool_grid_job((0.7, 1.0)).run())
+
+    def test_second_fit_of_other_rows_runs_no_bisection(self, monkeypatch):
+        from repro.obs.profiler import disable_profiling, enable_profiling
+
+        force_workers(monkeypatch, 2)
+        first, second = pool_grid_job((0.7, 1.0)), pool_grid_job((0.6, 0.8, 1.0))
+        fleet_engine._fit_surrogate(first, ResultStore(None))
+        profiler = enable_profiling()
+        try:
+            profiler.reset()
+            values = fleet_engine._fit_surrogate(second, ResultStore(None))
+            queries = profiler.calls("qos.des.serve")
+        finally:
+            disable_profiling()
+        # The first fit's workers bisected; the parent remembered their
+        # peaks, and the second fit's workers, forked after, inherit them.
+        assert queries == grid_queries(second)
+        assert bits(values) == bits(second.run())
+
+    def test_profiled_cold_fit_times_its_wall_and_counts_worker_queries(
+        self, monkeypatch
+    ):
+        from repro.obs.profiler import disable_profiling, enable_profiling
+
+        force_workers(monkeypatch, 2)
+        store = ResultStore(None)
+        profiler = enable_profiling()
+        try:
+            profiler.reset()
+            engine = pool_grid_engine(monkeypatch, store)
+            engine.ensure_surrogate()
+            job = pool_grid_job(engine.perf_factors)
+            # Every worker's DES sections came back: 41 bisection probes
+            # per replicate plus the grid streams' queries.
+            assert profiler.calls("qos.des.serve") == (
+                41 * len(job.replicates()) + grid_queries(job)
+            )
+            assert profiler.calls("fleet.fit") == 1
+            pool_grid_engine(monkeypatch, store).ensure_surrogate()
+            assert profiler.calls("fleet.fit") == 1  # a warm fit is no fit
+        finally:
+            disable_profiling()
+
+    def test_cold_pooled_day_forks_no_threaded_process(
+        self, monkeypatch, tmp_path
+    ):
+        # run_fleet(workers=2) without surrogate= fits on one pool and then
+        # forks its shard pool: the fit's pool must be joined by then.
+        from repro import api
+
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(FleetEngine, "surrogate_grid", lambda self: POOL_GRID)
+        common = dict(
+            performance=performance_model(), load="web_search",
+            n_servers=8, window_minutes=120.0,
+            requests_per_window=TEST_RPW, seed=5,
+        )
+        before = threading.active_count()
+        with recorded_fork_warnings() as caught:
+            pooled = api.run_fleet(
+                "web_search", workers=2, store=ResultStore(tmp_path),
+                **common,
+            )
+        assert_no_fork_warning(caught)
+        assert threading.active_count() == before
+        in_process = api.run_fleet(
+            "web_search", store=ResultStore(tmp_path), **common
+        )
+        assert_same_fleet_day(pooled, in_process)

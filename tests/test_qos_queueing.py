@@ -13,8 +13,10 @@ import heapq
 import numpy as np
 import pytest
 
+import repro.fleet.engine as fleet_engine
 import repro.fleet.surrogate as surrogate_module
-from repro.fleet.surrogate import SurrogateGrid, _calibration_sim, fit_tail_surrogate
+from repro.engine.store import ResultStore
+from repro.fleet.surrogate import SurrogateFitJob, SurrogateGrid, fit_tail_surrogate
 from repro.qos import queueing
 from repro.qos.queueing import (
     LatencyStats,
@@ -420,19 +422,19 @@ class TestRequestStream:
         )
 
 
-def oracle_surface(qos, perf_factors, loads, grid, label, n_reps, n_workers):
-    """The per-point calibration surface: one oracle run per (perf, load)."""
-    surface = np.empty((n_reps, len(perf_factors), len(loads)))
-    for rep in range(n_reps):
-        sim = _calibration_sim(qos, grid, label, rep, n_workers)
-        peak = two_heap_peak_load(sim, grid.peak_requests)
-        for p, perf in enumerate(perf_factors):
-            for l, load in enumerate(loads):
-                stats = two_heap_run(
-                    sim, peak * load, perf, grid.n_requests, seed_offset=l + 1
-                )
-                surface[rep, p, l] = stats.percentile(qos.percentile)
-    return surface
+def oracle_replicate(job):
+    """One calibration replicate per point: the two-heap peak bisection,
+    then one oracle run per (perf, load)."""
+    sim = job.simulator()
+    peak = two_heap_peak_load(sim, job.peak_requests)
+    tails = np.empty((len(job.perf_factors), len(job.loads)))
+    for p, perf in enumerate(job.perf_factors):
+        for l, load in enumerate(job.loads):
+            stats = two_heap_run(
+                sim, peak * load, perf, job.n_requests, seed_offset=l + 1
+            )
+            tails[p, l] = stats.percentile(job.qos.percentile)
+    return peak, tails
 
 
 def oracle_required_performance(sim, load_fraction, n_requests, tolerance=0.01):
@@ -482,11 +484,32 @@ class TestStreamCallersOracle:
         qos = CLOUDSUITE[service].qos  # web_search p99, web_serving p95
         perfs = PERF_ROWS[n_perf]
         got = fit_tail_surrogate(qos, perfs, self.GRID, n_workers=n_workers)
-        monkeypatch.setattr(surrogate_module, "_measure_surface", oracle_surface)
+        monkeypatch.setattr(
+            surrogate_module, "_measure_replicate", oracle_replicate
+        )
         want = fit_tail_surrogate(qos, perfs, self.GRID, n_workers=n_workers)
         assert np.array(got.to_values()).tobytes() == (
             np.array(want.to_values()).tobytes()
         )
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_perf", sorted(PERF_ROWS))
+    @pytest.mark.parametrize("service", ["web_search", "web_serving"])
+    def test_pooled_fit_matches_the_serial_fit(
+        self, service, n_perf, workers, monkeypatch
+    ):
+        # The production fit (FleetEngine.ensure_surrogate's) runs the
+        # replicates on a pool of forced size; five replicates, so two
+        # and three workers each run several, in no fixed order.
+        grid = dataclasses.replace(self.GRID, n_reps=3, n_val_reps=2)
+        job = SurrogateFitJob(CLOUDSUITE[service].qos, PERF_ROWS[n_perf], grid)
+        serial = job.run()
+        queueing._PEAK_MEMO.clear()  # the workers bisect again
+        monkeypatch.setattr(
+            fleet_engine, "usable_workers", lambda n_jobs: min(workers, n_jobs)
+        )
+        pooled = fleet_engine._fit_surrogate(job, ResultStore(None))
+        assert np.array(pooled).tobytes() == np.array(serial).tobytes()
 
     @pytest.mark.parametrize("load", [0.2, 0.6, 0.9])
     def test_required_performance_matches_parent_bisection(self, load):

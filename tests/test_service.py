@@ -1056,8 +1056,8 @@ class TestThreadedService:
 
     def serve(self, surrogate, monkeypatch, store, workers) -> tuple:
         monkeypatch.setattr(
-            fleet_engine, "_step_workers",
-            lambda n_chunks: min(workers, n_chunks),
+            fleet_engine, "usable_workers",
+            lambda n_jobs: min(workers, n_jobs),
         )
         # 5 000 servers in 700-server chunks: eight chunks per window.
         options = dict(chunk_size=700, store=store, recorder=True)
