@@ -7,9 +7,12 @@ baselines under ``benchmarks/results/``:
 * ``BENCH_fleet.json`` — per-size ``server_windows_per_s`` from the
   fleet scaling benchmark.  A size present in both payloads may not
   regress by more than ``--max-regression`` (default 25%); neither may
-  ``surrogate_fit_s``, the wall time of one cold tail-surrogate fit
-  (the queueing DES, its replicates on every usable core), where lower
-  is better and a baseline that predates the field skips the gate.  The
+  ``surrogate_fit_cpu_s``, the CPU seconds of one cold tail-surrogate
+  fit in every process (the queueing DES), where lower is better and a
+  baseline that predates the field skips the gate.  Those seconds do
+  not depend on how many workers shared the fit; its wall time
+  ``surrogate_fit_s`` does, and is printed beside the worker counts but
+  not gated.  The
   10k-vs-100k falloff ratio (how much throughput the working-set jump
   costs — ROADMAP's memory-bandwidth trail) is recorded for both
   payloads and printed; it is informational, since the per-size gates
@@ -131,11 +134,19 @@ def check_fleet(baseline: dict, fresh: dict, max_regression: float,
         check_ratio(f"fleet[{size}]", float(base_sws[size]),
                     float(fresh_sws[size]), max_regression, failures)
 
-    # Cold tail-surrogate fit, in wall seconds: the queueing DES.
-    if "surrogate_fit_s" in baseline and "surrogate_fit_s" in fresh:
-        check_ratio("surrogate_fit_s", float(baseline["surrogate_fit_s"]),
-                    float(fresh["surrogate_fit_s"]), max_regression,
+    # Cold tail-surrogate fit: its CPU seconds in every process, the
+    # queueing DES whatever the worker count.
+    if "surrogate_fit_cpu_s" in baseline and "surrogate_fit_cpu_s" in fresh:
+        check_ratio("surrogate_fit_cpu_s",
+                    float(baseline["surrogate_fit_cpu_s"]),
+                    float(fresh["surrogate_fit_cpu_s"]), max_regression,
                     failures, lower_is_better=True, fmt=".2f")
+    # Its wall time follows the worker count: information only.
+    for name, payload in (("baseline", baseline), ("fresh", fresh)):
+        if "surrogate_fit_cpu_s" in payload:
+            print(f"  surrogate fit wall ({name}): "
+                  f"{float(payload['surrogate_fit_s']):.2f} s on "
+                  f"{payload['surrogate_fit_workers']} workers")
 
     # The 10k -> 100k falloff: the jump past cache residency.  >1 means
     # throughput fell with the larger working set.

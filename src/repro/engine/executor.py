@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -76,18 +75,11 @@ def usable_workers(n_jobs: int) -> int:
 
     The cores this process may run on (its CPU affinity mask, else the
     CPU count), capped by ``n_jobs``.  It is 1 in a ``multiprocessing``
-    child, so a pool of processes keeps one busy thread per process, and
-    1 while any other Python thread is alive: that thread may be busy on
-    a core, and forking a process pool beside it can copy a lock it holds
-    into the children (Python 3.12 warns on such a fork).  The fleet's
-    chunk threads, its surrogate fit and ``--jobs auto`` size themselves
-    here.
+    child, so a pool of processes keeps one busy thread per process.  The
+    fleet's chunk threads, its surrogate fit's pool and ``--jobs auto``
+    size themselves here.
     """
-    if (
-        n_jobs < 2
-        or multiprocessing.parent_process() is not None
-        or threading.active_count() > 1
-    ):
+    if n_jobs < 2 or multiprocessing.parent_process() is not None:
         return 1
     try:
         cores = len(os.sched_getaffinity(0))

@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import os
 import queue
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -132,15 +133,19 @@ def _fit_surrogate(job: SurrogateFitJob, store) -> tuple[float, ...]:
 
     The replicates are store jobs on an :class:`ExecutionEngine` of
     :func:`usable_workers` processes, so each lands in ``store`` and a fit
-    cut short resumes from the ones it finished.  Assembled in replicate
+    cut short resumes from the ones it finished.  The pool forks, which
+    is safe only in a single-threaded process, so beside any other live
+    Python thread the replicates run in this one.  Assembled in replicate
     order, the values are ``job.run()``'s bits.  Each replicate's peak is
     remembered here, so a process forked after (the next fit's pool)
     inherits it and runs no bisection for that simulator.
     """
     replicates = job.replicates()
-    engine = ExecutionEngine(
-        EngineConfig(workers=usable_workers(len(replicates)))
+    workers = (
+        usable_workers(len(replicates)) if threading.active_count() == 1
+        else 1
     )
+    engine = ExecutionEngine(EngineConfig(workers=workers))
     results = engine.run_jobs(
         replicates, store, profiler=active_profiler()
     ).results

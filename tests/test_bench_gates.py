@@ -1,8 +1,10 @@
-"""The fleet overhead probes' gate (``benchmarks/check_bench_trajectory.py``).
+"""The fleet benchmark's gates (``benchmarks/check_bench_trajectory.py``).
 
 A probe times nine alternating (baseline, variant) day pairs and gates a
 98 % lower confidence bound on the median paired ratio, so it fails only
-when the data show the overhead above its budget.
+when the data show the overhead above its budget.  The cold surrogate
+fit is gated on its CPU seconds, which do not depend on the worker
+count, and never on its wall time, which does.
 """
 
 import importlib.util
@@ -68,3 +70,34 @@ class TestMedianLowerBound:
         # A payload without a bound is judged on its median.
         assert failures(placement_overhead=0.11)
         assert failures(placement_overhead=0.05) == []
+
+
+class TestSurrogateFitGate:
+    @staticmethod
+    def failures(baseline: dict, fresh: dict) -> list[str]:
+        found: list[str] = []
+        checker.check_fleet(payload(**baseline), payload(**fresh), 0.25, found)
+        return found
+
+    TWO_WORKERS = dict(
+        surrogate_fit_s=2.0, surrogate_fit_workers=2, surrogate_fit_cpu_s=4.0
+    )
+
+    def test_fewer_workers_do_not_fail(self):
+        one_worker = dict(
+            surrogate_fit_s=4.1, surrogate_fit_workers=1,
+            surrogate_fit_cpu_s=4.1,
+        )
+        assert self.failures(self.TWO_WORKERS, one_worker) == []
+
+    def test_a_costlier_des_fails_on_more_workers(self):
+        four_workers = dict(
+            surrogate_fit_s=2.0, surrogate_fit_workers=4,
+            surrogate_fit_cpu_s=8.0,
+        )
+        [failure] = self.failures(self.TWO_WORKERS, four_workers)
+        assert failure.startswith("surrogate_fit_cpu_s")
+
+    def test_a_baseline_without_fit_cpu_skips_the_gate(self):
+        costlier = dict(self.TWO_WORKERS, surrogate_fit_cpu_s=8.0)
+        assert self.failures(dict(surrogate_fit_s=4.0), costlier) == []

@@ -18,6 +18,7 @@ The load-bearing guarantees:
 
 import contextlib
 import itertools
+import os
 import sys
 import threading
 import warnings
@@ -1136,6 +1137,33 @@ class TestThreadedStep:
             sys.setswitchinterval(interval)
         assert_same_day(threaded, serial)
 
+    def test_a_live_thread_keeps_the_chunk_threads(
+        self, threaded_surrogate, monkeypatch
+    ):
+        # Chunk threads never fork, so a thread blocked on its input
+        # (stretch-repro serve's control-plane reader) leaves their count
+        # at the usable cores.
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        helpers = []
+        pool = fleet_engine.ThreadPoolExecutor
+
+        def recording(workers):
+            helpers.append(workers)
+            return pool(workers)
+
+        monkeypatch.setattr(fleet_engine, "ThreadPoolExecutor", recording)
+        release = threading.Event()
+        reader = threading.Thread(target=release.wait)
+        reader.start()
+        try:
+            threaded_stepper("jittered", threaded_surrogate).step()
+        finally:
+            release.set()
+            reader.join()
+        assert helpers == [1]  # one helper beside the calling thread
+
     def test_worker_count_is_derived(self):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -1299,6 +1327,27 @@ class TestPooledFit:
             modes, values = pool.submit(fit_in_a_child).result(timeout=120)
         assert modes == ["serial"]
         assert bits(values) == bits(pool_grid_job((0.7, 1.0)).run())
+
+    def test_fit_beside_a_live_thread_runs_serially(
+        self, monkeypatch, fit_runs
+    ):
+        # The pool forks, which must not copy another thread's locks.
+        force_workers(monkeypatch, 2)
+        store = ResultStore(None)
+        job = pool_grid_job((0.7, 1.0))
+        release = threading.Event()
+        reader = threading.Thread(target=release.wait)
+        reader.start()
+        try:
+            values = fleet_engine._fit_surrogate(job, store)
+        finally:
+            release.set()
+            reader.join()
+        [(workers, __)] = fit_runs
+        assert workers == 1
+        modes = {store.job_telemetry[r.key]["mode"] for r in job.replicates()}
+        assert modes == {"serial"}
+        assert bits(values) == bits(job.run())
 
     def test_second_fit_of_other_rows_runs_no_bisection(self, monkeypatch):
         from repro.obs.profiler import disable_profiling, enable_profiling
