@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 import resource
-import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -45,7 +44,7 @@ from pathlib import Path
 from check_bench_trajectory import median_lower_bound
 
 from repro.api import measure
-from repro.engine.executor import usable_workers
+from repro.engine.executor import pool_workers
 from repro.engine.store import ResultStore
 from repro.fleet import DEFAULT_CHUNK_SERVERS, FleetConfig, FleetEngine
 from repro.obs.profiler import active_profiler, disable_profiling, enable_profiling
@@ -154,10 +153,7 @@ def test_fleet_scaling(benchmark, fidelity, save_result):
     unfitted = FleetEngine(ls, performance, base, store=ResultStore(None))
     grid = unfitted.surrogate_grid()
     # Sized as ``_fit_surrogate`` sizes its pool.
-    fit_workers = (
-        usable_workers(grid.n_reps + grid.n_val_reps)
-        if threading.active_count() == 1 else 1
-    )
+    fit_workers = pool_workers(grid.n_reps + grid.n_val_reps)
     cpu_start = cpu_seconds()
     start = time.perf_counter()
     surrogate = unfitted.ensure_surrogate()

@@ -26,7 +26,9 @@ names (``seed``, ``n_samples``, ``fidelity``, ``sampling``, ``tail``,
 
 ``run_fleet``, ``serve`` and ``tune_policy`` take their fleet as
 ``config=`` (default :class:`~repro.fleet.engine.FleetConfig`) with any
-``FleetConfig`` field passed as a keyword applied over it.  ``run_fleet``
+``FleetConfig`` field passed as a keyword applied over it.  The closed-loop
+verbs measure the models they are not given (the pair, a co-runner
+population) in one set-up whose store misses run on every usable core.  ``run_fleet``
 and ``serve`` accept ``scenario=`` — a
 :class:`~repro.scenarios.ScenarioSpec`, a preset name from
 :data:`repro.scenarios.SCENARIO_NAMES`, or a spec dict — attaching an
@@ -72,11 +74,13 @@ from repro.core.server import ServerTimeline, WindowRecord
 from repro.core.stretch import StretchMode
 from repro.cpu.config import CoreConfig
 from repro.cpu.sampling import SamplingConfig
-from repro.engine.executor import EngineConfig, ExecutionEngine
+from repro.engine.executor import EngineConfig, ExecutionEngine, pool_workers
+from repro.engine.store import default_store
 from repro.experiments.common import (
     Fidelity,
     pair_uipc,
     pair_uipc_many,
+    recorded_jobs,
     solo_uipc,
 )
 from repro.fleet.engine import (
@@ -86,7 +90,9 @@ from repro.fleet.engine import (
     FleetTimeline,
 )
 from repro.fleet.shard import run_fleet_sharded
+from repro.fleet.surrogate import peak_jobs
 from repro.obs.fleet import publish_fleet_metrics
+from repro.obs.profiler import active_profiler
 from repro.scenarios import as_scenario
 from repro.service import FleetService
 from repro.tune import (
@@ -178,23 +184,71 @@ def _fleet_config(config: FleetConfig | None, fleet: dict) -> FleetConfig:
     return replace(config if config is not None else FleetConfig(), **fleet)
 
 
-def _performance(
+def _set_up(
     ls_profile: WorkloadProfile,
+    config: FleetConfig,
     batch,
     performance: ColocationPerformance | None,
-    sampling: SamplingConfig | None,
-    fidelity,
-    n_samples: int | None,
-) -> ColocationPerformance:
-    """``performance``, or the pair measured on the fly via :func:`measure`."""
-    if performance is not None:
-        return performance
-    if batch is None:
+    corunners,
+    effort: dict,
+    *,
+    fits: bool,
+) -> tuple[ColocationPerformance, tuple[ColocationPerformance, ...] | None]:
+    """A fleet verb's models: the pair's, and one per co-runner profile.
+
+    The pair's is ``performance``, or ``(ls_profile, batch)`` measured by
+    :func:`measure` at ``effort`` (its sampling keywords).  With a
+    ``config.population`` the co-runners' are ``corunners``, or each
+    population profile measured against the LS service the same way
+    (None without a population).  Every job these ``measure`` calls read
+    is recorded first (:func:`~repro.experiments.common.recorded_jobs`);
+    the store misses run as one job set on
+    :func:`~repro.engine.executor.pool_workers` processes, and the models
+    are then read back through ``measure``.  When ``fits`` (the fleet
+    will fit its tail surrogate), the fit's peak bisections
+    (:func:`~repro.fleet.surrogate.peak_jobs`) join a cold job set and
+    their peaks are remembered, so the fit's own pool, forked later,
+    runs none.  A warm set-up starts no pool and writes nothing.
+    """
+    if performance is None and batch is None:
         raise ValueError("pass a performance model or a batch workload")
-    return measure(
-        ls_profile, batch,
-        sampling=sampling, fidelity=fidelity, n_samples=n_samples,
-    )
+    if corunners and not config.population:
+        raise ValueError(
+            "corunners were supplied but the fleet config has no population"
+        )
+    batches = [batch] if performance is None else []
+    if config.population and corunners is None:
+        batches += config.population
+
+    def models() -> list[ColocationPerformance]:
+        return [measure(ls_profile, name, **effort) for name in batches]
+
+    store = default_store()
+    cold = [
+        job for job in recorded_jobs(lambda __: models())()
+        if store.get(job.key) is None
+    ]
+    if cold:
+        peaks = ()
+        if fits and ls_profile.qos is not None:
+            peaks = peak_jobs(
+                ls_profile.qos, config.surrogate_grid(), config.n_workers
+            )
+        jobs = [*cold, *peaks]
+        engine = ExecutionEngine(EngineConfig(workers=pool_workers(len(jobs))))
+        results = engine.run_jobs(
+            jobs, store, profiler=active_profiler()
+        ).results
+        for job in peaks:
+            job.simulator().remember_peak(
+                results[job.key][0], job.peak_requests
+            )
+    measured = models()
+    if performance is None:
+        performance = measured.pop(0)
+    if not config.population:
+        return performance, None
+    return performance, tuple(measured if corunners is None else corunners)
 
 
 _MODE_SCHEMES = {
@@ -335,37 +389,6 @@ def measure(
 # ----------------------------------------------------------------------
 
 
-def _resolve_corunners(
-    ls_profile,
-    config: FleetConfig,
-    corunners,
-    sampling,
-    fidelity,
-    n_samples,
-) -> tuple[ColocationPerformance, ...] | None:
-    """Measured co-runner models for a heterogeneous population.
-
-    With a population configured and no pre-measured models supplied, each
-    profile is measured against the LS service via :func:`measure` (the
-    memoized store path, so repeated fleet runs reuse the grid).
-    """
-    if not config.population:
-        if corunners:
-            raise ValueError(
-                "corunners were supplied but the fleet config has no population"
-            )
-        return None
-    if corunners is not None:
-        return tuple(corunners)
-    return tuple(
-        measure(
-            ls_profile, name,
-            sampling=sampling, fidelity=fidelity, n_samples=n_samples,
-        )
-        for name in config.population
-    )
-
-
 def run_day(
     ls,
     batch=None,
@@ -402,9 +425,6 @@ def run_day(
     receives the day's ``fleet.*`` instruments.
     """
     ls_profile = resolve_profile(ls)
-    performance = _performance(
-        ls_profile, batch, performance, sampling, fidelity, n_samples
-    )
     config = FleetConfig(
         n_servers=1,
         overprovision=1.0,
@@ -415,6 +435,10 @@ def run_day(
         q_mode_available=q_mode_available,
         seed=seed,
         monitor=monitor if monitor is not None else MonitorConfig(),
+    )
+    effort = dict(sampling=sampling, fidelity=fidelity, n_samples=n_samples)
+    performance, __ = _set_up(
+        ls_profile, config, batch, performance, None, effort, fits=False
     )
     stepper = FleetEngine(
         ls_profile, performance, config, adaptive=adaptive
@@ -497,11 +521,10 @@ def run_fleet(
         raise ValueError(f"workers must be at least 1, got {workers!r}")
     config = _fleet_config(config, fleet)
     ls_profile = resolve_profile(ls)
-    performance = _performance(
-        ls_profile, batch, performance, sampling, fidelity, n_samples
-    )
-    corunners = _resolve_corunners(
-        ls_profile, config, corunners, sampling, fidelity, n_samples
+    effort = dict(sampling=sampling, fidelity=fidelity, n_samples=n_samples)
+    performance, corunners = _set_up(
+        ls_profile, config, batch, performance, corunners, effort,
+        fits=tail == "surrogate" and surrogate is None,
     )
     scenario = as_scenario(scenario)
     if workers is None or workers == 1:
@@ -575,11 +598,10 @@ def serve(
     _check_tail(tail)
     config = _fleet_config(config, fleet)
     ls_profile = resolve_profile(ls)
-    performance = _performance(
-        ls_profile, batch, performance, sampling, fidelity, n_samples
-    )
-    corunners = _resolve_corunners(
-        ls_profile, config, corunners, sampling, fidelity, n_samples
+    effort = dict(sampling=sampling, fidelity=fidelity, n_samples=n_samples)
+    performance, corunners = _set_up(
+        ls_profile, config, batch, performance, corunners, effort,
+        fits=tail == "surrogate" and surrogate is None,
     )
     engine = FleetEngine(
         ls_profile, performance, config,
@@ -653,11 +675,10 @@ def tune_policy(
         fid is not None and fid.is_surrogate
         and performance is None and batch is not None
     )
-    performance = _performance(
-        ls_profile, batch, performance, sampling, fidelity, n_samples
-    )
-    corunners = _resolve_corunners(
-        ls_profile, config, None, sampling, fidelity, n_samples
+    effort = dict(sampling=sampling, fidelity=fidelity, n_samples=n_samples)
+    performance, corunners = _set_up(
+        ls_profile, config, batch, performance, None, effort,
+        fits=surrogate is None,
     )
     result = tune_monitor(
         ls_profile, performance, config,
@@ -671,9 +692,9 @@ def tune_policy(
     # Exact-tier confirmation: re-measure the pair (and any co-runner
     # population) exactly, at the same sampling effort as the surrogate's
     # calibration, and re-score the short list.
-    exact_performance = measure(ls_profile, batch, sampling=fid.sampling)
-    exact_corunners = _resolve_corunners(
-        ls_profile, config, None, fid.sampling, None, None
+    exact_performance, exact_corunners = _set_up(
+        ls_profile, config, batch, None, None, dict(sampling=fid.sampling),
+        fits=surrogate is None,
     )
     monitors = [result.best.monitor]
     if result.default.monitor != result.best.monitor:

@@ -19,13 +19,18 @@ into a :class:`~repro.engine.store.ResultStore` from the parent process
 * **Graceful degradation** — if a pool cannot be created at all (restricted
   sandboxes) or keeps breaking, remaining jobs fall back to in-process
   serial execution.
+* **Shared sampling points** — jobs over the same workloads run back to
+  back, and every pool worker keeps one
+  :func:`~repro.cpu.sampling.shared_sampling_points` scope for its life,
+  so a worker builds each sampling point once while its LRU holds it.
 * **Observability** — pass a :class:`~repro.obs.tracer.SpanTracer` and the
   job lifecycle (dedupe → cache lookup → queue → execute → store write,
   plus cache-hit and retry markers) is emitted as Chrome trace events, one
   lane per worker slot; pass a :class:`~repro.obs.profiler.Profiler` and
   the engine phases land in its self-time table, together with the
   sections pool workers profiled while running their jobs (shipped back
-  with each result).  Each unique job also
+  with each result, like the workers' sampling-point counts, which land
+  in the metrics registry).  Each unique job also
   leaves a telemetry record in the store
   (:meth:`~repro.engine.store.ResultStore.record_job_telemetry`).
 """
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -45,6 +51,7 @@ from typing import Callable
 from repro.cpu.sampling import shared_sampling_points
 from repro.engine.store import ResultStore, default_store
 from repro.engine.telemetry import EngineStats
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.profiler import active_profiler
 
 __all__ = [
@@ -53,6 +60,7 @@ __all__ = [
     "ExecutionEngine",
     "JobTimeoutError",
     "parse_workers",
+    "pool_workers",
     "usable_workers",
 ]
 
@@ -65,6 +73,10 @@ _POLL_SECONDS = 0.05
 #: Give up on process pools entirely after this many rebuilds.
 _MAX_POOL_REBUILDS = 3
 
+#: The sampling-point counters (:mod:`repro.cpu.sampling`) a pool worker
+#: ships back with each job, for the parent's registry.
+_POINT_COUNTERS = ("sampling.points_built", "sampling.points_reused")
+
 
 class JobTimeoutError(TimeoutError):
     """A job exceeded the per-job timeout on every allowed attempt."""
@@ -76,8 +88,8 @@ def usable_workers(n_jobs: int) -> int:
     The cores this process may run on (its CPU affinity mask, else the
     CPU count), capped by ``n_jobs``.  It is 1 in a ``multiprocessing``
     child, so a pool of processes keeps one busy thread per process.  The
-    fleet's chunk threads, its surrogate fit's pool and ``--jobs auto``
-    size themselves here.
+    fleet's chunk threads and ``--jobs auto`` size themselves here; a
+    pool the library forks on its own sizes itself by :func:`pool_workers`.
     """
     if n_jobs < 2 or multiprocessing.parent_process() is not None:
         return 1
@@ -86,6 +98,19 @@ def usable_workers(n_jobs: int) -> int:
     except AttributeError:  # no sched_getaffinity on this platform
         cores = os.cpu_count() or 1
     return min(cores, n_jobs)
+
+
+def pool_workers(n_jobs: int) -> int:
+    """Worker processes worth forking for ``n_jobs`` independent jobs.
+
+    :func:`usable_workers`, but 1 while any other Python thread is alive
+    (a control-plane reader, an HTTP exporter): the pool forks, which
+    copies only the calling thread, so a lock another thread held would
+    stay held in every worker.  With one worker the engine runs the jobs
+    in this process.  The tail surrogate fit's replicates and a fleet
+    verb's cold set-up size their pools here.
+    """
+    return usable_workers(n_jobs) if threading.active_count() == 1 else 1
 
 
 def parse_workers(value: str | int) -> int:
@@ -142,23 +167,43 @@ class _Attempt:
     lane: int = 0
 
 
-def _run_job(job) -> tuple[tuple[float, ...], dict | None]:
+#: A pool worker's sampling-point scope, opened by its first job and kept
+#: for the worker's life (None in any other process).
+_worker_points = None
+
+
+def _run_job(job) -> tuple[tuple[float, ...], dict | None, tuple[int, ...]]:
     """Worker-side entry point (module-level for picklability).
 
-    Returns the job's values and, when profiling is on, the sections the
+    Returns the job's values; when profiling is on, the sections the
     worker's profiler recorded for this job alone (``Profiler.as_dict``),
-    for the parent to merge.  The table is cleared before the job as well:
-    a forked worker starts with a copy of the parent's.
+    for the parent to merge, else None; and the job's counts of
+    :data:`_POINT_COUNTERS`.  The profile table is cleared before the job
+    as well: a forked worker starts with a copy of the parent's.
+
+    A worker's first job opens the sampling-point scope the worker keeps
+    for its life, so its jobs share points as the serial executor's do
+    (the scope's LRU bounds what it holds), and a registry to count them
+    in if the worker inherited none (a worker that was not forked).
     """
+    global _worker_points
+    if _worker_points is None and multiprocessing.parent_process() is not None:
+        _worker_points = shared_sampling_points()
+        _worker_points.__enter__()
+        if not get_registry().enabled:
+            set_registry(MetricsRegistry())
+    counters = [get_registry().counter(name) for name in _POINT_COUNTERS]
+    before = [counter.value for counter in counters]
     prof = active_profiler()
     if prof is not None:
         prof.reset()
     values = tuple(job.run())
+    points = tuple(c.value - b for c, b in zip(counters, before))
     if prof is None:
-        return values, None
+        return values, None, points
     profile = prof.as_dict()
     prof.reset()
-    return values, profile
+    return values, profile, points
 
 
 def _by_sampling_point(todo) -> list[_Attempt]:
@@ -312,7 +357,7 @@ class ExecutionEngine:
 
     # A run's jobs sweep configurations over the same sampling points, so
     # each point is built once per run when the jobs that share it run back
-    # to back (pool workers still build per job).
+    # to back.
     @shared_sampling_points()
     def _run_serial(self, todo, store, report, emit, in_process: bool = False) -> None:
         tracer = self._tracer
@@ -400,7 +445,9 @@ class ExecutionEngine:
         stats = report.stats
         tracer = self._tracer
         prof = self._profiler
-        pending: deque[_Attempt] = deque(todo)
+        # Jobs that share sampling points go out back to back, so a worker
+        # that takes several of them builds their points once.
+        pending: deque[_Attempt] = deque(_by_sampling_point(todo))
         running: dict[Future, _Attempt] = {}
         # One trace lane per worker slot, reused as executions finish.
         free_lanes = list(range(self.config.workers, 0, -1))
@@ -470,7 +517,7 @@ class ExecutionEngine:
                     stats.running = len(running)
                     free_lanes.append(attempt.lane)
                     try:
-                        values, profile = future.result()
+                        values, profile, points = future.result()
                     except _POOL_DEATH:
                         broken = True
                         attempt.tries += 1
@@ -500,6 +547,9 @@ class ExecutionEngine:
                             prof.add("engine.execute", elapsed)
                             for name, entry in (profile or {}).items():
                                 prof.add(name, entry["seconds"], entry["calls"])
+                        for name, count in zip(_POINT_COUNTERS, points):
+                            if count:
+                                get_registry().counter(name).inc(count)
                         if tracer is not None:
                             now = tracer.now_us()
                             tracer.complete(

@@ -57,6 +57,7 @@ from repro.cpu.surrogate import UipcFitJob
 from repro.engine import EngineConfig, ExecutionEngine, default_store
 from repro.engine.executor import parse_workers
 from repro.experiments.common import Fidelity, fidelity_names
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.obs.profiler import active_profiler, disable_profiling, enable_profiling
 from repro.obs.sampler import CHECK_ENV, METRICS_ENV
 from repro.obs.tracer import SpanTracer
@@ -181,6 +182,14 @@ def _warm_store(name: str, jobs: list, workers: int,
     )
     printer.close(report.stats.summary())
     return report
+
+
+def _point_counts(registry) -> dict[str, int]:
+    """The ``sampling.points_built``/``points_reused`` counts so far."""
+    return {
+        f"points_{kind}": registry.counter(f"sampling.points_{kind}").value
+        for kind in ("built", "reused")
+    }
 
 
 def _jobs_arg(value: str) -> int:
@@ -838,6 +847,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.check:
         os.environ[CHECK_ENV] = "1"
     profiler = enable_profiling() if args.profile else active_profiler()
+    # A registry to count sampling points in, here and (shipped back with
+    # each job) in pool workers; restored on exit like the environment.
+    saved_registry = get_registry()
+    registry = (
+        saved_registry if saved_registry.enabled
+        else set_registry(MetricsRegistry())
+    )
 
     try:
         for name in names:
@@ -849,6 +865,7 @@ def main(argv: list[str] | None = None) -> int:
             start = time.time()
             span_start = tracer.now_us() if tracer is not None else 0.0
             grid = list(module.jobs(fidelity)) if hasattr(module, "jobs") else []
+            points = _point_counts(registry)
             report = _warm_store(name, grid, args.jobs,
                                  tracer=tracer, profiler=profiler)
             misses = store.stats.misses
@@ -881,10 +898,17 @@ def main(argv: list[str] | None = None) -> int:
                     "grid_fit_jobs": fits,
                     "grid_exact_jobs": len(grid) - fits,
                     "run_store_misses": run_store_misses,
+                    # Sampling points built and reused by the prefetch
+                    # (summed over pool workers) and run().
+                    "sampling": {
+                        key: value - points[key]
+                        for key, value in _point_counts(registry).items()
+                    },
                     "result": result_to_jsonable(result),
                 }
                 (json_dir / f"{name}.json").write_text(json.dumps(payload, indent=2))
     finally:
+        set_registry(saved_registry)
         if args.metrics:
             if saved_metrics_env is None:
                 os.environ.pop(METRICS_ENV, None)

@@ -51,11 +51,13 @@ from repro.fleet.policies import (
 )
 from repro.fleet.shard import FleetShardJob, run_fleet_sharded, shard_bounds
 from repro.fleet.surrogate import (
+    PeakLoadJob,
     SurrogateFitJob,
     SurrogateGrid,
     SurrogateReplicateJob,
     TailSurrogate,
     fit_tail_surrogate,
+    peak_jobs,
 )
 
 __all__ = [
@@ -70,6 +72,7 @@ __all__ = [
     "LoadBalancingPolicy",
     "PLACEMENT_NAMES",
     "POLICY_NAMES",
+    "PeakLoadJob",
     "PlacementPolicy",
     "SurrogateFitJob",
     "SurrogateGrid",
@@ -80,6 +83,7 @@ __all__ = [
     "make_policy",
     "mix_counts",
     "monitor_transition_vec",
+    "peak_jobs",
     "register_load_curve",
     "resolve_load_curve",
     "run_fleet_sharded",

@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import os
 import queue
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -54,7 +53,12 @@ from repro.core.monitor import (
     validate_monitor_config,
 )
 from repro.core.stretch import StretchMode
-from repro.engine.executor import EngineConfig, ExecutionEngine, usable_workers
+from repro.engine.executor import (
+    EngineConfig,
+    ExecutionEngine,
+    pool_workers,
+    usable_workers,
+)
 from repro.fleet.placement import (
     CorunnerTable,
     PlacementContext,
@@ -132,19 +136,15 @@ def _fit_surrogate(job: SurrogateFitJob, store) -> tuple[float, ...]:
     """``job``'s values, its replicates run on every usable core.
 
     The replicates are store jobs on an :class:`ExecutionEngine` of
-    :func:`usable_workers` processes, so each lands in ``store`` and a fit
-    cut short resumes from the ones it finished.  The pool forks, which
-    is safe only in a single-threaded process, so beside any other live
-    Python thread the replicates run in this one.  Assembled in replicate
+    :func:`pool_workers` processes (one beside any other live Python
+    thread, since the pool forks), so each lands in ``store`` and a fit
+    cut short resumes from the ones it finished.  Assembled in replicate
     order, the values are ``job.run()``'s bits.  Each replicate's peak is
     remembered here, so a process forked after (the next fit's pool)
     inherits it and runs no bisection for that simulator.
     """
     replicates = job.replicates()
-    workers = (
-        usable_workers(len(replicates)) if threading.active_count() == 1
-        else 1
-    )
+    workers = pool_workers(len(replicates))
     engine = ExecutionEngine(EngineConfig(workers=workers))
     results = engine.run_jobs(
         replicates, store, profiler=active_profiler()
@@ -339,6 +339,13 @@ class FleetConfig:
     @property
     def n_windows(self) -> int:
         return int(round(24 * 60 / self.window_minutes))
+
+    def surrogate_grid(self) -> SurrogateGrid:
+        """Tail-surrogate calibration grid matched to this fleet's windows:
+        streams of ``requests_per_window`` requests, peaks calibrated over
+        ``max(20000, requests_per_window)`` as on the exact path."""
+        rpw = self.requests_per_window
+        return SurrogateGrid(n_requests=rpw, peak_requests=max(20000, rpw))
 
 
 @dataclass
@@ -799,10 +806,7 @@ class FleetEngine:
 
     def surrogate_grid(self) -> SurrogateGrid:
         """Calibration grid matched to this fleet's window parameters."""
-        rpw = self.config.requests_per_window
-        return SurrogateGrid(
-            n_requests=rpw, peak_requests=max(20000, rpw)
-        )
+        return self.config.surrogate_grid()
 
     def ensure_surrogate(self) -> TailSurrogate:
         """Fit (or fetch from the result store) the tail surrogate.

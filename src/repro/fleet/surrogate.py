@@ -31,6 +31,10 @@ streams) is a :class:`SurrogateReplicateJob` of its own, and a fit is its
 replicates' values assembled in replicate order, so the replicates can run
 on any number of processes and the fit keeps its bits
 (:meth:`repro.fleet.FleetEngine.ensure_surrogate` runs them on every core).
+A replicate's peak bisection reads no perf factor, so it is also a
+:class:`PeakLoadJob` (:func:`peak_jobs`) that can run before the fleet's
+perf rows are measured; a remembered peak spares the replicate its
+bisection.
 """
 
 from __future__ import annotations
@@ -45,11 +49,13 @@ from repro.util.rng import derive_seed
 from repro.workloads.profiles import QoSSpec
 
 __all__ = [
+    "PeakLoadJob",
     "SurrogateGrid",
     "SurrogateFitJob",
     "SurrogateReplicateJob",
     "TailSurrogate",
     "fit_tail_surrogate",
+    "peak_jobs",
 ]
 
 #: Bump to invalidate cached surrogate fits after calibration changes.
@@ -92,6 +98,30 @@ class SurrogateGrid:
             raise ValueError("n_reps must be >= 2 (distribution needs replicates)")
         if self.n_val_reps < 1:
             raise ValueError("n_val_reps must be >= 1")
+
+
+def _midpoints(grid: SurrogateGrid) -> tuple[float, ...]:
+    loads = np.asarray(grid.loads)
+    return tuple((loads[:-1] + loads[1:]) / 2.0)
+
+
+def _series(grid: SurrogateGrid) -> tuple[tuple[str, tuple, int], ...]:
+    """A fit's replicate series, ``(label, loads, n_reps)``: calibration
+    over the grid's loads, then validation over their midpoints (fresh
+    seeds, loads never calibrated)."""
+    return (
+        ("surrogate-cal", grid.loads, grid.n_reps),
+        ("surrogate-val", _midpoints(grid), grid.n_val_reps),
+    )
+
+
+def _simulator(qos: QoSSpec, n_workers: int, seed: int, label: str,
+               rep: int) -> ServiceSimulator:
+    # Replicate seeds are drawn exactly like fleet server seeds (masked
+    # derive_seed), so across-replicate spread reflects across-server and
+    # across-window spread in the fleet.
+    seed = derive_seed(seed, label, rep) & 0x7FFFFF
+    return ServiceSimulator(qos, n_workers=n_workers, seed=seed)
 
 
 def _fit_rows(perf_factors) -> tuple[float, ...]:
@@ -143,11 +173,9 @@ class SurrogateReplicateJob:
     n_workers: int = 8
 
     def simulator(self) -> ServiceSimulator:
-        # Replicate seeds are drawn exactly like fleet server seeds (masked
-        # derive_seed), so across-replicate spread reflects across-server
-        # and across-window spread in the fleet.
-        seed = derive_seed(self.seed, self.label, self.rep) & 0x7FFFFF
-        return ServiceSimulator(self.qos, n_workers=self.n_workers, seed=seed)
+        return _simulator(
+            self.qos, self.n_workers, self.seed, self.label, self.rep
+        )
 
     @property
     def key(self) -> str:
@@ -172,6 +200,65 @@ class SurrogateReplicateJob:
     def run(self) -> tuple[float, ...]:
         peak, tails = _measure_replicate(self)
         return (peak, *tails.ravel().tolist())
+
+
+@dataclass(frozen=True)
+class PeakLoadJob:
+    """The peak-load bisection of one fit replicate (cacheable, picklable).
+
+    ``run`` returns ``(peak,)``, the ``peak_load(peak_requests)`` of the
+    simulator of the :class:`SurrogateReplicateJob` with the same ``seed``,
+    ``label`` and ``rep``: the 41 probes that replicate runs first.  It
+    reads no perf factor or load, so it can run before the fleet's perf
+    rows are known; its peak handed to
+    :meth:`~repro.qos.queueing.ServiceSimulator.remember_peak` spares the
+    replicate the bisection.
+    """
+
+    qos: QoSSpec
+    peak_requests: int
+    seed: int
+    label: str
+    rep: int
+    n_workers: int = 8
+
+    def simulator(self) -> ServiceSimulator:
+        return _simulator(
+            self.qos, self.n_workers, self.seed, self.label, self.rep
+        )
+
+    @property
+    def key(self) -> str:
+        from repro.engine.store import CACHE_VERSION
+
+        payload = repr((
+            CACHE_VERSION,
+            SURROGATE_VERSION,
+            "fleet-surrogate-peak",
+            self.qos,
+            self.peak_requests,
+            self.seed,
+            self.label,
+            self.rep,
+            self.n_workers,
+        ))
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+    def run(self) -> tuple[float, ...]:
+        return (self.simulator().peak_load(n_requests=self.peak_requests),)
+
+
+def peak_jobs(
+    qos: QoSSpec, grid: SurrogateGrid = SurrogateGrid(), n_workers: int = 8
+) -> tuple[PeakLoadJob, ...]:
+    """The peak bisections of every fit on ``grid``, whatever its perf rows:
+    one :class:`PeakLoadJob` per :meth:`SurrogateFitJob.replicates` entry,
+    in the same order."""
+    return tuple(
+        PeakLoadJob(qos, grid.peak_requests, grid.seed, label, rep, n_workers)
+        for label, __, n_reps in _series(grid)
+        for rep in range(n_reps)
+    )
 
 
 @dataclass(frozen=True)
@@ -420,10 +507,6 @@ class SurrogateFitJob:
         ))
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def _midpoints(self) -> tuple[float, ...]:
-        loads = np.asarray(self.grid.loads)
-        return tuple((loads[:-1] + loads[1:]) / 2.0)
-
     def replicates(self) -> tuple[SurrogateReplicateJob, ...]:
         """The ``n_reps`` calibration replicates over the grid's loads,
         then the ``n_val_reps`` validation replicates over the midpoints
@@ -431,10 +514,6 @@ class SurrogateFitJob:
         reads."""
         perfs = _fit_rows(self.perf_factors)
         grid = self.grid
-        series = (
-            ("surrogate-cal", grid.loads, grid.n_reps),
-            ("surrogate-val", self._midpoints(), grid.n_val_reps),
-        )
         return tuple(
             SurrogateReplicateJob(
                 qos=self.qos,
@@ -447,7 +526,7 @@ class SurrogateFitJob:
                 rep=rep,
                 n_workers=self.n_workers,
             )
-            for label, loads, n_reps in series
+            for label, loads, n_reps in _series(grid)
             for rep in range(n_reps)
         )
 
@@ -470,7 +549,7 @@ class SurrogateFitJob:
         )
         # Held-out validation: fresh simulator seeds, off-grid midpoint loads.
         validation = np.array(surfaces[n_reps:]).mean(axis=0)
-        midpoints = np.asarray(self._midpoints())
+        midpoints = np.asarray(_midpoints(self.grid))
         predicted = np.stack([surrogate.predict(midpoints, p) for p in perfs])
         error_bound = float(np.max(np.abs(predicted - validation)))
         return TailSurrogate(

@@ -2,10 +2,14 @@
 
 import dataclasses
 import inspect
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import repro.engine.executor as executor
 from repro import api
 from repro.core.colocation import ColocationPerformance, ModePerformance
 from repro.core.monitor import MonitorConfig
@@ -26,7 +30,7 @@ from repro.cpu.sampling import (
 )
 from repro.cpu.surrogate import UipcFitJob, UipcGrid
 from repro.engine.executor import ExecutionEngine
-from repro.engine.store import ResultStore, reset_default_stores
+from repro.engine.store import CACHE_VERSION, ResultStore, reset_default_stores
 from repro.experiments.common import Fidelity
 from repro.fleet import (
     FleetConfig,
@@ -36,6 +40,8 @@ from repro.fleet import (
     fit_tail_surrogate,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profiler import disable_profiling, enable_profiling
+from repro.qos import queueing
 from repro.tune import PortfolioEntry, confirm_candidates, tune_monitor
 from repro.workloads.registry import get_profile
 from tests.test_cluster import golden_cases, golden_config, golden_spec
@@ -802,3 +808,209 @@ def coarse_tail_surrogate(ls, performance, config, corunners=None):
             n_reps=2, n_val_reps=1, seed=0,
         ),
     )
+
+
+# ----------------------------------------------------------------------
+# A cold set-up on every core
+# ----------------------------------------------------------------------
+
+#: Short samples for the set-up's measurements.
+SETUP_SAMPLING = SamplingConfig(
+    n_samples=2, warmup_instructions=500, measure_instructions=600, seed=11
+)
+#: The stock replicate shape (10 calibration replicates over 13 loads, 4
+#: validation replicates over the 12 midpoints) on short streams.
+SETUP_GRID = SurrogateGrid(n_requests=300, peak_requests=2000)
+SETUP_FLEET = dict(
+    n_servers=8, window_minutes=240.0, requests_per_window=300, seed=3,
+    population=("zeusmp", "lbm"),
+)
+
+
+def _die() -> None:
+    os._exit(13)  # a hard worker death, not an exception
+
+
+class KillOnePool(ProcessPoolExecutor):
+    """A pool whose first submission kills its worker (once per test)."""
+
+    killed = False
+
+    def submit(self, fn, *args, **kwargs):
+        if not KillOnePool.killed:
+            KillOnePool.killed = True
+            return super().submit(_die)
+        return super().submit(fn, *args, **kwargs)
+
+
+def cold_set_up(tmp_path, monkeypatch, verb, workers, pool=None) -> dict:
+    """One cold ``verb`` day of :data:`SETUP_FLEET` in a fresh store, its
+    set-up pool and fit pool sized at ``workers`` (``pool`` a pool factory
+    for the set-up): what it measured, fitted, stepped and stored."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"{verb}-{workers}"))
+    reset_default_stores()
+    queueing._PEAK_MEMO.clear()
+    monkeypatch.setattr(FleetConfig, "surrogate_grid", lambda self: SETUP_GRID)
+    monkeypatch.setattr(
+        executor, "usable_workers", lambda n_jobs: min(workers, n_jobs)
+    )
+    engines = []
+
+    class Recording(ExecutionEngine):
+        def __init__(self, config):
+            super().__init__(config, pool_factory=pool)
+
+        def run_jobs(self, jobs, *args, **kwargs):
+            report = super().run_jobs(jobs, *args, **kwargs)
+            engines.append((self.config.workers, report.stats))
+            return report
+
+    monkeypatch.setattr(api, "ExecutionEngine", Recording)
+    profiler = enable_profiling()
+    profiler.reset()
+    try:
+        if verb == "serve":
+            service = api.serve(
+                "web_search", "zeusmp", sampling=SETUP_SAMPLING, **SETUP_FLEET
+            )
+            fleet = service.engine
+            service.advance(service.state.n_windows)
+            day = service.timeline
+        else:
+            day = api.run_fleet(
+                "web_search", "zeusmp", sampling=SETUP_SAMPLING, **SETUP_FLEET
+            )
+            ls = get_profile("web_search")
+            fleet = FleetEngine(
+                ls, api.measure(ls, "zeusmp", sampling=SETUP_SAMPLING),
+                FleetConfig(**SETUP_FLEET),
+                corunners=[
+                    api.measure(ls, name, sampling=SETUP_SAMPLING)
+                    for name in SETUP_FLEET["population"]
+                ],
+            )
+        des_queries = profiler.calls("qos.des.serve")
+    finally:
+        disable_profiling()
+    entries = tmp_path / f"{verb}-{workers}" / f"v{CACHE_VERSION}"
+    return dict(
+        performance=fleet.performance,
+        corunners=fleet.corunners,
+        surrogate=bits(fleet.ensure_surrogate().to_values()),
+        day=bits(day.to_values()),
+        engines=engines,
+        des_queries=des_queries,
+        rows=len(fleet.perf_factors),
+        entries={
+            path.name: path.read_text() for path in entries.glob("*.json")
+        },
+    )
+
+
+def bits(values) -> bytes:
+    return np.array(values).tobytes()
+
+
+class TestPooledSetUp:
+    """A fleet verb's cold measurements and the fit's peak bisections run
+    as one job set on every core, and change no bit."""
+
+    @pytest.mark.parametrize("verb", ["serve", "run_fleet"])
+    def test_pooled_set_up_matches_one_worker(
+        self, tmp_path, monkeypatch, verb
+    ):
+        pooled = cold_set_up(tmp_path, monkeypatch, verb, 2)
+        serial = cold_set_up(tmp_path / "one", monkeypatch, verb, 1)
+        for key in ("performance", "corunners", "surrogate", "day", "entries"):
+            assert pooled[key] == serial[key], key
+        # 4 + 3 measurement jobs of the pair and lbm, 14 peaks.
+        [(workers, stats)] = pooled["engines"]
+        assert (workers, stats.executed, stats.in_process) == (2, 21, 0)
+        [(workers, stats)] = serial["engines"]
+        assert (workers, stats.executed) == (1, 21)
+
+    def test_each_bisection_runs_once(self, tmp_path, monkeypatch):
+        # The set-up's workers bisect each fit replicate's peak; the
+        # parent remembers them, and the fit's workers, forked after,
+        # serve only the grid streams.
+        cold = cold_set_up(tmp_path, monkeypatch, "serve", 2)
+        grid = SETUP_GRID
+        n_loads = len(grid.loads)
+        assert cold["des_queries"] == 41 * 14 + cold["rows"] * (
+            grid.n_reps * n_loads + grid.n_val_reps * (n_loads - 1)
+        )
+
+    def test_killed_worker_is_retried(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(KillOnePool, "killed", False)
+        killed = cold_set_up(
+            tmp_path, monkeypatch, "serve", 2, pool=KillOnePool
+        )
+        assert KillOnePool.killed
+        [(__, stats)] = killed["engines"]
+        assert stats.crash_retries >= 1 and stats.pool_rebuilds >= 1
+        assert stats.executed == 21
+        serial = cold_set_up(tmp_path / "one", monkeypatch, "serve", 1)
+        for key in ("performance", "corunners", "surrogate", "day"):
+            assert killed[key] == serial[key], key
+
+    def test_set_up_beside_a_live_thread_runs_in_process(
+        self, tmp_path, monkeypatch
+    ):
+        # The set-up's pool forks, which must not copy another thread's
+        # locks: beside a control-plane reader it runs in this process.
+        release = threading.Event()
+        reader = threading.Thread(target=release.wait)
+        reader.start()
+        try:
+            beside = cold_set_up(tmp_path, monkeypatch, "serve", 2)
+        finally:
+            release.set()
+            reader.join()
+        [(workers, stats)] = beside["engines"]
+        assert (workers, stats.executed) == (1, 21)
+        pooled = cold_set_up(tmp_path / "pooled", monkeypatch, "serve", 2)
+        assert pooled["engines"][0][0] == 2
+        assert beside["entries"] == pooled["entries"]
+        assert beside["surrogate"] == pooled["surrogate"]
+
+    def test_warm_set_up_starts_no_pool_and_writes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        cold = cold_set_up(tmp_path, monkeypatch, "serve", 2)
+        store = tmp_path / "serve-2"
+        before = {path: path.stat().st_mtime_ns for path in store.rglob("*")}
+        reset_default_stores()  # warm on disk only
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("a warm set-up started an execution engine")
+
+        monkeypatch.setattr(api, "ExecutionEngine", no_engine)
+        service = api.serve(
+            "web_search", "zeusmp", sampling=SETUP_SAMPLING, **SETUP_FLEET
+        )
+        assert service.engine.performance == cold["performance"]
+        assert service.engine.corunners == cold["corunners"]
+        after = {path: path.stat().st_mtime_ns for path in store.rglob("*")}
+        assert after == before
+
+    def test_warm_measurement_leaves_the_peaks_to_the_fit(
+        self, tmp_path, monkeypatch
+    ):
+        # Nothing to overlap with: the fit bisects in its own pool.
+        ls = get_profile("web_search")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        reset_default_stores()
+        for name in ("zeusmp", "lbm"):
+            api.measure(ls, name, sampling=SETUP_SAMPLING)
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("a warm measurement started a pool")
+
+        monkeypatch.setattr(api, "ExecutionEngine", no_engine)
+        monkeypatch.setattr(
+            api, "FleetService", lambda engine, feed, **kwargs: engine
+        )
+        engine = api.serve(
+            "web_search", "zeusmp", sampling=SETUP_SAMPLING, **SETUP_FLEET
+        )
+        assert len(engine.corunners) == 2

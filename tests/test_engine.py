@@ -12,6 +12,7 @@ import json
 import os
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import pytest
@@ -27,9 +28,10 @@ from repro.engine import (
     SimJob,
     job_key,
 )
-from repro.engine.executor import parse_workers, usable_workers
+from repro.engine.executor import parse_workers, pool_workers, usable_workers
 from repro.engine.telemetry import EngineStats
 from repro.experiments.common import config_all_shared, config_solo
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.workloads.registry import get_profile
 
 
@@ -407,8 +409,8 @@ class TestUsableWorkers:
 
     def test_other_threads_do_not_count(self, monkeypatch):
         # A thread blocked on its input (a control-plane reader) leaves
-        # the count at the usable cores; only the fit's forking pool
-        # checks for live threads (tests/test_fleet.py).
+        # the count at the usable cores; only a forking pool
+        # (pool_workers) checks for live threads.
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
         )
@@ -429,6 +431,23 @@ class TestUsableWorkers:
             max_workers=1, mp_context=multiprocessing.get_context("spawn")
         ) as pool:
             assert pool.submit(usable_workers, 8).result(timeout=60) == 1
+
+    def test_a_forking_pool_gets_one_worker_beside_a_live_thread(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        assert pool_workers(8) == 3
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert pool_workers(8) == 1
+        finally:
+            release.set()
+            other.join()
+        assert pool_workers(8) == 3
 
 
 class TestEngineParallelScheduling:
@@ -504,6 +523,81 @@ class TestEngineParallelScheduling:
         assert report.stats.executed == 2
         assert report.stats.in_process == 2
         assert report.results["fake-a"] == (1.0,)
+
+
+@dataclass(frozen=True)
+class PointJob:
+    """A cheap job over named workloads (the engine groups by them)."""
+
+    name: str
+    workloads: tuple[str, ...]
+
+    @property
+    def key(self) -> str:
+        return f"point-{self.name}"
+
+    def run(self) -> tuple[float, ...]:
+        return (1.0,)
+
+
+class TestPoolSamplingPoints:
+    """Each pool worker keeps one sampling-point scope for its life and
+    ships its point counts back with every job."""
+
+    @pytest.fixture
+    def registry(self):
+        saved = get_registry()
+        yield set_registry(MetricsRegistry())
+        set_registry(saved)
+
+    def test_cold_two_worker_run_counts_every_lookup(self, tmp_path, registry):
+        sampling = SamplingConfig(
+            n_samples=2, warmup_instructions=500, measure_instructions=500,
+            seed=5,
+        )
+        # Configuration-major, as the figure grids come.
+        jobs = [
+            SimJob.solo(name, config_solo(rob), sampling)
+            for rob in (64, 96, 128, 192)
+            for name in ("gamess", "zeusmp")
+        ]
+        jobs.append(SimJob.pair("gamess", "zeusmp", config_all_shared(), sampling))
+        report = ExecutionEngine(EngineConfig(workers=2)).run_jobs(
+            jobs, store=ResultStore(tmp_path)
+        )
+        assert report.stats.executed == len(jobs)
+        built = registry.counter("sampling.points_built").value
+        reused = registry.counter("sampling.points_reused").value
+        lookups = sum(len(job.workloads) for job in jobs) * sampling.n_samples
+        distinct = {
+            (profile.name, sample)
+            for job in jobs
+            for profile in job.workloads
+            for sample in range(sampling.n_samples)
+        }
+        assert built + reused == lookups == 20
+        assert built <= 2 * len(distinct) == 8
+        serial = ExecutionEngine().run_jobs(jobs, store=ResultStore(None))
+        assert serial.results == report.results
+
+    def test_pool_gets_jobs_grouped_by_workloads(self, tmp_path):
+        submitted = []
+
+        class Recording(ProcessPoolExecutor):
+            def submit(self, fn, job, *args, **kwargs):
+                submitted.append(job.workloads)
+                return super().submit(fn, job, *args, **kwargs)
+
+        jobs = [
+            PointJob(f"{name}{i}", (name,))
+            for i in range(3) for name in ("a", "b")
+        ]
+        engine = ExecutionEngine(
+            EngineConfig(workers=2),
+            pool_factory=lambda workers: Recording(max_workers=workers),
+        )
+        engine.run_jobs(jobs, store=ResultStore(tmp_path))
+        assert submitted == [("a",)] * 3 + [("b",)] * 3
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.engine.executor as executor
 import repro.fleet.engine as fleet_engine
 from repro.core.adaptive import AdaptiveStretchPolicy
 from repro.core.colocation import ColocationPerformance, ModePerformance
@@ -899,10 +900,13 @@ def threaded_surrogate(web_search_qos) -> TailSurrogate:
 
 
 def force_workers(monkeypatch, workers: int) -> None:
-    """Size the chunk threads and the fit's pool at ``workers``."""
-    monkeypatch.setattr(
-        fleet_engine, "usable_workers", lambda n_jobs: min(workers, n_jobs)
-    )
+    """Size the chunk threads and the fit's pool at ``workers`` (the pool
+    under ``pool_workers``' thread rule)."""
+    def forced(n_jobs):
+        return min(workers, n_jobs)
+
+    monkeypatch.setattr(fleet_engine, "usable_workers", forced)
+    monkeypatch.setattr(executor, "usable_workers", forced)
 
 
 def threaded_stepper(case: str, surrogate, state=None):
@@ -1168,8 +1172,9 @@ class TestThreadedStep:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # One helper sizes the chunk threads, the fit's pool and
-        # --jobs auto (its own tests are in tests/test_engine.py).
+        # One helper sizes the chunk threads and --jobs auto, and under
+        # pool_workers' thread rule the fit's pool (its own tests are in
+        # tests/test_engine.py).
         assert fleet_engine.usable_workers is usable_workers
         assert usable_workers(1) == 1
         assert 1 <= usable_workers(8) <= 8

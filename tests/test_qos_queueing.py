@@ -13,6 +13,7 @@ import heapq
 import numpy as np
 import pytest
 
+import repro.engine.executor as executor
 import repro.fleet.engine as fleet_engine
 import repro.fleet.surrogate as surrogate_module
 from repro.engine.store import ResultStore
@@ -506,7 +507,7 @@ class TestStreamCallersOracle:
         serial = job.run()
         queueing._PEAK_MEMO.clear()  # the workers bisect again
         monkeypatch.setattr(
-            fleet_engine, "usable_workers", lambda n_jobs: min(workers, n_jobs)
+            executor, "usable_workers", lambda n_jobs: min(workers, n_jobs)
         )
         pooled = fleet_engine._fit_surrogate(job, ResultStore(None))
         assert np.array(pooled).tobytes() == np.array(serial).tobytes()
