@@ -23,13 +23,13 @@ a probe fails only when the data show the overhead above its budget.
 The tail-surrogate calibration (a one-off queueing-DES sweep) runs
 *outside* the timed days — the acceptance target is the simulation
 itself: a 1M-server day in under 60 seconds.  It is the production fit,
-``FleetEngine.ensure_surrogate`` on a memory-only store with no peak
-remembered, so its replicates run on every usable core.  Its CPU seconds
-in every process (this one's plus the reaped pool workers') are recorded
-as ``surrogate_fit_cpu_s`` so the trajectory check tracks the DES too:
-they do not depend on how many workers shared the fit.  Its wall time
-``surrogate_fit_s`` and worker count ``surrogate_fit_workers`` are
-recorded beside it.
+``FleetEngine.ensure_surrogate`` on a memory-only store holding no
+peak, so its bisections and replicates run on every usable core.  Its
+CPU seconds in every process (this one's plus the reaped pool workers')
+are recorded as ``surrogate_fit_cpu_s`` so the trajectory check tracks
+the DES too: they do not depend on how many workers shared the fit.
+Its wall time ``surrogate_fit_s`` and worker count
+``surrogate_fit_workers`` are recorded beside it.
 """
 
 from __future__ import annotations
@@ -147,12 +147,13 @@ def test_fleet_scaling(benchmark, fidelity, save_result):
     base = FleetConfig(seed=SEED)
     # Calibrate once, outside the timed days: every size reuses the same
     # fitted surrogate.  The fit is cold (a memory-only store, no peak
-    # remembered).  Its pool is joined before the fit returns, so the
-    # workers' CPU seconds are in RUSAGE_CHILDREN by then.
+    # memoized in this process).  Its pools are joined before the fit
+    # returns, so the workers' CPU seconds are in RUSAGE_CHILDREN by then.
     queueing._PEAK_MEMO.clear()
-    unfitted = FleetEngine(ls, performance, base, store=ResultStore(None))
-    grid = unfitted.surrogate_grid()
-    # Sized as ``_fit_surrogate`` sizes its pool.
+    fit_store = ResultStore(None)
+    unfitted = FleetEngine(ls, performance, base, store=fit_store)
+    grid = base.surrogate_grid()
+    # Sized as ``ensure_surrogate`` sizes its pool.
     fit_workers = pool_workers(grid.n_reps + grid.n_val_reps)
     cpu_start = cpu_seconds()
     start = time.perf_counter()
@@ -174,10 +175,11 @@ def test_fleet_scaling(benchmark, fidelity, save_result):
     het_config = replace(
         base, n_servers=overhead_n, population=POPULATION
     )
+    # Untimed, like above; its peaks are the first fit's store entries.
     het_engine = FleetEngine(
-        ls, performance, het_config, corunners=corunners
+        ls, performance, het_config, corunners=corunners, store=fit_store
     )
-    het_surrogate = het_engine.ensure_surrogate()  # untimed, like above
+    het_surrogate = het_engine.ensure_surrogate()
     het_engine = FleetEngine(
         ls, performance, het_config, corunners=corunners,
         surrogate=het_surrogate,

@@ -193,6 +193,7 @@ def _set_up(
     effort: dict,
     *,
     fits: bool,
+    fit_store=None,
 ) -> tuple[ColocationPerformance, tuple[ColocationPerformance, ...] | None]:
     """A fleet verb's models: the pair's, and one per co-runner profile.
 
@@ -205,10 +206,11 @@ def _set_up(
     the store misses run as one job set on
     :func:`~repro.engine.executor.pool_workers` processes, and the models
     are then read back through ``measure``.  When ``fits`` (the fleet
-    will fit its tail surrogate), the fit's peak bisections
+    will fit its tail surrogate into ``fit_store``, default
+    :func:`~repro.engine.store.default_store`), the fit's peak bisections
     (:func:`~repro.fleet.surrogate.peak_jobs`) join a cold job set and
-    their peaks are remembered, so the fit's own pool, forked later,
-    runs none.  A warm set-up starts no pool and writes nothing.
+    their peaks are put into ``fit_store`` too, so the fit reads them
+    there and runs none.  A warm set-up starts no pool and writes nothing.
     """
     if performance is None and batch is None:
         raise ValueError("pass a performance model or a batch workload")
@@ -239,10 +241,9 @@ def _set_up(
         results = engine.run_jobs(
             jobs, store, profiler=active_profiler()
         ).results
-        for job in peaks:
-            job.simulator().remember_peak(
-                results[job.key][0], job.peak_requests
-            )
+        if fit_store is not None and fit_store is not store:
+            for job in peaks:
+                fit_store.put(job.key, results[job.key])
     measured = models()
     if performance is None:
         performance = measured.pop(0)
@@ -524,7 +525,7 @@ def run_fleet(
     effort = dict(sampling=sampling, fidelity=fidelity, n_samples=n_samples)
     performance, corunners = _set_up(
         ls_profile, config, batch, performance, corunners, effort,
-        fits=tail == "surrogate" and surrogate is None,
+        fits=tail == "surrogate" and surrogate is None, fit_store=store,
     )
     scenario = as_scenario(scenario)
     if workers is None or workers == 1:
@@ -601,7 +602,7 @@ def serve(
     effort = dict(sampling=sampling, fidelity=fidelity, n_samples=n_samples)
     performance, corunners = _set_up(
         ls_profile, config, batch, performance, corunners, effort,
-        fits=tail == "surrogate" and surrogate is None,
+        fits=tail == "surrogate" and surrogate is None, fit_store=store,
     )
     engine = FleetEngine(
         ls_profile, performance, config,
@@ -678,7 +679,7 @@ def tune_policy(
     effort = dict(sampling=sampling, fidelity=fidelity, n_samples=n_samples)
     performance, corunners = _set_up(
         ls_profile, config, batch, performance, None, effort,
-        fits=surrogate is None,
+        fits=surrogate is None, fit_store=store,
     )
     result = tune_monitor(
         ls_profile, performance, config,
@@ -694,7 +695,7 @@ def tune_policy(
     # calibration, and re-score the short list.
     exact_performance, exact_corunners = _set_up(
         ls_profile, config, batch, None, None, dict(sampling=fid.sampling),
-        fits=surrogate is None,
+        fits=surrogate is None, fit_store=store,
     )
     monitors = [result.best.monitor]
     if result.default.monitor != result.best.monitor:

@@ -53,12 +53,7 @@ from repro.core.monitor import (
     validate_monitor_config,
 )
 from repro.core.stretch import StretchMode
-from repro.engine.executor import (
-    EngineConfig,
-    ExecutionEngine,
-    pool_workers,
-    usable_workers,
-)
+from repro.engine.executor import pool_workers, usable_workers
 from repro.fleet.placement import (
     CorunnerTable,
     PlacementContext,
@@ -66,7 +61,12 @@ from repro.fleet.placement import (
     mix_counts,
 )
 from repro.fleet.policies import PolicyContext, make_policy, resolve_load_curve
-from repro.fleet.surrogate import SurrogateFitJob, SurrogateGrid, TailSurrogate
+from repro.fleet.surrogate import (
+    SurrogateFitJob,
+    SurrogateGrid,
+    TailSurrogate,
+    _fit,
+)
 from repro.obs.profiler import active_profiler
 from repro.qos.queueing import ServiceSimulator
 from repro.scenarios import ScenarioSampler, ScenarioSpec
@@ -130,29 +130,6 @@ def _resolve_chunk_size(chunk_size: int | None) -> int:
     if chunk_size < 1:
         raise ValueError(f"{source} must be positive")
     return chunk_size
-
-
-def _fit_surrogate(job: SurrogateFitJob, store) -> tuple[float, ...]:
-    """``job``'s values, its replicates run on every usable core.
-
-    The replicates are store jobs on an :class:`ExecutionEngine` of
-    :func:`pool_workers` processes (one beside any other live Python
-    thread, since the pool forks), so each lands in ``store`` and a fit
-    cut short resumes from the ones it finished.  Assembled in replicate
-    order, the values are ``job.run()``'s bits.  Each replicate's peak is
-    remembered here, so a process forked after (the next fit's pool)
-    inherits it and runs no bisection for that simulator.
-    """
-    replicates = job.replicates()
-    workers = pool_workers(len(replicates))
-    engine = ExecutionEngine(EngineConfig(workers=workers))
-    results = engine.run_jobs(
-        replicates, store, profiler=active_profiler()
-    ).results
-    parts = [results[replicate.key] for replicate in replicates]
-    for replicate, values in zip(replicates, parts):
-        replicate.simulator().remember_peak(values[0], replicate.peak_requests)
-    return job.assemble(parts).to_values()
 
 
 def monitor_transition_vec(
@@ -804,22 +781,21 @@ class FleetEngine:
             rows.update(self.corunner_table.perf_factors)
         return tuple(sorted(rows))
 
-    def surrogate_grid(self) -> SurrogateGrid:
-        """Calibration grid matched to this fleet's window parameters."""
-        return self.config.surrogate_grid()
-
     def ensure_surrogate(self) -> TailSurrogate:
         """Fit (or fetch from the result store) the tail surrogate.
 
-        A miss runs the fit's replicates on every usable core
-        (:func:`_fit_surrogate`), then stores the fit; the profiler's
-        ``fleet.fit`` section is its wall time.
+        A miss fits it on :func:`~repro.engine.executor.pool_workers`
+        processes (one beside any other live Python thread, since the pool
+        forks) into the engine's store, where its peak bisections may
+        already be (:func:`repro.fleet.surrogate.peak_jobs`), then stores
+        the fit; the profiler's ``fleet.fit`` section is its wall time.
         """
         if self._surrogate is None:
+            grid = self.config.surrogate_grid()
             job = SurrogateFitJob(
                 qos=self.ls_profile.qos,
                 perf_factors=self.perf_factors,
-                grid=self.surrogate_grid(),
+                grid=grid,
                 n_workers=self.config.n_workers,
             )
             store = self._store
@@ -835,7 +811,8 @@ class FleetEngine:
                     else nullcontext()
                 )
                 with section:
-                    values = _fit_surrogate(job, store)
+                    workers = pool_workers(grid.n_reps + grid.n_val_reps)
+                    values = _fit(job, workers, store).to_values()
                     store.put(job.key, values)
             self._surrogate = TailSurrogate.from_values(values)
         return self._surrogate

@@ -218,11 +218,7 @@ def run_fleet_sharded(
         )
         for lo, hi in shard_bounds(config.n_servers, n_shards)
     ]
-    engine.run_jobs(jobs, store)
-    parts = []
-    for job in jobs:
-        values = store.get(job.key)
-        if values is None:
-            raise RuntimeError(f"shard [{job.lo}, {job.hi}) produced no result")
-        parts.append(FleetTimeline.from_values(values))
-    return FleetTimeline.merge(parts)
+    results = engine.run_jobs(jobs, store).results
+    return FleetTimeline.merge(
+        [FleetTimeline.from_values(results[job.key]) for job in jobs]
+    )

@@ -26,15 +26,19 @@ Only the load axis interpolates (piecewise-linear).  Performance factors
 are categorical: the fleet uses exactly one factor per Stretch mode plus
 1.0 for throttled windows, and each gets its own fitted row.
 
-Each replicate (one simulator seed: its peak bisection and its grid
-streams) is a :class:`SurrogateReplicateJob` of its own, and a fit is its
-replicates' values assembled in replicate order, so the replicates can run
-on any number of processes and the fit keeps its bits
-(:meth:`repro.fleet.FleetEngine.ensure_surrogate` runs them on every core).
-A replicate's peak bisection reads no perf factor, so it is also a
-:class:`PeakLoadJob` (:func:`peak_jobs`) that can run before the fleet's
-perf rows are measured; a remembered peak spares the replicate its
-bisection.
+Each replicate (one simulator seed) is two store jobs: a
+:class:`PeakLoadJob`, its peak-load bisection, which reads no perf factor,
+and a :class:`SurrogateReplicateJob`, its grid streams, which takes that
+peak by value.  A fit runs :func:`peak_jobs`, then
+:meth:`SurrogateFitJob.replicates` of their peaks, as two job sets on one
+execution engine and assembles the tails in replicate order, so the jobs
+can run on any number of processes and the fit keeps its bits
+(:func:`fit_tail_surrogate` runs them in this process,
+:meth:`repro.fleet.FleetEngine.ensure_surrogate` on every core).  The
+peaks live in the result store like every other job's values: a fit of
+other perf rows on the same grid, in any later process, reads them there,
+and a fleet verb's cold set-up runs them before its perf rows are
+measured.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.executor import EngineConfig, ExecutionEngine
+from repro.engine.store import CACHE_VERSION, ResultStore
+from repro.obs.profiler import active_profiler
 from repro.qos.queueing import ServiceSimulator
 from repro.util.rng import derive_seed
 from repro.workloads.profiles import QoSSpec
@@ -106,12 +113,18 @@ def _midpoints(grid: SurrogateGrid) -> tuple[float, ...]:
 
 
 def _series(grid: SurrogateGrid) -> tuple[tuple[str, tuple, int], ...]:
-    """A fit's replicate series, ``(label, loads, n_reps)``: calibration
-    over the grid's loads, then validation over their midpoints (fresh
-    seeds, loads never calibrated)."""
-    return (
+    """A fit's replicates, ``(label, loads, rep)``: the ``n_reps``
+    calibration replicates over the grid's loads, then the ``n_val_reps``
+    validation replicates over their midpoints (fresh seeds, loads never
+    calibrated)."""
+    series = (
         ("surrogate-cal", grid.loads, grid.n_reps),
         ("surrogate-val", _midpoints(grid), grid.n_val_reps),
+    )
+    return tuple(
+        (label, tuple(float(load) for load in loads), rep)
+        for label, loads, n_reps in series
+        for rep in range(n_reps)
     )
 
 
@@ -132,41 +145,40 @@ def _fit_rows(perf_factors) -> tuple[float, ...]:
     return perfs
 
 
-def _measure_replicate(job: "SurrogateReplicateJob") -> tuple[float, np.ndarray]:
-    """One replicate's peak rate and DES tails, shape ``(n_perf, n_loads)``.
+def _measure_replicate(job: "SurrogateReplicateJob") -> np.ndarray:
+    """One replicate's DES tails, shape ``(n_perf, n_loads)``.
 
-    Load-major: each load is one request stream, whose arrivals are
-    computed once and served at every perf row.
+    Load-major: each load is one request stream at ``job.peak * load``,
+    whose arrivals are computed once and served at every perf row.
     """
     sim = job.simulator()
-    peak = sim.peak_load(n_requests=job.peak_requests)
     tails = np.empty((len(job.perf_factors), len(job.loads)))
     for l, load in enumerate(job.loads):
         stream = sim.stream(job.n_requests, seed_offset=l + 1)
-        rate = peak * load
+        rate = job.peak * load
         for p, perf in enumerate(job.perf_factors):
             tails[p, l] = stream.tail(rate, perf)
-    return peak, tails
+    return tails
 
 
 @dataclass(frozen=True)
 class SurrogateReplicateJob:
-    """One DES replicate of a surrogate fit (cacheable, picklable).
+    """The grid streams of one surrogate-fit replicate (cacheable, picklable).
 
     Replicate ``rep`` of the fit's ``label`` series (``"surrogate-cal"``
     over the grid's loads, ``"surrogate-val"`` over their midpoints): one
-    simulator, its ``peak_load(peak_requests)`` bisection, then one
-    ``n_requests`` stream per load served at every perf row.  ``run``
-    returns ``(peak, *tails)``, the tails in ``(perf, load)`` row-major
-    order.  ``key`` covers everything the replicate reads, under the
-    fit's versions.
+    simulator serving one ``n_requests`` stream per load at ``peak *
+    load``, at every perf row.  ``peak`` is the value of the replicate's
+    :class:`PeakLoadJob`.  ``run`` returns the tails in ``(perf, load)``
+    row-major order.  ``key`` covers everything the replicate reads, the
+    peak by value, under the fit's versions.
     """
 
     qos: QoSSpec
     perf_factors: tuple[float, ...]
     loads: tuple[float, ...]
     n_requests: int
-    peak_requests: int
+    peak: float
     seed: int
     label: str
     rep: int
@@ -179,17 +191,15 @@ class SurrogateReplicateJob:
 
     @property
     def key(self) -> str:
-        from repro.engine.store import CACHE_VERSION
-
         payload = repr((
             CACHE_VERSION,
             SURROGATE_VERSION,
-            "fleet-surrogate-replicate",
+            "fleet-surrogate-tails",
             self.qos,
             self.perf_factors,
             self.loads,
             self.n_requests,
-            self.peak_requests,
+            self.peak,
             self.seed,
             self.label,
             self.rep,
@@ -198,8 +208,7 @@ class SurrogateReplicateJob:
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def run(self) -> tuple[float, ...]:
-        peak, tails = _measure_replicate(self)
-        return (peak, *tails.ravel().tolist())
+        return tuple(_measure_replicate(self).ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -208,11 +217,9 @@ class PeakLoadJob:
 
     ``run`` returns ``(peak,)``, the ``peak_load(peak_requests)`` of the
     simulator of the :class:`SurrogateReplicateJob` with the same ``seed``,
-    ``label`` and ``rep``: the 41 probes that replicate runs first.  It
-    reads no perf factor or load, so it can run before the fleet's perf
-    rows are known; its peak handed to
-    :meth:`~repro.qos.queueing.ServiceSimulator.remember_peak` spares the
-    replicate the bisection.
+    ``label`` and ``rep`` (41 probes), which that replicate takes as its
+    ``peak``.  It reads no perf factor or load, so every fit on one grid
+    shares it, and it can run before the fleet's perf rows are known.
     """
 
     qos: QoSSpec
@@ -229,8 +236,6 @@ class PeakLoadJob:
 
     @property
     def key(self) -> str:
-        from repro.engine.store import CACHE_VERSION
-
         payload = repr((
             CACHE_VERSION,
             SURROGATE_VERSION,
@@ -256,8 +261,7 @@ def peak_jobs(
     in the same order."""
     return tuple(
         PeakLoadJob(qos, grid.peak_requests, grid.seed, label, rep, n_workers)
-        for label, __, n_reps in _series(grid)
-        for rep in range(n_reps)
+        for label, __, rep in _series(grid)
     )
 
 
@@ -468,23 +472,43 @@ def fit_tail_surrogate(
     evaluate (one per Stretch mode, plus 1.0 for throttled windows); each
     becomes a fitted row.  The returned surrogate's
     :attr:`~TailSurrogate.error_bound_ms` is measured on held-out simulator
-    seeds at midpoint loads never used in calibration.  The replicates run
-    here, one after another; :meth:`repro.fleet.FleetEngine.ensure_surrogate`
-    runs the same replicates on every core and assembles the same bits.
+    seeds at midpoint loads never used in calibration.  The jobs run here,
+    one after another, into a memory-only store;
+    :meth:`repro.fleet.FleetEngine.ensure_surrogate` runs the same jobs on
+    every core and assembles the same bits.
     """
     job = SurrogateFitJob(qos, tuple(perf_factors), grid, n_workers)
-    return job.assemble([replicate.run() for replicate in job.replicates()])
+    return _fit(job, 1, ResultStore(None))
+
+
+def _fit(job: "SurrogateFitJob", workers: int, store) -> TailSurrogate:
+    """``job``'s surrogate: its :func:`peak_jobs`, then
+    :meth:`~SurrogateFitJob.replicates` of their peaks, as two job sets on
+    one :class:`~repro.engine.ExecutionEngine` of ``workers`` processes
+    (one runs them in this process), assembled in replicate order.
+
+    Every job lands in ``store`` and a stored one does not run again: a
+    fit cut short resumes from the jobs it finished, and a fit of other
+    perf rows on the same grid runs no bisection.
+    """
+    engine = ExecutionEngine(EngineConfig(workers=workers))
+    profiler = active_profiler()
+    peaks = peak_jobs(job.qos, job.grid, job.n_workers)
+    found = engine.run_jobs(peaks, store, profiler=profiler).results
+    replicates = job.replicates([found[peak.key][0] for peak in peaks])
+    tails = engine.run_jobs(replicates, store, profiler=profiler).results
+    return job.assemble([tails[replicate.key] for replicate in replicates])
 
 
 @dataclass(frozen=True)
 class SurrogateFitJob:
-    """Content-addressed surrogate calibration (cacheable, picklable).
+    """Content-addressed surrogate calibration (picklable).
 
-    Runs on the :class:`~repro.engine.ExecutionEngine` like any simulation
-    job: ``key`` content-addresses the QoS contract, perf-factor set and
-    calibration grid; ``run`` returns the flattened surrogate.  The fit is
-    :meth:`replicates` assembled by :meth:`assemble`; ``run`` runs them in
-    this process.
+    ``key`` content-addresses the QoS contract, perf-factor set and
+    calibration grid, and the result store holds the flattened surrogate
+    under it.  The fit is :func:`peak_jobs`, then :meth:`replicates` of
+    their peaks, assembled by :meth:`assemble`
+    (:func:`fit_tail_surrogate`).
     """
 
     qos: QoSSpec
@@ -494,8 +518,6 @@ class SurrogateFitJob:
 
     @property
     def key(self) -> str:
-        from repro.engine.store import CACHE_VERSION
-
         payload = repr((
             CACHE_VERSION,
             SURROGATE_VERSION,
@@ -507,10 +529,10 @@ class SurrogateFitJob:
         ))
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def replicates(self) -> tuple[SurrogateReplicateJob, ...]:
-        """The ``n_reps`` calibration replicates over the grid's loads,
-        then the ``n_val_reps`` validation replicates over the midpoints
-        (fresh seeds, loads never calibrated): the order :meth:`assemble`
+    def replicates(self, peaks) -> tuple[SurrogateReplicateJob, ...]:
+        """The replicates at ``peaks``, the values of :func:`peak_jobs` in
+        its order: the ``n_reps`` calibration replicates, then the
+        ``n_val_reps`` validation replicates, the order :meth:`assemble`
         reads."""
         perfs = _fit_rows(self.perf_factors)
         grid = self.grid
@@ -518,25 +540,26 @@ class SurrogateFitJob:
             SurrogateReplicateJob(
                 qos=self.qos,
                 perf_factors=perfs,
-                loads=tuple(float(load) for load in loads),
+                loads=loads,
                 n_requests=grid.n_requests,
-                peak_requests=grid.peak_requests,
+                peak=float(peak),
                 seed=grid.seed,
                 label=label,
                 rep=rep,
                 n_workers=self.n_workers,
             )
-            for label, loads, n_reps in _series(grid)
-            for rep in range(n_reps)
+            for (label, loads, rep), peak in zip(
+                _series(grid), peaks, strict=True
+            )
         )
 
     def assemble(self, values) -> TailSurrogate:
-        """The fitted surrogate from its replicates' values, given in
+        """The fitted surrogate from its replicates' tails, given in
         :meth:`replicates` order."""
         perfs = _fit_rows(self.perf_factors)
         n_reps = self.grid.n_reps
         # (replicate, perf, load) surfaces, as the replicates measured them.
-        surfaces = [np.array(v[1:]).reshape(len(perfs), -1) for v in values]
+        surfaces = [np.array(v).reshape(len(perfs), -1) for v in values]
         calibration = np.array(surfaces[:n_reps])
         quantiles = np.sort(np.transpose(calibration, (1, 0, 2)), axis=1)
         loads = tuple(float(load) for load in self.grid.loads)
@@ -559,8 +582,3 @@ class SurrogateFitJob:
             quantiles_ms=quantiles,
             error_bound_ms=error_bound,
         )
-
-    def run(self) -> tuple[float, ...]:
-        return fit_tail_surrogate(
-            self.qos, self.perf_factors, self.grid, n_workers=self.n_workers
-        ).to_values()

@@ -28,10 +28,11 @@ from repro.workloads.profiles import TRACKED_PERCENTILES, QoSSpec
 
 __all__ = ["MMPPConfig", "LatencyStats", "RequestStream", "ServiceSimulator"]
 
-#: Peak rates found by :meth:`ServiceSimulator.peak_load` (or handed to
-#: :meth:`~ServiceSimulator.remember_peak`), keyed on all the bisection
-#: reads: ``(qos, n_workers, mmpp, seed, n_requests)``.  Oldest entries go
-#: first once it holds :data:`_PEAK_MEMO_SIZE` of them.
+#: Peak rates :meth:`ServiceSimulator.peak_load` found in this process,
+#: keyed on all the bisection reads: ``(qos, n_workers, mmpp, seed,
+#: n_requests)``.  Oldest entries go first once it holds
+#: :data:`_PEAK_MEMO_SIZE` of them.  Peaks found in other processes (a
+#: tail-surrogate fit's) reach later fits through the result store.
 _PEAK_MEMO: dict[tuple, float] = {}
 _PEAK_MEMO_SIZE = 4096
 
@@ -387,7 +388,8 @@ class ServiceSimulator:
         each probe only rescales the arrival gaps.  Equal simulators share
         the result through a bounded module-level memo.
         """
-        cached = _PEAK_MEMO.get(self._peak_key(n_requests))
+        key = (self.qos, self.n_workers, self.mmpp, self.seed, n_requests)
+        cached = _PEAK_MEMO.get(key)
         if cached is not None:
             return cached
         # Upper bound: service capacity; lower bound: near-zero load.
@@ -404,23 +406,10 @@ class ServiceSimulator:
                 lo = mid
             else:
                 hi = mid
-        self.remember_peak(lo, n_requests)
-        return lo
-
-    def _peak_key(self, n_requests: int) -> tuple:
-        return (self.qos, self.n_workers, self.mmpp, self.seed, n_requests)
-
-    def remember_peak(self, peak: float, n_requests: int = 20000) -> None:
-        """Record ``peak_load(n_requests)``'s result, found elsewhere.
-
-        The surrogate fit's pool workers bisect in their own processes and
-        return the peak; remembered here, it spares every later simulator
-        of this identity (and every process forked after) the bisection.
-        """
-        key = self._peak_key(n_requests)
-        if key not in _PEAK_MEMO and len(_PEAK_MEMO) >= _PEAK_MEMO_SIZE:
+        if len(_PEAK_MEMO) >= _PEAK_MEMO_SIZE:
             del _PEAK_MEMO[next(iter(_PEAK_MEMO))]
-        _PEAK_MEMO[key] = peak
+        _PEAK_MEMO[key] = lo
+        return lo
 
     def latency_vs_load(
         self,

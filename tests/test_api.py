@@ -843,10 +843,13 @@ class KillOnePool(ProcessPoolExecutor):
         return super().submit(fn, *args, **kwargs)
 
 
-def cold_set_up(tmp_path, monkeypatch, verb, workers, pool=None) -> dict:
+def cold_set_up(
+    tmp_path, monkeypatch, verb, workers, pool=None, store=None
+) -> dict:
     """One cold ``verb`` day of :data:`SETUP_FLEET` in a fresh store, its
     set-up pool and fit pool sized at ``workers`` (``pool`` a pool factory
-    for the set-up): what it measured, fitted, stepped and stored."""
+    for the set-up, ``store`` the one ``serve`` fits into): what it
+    measured, fitted, stepped and stored."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"{verb}-{workers}"))
     reset_default_stores()
     queueing._PEAK_MEMO.clear()
@@ -871,7 +874,8 @@ def cold_set_up(tmp_path, monkeypatch, verb, workers, pool=None) -> dict:
     try:
         if verb == "serve":
             service = api.serve(
-                "web_search", "zeusmp", sampling=SETUP_SAMPLING, **SETUP_FLEET
+                "web_search", "zeusmp", sampling=SETUP_SAMPLING, store=store,
+                **SETUP_FLEET,
             )
             fleet = service.engine
             service.advance(service.state.n_windows)
@@ -911,6 +915,16 @@ def bits(values) -> bytes:
     return np.array(values).tobytes()
 
 
+def set_up_queries(rows: int) -> int:
+    """DES queries of a cold set-up and fit on :data:`SETUP_GRID`: 41
+    bisection probes per replicate, once, then the grid streams."""
+    grid = SETUP_GRID
+    n_loads = len(grid.loads)
+    return 41 * (grid.n_reps + grid.n_val_reps) + rows * (
+        grid.n_reps * n_loads + grid.n_val_reps * (n_loads - 1)
+    )
+
+
 class TestPooledSetUp:
     """A fleet verb's cold measurements and the fit's peak bisections run
     as one job set on every core, and change no bit."""
@@ -930,15 +944,24 @@ class TestPooledSetUp:
         assert (workers, stats.executed) == (1, 21)
 
     def test_each_bisection_runs_once(self, tmp_path, monkeypatch):
-        # The set-up's workers bisect each fit replicate's peak; the
-        # parent remembers them, and the fit's workers, forked after,
-        # serve only the grid streams.
+        # The set-up's workers bisect each fit replicate's peak into the
+        # store; the fit reads the peaks there and serves only the grid
+        # streams.
         cold = cold_set_up(tmp_path, monkeypatch, "serve", 2)
-        grid = SETUP_GRID
-        n_loads = len(grid.loads)
-        assert cold["des_queries"] == 41 * 14 + cold["rows"] * (
-            grid.n_reps * n_loads + grid.n_val_reps * (n_loads - 1)
+        assert cold["des_queries"] == set_up_queries(cold["rows"])
+
+    def test_peaks_reach_the_store_the_fleet_fits_in(
+        self, tmp_path, monkeypatch
+    ):
+        # serve(store=...) fits into its own store while the set-up
+        # measures through the default one.
+        cold = cold_set_up(
+            tmp_path, monkeypatch, "serve", 2,
+            store=ResultStore(tmp_path / "fleet"),
         )
+        assert cold["des_queries"] == set_up_queries(cold["rows"])
+        fit = cold_set_up(tmp_path / "default", monkeypatch, "serve", 2)
+        assert cold["surrogate"] == fit["surrogate"]
 
     def test_killed_worker_is_retried(self, tmp_path, monkeypatch):
         monkeypatch.setattr(KillOnePool, "killed", False)

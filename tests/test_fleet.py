@@ -12,8 +12,9 @@ The load-bearing guarantees:
   *stated* held-out error bound (the ISSUE's seeded equivalence gate);
 * sharding a fleet run never changes results (integer aggregates are
   exactly equal; float sums only to summation-order noise);
-* a surrogate fit's DES replicates run on a process pool, land in the
-  engine's store and assemble the serial fit's bits.
+* a surrogate fit's peak bisections and DES replicates run on a process
+  pool, land in the engine's store and assemble the serial fit's bits,
+  and the store is the only way a peak reaches a later fit.
 """
 
 import contextlib
@@ -28,6 +29,7 @@ import pytest
 
 import repro.engine.executor as executor
 import repro.fleet.engine as fleet_engine
+import repro.fleet.surrogate as surrogate_module
 from repro.core.adaptive import AdaptiveStretchPolicy
 from repro.core.colocation import ColocationPerformance, ModePerformance
 from repro.core.monitor import MonitorConfig, MonitorState, monitor_transition
@@ -41,6 +43,7 @@ from repro.fleet import (
     FleetState,
     FleetStepper,
     FleetTimeline,
+    PeakLoadJob,
     SurrogateFitJob,
     SurrogateGrid,
     SurrogateReplicateJob,
@@ -48,6 +51,7 @@ from repro.fleet import (
     fit_tail_surrogate,
     make_policy,
     monitor_transition_vec,
+    peak_jobs,
     register_load_curve,
     resolve_load_curve,
     run_fleet_sharded,
@@ -1199,7 +1203,7 @@ POOL_GRID = SurrogateGrid(
 
 def pool_grid_engine(monkeypatch, store) -> FleetEngine:
     """A fleet engine whose surrogate is fitted on :data:`POOL_GRID`."""
-    monkeypatch.setattr(FleetEngine, "surrogate_grid", lambda self: POOL_GRID)
+    monkeypatch.setattr(FleetConfig, "surrogate_grid", lambda self: POOL_GRID)
     return FleetEngine(
         get_profile("web_search"), performance_model(), fleet_config(),
         store=store,
@@ -1208,6 +1212,18 @@ def pool_grid_engine(monkeypatch, store) -> FleetEngine:
 
 def pool_grid_job(perf_factors) -> SurrogateFitJob:
     return SurrogateFitJob(get_profile("web_search").qos, perf_factors, POOL_GRID)
+
+
+def serial_fit(job: SurrogateFitJob) -> tuple[float, ...]:
+    """``job``'s values as :func:`fit_tail_surrogate` fits them."""
+    return fit_tail_surrogate(job.qos, job.perf_factors, job.grid).to_values()
+
+
+def fit_jobs(job: SurrogateFitJob, store) -> tuple:
+    """``job``'s peak jobs and, at the peaks ``store`` holds, its
+    replicates."""
+    peaks = peak_jobs(job.qos, job.grid, job.n_workers)
+    return peaks, job.replicates([store.get(peak.key)[0] for peak in peaks])
 
 
 def grid_queries(job: SurrogateFitJob) -> int:
@@ -1219,19 +1235,24 @@ def grid_queries(job: SurrogateFitJob) -> int:
     )
 
 
-def fit_in_a_child() -> tuple[list[str], tuple]:
-    """A fit inside a multiprocessing child: how its replicates ran, and
-    its values."""
+def fit_in_a_child() -> tuple[list[str], tuple, tuple]:
+    """A fleet engine's cold fit on :data:`POOL_GRID` inside a
+    multiprocessing child: how its jobs ran, its values and its rows."""
+    FleetConfig.surrogate_grid = lambda self: POOL_GRID  # this child's class
     store = ResultStore(None)
-    job = pool_grid_job((0.7, 1.0))
-    values = fleet_engine._fit_surrogate(job, store)
-    modes = {store.job_telemetry[r.key]["mode"] for r in job.replicates()}
-    return sorted(modes), values
+    engine = FleetEngine(
+        get_profile("web_search"), performance_model(), fleet_config(),
+        store=store,
+    )
+    values = engine.ensure_surrogate().to_values()
+    peaks, replicates = fit_jobs(pool_grid_job(engine.perf_factors), store)
+    modes = {store.job_telemetry[j.key]["mode"] for j in (*peaks, *replicates)}
+    return sorted(modes), values, engine.perf_factors
 
 
 @pytest.fixture
 def fit_runs(monkeypatch) -> list:
-    """``(workers, report)`` of every execution engine a fit starts."""
+    """``(workers, report)`` of every job set a fit runs."""
     runs = []
 
     class Recording(ExecutionEngine):
@@ -1240,7 +1261,7 @@ def fit_runs(monkeypatch) -> list:
             runs.append((self.config.workers, report))
             return report
 
-    monkeypatch.setattr(fleet_engine, "ExecutionEngine", Recording)
+    monkeypatch.setattr(surrogate_module, "ExecutionEngine", Recording)
     return runs
 
 
@@ -1249,15 +1270,15 @@ def bits(values) -> bytes:
 
 
 class TestPooledFit:
-    """``ensure_surrogate`` runs a fit's DES replicates on every core,
-    writes each into the engine's store and assembles the serial fit's
-    bits (the 1/4/13-row, 1/2/3-worker matrix is in
-    tests/test_qos_queueing.py)."""
+    """``ensure_surrogate`` runs a fit's peak bisections, then its DES
+    replicates, on every core, writes each into the engine's store and
+    assembles the serial fit's bits (the 1/4/13-row, 1/2/3-worker matrix
+    is in tests/test_qos_queueing.py)."""
 
     @pytest.fixture(autouse=True)
     def cold_peaks(self):
-        # Each fit here bisects: a peak memoized by an earlier test would
-        # answer the workers' bisections.
+        # Each fit here bisects: a peak an earlier test memoized in this
+        # process would answer the bisection here and in forked workers.
         queueing._PEAK_MEMO.clear()
 
     def test_cold_fit_runs_each_replicate_once_into_the_store(
@@ -1268,23 +1289,26 @@ class TestPooledFit:
         engine = pool_grid_engine(monkeypatch, store)
         fitted = engine.ensure_surrogate()
         job = pool_grid_job(engine.perf_factors)
-        replicates = job.replicates()
+        peaks, replicates = fit_jobs(job, store)
         assert [(r.label, r.rep) for r in replicates] == [
             ("surrogate-cal", 0), ("surrogate-cal", 1), ("surrogate-cal", 2),
             ("surrogate-val", 0), ("surrogate-val", 1),
         ]
-        [(workers, report)] = fit_runs
-        assert workers == 2
-        stats = report.stats
-        assert (stats.unique, stats.executed, stats.cache_hits) == (5, 5, 0)
+        assert [(p.label, p.rep) for p in peaks] == [
+            (r.label, r.rep) for r in replicates
+        ]
+        # Two job sets on one engine: the peaks, then the replicates.
+        assert [workers for workers, __ in fit_runs] == [2, 2]
+        for __, report in fit_runs:
+            stats = report.stats
+            assert (stats.unique, stats.executed, stats.cache_hits) == (5, 5, 0)
         entries = tmp_path / f"v{CACHE_VERSION}"
-        for replicate in replicates:
-            assert (entries / f"{replicate.key}.json").exists()
-            record = store.job_telemetry[replicate.key]
+        for fit_job in (*peaks, *replicates):
+            assert (entries / f"{fit_job.key}.json").exists()
+            record = store.job_telemetry[fit_job.key]
             assert (record["mode"], record["tries"]) == ("pool", 1)
         assert (entries / f"{job.key}.json").exists()
-        serial = fit_tail_surrogate(job.qos, job.perf_factors, POOL_GRID)
-        assert bits(fitted.to_values()) == bits(serial.to_values())
+        assert bits(fitted.to_values()) == bits(serial_fit(job))
 
     def test_warm_fit_runs_no_replicate_and_builds_no_pool(
         self, monkeypatch, tmp_path
@@ -1293,14 +1317,15 @@ class TestPooledFit:
         store = ResultStore(tmp_path)
         cold = pool_grid_engine(monkeypatch, store).ensure_surrogate()
 
-        def no_replicate(self):
-            raise AssertionError("a warm fit ran a replicate")
+        def no_job(self):
+            raise AssertionError("a warm fit ran a job")
 
         def no_engine(*args, **kwargs):
             raise AssertionError("a warm fit started an execution engine")
 
-        monkeypatch.setattr(SurrogateReplicateJob, "run", no_replicate)
-        monkeypatch.setattr(fleet_engine, "ExecutionEngine", no_engine)
+        monkeypatch.setattr(PeakLoadJob, "run", no_job)
+        monkeypatch.setattr(SurrogateReplicateJob, "run", no_job)
+        monkeypatch.setattr(surrogate_module, "ExecutionEngine", no_engine)
         # Warm in memory, then on disk through a fresh store.
         for warm_store in (store, ResultStore(tmp_path)):
             warm = pool_grid_engine(monkeypatch, warm_store).ensure_surrogate()
@@ -1309,18 +1334,23 @@ class TestPooledFit:
     def test_fit_resumes_from_stored_replicates(
         self, monkeypatch, tmp_path, fit_runs
     ):
-        # A fit cut short leaves its finished replicates in the store; the
-        # next fit runs only the others.
+        # A fit cut short leaves its peaks and its finished replicates in
+        # the store; the next fit runs only the other replicates.
         force_workers(monkeypatch, 2)
         store = ResultStore(tmp_path)
         engine = pool_grid_engine(monkeypatch, store)
         job = pool_grid_job(engine.perf_factors)
-        for replicate in job.replicates()[:2]:
+        for peak in peak_jobs(job.qos, job.grid, job.n_workers):
+            store.put(peak.key, peak.run())
+        __, replicates = fit_jobs(job, store)
+        for replicate in replicates[:2]:
             store.put(replicate.key, replicate.run())
         fitted = engine.ensure_surrogate()
-        [(__, report)] = fit_runs
-        assert (report.stats.cache_hits, report.stats.executed) == (2, 3)
-        assert bits(fitted.to_values()) == bits(job.run())
+        assert [
+            (report.stats.cache_hits, report.stats.executed)
+            for __, report in fit_runs
+        ] == [(5, 0), (2, 3)]
+        assert bits(fitted.to_values()) == bits(serial_fit(job))
 
     def test_fit_in_a_multiprocessing_child_runs_serially(self):
         import multiprocessing
@@ -1329,9 +1359,11 @@ class TestPooledFit:
         with ProcessPoolExecutor(
             max_workers=1, mp_context=multiprocessing.get_context("spawn")
         ) as pool:
-            modes, values = pool.submit(fit_in_a_child).result(timeout=120)
+            modes, values, rows = pool.submit(fit_in_a_child).result(
+                timeout=120
+            )
         assert modes == ["serial"]
-        assert bits(values) == bits(pool_grid_job((0.7, 1.0)).run())
+        assert bits(values) == bits(serial_fit(pool_grid_job(rows)))
 
     def test_fit_beside_a_live_thread_runs_serially(
         self, monkeypatch, fit_runs
@@ -1339,38 +1371,41 @@ class TestPooledFit:
         # The pool forks, which must not copy another thread's locks.
         force_workers(monkeypatch, 2)
         store = ResultStore(None)
-        job = pool_grid_job((0.7, 1.0))
+        engine = pool_grid_engine(monkeypatch, store)
         release = threading.Event()
         reader = threading.Thread(target=release.wait)
         reader.start()
         try:
-            values = fleet_engine._fit_surrogate(job, store)
+            values = engine.ensure_surrogate().to_values()
         finally:
             release.set()
             reader.join()
-        [(workers, __)] = fit_runs
-        assert workers == 1
-        modes = {store.job_telemetry[r.key]["mode"] for r in job.replicates()}
+        assert [workers for workers, __ in fit_runs] == [1, 1]
+        job = pool_grid_job(engine.perf_factors)
+        peaks, replicates = fit_jobs(job, store)
+        modes = {
+            store.job_telemetry[j.key]["mode"] for j in (*peaks, *replicates)
+        }
         assert modes == {"serial"}
-        assert bits(values) == bits(job.run())
+        assert bits(values) == bits(serial_fit(job))
 
-    def test_second_fit_of_other_rows_runs_no_bisection(self, monkeypatch):
+    def test_second_fit_of_other_rows_runs_no_bisection(self, tmp_path):
         from repro.obs.profiler import disable_profiling, enable_profiling
 
-        force_workers(monkeypatch, 2)
         first, second = pool_grid_job((0.7, 1.0)), pool_grid_job((0.6, 0.8, 1.0))
-        fleet_engine._fit_surrogate(first, ResultStore(None))
+        surrogate_module._fit(first, 2, ResultStore(tmp_path))
+        # Nothing but the first fit's store entries reaches the second fit:
+        # a fresh store over its directory, and no peak in this process.
+        queueing._PEAK_MEMO.clear()
         profiler = enable_profiling()
         try:
             profiler.reset()
-            values = fleet_engine._fit_surrogate(second, ResultStore(None))
+            fitted = surrogate_module._fit(second, 2, ResultStore(tmp_path))
             queries = profiler.calls("qos.des.serve")
         finally:
             disable_profiling()
-        # The first fit's workers bisected; the parent remembered their
-        # peaks, and the second fit's workers, forked after, inherit them.
         assert queries == grid_queries(second)
-        assert bits(values) == bits(second.run())
+        assert bits(fitted.to_values()) == bits(serial_fit(second))
 
     def test_profiled_cold_fit_times_its_wall_and_counts_worker_queries(
         self, monkeypatch
@@ -1388,7 +1423,8 @@ class TestPooledFit:
             # Every worker's DES sections came back: 41 bisection probes
             # per replicate plus the grid streams' queries.
             assert profiler.calls("qos.des.serve") == (
-                41 * len(job.replicates()) + grid_queries(job)
+                41 * (POOL_GRID.n_reps + POOL_GRID.n_val_reps)
+                + grid_queries(job)
             )
             assert profiler.calls("fleet.fit") == 1
             pool_grid_engine(monkeypatch, store).ensure_surrogate()
@@ -1404,7 +1440,7 @@ class TestPooledFit:
         from repro import api
 
         force_workers(monkeypatch, 2)
-        monkeypatch.setattr(FleetEngine, "surrogate_grid", lambda self: POOL_GRID)
+        monkeypatch.setattr(FleetConfig, "surrogate_grid", lambda self: POOL_GRID)
         common = dict(
             performance=performance_model(), load="web_search",
             n_servers=8, window_minutes=120.0,

@@ -32,6 +32,12 @@ SIM_SECTIONS = {
 #: Sections the queueing DES flushes once per query.
 DES_SECTIONS = {"qos.des.draw", "qos.des.serve", "qos.des.summary"}
 
+#: Sections a serial execution engine times per job set.
+ENGINE_SECTIONS = {
+    "engine.dedupe", "engine.cache_lookup", "engine.execute",
+    "engine.store_write",
+}
+
 
 class TestProfiler:
     def test_add_accumulates(self):
@@ -189,10 +195,12 @@ class TestQueueingProfile:
         disable_profiling()
 
         assert profiled.to_values() == plain.to_values()
-        assert set(profiler.as_dict()) == DES_SECTIONS
+        # The fit's peak jobs and replicates run on a one-worker engine.
+        assert set(profiler.as_dict()) == DES_SECTIONS | ENGINE_SECTIONS
+        simulators = grid.n_reps + grid.n_val_reps
+        assert profiler.calls("engine.execute") == 2 * simulators
         # 41 bisection probes per replicate simulator, then one query per
         # (replicate, perf, load) grid point.
-        simulators = grid.n_reps + grid.n_val_reps
         points = len(perfs) * (
             grid.n_reps * len(grid.loads)
             + grid.n_val_reps * (len(grid.loads) - 1)

@@ -13,11 +13,14 @@ import heapq
 import numpy as np
 import pytest
 
-import repro.engine.executor as executor
-import repro.fleet.engine as fleet_engine
 import repro.fleet.surrogate as surrogate_module
 from repro.engine.store import ResultStore
-from repro.fleet.surrogate import SurrogateFitJob, SurrogateGrid, fit_tail_surrogate
+from repro.fleet.surrogate import (
+    PeakLoadJob,
+    SurrogateFitJob,
+    SurrogateGrid,
+    fit_tail_surrogate,
+)
 from repro.qos import queueing
 from repro.qos.queueing import (
     LatencyStats,
@@ -423,19 +426,23 @@ class TestRequestStream:
         )
 
 
+def oracle_peak(job):
+    """A fit replicate's peak: the two-heap bisection."""
+    return (two_heap_peak_load(job.simulator(), job.peak_requests),)
+
+
 def oracle_replicate(job):
-    """One calibration replicate per point: the two-heap peak bisection,
-    then one oracle run per (perf, load)."""
+    """One calibration replicate per point: one oracle run per (perf,
+    load) at the replicate's peak."""
     sim = job.simulator()
-    peak = two_heap_peak_load(sim, job.peak_requests)
     tails = np.empty((len(job.perf_factors), len(job.loads)))
     for p, perf in enumerate(job.perf_factors):
         for l, load in enumerate(job.loads):
             stats = two_heap_run(
-                sim, peak * load, perf, job.n_requests, seed_offset=l + 1
+                sim, job.peak * load, perf, job.n_requests, seed_offset=l + 1
             )
             tails[p, l] = stats.percentile(job.qos.percentile)
-    return peak, tails
+    return tails
 
 
 def oracle_required_performance(sim, load_fraction, n_requests, tolerance=0.01):
@@ -485,6 +492,7 @@ class TestStreamCallersOracle:
         qos = CLOUDSUITE[service].qos  # web_search p99, web_serving p95
         perfs = PERF_ROWS[n_perf]
         got = fit_tail_surrogate(qos, perfs, self.GRID, n_workers=n_workers)
+        monkeypatch.setattr(PeakLoadJob, "run", oracle_peak)
         monkeypatch.setattr(
             surrogate_module, "_measure_replicate", oracle_replicate
         )
@@ -496,20 +504,17 @@ class TestStreamCallersOracle:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n_perf", sorted(PERF_ROWS))
     @pytest.mark.parametrize("service", ["web_search", "web_serving"])
-    def test_pooled_fit_matches_the_serial_fit(
-        self, service, n_perf, workers, monkeypatch
-    ):
-        # The production fit (FleetEngine.ensure_surrogate's) runs the
-        # replicates on a pool of forced size; five replicates, so two
-        # and three workers each run several, in no fixed order.
+    def test_pooled_fit_matches_the_serial_fit(self, service, n_perf, workers):
+        # The one fit function (FleetEngine.ensure_surrogate's and
+        # fit_tail_surrogate's) on a pool of each size; five replicates,
+        # so two and three workers each run several, in no fixed order.
         grid = dataclasses.replace(self.GRID, n_reps=3, n_val_reps=2)
-        job = SurrogateFitJob(CLOUDSUITE[service].qos, PERF_ROWS[n_perf], grid)
-        serial = job.run()
-        queueing._PEAK_MEMO.clear()  # the workers bisect again
-        monkeypatch.setattr(
-            executor, "usable_workers", lambda n_jobs: min(workers, n_jobs)
-        )
-        pooled = fleet_engine._fit_surrogate(job, ResultStore(None))
+        qos, perfs = CLOUDSUITE[service].qos, PERF_ROWS[n_perf]
+        serial = fit_tail_surrogate(qos, perfs, grid).to_values()
+        queueing._PEAK_MEMO.clear()  # the jobs bisect again
+        pooled = surrogate_module._fit(
+            SurrogateFitJob(qos, perfs, grid), workers, ResultStore(None)
+        ).to_values()
         assert np.array(pooled).tobytes() == np.array(serial).tobytes()
 
     @pytest.mark.parametrize("load", [0.2, 0.6, 0.9])
