@@ -74,7 +74,7 @@ from repro.core.server import ServerTimeline, WindowRecord
 from repro.core.stretch import StretchMode
 from repro.cpu.config import CoreConfig
 from repro.cpu.sampling import SamplingConfig
-from repro.engine.executor import EngineConfig, ExecutionEngine, pool_workers
+from repro.engine.executor import EngineConfig, ExecutionEngine, usable_workers
 from repro.engine.store import default_store
 from repro.experiments.common import (
     Fidelity,
@@ -92,7 +92,6 @@ from repro.fleet.engine import (
 from repro.fleet.shard import run_fleet_sharded
 from repro.fleet.surrogate import peak_jobs
 from repro.obs.fleet import publish_fleet_metrics
-from repro.obs.profiler import active_profiler
 from repro.scenarios import as_scenario
 from repro.service import FleetService
 from repro.tune import (
@@ -204,7 +203,7 @@ def _set_up(
     (None without a population).  Every job these ``measure`` calls read
     is recorded first (:func:`~repro.experiments.common.recorded_jobs`);
     the store misses run as one job set on
-    :func:`~repro.engine.executor.pool_workers` processes, and the models
+    :func:`~repro.engine.executor.usable_workers` processes, and the models
     are then read back through ``measure``.  When ``fits`` (the fleet
     will fit its tail surrogate into ``fit_store``, default
     :func:`~repro.engine.store.default_store`), the fit's peak bisections
@@ -237,10 +236,8 @@ def _set_up(
                 ls_profile.qos, config.surrogate_grid(), config.n_workers
             )
         jobs = [*cold, *peaks]
-        engine = ExecutionEngine(EngineConfig(workers=pool_workers(len(jobs))))
-        results = engine.run_jobs(
-            jobs, store, profiler=active_profiler()
-        ).results
+        engine = ExecutionEngine(EngineConfig(usable_workers(len(jobs))))
+        results = engine.run_jobs(jobs, store).results
         if fit_store is not None and fit_store is not store:
             for job in peaks:
                 fit_store.put(job.key, results[job.key])

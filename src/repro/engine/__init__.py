@@ -12,10 +12,10 @@ their results durably:
 * :mod:`repro.engine.store` — the content-addressed result store with
   atomic writes, corrupt-entry tolerance, a manifest, and stale-version
   garbage collection;
-* :mod:`repro.engine.executor` — the process-pool executor with crash
-  retry, per-job timeouts, in-flight deduplication, graceful fallback to
-  in-process execution, and optional :mod:`repro.obs` hooks (job-lifecycle
-  span tracing and phase profiling);
+* :mod:`repro.engine.executor` — the process-pool executor with crash and
+  failure retry, in-flight deduplication, fork safety beside live threads,
+  graceful fallback to in-process execution, and optional :mod:`repro.obs`
+  hooks (job-lifecycle span tracing and phase profiling);
 * :mod:`repro.engine.telemetry` — queued/running/done counters and cache
   hit-rate statistics surfaced through the ``stretch-repro`` CLI; per-job
   telemetry records (mode, wall seconds, attempts) additionally persist in
@@ -27,12 +27,7 @@ are bit-identical whether a job runs serially in-process or on any worker
 of the pool.
 """
 
-from repro.engine.executor import (
-    EngineConfig,
-    ExecutionEngine,
-    EngineReport,
-    JobTimeoutError,
-)
+from repro.engine.executor import EngineConfig, EngineReport, ExecutionEngine
 from repro.engine.job import SimJob, job_key
 from repro.engine.store import (
     CACHE_VERSION,
@@ -49,7 +44,6 @@ __all__ = [
     "EngineReport",
     "EngineStats",
     "ExecutionEngine",
-    "JobTimeoutError",
     "ResultStore",
     "SimJob",
     "StoreStats",

@@ -12,10 +12,14 @@ into a :class:`~repro.engine.store.ResultStore` from the parent process
   callers.
 * **Crash resilience** — a dying worker (OOM kill, segfault, ``os._exit``)
   breaks the pool; the engine rebuilds it and resubmits the affected jobs
-  with exponential backoff, up to ``retries`` attempts each.
-* **Timeouts** — a job exceeding ``timeout`` seconds gets its pool torn
-  down (futures cannot be cancelled once running) and is retried; innocent
-  co-scheduled jobs are resubmitted without penalty.
+  with exponential backoff, up to two more attempts each, as it resubmits
+  a job that raised.  A job out of attempts runs once more in this
+  process, which returns its result or raises its own error.
+* **Fork safety** — the pool forks, which copies only the calling thread,
+  so while any other Python thread is alive (a control-plane reader, an
+  HTTP exporter) the jobs run in this process; and every pool is joined,
+  threads included, before :meth:`ExecutionEngine.run_jobs` returns or
+  raises.
 * **Graceful degradation** — if a pool cannot be created at all (restricted
   sandboxes) or keeps breaking, remaining jobs fall back to in-process
   serial execution.
@@ -26,12 +30,12 @@ into a :class:`~repro.engine.store.ResultStore` from the parent process
 * **Observability** — pass a :class:`~repro.obs.tracer.SpanTracer` and the
   job lifecycle (dedupe → cache lookup → queue → execute → store write,
   plus cache-hit and retry markers) is emitted as Chrome trace events, one
-  lane per worker slot; pass a :class:`~repro.obs.profiler.Profiler` and
-  the engine phases land in its self-time table, together with the
-  sections pool workers profiled while running their jobs (shipped back
-  with each result, like the workers' sampling-point counts, which land
-  in the metrics registry).  Each unique job also
-  leaves a telemetry record in the store
+  lane per worker slot; with profiling on
+  (:func:`~repro.obs.profiler.active_profiler`) the engine phases land in
+  the profiler's self-time table, together with the sections pool workers
+  profiled while running their jobs (shipped back with each result, like
+  the workers' sampling-point counts, which land in the metrics
+  registry).  Each unique job also leaves a telemetry record in the store
   (:meth:`~repro.engine.store.ResultStore.record_job_telemetry`).
 """
 
@@ -44,7 +48,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -58,17 +62,18 @@ __all__ = [
     "EngineConfig",
     "EngineReport",
     "ExecutionEngine",
-    "JobTimeoutError",
     "parse_workers",
-    "pool_workers",
     "usable_workers",
 ]
 
 #: Exceptions that mean "the worker process died", not "the job raised".
 _POOL_DEATH = (BrokenProcessPool, BrokenPipeError, EOFError)
 
-#: How long one ``wait()`` poll blocks; bounds timeout-detection latency.
-_POLL_SECONDS = 0.05
+#: Pool attempts a job gets after its first, before one in this process.
+_RETRIES = 2
+
+#: Sleep before a job's first retry, in seconds; it doubles per retry.
+_BACKOFF = 0.1
 
 #: Give up on process pools entirely after this many rebuilds.
 _MAX_POOL_REBUILDS = 3
@@ -78,18 +83,16 @@ _MAX_POOL_REBUILDS = 3
 _POINT_COUNTERS = ("sampling.points_built", "sampling.points_reused")
 
 
-class JobTimeoutError(TimeoutError):
-    """A job exceeded the per-job timeout on every allowed attempt."""
-
-
 def usable_workers(n_jobs: int) -> int:
     """Workers worth starting for ``n_jobs`` independent jobs.
 
     The cores this process may run on (its CPU affinity mask, else the
     CPU count), capped by ``n_jobs``.  It is 1 in a ``multiprocessing``
     child, so a pool of processes keeps one busy thread per process.  The
-    fleet's chunk threads and ``--jobs auto`` size themselves here; a
-    pool the library forks on its own sizes itself by :func:`pool_workers`.
+    fleet's chunk threads, ``--jobs auto``, a fleet verb's cold set-up and
+    the tail-surrogate fit size themselves here; other live threads do not
+    count, since :meth:`ExecutionEngine.run_jobs` itself forks no pool
+    beside them.
     """
     if n_jobs < 2 or multiprocessing.parent_process() is not None:
         return 1
@@ -98,19 +101,6 @@ def usable_workers(n_jobs: int) -> int:
     except AttributeError:  # no sched_getaffinity on this platform
         cores = os.cpu_count() or 1
     return min(cores, n_jobs)
-
-
-def pool_workers(n_jobs: int) -> int:
-    """Worker processes worth forking for ``n_jobs`` independent jobs.
-
-    :func:`usable_workers`, but 1 while any other Python thread is alive
-    (a control-plane reader, an HTTP exporter): the pool forks, which
-    copies only the calling thread, so a lock another thread held would
-    stay held in every worker.  With one worker the engine runs the jobs
-    in this process.  The tail surrogate fit's replicates and a fleet
-    verb's cold set-up size their pools here.
-    """
-    return usable_workers(n_jobs) if threading.active_count() == 1 else 1
 
 
 def parse_workers(value: str | int) -> int:
@@ -131,19 +121,12 @@ def parse_workers(value: str | int) -> int:
 class EngineConfig:
     """Tunables for :class:`ExecutionEngine`."""
 
+    #: Pool processes; with 1 the jobs run in this process.
     workers: int = 1
-    #: Per-job wall-time budget in seconds (None = unbounded).
-    timeout: float | None = None
-    #: Additional attempts after a crash/failure/timeout before giving up.
-    retries: int = 2
-    #: Base of the exponential backoff sleep between attempts, in seconds.
-    backoff: float = 0.1
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
 
 
 @dataclass
@@ -245,20 +228,24 @@ class ExecutionEngine:
         progress: Callable[[EngineStats], None] | None = None,
         *,
         tracer=None,
-        profiler=None,
     ) -> EngineReport:
         """Run every job (deduplicated, cache-aware); results land in the store.
 
+        The misses run on ``config.workers`` pool processes, or in this
+        process while any other Python thread is alive (``stats.workers``
+        is then 1): the pool forks, which copies only the calling thread,
+        so a lock another thread held would stay held in every worker.
         ``tracer`` (a :class:`~repro.obs.tracer.SpanTracer`) receives the
-        job-lifecycle spans; ``profiler`` (a
-        :class:`~repro.obs.profiler.Profiler`) accumulates per-phase self
-        time.  Both default to off with zero overhead.
+        job-lifecycle spans, and the active profiler
+        (:func:`~repro.obs.profiler.active_profiler`) the per-phase self
+        time.  Both are off by default, at no cost.
         """
         store = store if store is not None else default_store()
-        stats = EngineStats(workers=self.config.workers)
+        workers = self.config.workers if threading.active_count() == 1 else 1
+        stats = EngineStats(workers=workers)
         started = time.perf_counter()
         self._tracer = tracer
-        self._profiler = profiler
+        self._profiler = active_profiler()
         if tracer is not None:
             tracer.thread_name(0, "engine scheduler")
 
@@ -274,14 +261,10 @@ class ExecutionEngine:
             self._profiler = None
 
     def _run(self, jobs, store, stats, emit) -> EngineReport:
-        tracer = self._tracer
-        prof = self._profiler
-
         # Deduplicate by content-addressed key (in-flight dedup across workers:
         # one submission per key, no matter how many callers requested it).
-        span_start = tracer.now_us() if tracer is not None else 0.0
         unique: dict[str, object] = {}
-        with prof.section("engine.dedupe") if prof is not None else nullcontext():
+        with self._phase("engine.dedupe") as args:
             for job in jobs:
                 stats.submitted += 1
                 key = job.key
@@ -289,17 +272,13 @@ class ExecutionEngine:
                     stats.deduplicated += 1
                 else:
                     unique[key] = job
-        stats.unique = len(unique)
-        if tracer is not None:
-            tracer.complete(
-                "engine.dedupe", span_start, tracer.now_us() - span_start,
-                args={"submitted": stats.submitted, "unique": stats.unique},
-            )
+            stats.unique = len(unique)
+            args.update(submitted=stats.submitted, unique=stats.unique)
 
         report = EngineReport(stats=stats)
         todo: list[_Attempt] = []
-        span_start = tracer.now_us() if tracer is not None else 0.0
-        with prof.section("engine.cache_lookup") if prof is not None else nullcontext():
+        tracer = self._tracer
+        with self._phase("engine.cache_lookup") as args:
             for key, job in unique.items():
                 hit = store.get(key)
                 if hit is None:
@@ -313,27 +292,39 @@ class ExecutionEngine:
                     })
                     if tracer is not None:
                         tracer.instant("engine.cache_hit", args={"key": key[:16]})
+            args.update(hits=stats.cache_hits, misses=len(todo))
         if tracer is not None:
-            tracer.complete(
-                "engine.cache_lookup", span_start,
-                tracer.now_us() - span_start,
-                args={"hits": stats.cache_hits, "misses": len(todo)},
-            )
             now = tracer.now_us()
             for attempt in todo:
                 attempt.enqueued_us = now
         emit()
 
         if todo:
-            if self.config.workers <= 1:
-                self._run_serial(todo, store, report, emit)
-            else:
+            if stats.workers > 1:
                 self._run_pool(todo, store, report, emit)
+            else:
+                self._run_serial(todo, store, report, emit)
         stats.running = 0
         emit()
         return report
 
-    # -- execution paths ------------------------------------------------
+    # -- instrumentation ------------------------------------------------
+
+    @contextmanager
+    def _phase(self, name: str, lane: int = 0, args: dict | None = None):
+        """Time one engine phase: the profiler's ``name`` section and a
+        trace span on ``lane`` carrying ``args``, which it yields for the
+        body to fill in."""
+        args = {} if args is None else args
+        tracer = self._tracer
+        start = tracer.now_us() if tracer is not None else 0.0
+        prof = self._profiler
+        with prof.section(name) if prof is not None else nullcontext():
+            yield args
+        if tracer is not None:
+            tracer.complete(
+                name, start, tracer.now_us() - start, tid=lane, args=args
+            )
 
     def _close_queue_span(self, attempt: _Attempt) -> None:
         """Emit the enqueue→submit span on the attempt's lane."""
@@ -346,78 +337,65 @@ class ExecutionEngine:
             tid=attempt.lane, args={"key": attempt.key[:16]},
         )
 
-    def _requeue(self, attempt: _Attempt, reason: str) -> None:
-        """Mark a retry: trace marker + fresh enqueue timestamp."""
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.instant("engine.retry", args={
-                "key": attempt.key[:16], "reason": reason, "try": attempt.tries,
-            })
-            attempt.enqueued_us = tracer.now_us()
+    # -- execution paths ------------------------------------------------
 
     # A run's jobs sweep configurations over the same sampling points, so
     # each point is built once per run when the jobs that share it run back
     # to back.
     @shared_sampling_points()
-    def _run_serial(self, todo, store, report, emit, in_process: bool = False) -> None:
-        tracer = self._tracer
-        prof = self._profiler
-        mode = "in_process" if in_process else "serial"
-        if tracer is not None and todo:
-            tracer.thread_name(1, "serial executor")
+    def _run_serial(self, todo, store, report, emit, mode: str = "serial") -> None:
+        """Run ``todo`` in this process, one job after another: a
+        one-worker run (``mode="serial"``), or jobs a pool did not finish
+        (``"in_process"``)."""
+        if self._tracer is not None:
+            self._tracer.thread_name(1, "serial executor")
         for attempt in _by_sampling_point(todo):
             attempt.lane = 1
             self._close_queue_span(attempt)
             attempt.started = time.perf_counter()
-            span_start = tracer.now_us() if tracer is not None else 0.0
-            with prof.section("engine.execute") if prof is not None else nullcontext():
+            with self._phase(
+                "engine.execute", 1, {"key": attempt.key[:16], "mode": mode}
+            ):
                 values = tuple(attempt.job.run())
-            if tracer is not None:
-                tracer.complete(
-                    "engine.execute", span_start, tracer.now_us() - span_start,
-                    tid=attempt.lane,
-                    args={"key": attempt.key[:16], "mode": mode},
-                )
-            if in_process:
+            if mode == "in_process":
                 report.stats.in_process += 1
-            self._record(attempt, values, store, report, emit, mode=mode)
-
-    def _execute_in_process(self, attempt: _Attempt, store, report, emit) -> None:
-        """Last-resort execution in the parent process (pool gave up)."""
-        report.stats.in_process += 1
-        attempt.lane = 0
-        attempt.started = time.perf_counter()
-        tracer = self._tracer
-        span_start = tracer.now_us() if tracer is not None else 0.0
-        values = tuple(attempt.job.run())
-        if tracer is not None:
-            tracer.complete(
-                "engine.execute", span_start, tracer.now_us() - span_start,
-                tid=0, args={"key": attempt.key[:16], "mode": "in_process"},
-            )
-        self._record(attempt, values, store, report, emit, mode="in_process")
+            self._record(attempt, values, store, report, emit, mode)
 
     def _record(self, attempt: _Attempt, values, store, report, emit,
                 mode: str = "pool") -> None:
-        tracer = self._tracer
-        prof = self._profiler
-        span_start = tracer.now_us() if tracer is not None else 0.0
-        with prof.section("engine.store_write") if prof is not None else nullcontext():
+        with self._phase(
+            "engine.store_write", attempt.lane, {"key": attempt.key[:16]}
+        ):
             store.put(attempt.key, values)
-        if tracer is not None:
-            tracer.complete(
-                "engine.store_write", span_start, tracer.now_us() - span_start,
-                tid=attempt.lane, args={"key": attempt.key[:16]},
-            )
         store.record_job_telemetry(attempt.key, {
             "mode": mode,
             "seconds": round(time.perf_counter() - attempt.started, 6),
             "tries": attempt.tries + 1,
             "ts": time.time(),
         })
-        report.results[attempt.key] = tuple(values)
+        report.results[attempt.key] = values
         report.stats.executed += 1
         emit()
+
+    def _retry(self, attempt: _Attempt, crashed: bool, stats) -> bool:
+        """Count a failed pool attempt (its worker died, or the job
+        raised); True, after a backoff, while the job has retries left."""
+        if crashed:
+            stats.crash_retries += 1
+        else:
+            stats.failure_retries += 1
+        attempt.tries += 1
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.instant("engine.retry", args={
+                "key": attempt.key[:16], "try": attempt.tries,
+                "reason": "crash" if crashed else "failure",
+            })
+            attempt.enqueued_us = tracer.now_us()
+        if attempt.tries > _RETRIES:
+            return False
+        time.sleep(_BACKOFF * 2 ** (attempt.tries - 1))
+        return True
 
     def _new_pool(self) -> ProcessPoolExecutor | None:
         try:
@@ -427,175 +405,119 @@ class ExecutionEngine:
 
     @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down hard (running futures cannot be cancelled):
-        on a timeout, a broken pool or an error that ends the run."""
+        """Tear a pool down hard (running futures cannot be cancelled), then
+        join its threads, so none outlives ``run_jobs``."""
         processes = getattr(pool, "_processes", None) or {}
         for process in list(processes.values()):
             try:
                 process.terminate()
             except Exception:
                 pass
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def _backoff(self, tries: int) -> None:
-        if self.config.backoff > 0:
-            time.sleep(min(self.config.backoff * (2 ** max(tries - 1, 0)), 2.0))
+        pool.shutdown(wait=True, cancel_futures=True)
 
     def _run_pool(self, todo, store, report, emit) -> None:
         stats = report.stats
         tracer = self._tracer
         prof = self._profiler
+        workers = self.config.workers
         # Jobs that share sampling points go out back to back, so a worker
         # that takes several of them builds their points once.
         pending: deque[_Attempt] = deque(_by_sampling_point(todo))
         running: dict[Future, _Attempt] = {}
         # One trace lane per worker slot, reused as executions finish.
-        free_lanes = list(range(self.config.workers, 0, -1))
+        free_lanes = list(range(workers, 0, -1))
         if tracer is not None:
-            for lane in range(1, self.config.workers + 1):
+            for lane in range(1, workers + 1):
                 tracer.thread_name(lane, f"worker-{lane}")
 
+        def requeue(attempt: _Attempt) -> None:
+            """Put an attempt back at the head of the queue (no penalty)."""
+            free_lanes.append(attempt.lane)
+            if tracer is not None:
+                attempt.enqueued_us = tracer.now_us()
+            pending.appendleft(attempt)
+
         pool = self._new_pool()
-        if pool is None:
-            self._run_serial(pending, store, report, emit, in_process=True)
-            return
-
-        def requeue_running() -> None:
-            """Move every running attempt back to the queue (no penalty)."""
-            for att in running.values():
-                free_lanes.append(att.lane)
-                if tracer is not None:
-                    att.enqueued_us = tracer.now_us()
-                pending.appendleft(att)
-            running.clear()
-
-        def rebuild_pool() -> bool:
-            nonlocal pool
-            stats.pool_rebuilds += 1
-            self._kill_pool(pool)
-            requeue_running()
-            if stats.pool_rebuilds > _MAX_POOL_REBUILDS:
-                pool = None
-                return False
-            pool = self._new_pool()
-            return pool is not None
-
-        finished = False
         try:
-            while pending or running:
+            while pool is not None and (pending or running):
+                broken = False
                 # Windowed submission: at most ``workers`` in flight, so a
                 # submission timestamp approximates the actual start time.
-                while pending and len(running) < self.config.workers:
+                while pending and len(running) < workers and not broken:
                     attempt = pending.popleft()
-                    attempt.lane = free_lanes.pop() if free_lanes else 0
+                    attempt.lane = free_lanes.pop()
                     self._close_queue_span(attempt)
                     attempt.started = time.perf_counter()
                     try:
-                        future = pool.submit(_run_job, attempt.job)
-                    except Exception:
-                        # Pool already broken/shut down: rebuild or fall back.
-                        free_lanes.append(attempt.lane)
-                        if tracer is not None:
-                            attempt.enqueued_us = tracer.now_us()
-                        pending.appendleft(attempt)
-                        if not rebuild_pool():
-                            self._run_serial(
-                                pending, store, report, emit, in_process=True
-                            )
-                            return
-                        continue
-                    running[future] = attempt
-                    stats.running = len(running)
-                    emit()
+                        running[pool.submit(_run_job, attempt.job)] = attempt
+                    except Exception:  # a broken or shut-down pool
+                        requeue(attempt)
+                        broken = True
+                    else:
+                        stats.running = len(running)
+                        emit()
 
-                done, __ = wait(
-                    set(running), timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
-                )
-                broken = False
+                done = set() if broken else wait(
+                    running, return_when=FIRST_COMPLETED
+                ).done
                 for future in done:
                     attempt = running.pop(future)
                     stats.running = len(running)
                     free_lanes.append(attempt.lane)
                     try:
                         values, profile, points = future.result()
-                    except _POOL_DEATH:
-                        broken = True
-                        attempt.tries += 1
-                        stats.crash_retries += 1
-                        self._requeue(attempt, "crash")
-                        if attempt.tries > self.config.retries:
-                            # Last resort: run the job in this process.
-                            self._execute_in_process(attempt, store, report, emit)
-                        else:
-                            self._backoff(attempt.tries)
+                    except Exception as error:
+                        # A dead worker broke the pool; a raising job did not.
+                        crashed = isinstance(error, _POOL_DEATH)
+                        broken = broken or crashed
+                        if self._retry(attempt, crashed, stats):
                             pending.append(attempt)
-                    except Exception:
-                        attempt.tries += 1
-                        stats.failure_retries += 1
-                        self._requeue(attempt, "failure")
-                        if attempt.tries > self.config.retries:
-                            # Deterministic failure: surface the real error
-                            # from an in-process run (or its result, if the
-                            # failure was transient).
-                            self._execute_in_process(attempt, store, report, emit)
                         else:
-                            self._backoff(attempt.tries)
-                            pending.append(attempt)
-                    else:
-                        elapsed = time.perf_counter() - attempt.started
-                        if prof is not None:
-                            prof.add("engine.execute", elapsed)
-                            for name, entry in (profile or {}).items():
-                                prof.add(name, entry["seconds"], entry["calls"])
-                        for name, count in zip(_POINT_COUNTERS, points):
-                            if count:
-                                get_registry().counter(name).inc(count)
-                        if tracer is not None:
-                            now = tracer.now_us()
-                            tracer.complete(
-                                "engine.execute", now - elapsed * 1e6,
-                                elapsed * 1e6, tid=attempt.lane,
-                                args={"key": attempt.key[:16], "mode": "pool"},
-                            )
-                        self._record(attempt, values, store, report, emit)
-
-                if broken and not rebuild_pool():
-                    self._run_serial(pending, store, report, emit, in_process=True)
-                    return
-
-                if self.config.timeout is not None and running:
-                    now = time.perf_counter()
-                    expired = [
-                        (future, att)
-                        for future, att in running.items()
-                        if now - att.started > self.config.timeout
-                        and not future.done()
-                    ]
-                    if expired:
-                        for future, att in expired:
-                            running.pop(future, None)
-                            free_lanes.append(att.lane)
-                            att.tries += 1
-                            stats.timeouts += 1
-                            if att.tries > self.config.retries:
-                                raise JobTimeoutError(
-                                    f"job {att.key[:16]}… exceeded "
-                                    f"{self.config.timeout}s on every attempt"
-                                )
-                            self._requeue(att, "timeout")
-                            pending.append(att)
-                        # Running futures cannot be cancelled; replace the pool.
-                        if not rebuild_pool():
+                            # Last resort: one run here returns the job's
+                            # result (the failure was transient) or raises
+                            # its own error.
                             self._run_serial(
-                                pending, store, report, emit, in_process=True
+                                [attempt], store, report, emit, "in_process"
                             )
-                            return
-            finished = True
-        finally:
-            if pool is not None and finished:
-                # Nothing runs: join the workers and the pool's own
-                # threads, so none outlives run_jobs and a process forked
-                # next is single-threaded.
-                pool.shutdown(wait=True)
-            elif pool is not None:
+                        continue
+                    elapsed = time.perf_counter() - attempt.started
+                    if prof is not None:
+                        prof.add("engine.execute", elapsed)
+                        for name, entry in (profile or {}).items():
+                            prof.add(name, entry["seconds"], entry["calls"])
+                    for name, count in zip(_POINT_COUNTERS, points):
+                        if count:
+                            get_registry().counter(name).inc(count)
+                    if tracer is not None:
+                        now = tracer.now_us()
+                        tracer.complete(
+                            "engine.execute", now - elapsed * 1e6,
+                            elapsed * 1e6, tid=attempt.lane,
+                            args={"key": attempt.key[:16], "mode": "pool"},
+                        )
+                    self._record(attempt, values, store, report, emit)
+
+                if broken:
+                    # Rebuild the pool, or give up on pools once it keeps
+                    # breaking or none starts.
+                    stats.pool_rebuilds += 1
+                    self._kill_pool(pool)
+                    for attempt in running.values():
+                        requeue(attempt)
+                    running.clear()
+                    stats.running = 0
+                    pool = (
+                        self._new_pool()
+                        if stats.pool_rebuilds <= _MAX_POOL_REBUILDS else None
+                    )
+        except BaseException:
+            if pool is not None:
                 self._kill_pool(pool)
+            raise
+        if pool is not None:
+            # Nothing runs: join the workers and the pool's own threads,
+            # so none outlives run_jobs and a process forked next is
+            # single-threaded.
+            pool.shutdown(wait=True)
+        if pending:
+            self._run_serial(pending, store, report, emit, "in_process")

@@ -30,14 +30,13 @@ class EngineStats:
     executed: int = 0
     #: Jobs currently running on pool workers.
     running: int = 0
-    #: Jobs executed in-process because no pool was available.
+    #: Jobs a pool did not finish, executed in this process: no pool
+    #: started, pools kept breaking, or the job ran out of retries.
     in_process: int = 0
     #: Resubmissions after a worker-process crash.
     crash_retries: int = 0
     #: Resubmissions after an in-job exception.
     failure_retries: int = 0
-    #: Jobs cancelled for exceeding the per-job timeout.
-    timeouts: int = 0
     #: Times the worker pool had to be torn down and rebuilt.
     pool_rebuilds: int = 0
     wall_time: float = 0.0
@@ -76,8 +75,6 @@ class EngineStats:
             parts.append(
                 f"{self.crash_retries + self.failure_retries} retried"
             )
-        if self.timeouts:
-            parts.append(f"{self.timeouts} timed out")
         if self.pool_rebuilds:
             parts.append(f"{self.pool_rebuilds} pool rebuild(s)")
         parts.append(f"{self.wall_time:.1f}s with {self.workers} worker(s)")

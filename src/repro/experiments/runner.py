@@ -157,7 +157,7 @@ def result_to_jsonable(result) -> object:
 
 
 def _warm_store(name: str, jobs: list, workers: int,
-                tracer: SpanTracer | None = None, profiler=None):
+                tracer: SpanTracer | None = None):
     """Pre-execute an experiment's simulation grid (its module's
     ``jobs(fidelity)``) through the engine.
 
@@ -178,7 +178,6 @@ def _warm_store(name: str, jobs: list, workers: int,
             f"{format_rate(stats.done, stats.wall_time)}"
         ),
         tracer=tracer,
-        profiler=profiler,
     )
     printer.close(report.stats.summary())
     return report
@@ -866,8 +865,7 @@ def main(argv: list[str] | None = None) -> int:
             span_start = tracer.now_us() if tracer is not None else 0.0
             grid = list(module.jobs(fidelity)) if hasattr(module, "jobs") else []
             points = _point_counts(registry)
-            report = _warm_store(name, grid, args.jobs,
-                                 tracer=tracer, profiler=profiler)
+            report = _warm_store(name, grid, args.jobs, tracer=tracer)
             misses = store.stats.misses
             result = module.run(fidelity)
             run_store_misses = store.stats.misses - misses

@@ -53,7 +53,7 @@ from repro.core.monitor import (
     validate_monitor_config,
 )
 from repro.core.stretch import StretchMode
-from repro.engine.executor import pool_workers, usable_workers
+from repro.engine.executor import usable_workers
 from repro.fleet.placement import (
     CorunnerTable,
     PlacementContext,
@@ -784,11 +784,12 @@ class FleetEngine:
     def ensure_surrogate(self) -> TailSurrogate:
         """Fit (or fetch from the result store) the tail surrogate.
 
-        A miss fits it on :func:`~repro.engine.executor.pool_workers`
-        processes (one beside any other live Python thread, since the pool
-        forks) into the engine's store, where its peak bisections may
-        already be (:func:`repro.fleet.surrogate.peak_jobs`), then stores
-        the fit; the profiler's ``fleet.fit`` section is its wall time.
+        A miss fits it on :func:`~repro.engine.executor.usable_workers`
+        processes (in this process beside any other live Python thread,
+        since the pool forks) into the engine's store, where its peak
+        bisections may already be (:func:`repro.fleet.surrogate.peak_jobs`),
+        then stores the fit; the profiler's ``fleet.fit`` section is its
+        wall time.
         """
         if self._surrogate is None:
             grid = self.config.surrogate_grid()
@@ -811,7 +812,7 @@ class FleetEngine:
                     else nullcontext()
                 )
                 with section:
-                    workers = pool_workers(grid.n_reps + grid.n_val_reps)
+                    workers = usable_workers(grid.n_reps + grid.n_val_reps)
                     values = _fit(job, workers, store).to_values()
                     store.put(job.key, values)
             self._surrogate = TailSurrogate.from_values(values)

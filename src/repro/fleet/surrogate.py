@@ -50,7 +50,6 @@ import numpy as np
 
 from repro.engine.executor import EngineConfig, ExecutionEngine
 from repro.engine.store import CACHE_VERSION, ResultStore
-from repro.obs.profiler import active_profiler
 from repro.qos.queueing import ServiceSimulator
 from repro.util.rng import derive_seed
 from repro.workloads.profiles import QoSSpec
@@ -492,11 +491,10 @@ def _fit(job: "SurrogateFitJob", workers: int, store) -> TailSurrogate:
     perf rows on the same grid runs no bisection.
     """
     engine = ExecutionEngine(EngineConfig(workers=workers))
-    profiler = active_profiler()
     peaks = peak_jobs(job.qos, job.grid, job.n_workers)
-    found = engine.run_jobs(peaks, store, profiler=profiler).results
+    found = engine.run_jobs(peaks, store).results
     replicates = job.replicates([found[peak.key][0] for peak in peaks])
-    tails = engine.run_jobs(replicates, store, profiler=profiler).results
+    tails = engine.run_jobs(replicates, store).results
     return job.assemble([tails[replicate.key] for replicate in replicates])
 
 

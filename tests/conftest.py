@@ -6,11 +6,24 @@ invariants, not paper-fidelity statistics (the benchmarks do that).
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.cpu.config import CoreConfig
 from repro.cpu.sampling import SamplingConfig
 from repro.workloads.registry import get_profile
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_alive():
+    """Fail a test that leaves a thread alive.  ``ExecutionEngine.run_jobs``
+    forks no pool beside another live thread, so a thread one test left
+    behind would quietly run the next tests' pools in process."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    assert not left, f"threads left alive: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-import repro.engine.executor as executor
+import repro.fleet.engine as fleet_engine
 from repro import api
 from repro.core.colocation import ColocationPerformance, ModePerformance
 from repro.core.monitor import MonitorConfig
@@ -401,6 +401,28 @@ class TestRunFleet:
             ), field
         assert np.allclose(pooled.tail_ms_sum, in_process.tail_ms_sum,
                            rtol=1e-12)
+
+    def test_profiled_pooled_day_reports_its_shards_sections(
+        self, tmp_path, small_surrogate
+    ):
+        # The shard workers profile their stepping and ship it back.
+        profiler = enable_profiling()
+        try:
+            profiler.reset()
+            api.run_fleet(
+                "web_search", performance=performance_model(),
+                load="web_search", n_servers=4, window_minutes=240.0,
+                requests_per_window=300, seed=5, surrogate=small_surrogate,
+                workers=2, store=ResultStore(tmp_path),
+            )
+            sections = set(profiler.as_dict())
+        finally:
+            disable_profiling()
+        assert {"engine.execute"} | {
+            f"fleet.step.{phase}" for phase in (
+                "loads", "gather", "tails", "aggregate", "monitor", "chunks"
+            )
+        } <= sections
 
     def test_facade_exported_from_package_root(self):
         import repro
@@ -854,9 +876,11 @@ def cold_set_up(
     reset_default_stores()
     queueing._PEAK_MEMO.clear()
     monkeypatch.setattr(FleetConfig, "surrogate_grid", lambda self: SETUP_GRID)
-    monkeypatch.setattr(
-        executor, "usable_workers", lambda n_jobs: min(workers, n_jobs)
-    )
+    def forced(n_jobs):
+        return min(workers, n_jobs)
+
+    monkeypatch.setattr(api, "usable_workers", forced)
+    monkeypatch.setattr(fleet_engine, "usable_workers", forced)
     engines = []
 
     class Recording(ExecutionEngine):
@@ -865,7 +889,7 @@ def cold_set_up(
 
         def run_jobs(self, jobs, *args, **kwargs):
             report = super().run_jobs(jobs, *args, **kwargs)
-            engines.append((self.config.workers, report.stats))
+            engines.append((report.stats.workers, report.stats))
             return report
 
     monkeypatch.setattr(api, "ExecutionEngine", Recording)

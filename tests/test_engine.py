@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
 import os
 import threading
 import time
@@ -23,12 +24,11 @@ from repro.engine import (
     CACHE_VERSION,
     EngineConfig,
     ExecutionEngine,
-    JobTimeoutError,
     ResultStore,
     SimJob,
     job_key,
 )
-from repro.engine.executor import parse_workers, pool_workers, usable_workers
+from repro.engine.executor import parse_workers, usable_workers
 from repro.engine.telemetry import EngineStats
 from repro.experiments.common import config_all_shared, config_solo
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
@@ -48,20 +48,6 @@ class FakeJob:
 
     def run(self) -> tuple[float, ...]:
         return self.values
-
-
-@dataclass(frozen=True)
-class SlowJob:
-    name: str
-    seconds: float
-
-    @property
-    def key(self) -> str:
-        return f"slow-{self.name}"
-
-    def run(self) -> tuple[float, ...]:
-        time.sleep(self.seconds)
-        return (self.seconds,)
 
 
 @dataclass(frozen=True)
@@ -100,6 +86,86 @@ class FailOnceJob:
                 handle.write("failed")
             raise RuntimeError("transient failure")
         return (7.0,)
+
+
+@dataclass(frozen=True)
+class FailInWorkersJob:
+    """Raises in a pool worker and returns in the parent process."""
+
+    name: str
+
+    @property
+    def key(self) -> str:
+        return f"worker-fail-{self.name}"
+
+    def run(self) -> tuple[float, ...]:
+        if multiprocessing.parent_process() is not None:
+            raise RuntimeError("fails in a worker")
+        return (3.0,)
+
+
+@dataclass(frozen=True)
+class AlwaysFailJob:
+    name: str
+
+    @property
+    def key(self) -> str:
+        return f"always-{self.name}"
+
+    def run(self) -> tuple[float, ...]:
+        raise RuntimeError("always fails")
+
+
+def _no_pool(workers):
+    raise OSError("no process spawning here")
+
+
+#: The ``EngineStats`` counters of how pooled jobs ended.
+END_COUNTERS = (
+    "executed", "in_process", "crash_retries", "failure_retries",
+    "pool_rebuilds",
+)
+
+#: Each way a job on a two-worker pool ends, as ``(jobs, pool_factory,
+#: error, counters, telemetry)``: ``jobs`` builds the jobs given a
+#: temporary directory (for once-only sentinels); ``error`` matches what
+#: ``run_jobs`` raises (None: it returns); ``counters`` holds the nonzero
+#: :data:`END_COUNTERS`, and ``telemetry`` each job's ``(mode, tries,
+#: stored values)``, or None when it left no record.  A job out of retries
+#: runs once in this process, which surfaces its own error or its result.
+POOLED_ENDS = {
+    "result": (
+        lambda d: [FakeJob("a", (1.0,)), FakeJob("b", (2.0,))], None, None,
+        {"executed": 2},
+        {"fake-a": ("pool", 1, (1.0,)), "fake-b": ("pool", 1, (2.0,))},
+    ),
+    "raised_and_retried": (
+        lambda d: [FailOnceJob("y", str(d / "failed-once"))], None, None,
+        {"executed": 1, "failure_retries": 1},
+        {"fail-y": ("pool", 2, (7.0,))},
+    ),
+    "worker_crashed": (
+        lambda d: [CrashOnceJob("x", str(d / "crashed-once"))], None, None,
+        {"executed": 1, "crash_retries": 1, "pool_rebuilds": 1},
+        {"crash-x": ("pool", 2, (99.0,))},
+    ),
+    "retries_spent_raises": (
+        lambda d: [AlwaysFailJob("z")], None, "always fails",
+        {"failure_retries": 3},
+        {"always-z": None},
+    ),
+    "retries_spent_runs_in_process": (
+        lambda d: [FailInWorkersJob("w")], None, None,
+        {"executed": 1, "in_process": 1, "failure_retries": 3},
+        {"worker-fail-w": ("in_process", 4, (3.0,))},
+    ),
+    "no_pool_starts": (
+        lambda d: [FakeJob("a", (1.0,)), FakeJob("b", (2.0,))], _no_pool, None,
+        {"executed": 2, "in_process": 2},
+        {"fake-a": ("in_process", 1, (1.0,)),
+         "fake-b": ("in_process", 1, (2.0,))},
+    ),
+}
 
 
 class TestJobModel:
@@ -409,8 +475,8 @@ class TestUsableWorkers:
 
     def test_other_threads_do_not_count(self, monkeypatch):
         # A thread blocked on its input (a control-plane reader) leaves
-        # the count at the usable cores; only a forking pool
-        # (pool_workers) checks for live threads.
+        # the count at the usable cores; only run_jobs, which forks the
+        # pool, checks for live threads.
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
         )
@@ -431,23 +497,6 @@ class TestUsableWorkers:
             max_workers=1, mp_context=multiprocessing.get_context("spawn")
         ) as pool:
             assert pool.submit(usable_workers, 8).result(timeout=60) == 1
-
-    def test_a_forking_pool_gets_one_worker_beside_a_live_thread(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
-        )
-        assert pool_workers(8) == 3
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            assert pool_workers(8) == 1
-        finally:
-            release.set()
-            other.join()
-        assert pool_workers(8) == 3
 
 
 class TestEngineParallelScheduling:
@@ -473,56 +522,61 @@ class TestEngineParallelScheduling:
         assert report.stats.executed == 4
         assert threading.active_count() == before
 
-    def test_retry_on_worker_crash(self, tmp_path):
-        store = ResultStore(tmp_path)
-        engine = ExecutionEngine(EngineConfig(workers=2, retries=2, backoff=0.01))
-        sentinel = str(tmp_path / "crashed-once")
-        jobs = [CrashOnceJob("x", sentinel), FakeJob("bystander", (5.0,))]
-        report = engine.run_jobs(jobs, store=store)
-        assert report.results["crash-x"] == (99.0,)
-        assert report.results["fake-bystander"] == (5.0,)
-        assert report.stats.crash_retries >= 1
-        assert report.stats.pool_rebuilds >= 1
-        assert report.stats.executed == 2
+    def test_no_pool_forks_beside_a_live_thread(self, tmp_path):
+        # A forked pool copies only the calling thread, so a lock another
+        # thread held would stay held in every worker.
+        factory_calls = []
 
-    def test_retry_on_job_exception(self, tmp_path):
-        store = ResultStore(tmp_path)
-        engine = ExecutionEngine(EngineConfig(workers=2, retries=2, backoff=0.01))
-        sentinel = str(tmp_path / "failed-once")
-        report = engine.run_jobs([FailOnceJob("y", sentinel)], store=store)
-        assert report.results["fail-y"] == (7.0,)
-        assert report.stats.failure_retries == 1
+        def no_fork(workers):
+            factory_calls.append(workers)
+            raise AssertionError("a pool forked beside a live thread")
 
-    def test_deterministic_exception_propagates(self, tmp_path):
         store = ResultStore(tmp_path)
-        engine = ExecutionEngine(EngineConfig(workers=2, retries=1, backoff=0.01))
+        engine = ExecutionEngine(EngineConfig(workers=3), pool_factory=no_fork)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            report = engine.run_jobs(
+                [FakeJob(str(i), (float(i),)) for i in range(4)], store=store
+            )
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert factory_calls == []
+        stats = report.stats
+        assert (stats.workers, stats.executed, stats.in_process) == (1, 4, 0)
+        assert {
+            store.job_telemetry[key]["mode"] for key in report.results
+        } == {"serial"}
 
-        with pytest.raises(RuntimeError, match="always fails"):
-            engine.run_jobs([AlwaysFailJob("z")], store=store)
-
-    def test_timeout_raises_after_retries(self, tmp_path):
-        store = ResultStore(tmp_path)
+    @pytest.mark.parametrize("end", list(POOLED_ENDS))
+    def test_pooled_job_ends(self, tmp_path, end):
+        make_jobs, pool_factory, error, counters, telemetry = POOLED_ENDS[end]
+        store = ResultStore(tmp_path / "store")
         engine = ExecutionEngine(
-            EngineConfig(workers=2, timeout=0.3, retries=0, backoff=0.01)
+            EngineConfig(workers=2), pool_factory=pool_factory
         )
-        start = time.monotonic()
-        with pytest.raises(JobTimeoutError):
-            engine.run_jobs([SlowJob("t", 30.0)], store=store)
-        assert time.monotonic() - start < 10.0  # pool was torn down, not joined
-
-    def test_fallback_when_pool_unavailable(self, tmp_path):
-        store = ResultStore(tmp_path)
-
-        def broken_factory(workers):
-            raise OSError("no process spawning here")
-
-        engine = ExecutionEngine(
-            EngineConfig(workers=4), pool_factory=broken_factory
-        )
-        report = engine.run_jobs([FakeJob("a", (1.0,)), FakeJob("b")], store=store)
-        assert report.stats.executed == 2
-        assert report.stats.in_process == 2
-        assert report.results["fake-a"] == (1.0,)
+        jobs = make_jobs(tmp_path)
+        seen = []
+        before = threading.active_count()
+        if error is None:
+            engine.run_jobs(jobs, store=store, progress=seen.append)
+        else:
+            with pytest.raises(RuntimeError, match=error):
+                engine.run_jobs(jobs, store=store, progress=seen.append)
+        assert threading.active_count() == before
+        stats = seen[-1]
+        assert {name: getattr(stats, name) for name in END_COUNTERS} == {
+            name: counters.get(name, 0) for name in END_COUNTERS
+        }
+        for job in jobs:
+            record = store.job_telemetry.get(job.key)
+            ended = None if record is None else (
+                record["mode"], record["tries"], store.get(job.key)
+            )
+            assert ended == telemetry[job.key], job.key
 
 
 @dataclass(frozen=True)
@@ -598,18 +652,6 @@ class TestPoolSamplingPoints:
         )
         engine.run_jobs(jobs, store=ResultStore(tmp_path))
         assert submitted == [("a",)] * 3 + [("b",)] * 3
-
-
-@dataclass(frozen=True)
-class AlwaysFailJob:
-    name: str
-
-    @property
-    def key(self) -> str:
-        return f"always-{self.name}"
-
-    def run(self) -> tuple[float, ...]:
-        raise RuntimeError("always fails")
 
 
 class TestTelemetry:

@@ -27,7 +27,6 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.engine.executor as executor
 import repro.fleet.engine as fleet_engine
 import repro.fleet.surrogate as surrogate_module
 from repro.core.adaptive import AdaptiveStretchPolicy
@@ -904,13 +903,10 @@ def threaded_surrogate(web_search_qos) -> TailSurrogate:
 
 
 def force_workers(monkeypatch, workers: int) -> None:
-    """Size the chunk threads and the fit's pool at ``workers`` (the pool
-    under ``pool_workers``' thread rule)."""
-    def forced(n_jobs):
-        return min(workers, n_jobs)
-
-    monkeypatch.setattr(fleet_engine, "usable_workers", forced)
-    monkeypatch.setattr(executor, "usable_workers", forced)
+    """Size the chunk threads and the fit's pool at ``workers``."""
+    monkeypatch.setattr(
+        fleet_engine, "usable_workers", lambda n_jobs: min(workers, n_jobs)
+    )
 
 
 def threaded_stepper(case: str, surrogate, state=None):
@@ -1176,8 +1172,8 @@ class TestThreadedStep:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # One helper sizes the chunk threads and --jobs auto, and under
-        # pool_workers' thread rule the fit's pool (its own tests are in
+        # One helper sizes the chunk threads, --jobs auto and the fit's
+        # pool (whose thread rule run_jobs applies; its tests are in
         # tests/test_engine.py).
         assert fleet_engine.usable_workers is usable_workers
         assert usable_workers(1) == 1
@@ -1258,7 +1254,7 @@ def fit_runs(monkeypatch) -> list:
     class Recording(ExecutionEngine):
         def run_jobs(self, jobs, *args, **kwargs):
             report = super().run_jobs(jobs, *args, **kwargs)
-            runs.append((self.config.workers, report))
+            runs.append((report.stats.workers, report))
             return report
 
     monkeypatch.setattr(surrogate_module, "ExecutionEngine", Recording)

@@ -156,7 +156,7 @@ class TestPoolWorkerProfiles:
         for workers in (1, 2):
             profiler = enable_profiling()
             report = ExecutionEngine(EngineConfig(workers=workers)).run_jobs(
-                jobs, store=ResultStore(None), profiler=profiler
+                jobs, store=ResultStore(None)
             )
             assert report.stats.executed == len(jobs)
             assert report.stats.in_process == 0

@@ -70,7 +70,7 @@ class TestSpanTracer:
 class TestEngineLifecycleSpans:
     def run_traced(self, workers: int):
         tracer = SpanTracer()
-        engine = ExecutionEngine(EngineConfig(workers=workers, backoff=0.0))
+        engine = ExecutionEngine(EngineConfig(workers=workers))
         store = ResultStore(None)
         report = engine.run_jobs(
             [FakeJob(i) for i in range(4)], store=store, tracer=tracer
