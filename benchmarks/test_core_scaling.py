@@ -69,8 +69,8 @@ REGRESSION_TOLERANCE = 0.25
 #: Representative grid slice for the surrogate-tier sweep entries: one LS
 #: and one batch fig06 ROB sweep plus one fig09 skew sweep — small enough
 #: for CI, same shape as the full figures.  The acceptance criterion is on
-#: the *warm* path (fits already in the store): a cold fit costs more
-#: exact jobs than the 12-point sweep it replaces (DESIGN.md §8).
+#: the *warm* path (every fit's members already in the store): a cold fit
+#: costs more exact jobs than the 12-point sweep it replaces (DESIGN.md §8).
 SURROGATE_SOLO_WORKLOADS = ("web_search", "zeusmp")
 SURROGATE_PAIR = ("web_search", "zeusmp")
 MIN_SURROGATE_WARM_SPEEDUP = 5.0
@@ -146,7 +146,8 @@ def _sweep_surrogate_tier(tmp_path, monkeypatch) -> dict:
     Both tiers run against fresh stores under ``tmp_path`` (this machine's
     default store may hold warm results, which would time cache hits, not
     simulation); the warm measurement reuses the surrogate run's store so
-    only the NumPy evaluation is timed.
+    only the fits' assembly from stored members and the NumPy evaluation
+    are timed.
     """
     solo_configs = [config_solo(size) for size in ROB_SIZES]
     base = config_all_shared()
@@ -169,7 +170,7 @@ def _sweep_surrogate_tier(tmp_path, monkeypatch) -> dict:
     exact_s = timed("exact", Fidelity.quick(42))
     _probe(kernel_s)
     cold_s = timed("surrogate", Fidelity.surrogate(42))
-    start = time.perf_counter()  # same store: fits are warm now
+    start = time.perf_counter()  # same store: fit members are warm now
     sweep(Fidelity.surrogate(42))
     warm_s = time.perf_counter() - start
     reset_default_stores()

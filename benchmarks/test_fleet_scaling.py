@@ -209,15 +209,19 @@ def test_fleet_scaling(benchmark, fidelity, save_result):
         f"{_format_ratios(placement_ratios)})"
     )
 
-    # Scenario-attached stepping overhead, same paired-ratio protocol on
-    # the same homogeneous engine: the sampler compiles once per day and
-    # the per-window cost is two vectorized multiplies.
-    scenario = get_scenario(SCENARIO_NAME)
-    scen_timeline = homo_engine.run_day("web_search", scenario=scenario)
+    # Scenario-attached stepping overhead, same paired-ratio protocol
+    # against the same homogeneous engine, here with a scenario attached:
+    # the sampler compiles once per day and the per-window cost is two
+    # vectorized multiplies.
+    scen_engine = FleetEngine(
+        ls, performance, replace(base, n_servers=overhead_n),
+        surrogate=surrogate, scenario=get_scenario(SCENARIO_NAME),
+    )
+    scen_timeline = scen_engine.run_day("web_search")
     homo_engine.run_day("web_search")  # warm the plain path again
     scenario_ratios, scen_timeline = _paired_ratios(
-        lambda: homo_engine.run_day("web_search", scenario=None),
-        lambda: homo_engine.run_day("web_search", scenario=scenario),
+        lambda: homo_engine.run_day("web_search"),
+        lambda: scen_engine.run_day("web_search"),
     )
     assert scen_timeline.total_windows == homo_timeline.total_windows
     scenario_overhead, scenario_bound = _overhead(scenario_ratios)

@@ -44,9 +44,9 @@ Sampling effort resolves the same way in every verb: pass ``sampling=``
 content-addressed result store, registered and custom workload profiles
 alike (their deprecated ``engine=`` keyword changes nothing).  At
 ``fidelity="surrogate"`` a partitioned-ROB sweep that asks an off-anchor
-ROB split answers from a store-memoized
-:class:`~repro.cpu.surrogate.UipcSurrogate` fit (error bound reported per
-fit); anchor values and anything a fit does not cover read the exact
+ROB split answers from a :class:`~repro.cpu.surrogate.UipcSurrogate`
+fit over store-memoized member jobs (error bound reported per fit);
+anchor values and anything a fit does not cover read the exact
 tier's jobs.  ``tune_policy`` screens candidates with the surrogate-tier
 model before confirming the winner at the exact tier.
 

@@ -162,12 +162,12 @@ def surrogate_accuracy_sweep(
 ) -> SurrogateGateReport:
     """Gate the surrogate's reported error bound on fresh held-out configs.
 
-    Fits come through the content-addressed store (one
-    :class:`~repro.cpu.surrogate.UipcFitJob` per distinct family, shared
-    across cases); the exact reference for each case runs with a *fresh*
-    derived sampling seed, so the gate also covers seed-to-seed sampling
-    variation — the same variation the fit's ``error_margin`` is meant to
-    absorb.
+    Each case assembles its family's fit from the
+    :class:`~repro.cpu.surrogate.UipcFitJob` members, read through
+    ``store`` (shared across cases); the exact reference for each case
+    runs with a *fresh* derived sampling seed, so the gate also covers
+    seed-to-seed sampling variation — the same variation the fit's
+    ``error_margin`` is meant to absorb.
     """
     from repro.engine.store import default_store
     from repro.experiments.common import Fidelity
@@ -181,11 +181,11 @@ def surrogate_accuracy_sweep(
     cases = build_gate_cases(n_configs, seed=seed, grid=grid)
     for case in cases:
         canon, __ = families[case.kind]
-        job = UipcFitJob(
+        fit = UipcFitJob(
             kind=case.kind, workloads=case.workloads, config=canon,
             sampling=sampling, grid=grid,
         )
-        surrogate = job.load(store.compute(job))
+        surrogate = fit.assemble([store.compute(job) for job in fit.members()])
         member = family_config_at(case.kind, canon, case.x)
         fresh = replace(
             sampling,

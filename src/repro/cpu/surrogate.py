@@ -24,6 +24,12 @@ tail queries without a DES run:
   every prediction, and ``stretch-repro check --surrogate`` gates the
   empirical error of fresh held-out configurations against it.
 
+A fit is a :class:`UipcFitJob`: it lists those anchor and validation
+jobs (:meth:`UipcFitJob.members`) and builds the surrogate from their
+values (:meth:`UipcFitJob.assemble`), so whoever reads the members — a
+store, an :class:`~repro.engine.ExecutionEngine` prefetch — runs and
+keeps every simulation, and the fit itself is never stored.
+
 Configurations outside the partitioned-ROB family (dynamically shared
 ROB, custom LSQ splits) raise :class:`UnsupportedConfigError`; the
 fidelity tier falls back to the exact sampler for those, so the surrogate
@@ -34,7 +40,6 @@ are the exact jobs themselves.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,12 +47,12 @@ import numpy as np
 from repro.cpu.config import CoreConfig
 from repro.cpu.sampling import SamplingConfig
 from repro.engine.job import SimJob, thread_means
+from repro.engine.store import default_store
 from repro.util.rng import derive_seed
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.registry import resolve_profile
 
 __all__ = [
-    "UIPC_SURROGATE_VERSION",
     "UnsupportedConfigError",
     "UipcGrid",
     "UipcSurrogate",
@@ -57,9 +62,6 @@ __all__ = [
     "axis_scale",
     "fit_uipc_surrogate",
 ]
-
-#: Bump to invalidate cached UIPC-surrogate fits after calibration changes.
-UIPC_SURROGATE_VERSION = 1
 
 
 class UnsupportedConfigError(ValueError):
@@ -238,53 +240,9 @@ class UipcSurrogate:
         self._check_range(xs)
         return np.interp(xs, self.anchors, self.mean_curve[thread])
 
-    # -- content-addressed persistence ---------------------------------
-
-    def to_values(self) -> tuple[float, ...]:
-        """Flatten to a float tuple (the result-store value format)."""
-        n_threads, n_anchors, n_samples = self.quantiles.shape
-        header = [
-            float(n_threads),
-            float(n_anchors),
-            float(n_samples),
-            float(self.error_bound),
-        ]
-        return tuple(
-            header
-            + [float(a) for a in self.anchors]
-            + [float(v) for v in self.quantiles.ravel()]
-        )
-
-    @classmethod
-    def from_values(cls, values, workloads) -> "UipcSurrogate":
-        values = tuple(values)
-        n_threads, n_anchors, n_samples = (int(v) for v in values[:3])
-        error_bound = float(values[3])
-        cursor = 4
-        anchors = tuple(int(v) for v in values[cursor:cursor + n_anchors])
-        cursor += n_anchors
-        size = n_threads * n_anchors * n_samples
-        quantiles = np.array(values[cursor:cursor + size]).reshape(
-            n_threads, n_anchors, n_samples
-        )
-        if cursor + size != len(values):
-            raise ValueError("surrogate payload has trailing values")
-        workloads = tuple(workloads)
-        if len(workloads) != n_threads:
-            raise ValueError(
-                f"payload has {n_threads} thread(s), got workloads {workloads!r}"
-            )
-        return cls(
-            kind="solo" if n_threads == 1 else "pair",
-            workloads=workloads,
-            anchors=anchors,
-            quantiles=quantiles,
-            error_bound=error_bound,
-        )
-
 
 # ----------------------------------------------------------------------
-# Calibration through the result store
+# Calibration from the exact tier's jobs
 # ----------------------------------------------------------------------
 
 
@@ -303,11 +261,10 @@ def fit_uipc_surrogate(
     config: CoreConfig,
     sampling: SamplingConfig,
     grid: UipcGrid = UipcGrid(),
-    compute=None,
 ) -> UipcSurrogate:
     """Calibrate a :class:`UipcSurrogate` for ``config``'s family.
 
-    ``compute`` maps a job to its result tuple; it defaults to the
+    The fit's :meth:`~UipcFitJob.members` run through the
     content-addressed store, so anchors and validation replays memoize
     (and a re-fit after a grid change reuses every overlapping point).
     The anchors are the exact tier's own :class:`~repro.engine.job.SimJob`
@@ -315,71 +272,23 @@ def fit_uipc_surrogate(
     only its validation replays.  ``workloads`` are profiles or
     registered names.
     """
-    workloads = tuple(resolve_profile(w) for w in workloads)
-    if compute is None:
-        from repro.engine.store import default_store
-
-        compute = default_store().compute
-    canon, __ = family_axis(kind, config)
-    scale = axis_scale(kind, canon)
-    anchors = grid.anchor_values(kind, scale)
-    n_threads = 1 if kind == "solo" else 2
-
-    quantiles = np.empty((n_threads, len(anchors), sampling.n_samples))
-    for k, x in enumerate(anchors):
-        values = compute(SimJob(
-            kind, workloads, family_config_at(kind, canon, x), sampling
-        ))
-        per_thread = np.asarray(values, dtype=float).reshape(n_threads, -1)
-        quantiles[:, k, :] = np.sort(per_thread, axis=1)
-
-    surrogate = UipcSurrogate(
-        kind=kind,
-        workloads=tuple(p.name for p in workloads),
-        anchors=anchors,
-        quantiles=quantiles,
-        error_bound=0.0,
-    )
-
-    # Held-out validation: fresh derived seeds at off-anchor midpoints.
-    worst = 0.0
-    for v in grid.validation_values(kind, scale):
-        member = family_config_at(kind, canon, v)
-        for rep in range(grid.n_val_reps):
-            exact = thread_means(compute(SimJob(
-                kind, workloads, member, _validation_sampling(sampling, rep)
-            )), n_threads)
-            for t in range(n_threads):
-                worst = max(
-                    worst, abs(surrogate.predict(v, thread=t) - exact[t])
-                )
-
-    # Seed-noise floor: the exact reference is a mean of ``n_samples``
-    # windows, so its seed-to-seed standard error is the window std over
-    # sqrt(n_samples); the anchor replicates estimate that std directly.
-    noise = 0.0
-    if sampling.n_samples > 1:
-        sigma_mean = (
-            quantiles.std(axis=2, ddof=1).mean(axis=1)
-            / np.sqrt(sampling.n_samples)
-        )
-        noise = grid.noise_z * float(sigma_mean.max())
-    return replace(
-        surrogate, error_bound=worst * grid.error_margin + noise
-    )
+    fit = UipcFitJob(kind, workloads, family_axis(kind, config)[0], sampling,
+                     grid)
+    return fit.assemble([default_store().compute(job) for job in fit.members()])
 
 
 @dataclass(frozen=True)
 class UipcFitJob:
-    """Content-addressed surrogate calibration (cacheable, picklable).
+    """The calibration of one configuration family (picklable).
 
-    Runs on the execution engine like any simulation job: ``key``
-    content-addresses the workloads (full profile definitions, carried by
-    value; names passed in are resolved), the *family* configuration, the
-    sampling config and the calibration grid; ``run`` returns the
-    flattened surrogate.  ``config`` must already be the family's
-    canonical member (see :func:`family_axis`), so every member of a
-    sweep maps to the same fit entry.
+    Like the tail fit's :class:`~repro.fleet.surrogate.SurrogateFitJob`,
+    it is not a job of its own: :meth:`members` lists the exact
+    :class:`~repro.engine.job.SimJob` objects it reads and
+    :meth:`assemble` builds the surrogate from their values, so the
+    members run and are stored wherever their reader runs them.
+    ``workloads`` are carried by value (names passed in are resolved).
+    ``config`` must already be the family's canonical member (see
+    :func:`family_axis`), so every member of a sweep maps to the same fit.
     """
 
     kind: str
@@ -399,30 +308,69 @@ class UipcFitJob:
             self, "workloads", tuple(resolve_profile(w) for w in self.workloads)
         )
 
-    @property
-    def key(self) -> str:
-        from repro.engine.store import CACHE_VERSION
+    def _points(self) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+        """The anchors, and each validation replay's ``(value, rep)``."""
+        scale = axis_scale(self.kind, self.config)
+        grid = self.grid
+        return grid.anchor_values(self.kind, scale), [
+            (v, rep)
+            for v in grid.validation_values(self.kind, scale)
+            for rep in range(grid.n_val_reps)
+        ]
 
-        payload = repr((
-            CACHE_VERSION,
-            UIPC_SURROGATE_VERSION,
-            "uipc-surrogate",
-            self.kind,
-            tuple(p.name for p in self.workloads),
-            tuple(repr(p) for p in self.workloads),
-            self.config,
-            self.sampling,
-            self.grid,
-        ))
-        return hashlib.sha256(payload.encode()).hexdigest()
+    def members(self) -> tuple[SimJob, ...]:
+        """The exact jobs the fit reads, in the order :meth:`assemble`
+        takes their values: one per anchor, then ``n_val_reps`` held-out
+        replays per validation value."""
+        anchors, replays = self._points()
+        points = [(x, self.sampling) for x in anchors] + [
+            (v, _validation_sampling(self.sampling, rep)) for v, rep in replays
+        ]
+        return tuple(
+            SimJob(self.kind, self.workloads,
+                   family_config_at(self.kind, self.config, x), sampling)
+            for x, sampling in points
+        )
 
-    def run(self) -> tuple[float, ...]:
-        return fit_uipc_surrogate(
-            self.kind, self.workloads, self.config, self.sampling, self.grid
-        ).to_values()
+    def assemble(self, values) -> UipcSurrogate:
+        """The fitted surrogate from its members' values, given in
+        :meth:`members` order."""
+        sampling, grid = self.sampling, self.grid
+        anchors, replays = self._points()
+        n_threads = len(self.workloads)
 
-    def load(self, values) -> UipcSurrogate:
-        """Rehydrate a stored fit result."""
-        return UipcSurrogate.from_values(
-            values, tuple(p.name for p in self.workloads)
+        quantiles = np.empty((n_threads, len(anchors), sampling.n_samples))
+        for k, anchor in enumerate(values[:len(anchors)]):
+            per_thread = np.asarray(anchor, dtype=float).reshape(n_threads, -1)
+            quantiles[:, k, :] = np.sort(per_thread, axis=1)
+
+        surrogate = UipcSurrogate(
+            kind=self.kind,
+            workloads=tuple(p.name for p in self.workloads),
+            anchors=anchors,
+            quantiles=quantiles,
+            error_bound=0.0,
+        )
+
+        # Held-out validation: fresh derived seeds at off-anchor midpoints.
+        worst = 0.0
+        for (v, __), replay in zip(replays, values[len(anchors):], strict=True):
+            exact = thread_means(replay, n_threads)
+            for t in range(n_threads):
+                worst = max(
+                    worst, abs(surrogate.predict(v, thread=t) - exact[t])
+                )
+
+        # Seed-noise floor: the exact reference is a mean of ``n_samples``
+        # windows, so its seed-to-seed standard error is the window std
+        # over sqrt(n_samples); the anchor replicates estimate that std.
+        noise = 0.0
+        if sampling.n_samples > 1:
+            sigma_mean = (
+                quantiles.std(axis=2, ddof=1).mean(axis=1)
+                / np.sqrt(sampling.n_samples)
+            )
+            noise = grid.noise_z * float(sigma_mean.max())
+        return replace(
+            surrogate, error_bound=worst * grid.error_margin + noise
         )

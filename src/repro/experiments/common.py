@@ -44,6 +44,7 @@ from repro.cpu.surrogate import (
 )
 from repro.engine.job import SimJob, thread_means
 from repro.engine.store import CACHE_VERSION, default_store
+from repro.obs.metrics import get_registry
 from repro.workloads.cloudsuite import CLOUDSUITE_NAMES
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.spec2006 import SPEC2006_NAMES
@@ -104,7 +105,7 @@ class Fidelity:
     @classmethod
     def surrogate(cls, seed: int = 42) -> "Fidelity":
         """Quick-tier sampling, with partitioned-ROB sweeps answered by a
-        store-memoized fitted surrogate (error bound reported per fit)."""
+        fitted surrogate (error bound reported per fit)."""
         return cls("surrogate", cls.quick(seed).sampling, grid=UipcGrid())
 
     @classmethod
@@ -294,12 +295,12 @@ def config_fetch_throttle(m: int) -> CoreConfig:
 # The ``effort`` argument is a SamplingConfig (always exact — the historic
 # calling convention) or a Fidelity.  At a surrogate tier a partitioned-
 # ROB family that one call asks at least one off-anchor value of answers
-# that call's queries from a store-memoized UipcSurrogate fit.  Every other
-# query (a family asked only at its anchors, an unsupported config family,
-# an axis value outside the anchor range) reads its exact job instead, so
+# that call's queries from a UipcSurrogate fit.  Every other query (a
+# family asked only at its anchors, an unsupported config family, an axis
+# value outside the anchor range) reads its exact job instead, so
 # results are defined for every input — only their cost and error bound
-# differ.  The fit's anchors are those same exact jobs: one store entry
-# per simulation, whichever tier asked for it.
+# differ.  A fit's members are exact jobs too: one store entry per
+# simulation, whichever tier asked for it, and none for the fit.
 
 #: The jobs the lookups note while :func:`recorded_jobs` runs an
 #: experiment; None otherwise (the lookups then compute).
@@ -349,8 +350,9 @@ def _uipc_many(
     """Per-config tuple of per-thread mean UIPCs for one solo/pair sweep.
 
     A family this call asks at least one off-anchor value of is fitted
-    once (through the store) and answers all its configs as one
-    vectorized interpolation; every other config reads its exact job.
+    once from its members' store entries and answers all its configs as
+    one vectorized interpolation; every other config reads its exact job.
+    A surrogate tier counts both (``surrogate.fits``/``.exact_lookups``).
     Under :func:`recorded_jobs` nothing runs: the jobs are noted and every
     value reads 1.0.
     """
@@ -380,12 +382,17 @@ def _uipc_many(
     }
     recording = _recording.get()
     if recording is not None:
-        recording += [*fits.values(), *exact.values()]
+        recording += [job for fit in fits.values() for job in fit.members()]
+        recording += exact.values()
         return ((1.0,) * len(workloads),) * len(configs)
+    if isinstance(effort, Fidelity) and effort.is_surrogate:
+        registry = get_registry()
+        registry.counter("surrogate.fits").inc(len(fits))
+        registry.counter("surrogate.exact_lookups").inc(len(exact))
     store = default_store()
     out: list = [None] * len(configs)
     for canon, fit in fits.items():
-        surrogate = fit.load(store.compute(fit))
+        surrogate = fit.assemble([store.compute(job) for job in fit.members()])
         queries = families[canon]
         xs = np.array([x for __, x in queries], dtype=float)
         grid_values = np.stack(
@@ -447,9 +454,10 @@ def recorded_jobs(run: Callable) -> Callable[..., list]:
     ``run(fidelity, **kwargs)`` with every lookup above noting the job it
     would run instead of running it — the
     :class:`~repro.engine.job.SimJob`, or at a surrogate tier the
-    :class:`~repro.cpu.surrogate.UipcFitJob` of a family the lookup asks
-    an off-anchor value of — and answering 1.0 per thread, and returns
-    those jobs deduplicated in first-use order.
+    :meth:`~repro.cpu.surrogate.UipcFitJob.members` of a family the lookup
+    asks an off-anchor value of — and answering 1.0 per thread, and
+    returns those jobs (all ``SimJob`` objects) deduplicated in first-use
+    order.
     What ``run`` reads is thus what ``jobs`` prefetches.
 
     This relies on ``run``'s lookups not depending on looked-up values,

@@ -53,7 +53,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.cpu.surrogate import UipcFitJob
 from repro.engine import EngineConfig, ExecutionEngine, default_store
 from repro.engine.executor import parse_workers
 from repro.experiments.common import Fidelity, fidelity_names
@@ -183,11 +182,20 @@ def _warm_store(name: str, jobs: list, workers: int,
     return report
 
 
-def _point_counts(registry) -> dict[str, int]:
-    """The ``sampling.points_built``/``points_reused`` counts so far."""
+#: The registry counters ``<section>.<name>`` a ``--json`` payload
+#: reports, by section.
+_COUNTERS = {
+    "sampling": ("points_built", "points_reused"),
+    "surrogate": ("fits", "exact_lookups"),
+}
+
+
+def _counts(registry, section: str, since=None) -> dict[str, int]:
+    """A :data:`_COUNTERS` section's counts so far, less ``since``'s."""
     return {
-        f"points_{kind}": registry.counter(f"sampling.points_{kind}").value
-        for kind in ("built", "reused")
+        name: registry.counter(f"{section}.{name}").value
+        - (since[name] if since else 0)
+        for name in _COUNTERS[section]
     }
 
 
@@ -864,9 +872,10 @@ def main(argv: list[str] | None = None) -> int:
             start = time.time()
             span_start = tracer.now_us() if tracer is not None else 0.0
             grid = list(module.jobs(fidelity)) if hasattr(module, "jobs") else []
-            points = _point_counts(registry)
+            points = _counts(registry, "sampling")
             report = _warm_store(name, grid, args.jobs, tracer=tracer)
             misses = store.stats.misses
+            lookups = _counts(registry, "surrogate")
             result = module.run(fidelity)
             run_store_misses = store.stats.misses - misses
             elapsed = time.time() - start
@@ -880,7 +889,6 @@ def main(argv: list[str] | None = None) -> int:
             print(result.format())
             print()
             if json_dir:
-                fits = sum(isinstance(job, UipcFitJob) for job in grid)
                 payload = {
                     "experiment": name,
                     "fidelity": fidelity.name,
@@ -888,20 +896,15 @@ def main(argv: list[str] | None = None) -> int:
                     "jobs": args.jobs,
                     "elapsed_seconds": round(elapsed, 3),
                     "engine": report.stats.as_dict() if report else None,
-                    # At a surrogate tier the exact jobs are the queries
-                    # no fit answers: families a lookup asks only anchor
-                    # values, and configs no fit covers.  After a
-                    # prefetch, a store miss in run() is a job the grid
-                    # lacked.
-                    "grid_fit_jobs": fits,
-                    "grid_exact_jobs": len(grid) - fits,
+                    # After a prefetch, a store miss in run() is a job the
+                    # grid lacked.
                     "run_store_misses": run_store_misses,
                     # Sampling points built and reused by the prefetch
                     # (summed over pool workers) and run().
-                    "sampling": {
-                        key: value - points[key]
-                        for key, value in _point_counts(registry).items()
-                    },
+                    "sampling": _counts(registry, "sampling", points),
+                    # At a surrogate tier, the families run() fitted and
+                    # the configs it answered from their exact job.
+                    "surrogate": _counts(registry, "surrogate", lookups),
                     "result": result_to_jsonable(result),
                 }
                 (json_dir / f"{name}.json").write_text(json.dumps(payload, indent=2))

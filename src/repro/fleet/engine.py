@@ -110,9 +110,6 @@ _CHUNK_ENV = "REPRO_FLEET_CHUNK"
 #: ``fleet.step.<phase>`` profiler sections timed inside each chunk.
 _CHUNK_PHASES = ("gather", "tails", "aggregate", "monitor")
 
-#: "Inherit the engine's scenario" sentinel for stepper()/run_day().
-_UNSET = object()
-
 
 def _resolve_chunk_size(chunk_size: int | None) -> int:
     source = "chunk_size"
@@ -828,7 +825,6 @@ class FleetEngine:
         server_range: tuple[int, int] | None = None,
         state: FleetState | None = None,
         chunk_size: int | None = None,
-        scenario: ScenarioSpec | None = _UNSET,
     ) -> "FleetStepper":
         """Incremental window-by-window driver over this fleet.
 
@@ -837,12 +833,10 @@ class FleetEngine:
         window's cluster load directly, the simulation-as-a-service path),
         snapshot/restore the full :class:`FleetState`, and keep going.
         Pass ``state=`` to resume from a checkpointed (or forked) state.
-        ``scenario=`` overrides the engine's adversarial scenario for
-        this stepper (``None`` detaches it).
         """
         return FleetStepper(
             self, load, tail=tail, server_range=server_range, state=state,
-            chunk_size=chunk_size, scenario=scenario,
+            chunk_size=chunk_size,
         )
 
     def run_day(
@@ -851,7 +845,6 @@ class FleetEngine:
         *,
         tail: str = "surrogate",
         server_range: tuple[int, int] | None = None,
-        scenario: ScenarioSpec | None = _UNSET,
     ) -> FleetTimeline:
         """Simulate 24 hours for fleet servers ``[lo, hi)``.
 
@@ -861,9 +854,7 @@ class FleetEngine:
         per-server randomness keys off the *global* server index, so a
         sliced run reproduces exactly the slice of a full run.
         """
-        return self.stepper(
-            load, tail=tail, server_range=server_range, scenario=scenario
-        ).run()
+        return self.stepper(load, tail=tail, server_range=server_range).run()
 
 
 class FleetStepper:
@@ -904,7 +895,6 @@ class FleetStepper:
         server_range: tuple[int, int] | None = None,
         state: FleetState | None = None,
         chunk_size: int | None = None,
-        scenario: ScenarioSpec | None = _UNSET,
     ):
         cfg = engine.config
         lo, hi = server_range if server_range is not None else (0, cfg.n_servers)
@@ -976,13 +966,7 @@ class FleetStepper:
         # Adversarial scenario: compiled once against the full fleet.  A
         # null scenario never builds a sampler, so its step() path is the
         # unperturbed engine's, bit for bit (test-gated).
-        if scenario is _UNSET:
-            scenario = engine.scenario
-        if scenario is not None and not isinstance(scenario, ScenarioSpec):
-            raise TypeError(
-                f"scenario must be a ScenarioSpec or None, got {scenario!r}"
-            )
-        self.scenario = scenario
+        scenario = self.scenario = engine.scenario
         if scenario is not None and not scenario.is_null:
             self._sampler = ScenarioSampler(
                 scenario, n_servers=cfg.n_servers, seed=cfg.seed

@@ -756,10 +756,10 @@ class TestTunePolicy:
     ):
         # The solo reference and the stock Baseline/B/Q splits are anchors
         # of the stock grid: the surrogate tier reads their exact jobs.
-        def no_fit(job):
-            raise AssertionError(f"fitted {job.kind} {job.workloads}")
+        def no_fit(fit, values):
+            raise AssertionError(f"fitted {fit.kind} {fit.workloads}")
 
-        monkeypatch.setattr(UipcFitJob, "run", no_fit)
+        monkeypatch.setattr(UipcFitJob, "assemble", no_fit)
         stock = dataclasses.replace(SURROGATE_TIER, grid=UipcGrid())
         ls = get_profile("web_search")
         exact = api.measure(ls, "zeusmp", sampling=stock.sampling)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 import pytest
 
 from repro.cpu.sampling import SamplingConfig
-from repro.cpu.surrogate import UipcFitJob, family_axis
 from repro.engine import (
     CACHE_VERSION,
     EngineConfig,
@@ -211,9 +210,8 @@ class TestPinnedKeys:
     same as one given the profile itself.
 
     Cache entries, goldens and the benchmark's expected counts all rest on
-    these keys not moving.  A ``CACHE_VERSION`` or
-    ``UIPC_SURROGATE_VERSION`` bump changes every key: refresh the
-    literals then (print ``job.key`` for each job below).
+    these keys not moving.  A ``CACHE_VERSION`` bump changes every key:
+    refresh the literals then (print ``job.key`` for each job below).
     """
 
     SAMPLING = SamplingConfig(
@@ -222,24 +220,14 @@ class TestPinnedKeys:
     KEYS = {
         "solo": "da0cb76648d66f9ce09f3830902b2af6a20bb9997bbd25485e24742cefa34718",
         "pair": "cc1b5efe73d81a19d52bc48b258a111088647944335d2f9e1468a838d4cd1481",
-        "solo_fit": "097582f110d100778b2074a58f62ede7073a88f58e4877e23998a5507eddc478",
-        "pair_fit": "df4214111dc67eb9f26169ac64a6bff1826854a61760140088b018eedbffc593",
     }
 
     def jobs(self, resolve) -> dict:
         s = self.SAMPLING
-        pair_family = family_axis("pair", config_all_shared())[0]
         return {
             "solo": SimJob.solo(resolve("gamess"), config_solo(), s),
             "pair": SimJob.pair(
                 resolve("web_search"), resolve("zeusmp"), config_all_shared(), s
-            ),
-            "solo_fit": UipcFitJob(
-                "solo", (resolve("web_search"),), config_solo(), s
-            ),
-            "pair_fit": UipcFitJob(
-                "pair", (resolve("web_search"), resolve("zeusmp")),
-                pair_family, s,
             ),
         }
 
@@ -257,10 +245,6 @@ class TestPinnedKeys:
         assert SimJob.solo(custom, config_solo(), self.SAMPLING).key != (
             self.KEYS["solo"]
         )
-        assert UipcFitJob(
-            "solo", (replace(get_profile("web_search"), description="x"),),
-            config_solo(), self.SAMPLING,
-        ).key != self.KEYS["solo_fit"]
 
 
 class TestResultStore:

@@ -5,23 +5,27 @@ Grid experiments define ``jobs = recorded_jobs(run)``: the grid that
 Prefetching it must leave ``run`` nothing to simulate (no store miss) and
 nothing unread (every prefetched key is read), at an exact tier and at the
 surrogate tier, whose fits and exact jobs follow one coverage rule: a
-lookup fits a family only when it asks it an off-anchor value.  The
-surrogate tier's values are pinned by digest, and its anchors are the
-exact tier's own store entries.
+lookup fits a family only when it asks it an off-anchor value.  A fit is
+not a job: the grid holds its members, which run on the engine and store
+the caller gives.  The surrogate tier's values are pinned by digest, and
+its anchors are the exact tier's own store entries.
 """
 
 from __future__ import annotations
 
 import importlib
+import json
 
 import pytest
 
+from repro.check.surrogate import surrogate_accuracy_sweep
 from repro.cpu.sampling import SamplingConfig
-from repro.cpu.surrogate import UipcFitJob, UipcGrid
+from repro.cpu.surrogate import UipcGrid
 from repro.engine import EngineConfig, ExecutionEngine, SimJob
-from repro.engine.store import default_store, reset_default_stores
+from repro.engine.store import ResultStore, default_store, reset_default_stores
+from repro.experiments import common
 from repro.experiments.common import Fidelity
-from repro.experiments.runner import EXPERIMENTS, result_to_jsonable
+from repro.experiments.runner import EXPERIMENTS, main, result_to_jsonable
 from repro.util.rng import derive_seed
 from tests.test_golden_digests import _digest
 
@@ -39,26 +43,27 @@ TIERS = {
     "surrogate": Fidelity("surrogate", TINY, grid=COARSE),
 }
 
-#: Experiment id -> (quick grid, surrogate fit jobs, surrogate exact jobs)
-#: over the full 4 x 29 colocations.  At the surrogate tier the exact jobs
-#: are the queries no fit answers: families asked only anchor values, the
+#: Experiment id -> (quick grid, surrogate grid) over the full 4 x 29
+#: colocations.  A surrogate grid holds every fitted family's members (15
+#: per solo fit, 13 per pair fit: fig06 fits 33 families, fig09 116) and
+#: the queries no fit answers: families asked only anchor values, the
 #: dynamically shared ROB and fetch throttling.
 FULL_GRIDS = {
-    "fig03": (149, 0, 149),
-    "fig04": (146, 0, 146),
-    "fig05": (497, 0, 497),
-    "fig06": (396, 33, 0),
-    "fig09": (1276, 116, 0),
-    "fig10": (232, 0, 232),
-    "fig11": (232, 0, 232),
-    "fig12": (696, 0, 696),
-    "fig13": (464, 0, 464),
-    "fig14": (116, 0, 116),
-    "ext_sensitivity": (56, 0, 56),
+    "fig03": (149, 149),
+    "fig04": (146, 146),
+    "fig05": (497, 497),
+    "fig06": (396, 495),
+    "fig09": (1276, 1508),
+    "fig10": (232, 232),
+    "fig11": (232, 232),
+    "fig12": (696, 696),
+    "fig13": (464, 464),
+    "fig14": (116, 116),
+    "ext_sensitivity": (56, 56),
 }
 #: The experiments whose lookups ask the stock surrogate grid only anchor
 #: values: their surrogate tier runs exactly the quick tier's jobs.
-ANCHOR_ONLY = {name for name, (__, fits, __e) in FULL_GRIDS.items() if not fits}
+ANCHOR_ONLY = set(FULL_GRIDS) - {"fig06", "fig09"}
 
 #: One LS service and one batch co-runner (zeusmp: fig06 highlights it).
 SLICE = {
@@ -84,8 +89,8 @@ def test_full_grid_sizes(name):
     module = _module(name)
     quick = module.jobs(Fidelity.quick())
     surrogate = module.jobs(Fidelity.surrogate())
-    fits = sum(isinstance(job, UipcFitJob) for job in surrogate)
-    assert (len(quick), fits, len(surrogate) - fits) == FULL_GRIDS[name]
+    assert (len(quick), len(surrogate)) == FULL_GRIDS[name]
+    assert all(isinstance(job, SimJob) for job in surrogate)
     assert len(set(quick)) == len(quick)
     assert len(module.jobs(Fidelity.full())) == len(quick)
     if name in ANCHOR_ONLY:
@@ -149,6 +154,34 @@ def test_run_reads_exactly_the_prefetched_grid(name, kwargs, tier, sliced,
     module.run(fidelity, **kwargs)
     assert store.stats.misses == misses
     assert reads == {job.key for job in grid}
+
+
+def _entries(directory) -> set[str]:
+    """The job keys a store directory holds."""
+    return {path.stem for path in directory.glob("v*/*.json")}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_engine_store_holds_every_member(workers, sliced, tmp_path):
+    grid = _module("fig06").jobs(TIERS["surrogate"])
+    target = tmp_path / "engine"
+    engine = ExecutionEngine(EngineConfig(workers=workers))
+    engine.run_jobs(grid, store=ResultStore(target))
+    assert _entries(tmp_path) == set()  # the default store's directory
+    assert _entries(target) == {job.key for job in grid}
+    # fig06's slice asks two solo families an off-anchor value: two fits
+    # of three members each on the coarse grid.
+    assert len(grid) == 6 and all(isinstance(job, SimJob) for job in grid)
+
+
+def test_the_gate_reads_its_fits_through_its_store(sliced, tmp_path):
+    target = tmp_path / "gate"
+    report = surrogate_accuracy_sweep(
+        n_configs=2, grid=COARSE, store=ResultStore(target)
+    )
+    assert len(report.results) == 2
+    assert _entries(tmp_path) == set()
+    assert _entries(target)
 
 
 # ----------------------------------------------------------------------
@@ -217,16 +250,40 @@ def test_surrogate_after_quick_runs_nothing_anchor_only(stock_sliced,
 def test_surrogate_after_quick_runs_only_validation_replays(stock_sliced,
                                                             simulated):
     module, grid = _module("fig06"), UipcGrid()
+    quick = module.jobs(STOCK["quick"])
     module.run(STOCK["quick"])
     simulated.clear()
-    fits = module.jobs(STOCK["surrogate"])
-    assert fits and all(isinstance(job, UipcFitJob) for job in fits)
+    members = module.jobs(STOCK["surrogate"])
+    families = {job.workloads for job in members}
+    assert len(families) == 2  # web_search and zeusmp, one solo fit each
     module.run(STOCK["surrogate"])
     replays = len(grid.validation_values("solo", 192)) * grid.n_val_reps
     assert replays == 8
-    assert len(simulated) == replays * len(fits)
+    assert len(simulated) == replays * len(families)
+    assert set(simulated) == set(members) - set(quick)
     validation_seeds = {
         derive_seed(TINY.seed, "uipc-surrogate-val", rep)
         for rep in range(grid.n_val_reps)
     }
     assert {job.sampling.seed for job in simulated} == validation_seeds
+
+
+def test_json_counts_the_fits_run_assembles(stock_sliced, monkeypatch,
+                                            tmp_path, capsys):
+    # fig06 fits its two workloads' families; ext_sensitivity asks the
+    # stock grid only anchor values, so its lookups read exact jobs.
+    monkeypatch.setitem(
+        common._REGISTRY, "tiny-surrogate", lambda seed: STOCK["surrogate"]
+    )
+    out = tmp_path / "json"
+    assert main(["run", "fig06", "ext_sensitivity", "--fidelity",
+                 "tiny-surrogate", "--json", str(out)]) == 0
+    fig06, sensitivity = (
+        json.loads((out / f"{name}.json").read_text())
+        for name in ("fig06", "ext_sensitivity")
+    )
+    assert fig06["surrogate"] == {"fits": 2, "exact_lookups": 0}
+    assert fig06["run_store_misses"] == 0
+    assert sensitivity["surrogate"]["fits"] == 0
+    assert sensitivity["surrogate"]["exact_lookups"] > 0
+    assert sensitivity["run_store_misses"] == 0

@@ -18,7 +18,6 @@ from repro.cpu.sampling import SamplingConfig
 from repro.cpu.surrogate import (
     UipcFitJob,
     UipcGrid,
-    UipcSurrogate,
     UnsupportedConfigError,
     axis_scale,
     family_axis,
@@ -27,6 +26,8 @@ from repro.cpu.surrogate import (
 )
 from repro.engine.job import SimJob, thread_means
 from repro.experiments.common import (
+    BATCH_WORKLOADS,
+    LS_WORKLOADS,
     Fidelity,
     config_all_shared,
     config_dynamic_rob,
@@ -36,6 +37,7 @@ from repro.experiments.common import (
     recorded_jobs,
     solo_uipc_many,
 )
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.util.rng import derive_seed
 
 TINY = SamplingConfig(n_samples=2, warmup_instructions=500,
@@ -106,34 +108,38 @@ class TestFitThroughStore:
         ), 1)
         assert surrogate.predict(96) == exact[0]
 
-    def test_fit_reproducible_through_store(self):
-        a = fit_uipc_surrogate("solo", ("gamess",), config_solo(), TINY)
-        b = fit_uipc_surrogate("solo", ("gamess",), config_solo(), TINY)
-        assert a.to_values() == b.to_values()
-        assert a.error_bound > 0.0
-
-    def test_fit_job_memoized(self, monkeypatch):
+    def test_fit_reproducible_through_store(self, monkeypatch):
         from repro.engine.store import default_store
 
-        job = UipcFitJob("solo", ("gamess",), config_solo(), TINY)
-        first = default_store().compute(job)
-        calls = {"n": 0}
+        a = fit_uipc_surrogate("solo", ("gamess",), config_solo(), TINY)
 
-        def exploding_run(self):
-            calls["n"] += 1
-            raise AssertionError("fit should have been cached")
+        def exploding_run(job):
+            raise AssertionError("every member should have been stored")
 
-        monkeypatch.setattr(UipcFitJob, "run", exploding_run)
-        assert default_store().compute(job) == first
-        assert calls["n"] == 0
+        # A second fit reads its members back and simulates nothing.
+        monkeypatch.setattr(SimJob, "run", exploding_run)
+        fit = UipcFitJob("solo", ("gamess",), config_solo(), TINY)
+        b = fit.assemble([default_store().compute(job) for job in fit.members()])
+        assert (a.kind, a.workloads, a.anchors) == (b.kind, b.workloads, b.anchors)
+        assert a.quantiles.tobytes() == b.quantiles.tobytes()
+        assert a.error_bound == b.error_bound > 0.0
 
-    def test_roundtrip_values(self):
-        surrogate = fit_uipc_surrogate("solo", ("gamess",), config_solo(), TINY)
-        values = surrogate.to_values()
-        again = UipcSurrogate.from_values(values, ("gamess",))
-        assert again.to_values() == values
-        assert again.anchors == surrogate.anchors
-        assert again.error_bound == surrogate.error_bound
+    def test_members_are_anchors_then_validation_replays(self):
+        grid = UipcGrid()
+        fit = UipcFitJob("solo", ("gamess",), config_solo(), TINY, grid)
+        anchors = grid.anchor_values("solo", 192)
+        replays = [
+            (v, derive_seed(TINY.seed, "uipc-surrogate-val", rep))
+            for v in grid.validation_values("solo", 192)
+            for rep in range(grid.n_val_reps)
+        ]
+        assert [
+            (job.kind, job.config.rob_limits[0], job.sampling.seed)
+            for job in fit.members()
+        ] == [("solo", x, TINY.seed) for x in anchors] + [
+            ("solo", v, seed) for v, seed in replays
+        ]
+        assert all(job.workloads == fit.workloads for job in fit.members())
 
     def test_error_bound_honest_on_fresh_seed(self):
         from repro.engine.store import default_store
@@ -164,14 +170,6 @@ class TestFitThroughStore:
         with pytest.raises(ValueError):
             UipcFitJob("solo", ("gamess",), config_solo(96), TINY)
 
-    def test_fit_key_disjoint_from_sim_keys(self):
-        fit = UipcFitJob("solo", ("gamess",), config_solo(), TINY)
-        sim_keys = {
-            SimJob.solo("gamess", config_solo(x), TINY).key
-            for x in (16, 96, 192)
-        }
-        assert fit.key not in sim_keys
-
 
 class TestFidelityDispatch:
     def test_solo_anchor_values_match_exact_tier(self):
@@ -191,9 +189,11 @@ class TestFidelityDispatch:
         exact = thread_means(default_store().compute(
             SimJob.pair("web_search", "gamess", member, TINY)
         ), 2)
-        job = UipcFitJob("pair", ("web_search", "gamess"), base, TINY,
+        fit = UipcFitJob("pair", ("web_search", "gamess"), base, TINY,
                          fid.grid)
-        bound = job.load(default_store().compute(job)).error_bound
+        bound = fit.assemble(
+            [default_store().compute(job) for job in fit.members()]
+        ).error_bound
         assert abs(pred[0] - exact[0]) <= bound
         assert abs(pred[1] - exact[1]) <= bound
 
@@ -230,6 +230,27 @@ class TestFidelityDispatch:
 
         return recorded_jobs(run)
 
+    def test_lookups_count_fits_and_exact_configs(self):
+        def run(effort):
+            solo_uipc_many("gamess", [config_solo(x) for x in (16, 80)], effort)
+            pair_uipc("web_search", "gamess", config_dynamic_rob(), effort)
+
+        saved = get_registry()
+        registry = set_registry(MetricsRegistry())
+        try:
+            counts = [
+                registry.counter(f"surrogate.{name}")
+                for name in ("fits", "exact_lookups")
+            ]
+            recorded_jobs(run)(tiny_surrogate_fidelity())
+            assert [c.value for c in counts] == [0, 0]  # recording counts none
+            run(tiny_surrogate_fidelity())
+            assert [c.value for c in counts] == [1, 1]
+            run(Fidelity("quick", TINY))  # an exact tier counts none
+            assert [c.value for c in counts] == [1, 1]
+        finally:
+            set_registry(saved)
+
     def test_recorded_jobs_anchor_only_sweep_reads_exact_jobs(self):
         # Every size is a stock anchor: the fit would hand back the exact
         # means, so the surrogate tier records the quick tier's jobs.
@@ -238,13 +259,12 @@ class TestFidelityDispatch:
 
     def test_recorded_jobs_off_anchor_value_fits_the_family(self):
         jobs = self.sweep((16, 48, 80, 192))(tiny_surrogate_fidelity())
-        fits = [j for j in jobs if isinstance(j, UipcFitJob)]
-        passthrough = [j for j in jobs if isinstance(j, SimJob)]
-        assert len(fits) == 1  # one family across all four sweep points
-        assert fits[0].config == config_solo()
-        # The unsupported family stays exact.
-        assert passthrough == [
-            SimJob.pair("web_search", "gamess", config_dynamic_rob(), TINY)
+        # One family across all four sweep points: its fit's members, and
+        # no job at 80.  The unsupported family stays exact.
+        fit = UipcFitJob("solo", ("gamess",), config_solo(), TINY)
+        assert jobs == [
+            *fit.members(),
+            SimJob.pair("web_search", "gamess", config_dynamic_rob(), TINY),
         ]
 
     def test_surrogate_never_leaks_into_exact_paths(self, monkeypatch):
@@ -269,8 +289,12 @@ class TestFidelityDispatch:
         import repro.experiments.fig06_rob_sensitivity as fig06
 
         monkeypatch.setenv("REPRO_FIDELITY", "surrogate")
-        jobs = fig06.jobs()
-        assert jobs and all(isinstance(j, UipcFitJob) for j in jobs)
+        sampling = Fidelity.surrogate().sampling
+        fits = [
+            UipcFitJob("solo", (name,), config_solo(), sampling)
+            for name in (*LS_WORKLOADS, *BATCH_WORKLOADS)
+        ]
+        assert fig06.jobs() == [job for fit in fits for job in fit.members()]
         monkeypatch.setenv("REPRO_FIDELITY", "quick")
         jobs = fig06.jobs()
         assert jobs and all(isinstance(j, SimJob) for j in jobs)
