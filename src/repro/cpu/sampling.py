@@ -273,20 +273,23 @@ def _checkpoint_warm(
     llc.fill_many(plan.cold)
 
 
-def sample_solo(
-    profile: WorkloadProfile,
+def _sample(
+    profiles: tuple[WorkloadProfile, ...],
     config: CoreConfig,
-    sampling: SamplingConfig = SamplingConfig(),
+    sampling: SamplingConfig,
 ) -> list[SimulationResult]:
-    """Run ``profile`` alone on the core, one result per sample."""
+    """Run ``profiles`` on the core, thread ``t`` running ``profiles[t]``,
+    one result per sample."""
+    meta = {"kind": "solo" if len(profiles) == 1 else "pair",
+            "workloads": [profile.name for profile in profiles]}
     results = []
     for s in range(sampling.n_samples):
-        point = _sampling_point(profile, sampling, s)
-        core = FastCore(config, (point.trace,))
-        attach_core_observers(core, {"kind": "solo", "workloads": [profile.name],
-                                     "sample": s})
+        points = [_sampling_point(profile, sampling, s) for profile in profiles]
+        core = FastCore(config, tuple(point.trace for point in points))
+        attach_core_observers(core, {**meta, "sample": s})
         if sampling.checkpoint_warming:
-            _checkpoint_warm(core, 0, point, sampling, s)
+            for t, point in enumerate(points):
+                _checkpoint_warm(core, t, point, sampling, s)
         results.append(
             core.run(
                 sampling.measure_instructions,
@@ -296,6 +299,15 @@ def sample_solo(
             )
         )
     return results
+
+
+def sample_solo(
+    profile: WorkloadProfile,
+    config: CoreConfig,
+    sampling: SamplingConfig = SamplingConfig(),
+) -> list[SimulationResult]:
+    """Run ``profile`` alone on the core, one result per sample."""
+    return _sample((profile,), config, sampling)
 
 
 def sample_colocation(
@@ -309,27 +321,7 @@ def sample_colocation(
     Thread 0 runs ``profile0`` (the latency-sensitive thread, by the
     conventions of ``repro.core.partitioning``), thread 1 runs ``profile1``.
     """
-    results = []
-    for s in range(sampling.n_samples):
-        point0 = _sampling_point(profile0, sampling, s)
-        point1 = _sampling_point(profile1, sampling, s)
-        core = FastCore(config, (point0.trace, point1.trace))
-        attach_core_observers(
-            core, {"kind": "pair", "workloads": [profile0.name, profile1.name],
-                   "sample": s},
-        )
-        if sampling.checkpoint_warming:
-            _checkpoint_warm(core, 0, point0, sampling, s)
-            _checkpoint_warm(core, 1, point1, sampling, s)
-        results.append(
-            core.run(
-                sampling.measure_instructions,
-                warmup_instructions=sampling.warmup_instructions,
-                max_cycles=sampling.max_cycles,
-                require_all_threads=sampling.require_all_threads,
-            )
-        )
-    return results
+    return _sample((profile0, profile1), config, sampling)
 
 
 def mean_uipc(results: list[SimulationResult], thread: int = 0) -> float:

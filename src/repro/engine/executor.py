@@ -13,8 +13,11 @@ into a :class:`~repro.engine.store.ResultStore` from the parent process
 * **Crash resilience** — a dying worker (OOM kill, segfault, ``os._exit``)
   breaks the pool; the engine rebuilds it and resubmits the affected jobs
   with exponential backoff, up to two more attempts each, as it resubmits
-  a job that raised.  A job out of attempts runs once more in this
-  process, which returns its result or raises its own error.
+  a job that raised.  A job out of attempts whose last attempt raised runs
+  once more in this process, which returns its result or raises its own
+  error; one whose last attempt killed its worker raises
+  :class:`~concurrent.futures.process.BrokenProcessPool` naming its key,
+  since a run here could end this process the same way.
 * **Fork safety** — the pool forks, which copies only the calling thread,
   so while any other Python thread is alive (a control-plane reader, an
   HTTP exporter) the jobs run in this process; and every pool is joined,
@@ -69,7 +72,8 @@ __all__ = [
 #: Exceptions that mean "the worker process died", not "the job raised".
 _POOL_DEATH = (BrokenProcessPool, BrokenPipeError, EOFError)
 
-#: Pool attempts a job gets after its first, before one in this process.
+#: Pool attempts a job gets after its first, before one in this process
+#: (or, when its worker died on the last of them, an error).
 _RETRIES = 2
 
 #: Sleep before a job's first retry, in seconds; it doubles per retry.
@@ -472,6 +476,12 @@ class ExecutionEngine:
                         broken = broken or crashed
                         if self._retry(attempt, crashed, stats):
                             pending.append(attempt)
+                        elif crashed:
+                            # A run here could end this process too.
+                            raise BrokenProcessPool(
+                                f"job {attempt.key}: its pool worker died on "
+                                f"the last of its {attempt.tries} attempts"
+                            ) from error
                         else:
                             # Last resort: one run here returns the job's
                             # result (the failure was transient) or raises

@@ -14,6 +14,7 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import pytest
@@ -104,6 +105,22 @@ class FailInWorkersJob:
 
 
 @dataclass(frozen=True)
+class ExitInWorkersJob:
+    """Kills every pool worker it runs in and returns in the parent process."""
+
+    name: str
+
+    @property
+    def key(self) -> str:
+        return f"worker-exit-{self.name}"
+
+    def run(self) -> tuple[float, ...]:
+        if multiprocessing.parent_process() is not None:
+            os._exit(13)
+        return (5.0,)
+
+
+@dataclass(frozen=True)
 class AlwaysFailJob:
     name: str
 
@@ -127,11 +144,13 @@ END_COUNTERS = (
 
 #: Each way a job on a two-worker pool ends, as ``(jobs, pool_factory,
 #: error, counters, telemetry)``: ``jobs`` builds the jobs given a
-#: temporary directory (for once-only sentinels); ``error`` matches what
-#: ``run_jobs`` raises (None: it returns); ``counters`` holds the nonzero
-#: :data:`END_COUNTERS`, and ``telemetry`` each job's ``(mode, tries,
-#: stored values)``, or None when it left no record.  A job out of retries
-#: runs once in this process, which surfaces its own error or its result.
+#: temporary directory (for once-only sentinels); ``error`` is the type
+#: and message pattern of what ``run_jobs`` raises (None: it returns);
+#: ``counters`` holds the nonzero :data:`END_COUNTERS`, and ``telemetry``
+#: each job's ``(mode, tries, stored values)``, or None when it left no
+#: record.  A job out of retries runs once in this process, which surfaces
+#: its own error or its result, unless its worker died on its last try:
+#: a run here could end this process too, so the engine raises instead.
 POOLED_ENDS = {
     "result": (
         lambda d: [FakeJob("a", (1.0,)), FakeJob("b", (2.0,))], None, None,
@@ -149,7 +168,7 @@ POOLED_ENDS = {
         {"crash-x": ("pool", 2, (99.0,))},
     ),
     "retries_spent_raises": (
-        lambda d: [AlwaysFailJob("z")], None, "always fails",
+        lambda d: [AlwaysFailJob("z")], None, (RuntimeError, "always fails"),
         {"failure_retries": 3},
         {"always-z": None},
     ),
@@ -157,6 +176,13 @@ POOLED_ENDS = {
         lambda d: [FailInWorkersJob("w")], None, None,
         {"executed": 1, "in_process": 1, "failure_retries": 3},
         {"worker-fail-w": ("in_process", 4, (3.0,))},
+    ),
+    "worker_died_every_try_raises": (
+        lambda d: [ExitInWorkersJob("v")], None,
+        (BrokenProcessPool,
+         "job worker-exit-v: its pool worker died on the last of its 3 attempts"),
+        {"crash_retries": 3, "pool_rebuilds": 2},
+        {"worker-exit-v": None},
     ),
     "no_pool_starts": (
         lambda d: [FakeJob("a", (1.0,)), FakeJob("b", (2.0,))], _no_pool, None,
@@ -548,8 +574,9 @@ class TestEngineParallelScheduling:
         if error is None:
             engine.run_jobs(jobs, store=store, progress=seen.append)
         else:
-            with pytest.raises(RuntimeError, match=error):
+            with pytest.raises(error[0], match=error[1]) as raised:
                 engine.run_jobs(jobs, store=store, progress=seen.append)
+            assert type(raised.value) is error[0]
         assert threading.active_count() == before
         stats = seen[-1]
         assert {name: getattr(stats, name) for name in END_COUNTERS} == {

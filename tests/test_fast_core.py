@@ -23,6 +23,7 @@ from repro.cpu.config import CoreConfig
 from repro.cpu.fast_core import FastCore
 from repro.cpu.sampling import SamplingConfig
 from repro.engine.job import SimJob
+from repro.obs.sampler import IntervalSampler
 from repro.util.rng import derive_seed
 from repro.workloads.generator import generate_trace
 from repro.workloads.registry import get_profile
@@ -78,9 +79,102 @@ def _event_log_run(case):
     return core, result
 
 
+def _sha256(value):
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
 def _event_log_digest(core):
     log = core.event_log
-    return len(log), hashlib.sha256(json.dumps(log).encode()).hexdigest()
+    return len(log), _sha256(log)
+
+
+#: One web_search x zeusmp run with a recording checker and a 37-cycle
+#: sampler attached, per ``max_cycles``: ``(error text, core.cycle after
+#: the run, sha256 of the observer sequence, sha256 of the result)`` (see
+#: :func:`_observed_run`).  The error is None when the run finishes, the
+#: result None when it raises.
+OBSERVER_PROTOCOL = {
+    0: (
+        "simulation exceeded max_cycles=0 before committing 400 µops per thread",
+        7056, "f9f67ec3421bc1b3e1112a83e6870c9ca351ebb813eb069cd4a502d61aed3c3a",
+        None,
+    ),
+    1: (
+        "simulation exceeded max_cycles=1 before committing 400 µops per thread",
+        7057, "688beb866a533a6fbb4d78a33315443bac2e5dae0d6d1ed063d6407d092aba9f",
+        None,
+    ),
+    10: (
+        "simulation exceeded max_cycles=10 before committing 400 µops per thread",
+        7093, "c911eaf1aa7cc733eb6d497e9ea9a08d6f3fee7bc2b7a1b9892c33fe6f676c75",
+        None,
+    ),
+    500: (
+        "simulation exceeded max_cycles=500 before committing 400 µops per thread",
+        7574, "4570262b600949e786e514e7d7de0310ed8c7b3bb8a0ad4465e19971e3f3683a",
+        None,
+    ),
+    None: (
+        None,
+        16919, "9dc199ef188afd26ea501ad255e3350b29fa88a2083cd3616c0e3dcbdf66fb8d",
+        "5ad4aecb3ab2a7149d37ee7b84a295a68810126045ba84e088d14f67d3d59f77",
+    ),
+}
+
+
+class _RecordingChecker(InvariantChecker):
+    """An invariant checker that logs each call before checking."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def on_cycle(self, core, cycle):
+        self.log.append(("checker", cycle))
+        super().on_cycle(core, cycle)
+
+
+class _RecordingSampler(IntervalSampler):
+    """A 37-cycle interval sampler that logs each window edge it takes."""
+
+    def __init__(self, log):
+        super().__init__(window_cycles=37)
+        self.log = log
+
+    def take(self, core, cycle):
+        self.log.append(("sampler", cycle))
+        return super().take(core, cycle)
+
+
+def _observed_run(max_cycles):
+    """Run web_search x zeusmp with both recording observers attached.
+
+    The observer sequence is every ``(observer, cycle)`` call in order,
+    followed by the sampler's windows, so it also pins the state each
+    window saw.
+    """
+    traces = tuple(
+        generate_trace(get_profile(name), 3000,
+                       seed=derive_seed(5, "observer-protocol", name))
+        for name in ("web_search", "zeusmp")
+    )
+    core = FastCore(CoreConfig().with_rob_partition(56, 136), traces)
+    log = []
+    core.checker = _RecordingChecker(log)
+    core.sampler = _RecordingSampler(log)
+    error = result = None
+    try:
+        result = core.run(400, warmup_instructions=200, max_cycles=max_cycles,
+                          require_all_threads=True)
+    except RuntimeError as exc:
+        error = str(exc)
+    windows = [dataclasses.asdict(w) for w in core.sampler.samples]
+    return (
+        error,
+        core.cycle,
+        _sha256([log, windows]),
+        None if result is None else _sha256(dataclasses.asdict(result)),
+    )
 
 
 class TestEngineSelection:
@@ -244,3 +338,12 @@ class TestEventHorizonProperties:
         core.cycle += 10
         with pytest.raises(InvariantViolation, match="passed thread 0"):
             checker.on_cycle(core, core.cycle)
+
+
+class TestObserverProtocol:
+    """When the checker and the sampler run, what they see, and where a
+    ``max_cycles`` deadline stops the clock."""
+
+    @pytest.mark.parametrize("max_cycles", list(OBSERVER_PROTOCOL))
+    def test_observers_and_deadline(self, max_cycles):
+        assert _observed_run(max_cycles) == OBSERVER_PROTOCOL[max_cycles]
