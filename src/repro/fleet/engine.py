@@ -29,7 +29,10 @@ aggregate unchanged; the float window sums match up to summation order.
 
 A window with several chunks steps them on a per-step thread pool, one
 thread per usable core, and adds their partial sums in chunk order: the
-float sums vary with the chunk size, never with the worker count.
+float sums vary with the chunk size, never with the worker count.  Each
+chunk draws only its own servers' part of the window's random streams
+(a stream advanced to the chunk's first server yields the full-fleet
+draw's slice), in scratch arrays its worker slot keeps.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from repro.fleet.surrogate import (
     SurrogateGrid,
     TailSurrogate,
     _fit,
+    _scratch,
 )
 from repro.obs.profiler import active_profiler
 from repro.qos.queueing import ServiceSimulator
@@ -108,7 +112,7 @@ DEFAULT_CHUNK_SERVERS = 65536
 _CHUNK_ENV = "REPRO_FLEET_CHUNK"
 
 #: ``fleet.step.<phase>`` profiler sections timed inside each chunk.
-_CHUNK_PHASES = ("gather", "tails", "aggregate", "monitor")
+_CHUNK_PHASES = ("draw", "gather", "tails", "aggregate", "monitor")
 
 
 def _resolve_chunk_size(chunk_size: int | None) -> int:
@@ -162,7 +166,7 @@ def monitor_transition_vec(
     violation.fill(0)
     compliant += 1
     compliant *= slack
-    mode += (_B_MODE - mode) * (compliant >= config.engage_windows)
+    np.copyto(mode, _B_MODE, where=compliant >= config.engage_windows)
     mode *= slack
 
     # The gathered servers: mid-throttle ones count down with their state
@@ -876,7 +880,11 @@ class FleetStepper:
     summation order.  A window of several chunks steps them on one thread
     per usable core and adds their partial sums in chunk order, so the
     float sums vary with the chunk size, never with the worker count.  The
-    ``exact`` tail path is per-server DES-bound and runs unchunked.
+    window's fleet-wide work (the policy's :meth:`prepare
+    <repro.fleet.policies.LoadBalancingPolicy.prepare>`, the scenario
+    factors, the placement) runs once on the calling thread; each chunk
+    draws its own loads and surrogate noise.  The ``exact`` tail path is
+    per-server DES-bound and runs unchunked.
 
     Setting :attr:`capture_violators` to K > 0 additionally exposes, in
     :attr:`last_violators`, the window's top-K violating servers (by
@@ -986,11 +994,10 @@ class FleetStepper:
         qos = engine.ls_profile.qos
         self._target_ms = qos.target_ms
         self._engage_ms = qos.target_ms * cfg.monitor.engage_fraction
-        # Per-window vectors are written into these buffers, so a window
-        # allocates no full-fleet vector that outlives it.
-        self._loads = np.empty(hi - lo)
-        self._noise = np.empty(cfg.n_servers) if tail == "surrogate" else None
-        self._heap_pin: list = []
+        # One dict of chunk-sized scratch arrays per worker slot, kept for
+        # the stepper's life: a steady-state window allocates no chunk- or
+        # fleet-sized array (DESIGN.md §9, "Memory").
+        self._slots: list[dict] = []
         #: Top-K violating servers to expose per window (0 disables).
         self.capture_violators = 0
         #: Last window's captured violators (see :meth:`step`).
@@ -1043,25 +1050,8 @@ class FleetStepper:
 
     # -- tail evaluation -------------------------------------------------
 
-    def _window_noise(self, window: int) -> np.ndarray | None:
-        """Per-(server, window) surrogate uniforms for this fleet slice.
-
-        Drawn for the *whole* fleet and sliced, so shard boundaries never
-        change the streams (same discipline as the balancing policies).
-        Every window draws into the same buffer.
-        """
-        if self._surrogate is None:
-            return None
-        rng = np.random.default_rng(
-            derive_seed(self.engine.config.seed, "fleet-noise", window)
-        )
-        return rng.random(out=self._noise)[self.state.lo:self.state.hi]
-
-    def _tails(
-        self, window, loads, perf, u, offset: int, rows=None
-    ) -> np.ndarray:
-        if self._surrogate is not None:
-            return self._surrogate.sample(loads, perf, u, rows=rows)
+    def _tails(self, window, loads, perf, offset: int) -> np.ndarray:
+        """The exact path's tails: one DES request stream per server."""
         n_requests = self.engine.config.requests_per_window
         tails = np.empty(len(loads))
         for i in range(len(loads)):
@@ -1110,88 +1100,85 @@ class FleetStepper:
         n = state.n_servers
         starts = range(0, n, self._chunk)
         workers = usable_workers(len(starts))
+        # The window's fleet-wide work runs here, once; the chunks only
+        # read it.  Scenario load perturbations multiply the raw balanced
+        # loads before the LOAD_BOUNDS clip, so the loads stay in the range
+        # the tail evaluators were calibrated for.
+        scenario_lf = None
+        if self._sampler is not None:
+            full_lf = self._sampler.load_factors(k, hour)
+            if full_lf is not None:
+                scenario_lf = full_lf[state.lo:state.hi]
+        if self._placement is not None:
+            # Full-fleet assignment, sliced — shard-count invariant by
+            # the same discipline as the balancing policies.
+            # Pre-scaled by the table width so a chunk's combined
+            # index is one add and each lookup a single flat 1-D
+            # gather; cached per epoch (the policy returns one array
+            # per epoch) so steady-state windows allocate nothing here.
+            table = self.engine.corunner_table
+            assign = self._placement.assign(window_index, self._pctx)
+            if self._pidx4 is None or self._pidx4[0] is not assign:
+                sliced = assign[state.lo:state.hi]
+                counts = np.bincount(sliced, minlength=table.n_profiles)
+                self._pidx4 = (
+                    assign,
+                    sliced * table.perf_rows.shape[1],
+                    {
+                        name: int(counts[i])
+                        for i, name in enumerate(table.profiles)
+                    },
+                )
+            pidx4 = self._pidx4[1]
+            perf_table = table.perf_rows.ravel()
+            batch_table = table.batch_rows.ravel()
+        else:
+            pidx4 = None
+            perf_table, batch_table = engine._perf_rows, engine._batch_rows
+        # After the placement, whose symbiosis matching may read another
+        # window's relative loads through the same policy context.
+        self._policy.prepare(window_index, self._ctx)
+        noise_seed = None if self._surrogate is None else derive_seed(
+            cfg.seed, "fleet-noise", k
+        )
+        top_k = int(self.capture_violators)
+        while len(self._slots) < workers:
+            self._slots.append({})
+        if tick is not None:
+            t1 = tick()
+        chunk = functools.partial(
+            self._step_chunk, k=k, cluster_load=float(cluster_load),
+            window_index=window_index, noise_seed=noise_seed,
+            scenario_lf=scenario_lf, pidx4=pidx4, perf_table=perf_table,
+            batch_table=batch_table, top_k=top_k, tick=tick,
+        )
+        # Every worker takes the next chunk left, so one descheduled
+        # thread holds up at most one chunk; with one worker this is
+        # the chunks in order.
+        parts: list = [None] * len(starts)
+        todo = queue.SimpleQueue()
+        for i in range(len(starts)):
+            todo.put(i)
+
+        def drain(slot: dict) -> None:
+            while True:
+                try:
+                    i = todo.get_nowait()
+                except queue.Empty:
+                    return
+                parts[i] = chunk(starts[i], buffers=slot)
+
         # The calling thread is one of the workers.  Helper threads live
         # only inside this block: none outlives the step, so a process
         # forked between steps inherits none.
         with (
             ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext()
         ) as pool:
-            # The window's two full-fleet draws run concurrently.
-            noise = None if pool is None else pool.submit(
-                self._window_noise, k
-            )
-            loads = self._policy.server_loads(
-                float(cluster_load), window_index, self._ctx
-            )[state.lo:state.hi]
-            # Scenario load perturbations multiply the raw balanced loads
-            # (full-fleet vectors, sliced) before the LOAD_BOUNDS clip, so
-            # the loads stay in the range the tail evaluators were
-            # calibrated for.
-            scenario_lf = None
-            if self._sampler is not None:
-                full_lf = self._sampler.load_factors(k, hour)
-                if full_lf is not None:
-                    scenario_lf = full_lf[state.lo:state.hi]
-                    loads = np.multiply(loads, scenario_lf, out=self._loads)
-            loads = np.clip(loads, *LOAD_BOUNDS, out=self._loads)
-            u = self._window_noise(k) if noise is None else noise.result()
-            if self._placement is not None:
-                # Full-fleet assignment, sliced — shard-count invariant by
-                # the same discipline as the balancing policies.
-                # Pre-scaled by the table width so a chunk's combined
-                # index is one add and each lookup a single flat 1-D
-                # gather; cached per epoch (the policy returns one array
-                # per epoch) so steady-state windows allocate nothing here.
-                table = self.engine.corunner_table
-                assign = self._placement.assign(window_index, self._pctx)
-                if self._pidx4 is None or self._pidx4[0] is not assign:
-                    sliced = assign[state.lo:state.hi]
-                    counts = np.bincount(sliced, minlength=table.n_profiles)
-                    self._pidx4 = (
-                        assign,
-                        sliced * table.perf_rows.shape[1],
-                        {
-                            name: int(counts[i])
-                            for i, name in enumerate(table.profiles)
-                        },
-                    )
-                pidx4 = self._pidx4[1]
-                perf_table = table.perf_rows.ravel()
-                batch_table = table.batch_rows.ravel()
-            else:
-                pidx4 = None
-                perf_table, batch_table = engine._perf_rows, engine._batch_rows
-            top_k = int(self.capture_violators)
-            if tick is not None:
-                t1 = tick()
-            chunk = functools.partial(
-                self._step_chunk, k=k, loads=loads, u=u, pidx4=pidx4,
-                perf_table=perf_table, batch_table=batch_table, top_k=top_k,
-                tick=tick,
-            )
-            # Every worker takes the next chunk left, so one descheduled
-            # thread holds up at most one chunk; with one worker this is
-            # the chunks in order.
-            parts: list = [None] * len(starts)
-            todo = queue.SimpleQueue()
-            for i in range(len(starts)):
-                todo.put(i)
-            # Each worker's last chunk temporaries (see _heap_pin below).
-            held: list = []
-
-            def drain() -> None:
-                temporaries = None
-                while True:
-                    try:
-                        i = todo.get_nowait()
-                    except queue.Empty:
-                        break
-                    parts[i], temporaries = chunk(starts[i])
-                held.append(temporaries)
-
-            helpers = [pool.submit(drain) for _ in range(workers - 1)]
+            helpers = [
+                pool.submit(drain, slot) for slot in self._slots[1:workers]
+            ]
             try:
-                drain()
+                drain(self._slots[0])
             finally:
                 for helper in helpers:
                     helper.result()
@@ -1217,11 +1204,6 @@ class FleetStepper:
                 captured.append(found)
             if phases is not None:
                 busy = [a + b for a, b in zip(busy, phases)]
-        # Keep each worker's last chunk temporaries alive until the next
-        # step.  If they all die with the step, the top of the heap frees
-        # and glibc trims it back to the OS, re-faulting those pages every
-        # window (DESIGN.md §9 counts the minor faults per window).
-        self._heap_pin = held
         if prof is not None:
             prof.add("fleet.step.loads", t1 - t0)
             # Busy seconds, summed over every chunk task; the chunk
@@ -1266,17 +1248,22 @@ class FleetStepper:
         return record
 
     def _step_chunk(
-        self, s0: int, *, k, loads, u, pidx4, perf_table, batch_table,
-        top_k: int, tick,
+        self, s0: int, *, k, cluster_load, window_index, noise_seed,
+        scenario_lf, pidx4, perf_table, batch_table, top_k: int, tick,
+        buffers: dict,
     ) -> tuple:
         """Advance servers ``[s0, s0 + chunk)`` through window ``k``.
 
-        Writes only the chunk's slices of the state arrays and of the
-        per-server timeline arrays, so chunks may run on any threads.
-        Returns the chunk's partials: mode counts, violations, throttled
-        servers, the tail and batch-UIPC sums, the captured violator rows
-        (``None`` when there are none to capture) and the seconds of each
-        :data:`_CHUNK_PHASES` phase (``None`` unprofiled).
+        Draws the chunk's own loads and surrogate noise (each window
+        stream advanced to the chunk's first server, so they are the
+        full-fleet draws' slices) and works in ``buffers``, the calling
+        worker slot's scratch arrays.  Writes only the chunk's slices of
+        the state arrays and of the per-server timeline arrays, so chunks
+        may run on any threads.  Returns the chunk's partials: mode
+        counts, violations, throttled servers, the tail and batch-UIPC
+        sums, the captured violator rows (``None`` when there are none to
+        capture) and the seconds of each :data:`_CHUNK_PHASES` phase
+        (``None`` unprofiled).
         """
         state = self.state
         out = state.timeline
@@ -1286,47 +1273,89 @@ class FleetStepper:
         if tick is not None:
             t0 = tick()
         s1 = min(s0 + self._chunk, state.n_servers)
+        size = (s1 - s0,)
+        lo = state.lo
+        loads = self._policy.server_loads(
+            cluster_load, window_index, self._ctx, lo + s0, lo + s1,
+            out=_scratch(buffers, "loads", size),
+        )
+        if scenario_lf is not None:
+            np.multiply(loads, scenario_lf[s0:s1], out=loads)
+        np.clip(loads, *LOAD_BOUNDS, out=loads)
+        u = None
+        if noise_seed is not None:
+            # The window's noise stream, advanced by the servers before
+            # this chunk: the full-fleet draw's slice, bit for bit.
+            rng = np.random.default_rng(noise_seed)
+            rng.bit_generator.advance(lo + s0)
+            u = rng.random(out=_scratch(buffers, "noise", size))
+        if tick is not None:
+            t1 = tick()
         mode = state.mode[s0:s1]
         throttle = state.throttle[s0:s1]
-        throttled_now = throttle > 0
-        rows = np.where(throttled_now, _THROTTLED_ROW, mode)
+        throttled_now = np.greater(
+            throttle, 0, out=_scratch(buffers, "throttled", size, bool)
+        )
+        rows = _scratch(buffers, "rows", size, np.int64)
+        np.copyto(rows, mode)
+        np.copyto(rows, _THROTTLED_ROW, where=throttled_now)
         # Heterogeneous fleets index the raveled (profile, mode row)
         # table: pre-scaled profile row + mode row.
-        flat = rows if pidx4 is None else pidx4[s0:s1] + rows
-        batch_sum = float(batch_table[flat].sum())
+        flat = rows if pidx4 is None else np.add(
+            pidx4[s0:s1], rows, out=_scratch(buffers, "flat", size, np.int64)
+        )
+        # The indices are in range; mode="clip" only spares take's
+        # buffered copy into ``out``.
+        batch_sum = float(np.take(
+            batch_table, flat, out=_scratch(buffers, "batch", size),
+            mode="clip",
+        ).sum())
         if self._srows is None:
             # Only the exact DES path reads per-server perf factors;
             # the surrogate samples from precomputed grid rows.
             perf, srows = perf_table[flat], None
         else:
-            perf, srows = None, self._srows[flat]
+            perf, srows = None, np.take(
+                self._srows, flat,
+                out=_scratch(buffers, "srows", size, np.intp), mode="clip",
+            )
         if tick is not None:
-            t1 = tick()
-        tails = self._tails(
-            k, loads[s0:s1], perf, None if u is None else u[s0:s1], s0, srows,
-        )
+            t2 = tick()
+        if self._surrogate is not None:
+            tails = self._surrogate.sample(
+                loads, perf, u, rows=srows,
+                buffers=buffers.setdefault("sample", {}),
+            )
+        else:
+            tails = self._tails(k, loads, perf, s0)
         if self._scenario_tail is not None:
             # Static per-server slowdowns (stragglers, generations);
             # unaffected servers carry exactly 1.0, preserving bits.
-            # _tails always returns a fresh array, so in place is safe.
             np.multiply(tails, self._scenario_tail[s0:s1], out=tails)
         if tick is not None:
-            t2 = tick()
-        violated = tails > self._target_ms
-        slack = tails <= self._engage_ms
+            t3 = tick()
+        violated = np.greater(
+            tails, self._target_ms,
+            out=_scratch(buffers, "violated", size, bool),
+        )
+        slack = np.less_equal(
+            tails, self._engage_ms, out=_scratch(buffers, "slack", size, bool)
+        )
 
         label = mode if row_modes is None else row_modes[mode]
         partials = (
             np.bincount(label, minlength=3),
-            int(violated.sum()),
-            int(throttled_now.sum()),
+            int(np.count_nonzero(violated)),
+            int(np.count_nonzero(throttled_now)),
             float(tails.sum()),
             batch_sum,
         )
         out.server_violations[s0:s1] += violated
-        out.server_bmode_windows[s0:s1] += label == _B_MODE
+        out.server_bmode_windows[s0:s1] += np.equal(
+            label, _B_MODE, out=_scratch(buffers, "bmode", size, bool)
+        )
         if tick is not None:
-            t3 = tick()
+            t4 = tick()
 
         if engine.adaptive is None:
             monitor_transition_vec(
@@ -1336,7 +1365,7 @@ class FleetStepper:
         else:
             mode[:] = engine.adaptive.next_rows(tails)
         if tick is not None:
-            t4 = tick()
+            t5 = tick()
         found = None
         if top_k > 0:
             idx = np.flatnonzero(violated)
@@ -1357,10 +1386,10 @@ class FleetStepper:
                     state.violation[s0:s1][idx],
                     throttle[idx],
                 ))
-        phases = None if tick is None else (t1 - t0, t2 - t1, t3 - t2, t4 - t3)
-        return partials + (found, phases), (
-            rows, flat, perf, srows, tails, violated, slack,
+        phases = None if tick is None else (
+            t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4
         )
+        return partials + (found, phases)
 
     @staticmethod
     def _rank_violators(captured: list[np.ndarray], top_k: int) -> list[dict]:

@@ -2,10 +2,15 @@
 
 A policy answers one question per monitoring window: given the cluster-wide
 load fraction, how much load does each server of the fleet see?  All
-policies are deterministic functions of the fleet seed and produce the
-full-fleet load vector, so a shard simulating servers ``[lo, hi)`` of a
-larger fleet slices the same vector the unsharded run would use — sharding
-never changes a server's load.
+policies are deterministic functions of the fleet seed, and
+:meth:`~LoadBalancingPolicy.server_loads` gives any slice ``[lo, hi)`` of
+the window's full-fleet load vector, bit for bit, without building the
+rest of it: a shard or a chunk of servers sees the loads the unsharded
+run would give them, so neither sharding nor chunking changes a server's
+load.  What a window's slices share (an allocation over the whole fleet,
+a cached matrix or weight vector) is built by
+:meth:`~LoadBalancingPolicy.prepare`, once per window on one thread;
+slices of that window may then be taken on several threads at once.
 
 Provided policies (the paper's §II deployment setting, plus the imbalance
 regimes fleet-scale schedulers care about):
@@ -125,11 +130,31 @@ class LoadBalancingPolicy:
 
     name = "abstract"
 
+    def prepare(self, window: int, ctx: PolicyContext) -> None:
+        """Build what every slice of ``window`` reads (a policy without
+        fleet-wide work builds nothing), so that :meth:`server_loads`
+        calls for that window only read shared state."""
+
     def server_loads(
-        self, cluster_load: float, window: int, ctx: PolicyContext
+        self,
+        cluster_load: float,
+        window: int,
+        ctx: PolicyContext,
+        lo: int = 0,
+        hi: int | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Full-fleet per-server load fractions for one window (unclamped)."""
+        """Per-server load fractions of servers ``[lo, hi)`` (default: the
+        whole fleet) for one window, unclamped: the ``[lo:hi]`` slice of
+        the window's full-fleet vector, written into ``out`` when given."""
         raise NotImplementedError
+
+
+def _out(ctx: PolicyContext, lo: int, hi: int | None, out) -> np.ndarray:
+    """``out``, or a fresh vector for servers ``[lo, hi)``."""
+    if out is None:
+        return np.empty((ctx.n_servers if hi is None else hi) - lo)
+    return out
 
 
 class UniformPolicy(LoadBalancingPolicy):
@@ -137,19 +162,21 @@ class UniformPolicy(LoadBalancingPolicy):
 
     name = "uniform"
 
-    def server_loads(self, cluster_load, window, ctx):
-        share = cluster_load / ctx.overprovision
-        return np.full(ctx.n_servers, share)
+    def server_loads(self, cluster_load, window, ctx, lo=0, hi=None, out=None):
+        out = _out(ctx, lo, hi, out)
+        out.fill(cluster_load / ctx.overprovision)
+        return out
 
 
 class JitteredPolicy(LoadBalancingPolicy):
     """Bounded deterministic per-(server, window) imbalance.
 
     For fleets up to :data:`EXACT_JITTER_MAX` servers each server draws
-    from its own RNG (label path ``(seed, "jitter", k)``); larger fleets
-    draw one uniform
-    vector per window (label path ``(seed, "fleet-jitter", window)``)
-    with the same distribution.
+    from its own RNG (label path ``(seed, "jitter", k)``) into a cached
+    matrix; larger fleets draw one uniform vector per window (label path
+    ``(seed, "fleet-jitter", window)``) with the same distribution, and a
+    slice ``[lo, hi)`` draws only its part: the window's stream advanced
+    by ``lo`` doubles yields the full draw's ``[lo:hi]``.
     """
 
     name = "jittered"
@@ -179,22 +206,31 @@ class JitteredPolicy(LoadBalancingPolicy):
             ctx.cache["jitter_matrix"] = matrix
         return matrix
 
-    def server_loads(self, cluster_load, window, ctx):
-        share = cluster_load / ctx.overprovision
+    def prepare(self, window, ctx):
         if ctx.n_servers <= EXACT_JITTER_MAX:
-            # A view into the cached matrix: scale a copy.
-            return share * self._jitter_matrix(ctx, window + 1)[:, window]
+            self._jitter_matrix(ctx, window + 1)
+
+    def server_loads(self, cluster_load, window, ctx, lo=0, hi=None, out=None):
+        share = cluster_load / ctx.overprovision
+        out = _out(ctx, lo, hi, out)
+        if ctx.n_servers <= EXACT_JITTER_MAX:
+            column = self._jitter_matrix(ctx, window + 1)[lo:hi, window]
+            return np.multiply(column, share, out=out)
         rng = np.random.default_rng(
             derive_seed(ctx.seed, "fleet-jitter", window)
         )
-        # The draw is this call's own vector, so ``share * (1.0 + x)``
-        # runs in place: the same doubles without two full-fleet temporaries.
-        loads = rng.uniform(
-            -ctx.balance_jitter, ctx.balance_jitter, size=ctx.n_servers
-        )
-        loads += 1.0
-        loads *= share
-        return loads
+        # PCG64 jumps ahead exactly, one double per server.  uniform(low,
+        # high) is low + (high - low) * random(), so the slice's draw is
+        # the full-fleet draw's [lo:hi], bit for bit; ``share * (1.0 + x)``
+        # then runs in place.
+        rng.bit_generator.advance(lo)
+        low, high = -ctx.balance_jitter, ctx.balance_jitter
+        rng.random(out=out)
+        out *= high - low
+        out += low
+        out += 1.0
+        out *= share
+        return out
 
 
 class PowerOfTwoPolicy(LoadBalancingPolicy):
@@ -216,8 +252,13 @@ class PowerOfTwoPolicy(LoadBalancingPolicy):
         self.chunks_per_server = chunks_per_server
         self.batches = batches
 
-    def server_loads(self, cluster_load, window, ctx):
-        share = cluster_load / ctx.overprovision
+    def _counts(self, window: int, ctx: PolicyContext) -> np.ndarray:
+        """Request chunks per server in ``window``'s allocation (the
+        latest window's is cached)."""
+        key = (window, self.chunks_per_server, self.batches)
+        cached = ctx.cache.get("p2c_counts")
+        if cached is not None and cached[0] == key:
+            return cached[1]
         n = ctx.n_servers
         rng = np.random.default_rng(derive_seed(ctx.seed, "fleet-p2c", window))
         counts = np.zeros(n)
@@ -231,7 +272,19 @@ class PowerOfTwoPolicy(LoadBalancingPolicy):
             target = np.where(counts[a] <= counts[b], a, b)
             np.add.at(counts, target, 1.0)
             assigned += size
-        return share * counts / self.chunks_per_server
+        ctx.cache["p2c_counts"] = (key, counts)
+        return counts
+
+    def prepare(self, window, ctx):
+        self._counts(window, ctx)
+
+    def server_loads(self, cluster_load, window, ctx, lo=0, hi=None, out=None):
+        share = cluster_load / ctx.overprovision
+        out = np.multiply(
+            share, self._counts(window, ctx)[lo:hi], out=_out(ctx, lo, hi, out)
+        )
+        out /= self.chunks_per_server
+        return out
 
 
 class LocalityShardedPolicy(LoadBalancingPolicy):
@@ -271,9 +324,14 @@ class LocalityShardedPolicy(LoadBalancingPolicy):
             ctx.cache["locality_weights"] = weights
         return weights
 
-    def server_loads(self, cluster_load, window, ctx):
+    def prepare(self, window, ctx):
+        self._weights(ctx)
+
+    def server_loads(self, cluster_load, window, ctx, lo=0, hi=None, out=None):
         share = cluster_load / ctx.overprovision
-        return share * self._weights(ctx)
+        return np.multiply(
+            share, self._weights(ctx)[lo:hi], out=_out(ctx, lo, hi, out)
+        )
 
 
 POLICY_NAMES = (

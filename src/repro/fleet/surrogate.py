@@ -44,6 +44,7 @@ measured.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,16 @@ def _simulator(qos: QoSSpec, n_workers: int, seed: int, label: str,
     # across-window spread in the fleet.
     seed = derive_seed(seed, label, rep) & 0x7FFFFF
     return ServiceSimulator(qos, n_workers=n_workers, seed=seed)
+
+
+def _scratch(buffers: dict, name: str, shape, dtype=float) -> np.ndarray:
+    """Array ``name`` of ``buffers`` viewed at ``shape``, allocated (or
+    grown) when it holds fewer elements."""
+    size = math.prod(shape)
+    buffer = buffers.get(name)
+    if buffer is None or buffer.size < size or buffer.dtype != dtype:
+        buffer = buffers[name] = np.empty(size, dtype=dtype)
+    return buffer[:size].reshape(shape)
 
 
 def _fit_rows(perf_factors) -> tuple[float, ...]:
@@ -279,6 +290,21 @@ class TailSurrogate:
     quantiles_ms: np.ndarray  # (n_perf, n_reps, n_loads), sorted on axis 1
     error_bound_ms: float
 
+    def __post_init__(self) -> None:
+        # The sampler's tables: the load grid and its interval widths, and
+        # the four corner quantiles of every (row, j0, li) cell, raveled,
+        # with j1 = min(j0 + 1, n_reps - 1) built in.
+        grid = np.asarray(self.loads, dtype=float)
+        table = self.quantiles_ms
+        j1 = np.minimum(np.arange(table.shape[1]) + 1, table.shape[1] - 1)
+        lower, upper = table[:, :, :-1], table[:, :, 1:]
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_spans", np.diff(grid))
+        object.__setattr__(self, "_corners", tuple(
+            np.ascontiguousarray(corner).ravel()
+            for corner in (lower, upper, lower[:, j1], upper[:, j1])
+        ))
+
     @property
     def n_reps(self) -> int:
         return self.quantiles_ms.shape[1]
@@ -309,23 +335,6 @@ class TailSurrogate:
             )
         return idx
 
-    def _load_weights(
-        self, load: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        loads = np.asarray(self.loads)
-        # The bracketing interval clip(searchsorted(loads, load, "right")
-        # - 1, 0, L - 2) is the count of interior grid points <= load:
-        # one branchless compare pass per grid point, counted in the
-        # narrowest unsigned type, instead of a mispredicting binary
-        # search per server.
-        li = np.zeros(np.shape(load), dtype=np.min_scalar_type(len(loads)))
-        for point in loads[1:-1]:
-            li += load >= point
-        li = li.astype(np.intp)
-        weight = load - loads[li]
-        weight /= np.diff(loads)[li]
-        return li, np.clip(weight, 0.0, 1.0, out=weight)
-
     def _interpolate(self, table: np.ndarray, load, perf) -> np.ndarray:
         load = np.asarray(load, dtype=float)
         perf = np.broadcast_to(np.asarray(perf, dtype=float), load.shape)
@@ -344,7 +353,7 @@ class TailSurrogate:
         """Across-window std of the tail percentile (ms)."""
         return self._interpolate(self.std_ms, load, perf)
 
-    def sample(self, load, perf, u, rows=None) -> np.ndarray:
+    def sample(self, load, perf, u, rows=None, *, buffers=None) -> np.ndarray:
         """Draw window tails by inverse-CDF over uniforms ``u`` in [0, 1).
 
         ``u`` picks an order statistic pair ``(j0, j1)`` with midpoint
@@ -367,41 +376,76 @@ class TailSurrogate:
         and ``perf`` is then not read — the fleet stepper's perf vectors
         take only a handful of distinct values, so gathering cached
         indices beats re-searching the grid for every server every window.
+
+        ``buffers`` optionally carries a dict the caller keeps for one
+        thread: the kernel's scratch arrays live in it, grown on demand,
+        and the returned tails are a view of one of them that the next
+        call with the same dict overwrites.  It changes no value.
         """
         load = np.asarray(load, dtype=float)
         if rows is None:
             perf = np.broadcast_to(np.asarray(perf, dtype=float), load.shape)
             rows = self._row_indices(perf)
-        li, weight = self._load_weights(load)
-        _, n_reps, n_loads = self.quantiles_ms.shape
-        position = np.clip(
-            np.asarray(u, dtype=float) * n_reps - 0.5, 0.0, n_reps - 1.0
-        )
-        # position >= 0, so truncation is the floor.
-        j0 = position.astype(np.int64)
-        fraction = position - j0
+        if buffers is None:
+            buffers = {}
+        shape = load.shape
+        n_reps = self.quantiles_ms.shape[1]
+        q00, q01, q10, q11 = self._corners
+        grid = self._grid
+        mask = _scratch(buffers, "mask", shape, bool)
+        li = _scratch(buffers, "li", shape, np.intp)
+        index = _scratch(buffers, "index", shape, np.intp)
+        weight = _scratch(buffers, "weight", shape)
+        rest = _scratch(buffers, "rest", shape)
+        fraction = _scratch(buffers, "fraction", shape)
+        v0 = _scratch(buffers, "v0", shape)
+        v1 = _scratch(buffers, "v1", shape)
 
-        # Flat indices into the table's logical C order; ravel copies the
-        # (non-contiguous) fitted table, a few KB, and views a clone.
-        flat = self.quantiles_ms.ravel()
-        i0 = rows * (n_reps * n_loads)
-        i0 += li
-        i1 = np.minimum(j0, n_reps - 2)  # j1 = min(j0 + 1, n_reps - 1)
-        i1 += 1
-        i1 *= n_loads
-        i1 += i0
-        j0 *= n_loads
-        i0 += j0
-        rest = 1.0 - weight
-        v0 = flat[i0]
+        # The bracketing interval clip(searchsorted(loads, load, "right")
+        # - 1, 0, L - 2) is the count of interior grid points <= load:
+        # one branchless compare pass per grid point, counted in the
+        # narrowest unsigned type, instead of a mispredicting binary
+        # search per server.
+        count = _scratch(
+            buffers, "count", shape, np.min_scalar_type(len(grid))
+        )
+        count.fill(0)
+        for point in grid[1:-1]:
+            count += np.greater_equal(load, point, out=mask)
+        np.copyto(li, count)
+        # Load weight w = (load - loads[li]) / (loads[li + 1] - loads[li]),
+        # clipped to [0, 1].  Indices are in range: "clip" only spares take
+        # its buffered copy.
+        np.subtract(
+            load, np.take(grid, li, out=weight, mode="clip"), out=weight
+        )
+        weight /= np.take(self._spans, li, out=rest, mode="clip")
+        np.clip(weight, 0.0, 1.0, out=weight)
+
+        # Plotting position, its order statistic j0 (position >= 0, so
+        # truncation is the floor) and fraction f.
+        np.multiply(np.asarray(u, dtype=float), n_reps, out=fraction)
+        fraction -= 0.5
+        np.clip(fraction, 0.0, n_reps - 1.0, out=fraction)
+        np.copyto(index, fraction, casting="unsafe")
+        fraction -= index
+
+        # One index into the four corner tables: (row, j0, li).
+        index *= len(grid) - 1
+        index += li
+        np.multiply(rows, n_reps * (len(grid) - 1), out=li)
+        index += li
+
+        np.subtract(1.0, weight, out=rest)
+        np.take(q00, index, out=v0, mode="clip")
         v0 *= rest
-        i0 += 1
-        v0 += flat[i0] * weight
-        v1 = flat[i1]
+        v0 += np.multiply(np.take(q01, index, out=v1, mode="clip"), weight,
+                          out=v1)
+        np.take(q10, index, out=v1, mode="clip")
         v1 *= rest
-        i1 += 1
-        v1 += flat[i1] * weight
-        v0 *= 1.0 - fraction
+        v1 += np.multiply(np.take(q11, index, out=rest, mode="clip"), weight,
+                          out=rest)
+        v0 *= np.subtract(1.0, fraction, out=weight)
         v1 *= fraction
         v0 += v1
         return np.maximum(v0, 0.5 * self.qos.base_service_ms, out=v0)

@@ -144,8 +144,8 @@ def exact_day(name: str):
     loads, tails = [], []
     tails_of = FleetStepper._tails
 
-    def recording(self, window, window_loads, perf, u, offset, rows=None):
-        out = tails_of(self, window, window_loads, perf, u, offset, rows)
+    def recording(self, window, window_loads, perf, offset):
+        out = tails_of(self, window, window_loads, perf, offset)
         assert offset == 0 and len(out) == config.n_servers
         loads.append(np.array(window_loads))
         tails.append(out.copy())

@@ -18,10 +18,13 @@ The load-bearing guarantees:
 """
 
 import contextlib
+import hashlib
 import itertools
+import json
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -57,7 +60,8 @@ from repro.fleet import (
     shard_bounds,
 )
 from repro.core.partitioning import B_MODES
-from repro.fleet.policies import EXACT_JITTER_MAX, PolicyContext
+from repro.fleet.engine import LOAD_BOUNDS
+from repro.fleet.policies import EXACT_JITTER_MAX, POLICY_NAMES, PolicyContext
 from repro.qos import queueing
 from repro.scenarios import get_scenario
 from repro.util.rng import derive_seed
@@ -248,6 +252,13 @@ class TestMonitorTransitionVec:
             assert pre  # engine's view of "throttled now"
 
 
+def draw_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Server ranges ``[a, b)`` of an ``n``-server fleet whose draws must
+    be the full-fleet draw's ``[a:b]``: the whole fleet, its first and last
+    server, and two interior ranges."""
+    return ((0, n), (0, 1), (n - 1, n), (701, 1402), (n // 3, n - 17))
+
+
 class TestPolicies:
     def ctx(self, n_servers=6, n_windows=12, seed=5) -> PolicyContext:
         return PolicyContext(
@@ -348,6 +359,49 @@ class TestPolicies:
         after = [policy.server_loads(0.6, w, ctx) for w in range(5)]
         for w, (a, b) in enumerate(zip(before, after)):
             assert np.array_equal(a, b), w
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    @pytest.mark.parametrize(
+        "n", [EXACT_JITTER_MAX - 1000, EXACT_JITTER_MAX + 904]
+    )
+    def test_any_slice_is_the_full_vector_slice(self, name, n):
+        ctx = self.ctx(n_servers=n)
+        policy = make_policy(name)
+        policy.prepare(3, ctx)
+        full = policy.server_loads(0.6, 3, ctx)
+        for lo, hi in draw_pairs(n):
+            part = policy.server_loads(0.6, 3, ctx, lo, hi)
+            assert part.tobytes() == full[lo:hi].tobytes(), (lo, hi)
+            out = np.full(hi - lo, np.nan)
+            assert policy.server_loads(0.6, 3, ctx, lo, hi, out=out) is out
+            assert out.tobytes() == full[lo:hi].tobytes(), (lo, hi)
+
+    def test_jittered_large_fleet_draws_the_window_stream(self):
+        # The per-window stream's draw for the whole fleet, as it was
+        # drawn before slices drew their own part of it.
+        n = EXACT_JITTER_MAX + 904
+        ctx = self.ctx(n_servers=n)
+        rng = np.random.default_rng(derive_seed(ctx.seed, "fleet-jitter", 3))
+        want = (rng.uniform(-0.05, 0.05, size=n) + 1.0) * (0.6 / 1.2)
+        policy = make_policy("jittered")
+        for lo, hi in draw_pairs(n):
+            got = policy.server_loads(0.6, 3, ctx, lo, hi)
+            assert got.tobytes() == want[lo:hi].tobytes(), (lo, hi)
+
+    @pytest.mark.parametrize("low, high", [
+        (-0.05, 0.05), (-0.49, 0.49), (-0.0, 0.0), (-1e-3, 0.3),
+    ])
+    def test_buffered_uniform_is_generator_uniform(self, low, high):
+        # The jittered kernel draws random() into its buffer and scales
+        # it: Generator.uniform is low + (high - low) * random().
+        for start, size in ((0, 1), (0, 5000), (4097, 903)):
+            want = np.random.default_rng(11).uniform(low, high, start + size)
+            rng = np.random.default_rng(11)
+            rng.bit_generator.advance(start)
+            got = rng.random(out=np.empty(size))
+            got *= high - low
+            got += low
+            assert got.tobytes() == want[start:].tobytes(), (start, size)
 
     def test_make_policy_and_curves(self):
         with pytest.raises(KeyError, match="unknown load-balancing policy"):
@@ -509,16 +563,33 @@ class TestSharding:
             shard_bounds(0, 2)
 
     def test_server_range_slices_match_full_run(self, surrogate):
+        for n_servers, cuts, chunk_size in (
+            (64, (21, 43), None),
+            # Above EXACT_JITTER_MAX: per-window jitter streams, which
+            # every shard and chunk draws from its own first server on.
+            (5000, (1667, 3334), 700),
+        ):
+            self.assert_slices_match_full_run(
+                surrogate, n_servers, cuts, chunk_size
+            )
+
+    @staticmethod
+    def assert_slices_match_full_run(surrogate, n_servers, cuts, chunk_size):
         profile = get_profile("web_search")
-        config = fleet_config(n_servers=64)
+        config = fleet_config(n_servers=n_servers)
         engine = FleetEngine(
             profile, performance_model(), config, surrogate=surrogate
         )
-        full = engine.run_day("web_search")
-        parts = [
-            engine.run_day("web_search", server_range=(lo, hi))
-            for lo, hi in ((0, 21), (21, 43), (43, 64))
-        ]
+
+        def day(server_range=None):
+            return engine.stepper(
+                "web_search", server_range=server_range,
+                chunk_size=chunk_size,
+            ).run()
+
+        full = day()
+        bounds = (0, *cuts, n_servers)
+        parts = [day((lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
         merged = FleetTimeline.merge(parts)
         assert merged.n_servers == full.n_servers
         assert np.array_equal(merged.mode_counts, full.mode_counts)
@@ -960,6 +1031,39 @@ def threaded_day(case: str, surrogate) -> dict:
     return {"records": records, "violators": violators, "arrays": arrays}
 
 
+def day_digest(day: dict) -> str:
+    """sha256 over a :func:`threaded_day`'s records, violators and arrays."""
+    digest = hashlib.sha256()
+    digest.update(
+        json.dumps([day["records"], day["violators"]], sort_keys=True).encode()
+    )
+    for name in sorted(day["arrays"]):
+        array = np.ascontiguousarray(day["arrays"][name])
+        digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+#: :func:`day_digest` of each threaded case, recorded when the window's
+#: noise and jitter were drawn for the whole fleet and sliced per chunk.
+#: The cases' 700-server chunks start at odd offsets into per-window
+#: streams, so a stream advanced to the wrong server moves these.
+THREADED_DIGESTS = {
+    "jittered":
+        "fe0c854effc9fe989b0c1a4783c370f3df2f44d495597b5bf8e19342961d284e",
+    "placement_black_friday":
+        "b9bab8e13f7360778a99cd0bc44b684402ddecdf767bd3eb2df719ce3e2fa3be",
+    "adaptive":
+        "2b9a59168b91bc55d6068c79bbb0cf6fb7d7f87a5af0a06600d133852fcd6fc6",
+    "capture":
+        "1b6d0c976b7cda992c431ee96b85fd01e81693b566ade49c2c69f8ce6be08399",
+    "fed":
+        "4aef365816faa6e7ec0129a072005cc37d7eaa41a855df277a3e8748bc351f65",
+    "resumed":
+        "fe0c854effc9fe989b0c1a4783c370f3df2f44d495597b5bf8e19342961d284e",
+}
+
+
 def assert_same_day(got: dict, want: dict) -> None:
     assert got["records"] == want["records"]
     assert got["violators"] == want["violators"]
@@ -990,6 +1094,81 @@ def assert_same_fleet_day(got: FleetTimeline, want: FleetTimeline) -> None:
     assert np.allclose(got.batch_uipc_sum, want.batch_uipc_sum, rtol=1e-12)
 
 
+class TestChunkDraws:
+    """A chunk draws its own servers' part of the window's streams."""
+
+    @pytest.mark.parametrize(
+        "n", [EXACT_JITTER_MAX - 1000, EXACT_JITTER_MAX + 904]
+    )
+    def test_chunk_draws_are_the_full_fleet_draws_slices(
+        self, surrogate, monkeypatch, n
+    ):
+        force_workers(monkeypatch, 1)
+        seen = []
+        sample = TailSurrogate.sample
+
+        def recording(self, load, perf, u, rows=None, **kwargs):
+            seen.append((np.array(load), np.array(u)))
+            return sample(self, load, perf, u, rows, **kwargs)
+
+        monkeypatch.setattr(TailSurrogate, "sample", recording)
+        config = fleet_config(n_servers=n)
+        engine = FleetEngine(
+            get_profile("web_search"), performance_model(), config,
+            surrogate=surrogate,
+        )
+        for lo, hi in draw_pairs(n):
+            seen.clear()
+            stepper = engine.stepper(
+                "web_search", server_range=(lo, hi), chunk_size=700
+            )
+            cluster_load = stepper.step()["cluster_load"]
+            loads = np.concatenate([load for load, __ in seen])
+            noise = np.concatenate([u for __, u in seen])
+            ctx = PolicyContext(
+                n_servers=n, n_windows=config.n_windows,
+                overprovision=config.overprovision,
+                balance_jitter=config.balance_jitter, seed=config.seed,
+            )
+            full_loads = np.clip(
+                make_policy("jittered").server_loads(cluster_load, 0, ctx),
+                *LOAD_BOUNDS,
+            )
+            full_noise = np.random.default_rng(
+                derive_seed(config.seed, "fleet-noise", 0)
+            ).random(n)
+            assert loads.tobytes() == full_loads[lo:hi].tobytes(), (lo, hi)
+            assert noise.tobytes() == full_noise[lo:hi].tobytes(), (lo, hi)
+
+
+class TestStepAllocations:
+    """A steady-state window works in its worker slots' kept buffers."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("server_range", [None, (5000, 10000)])
+    def test_step_allocates_less_than_one_fleet_vector(
+        self, surrogate, monkeypatch, workers, server_range
+    ):
+        force_workers(monkeypatch, workers)
+        n = 20_000
+        engine = FleetEngine(
+            get_profile("web_search"), performance_model(),
+            fleet_config(n_servers=n), surrogate=surrogate,
+        )
+        stepper = engine.stepper(
+            "web_search", server_range=server_range, chunk_size=2500
+        )
+        stepper.step()
+        stepper.step()
+        tracemalloc.start()
+        try:
+            stepper.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 8, peak
+
+
 class TestThreadedStep:
     """A window's chunks step on several threads and write the serial
     step's bits: chunk boundaries stay fixed and the partial sums add in
@@ -1004,6 +1183,7 @@ class TestThreadedStep:
     ):
         force_workers(monkeypatch, 1)
         serial = threaded_day(case, threaded_surrogate)
+        assert day_digest(serial) == THREADED_DIGESTS[case]
         if case == "capture":
             assert any(serial["violators"])
         threads = set()
@@ -1028,7 +1208,7 @@ class TestThreadedStep:
 
         def recording(self, s0, **kwargs):
             result = step_chunk(self, s0, **kwargs)
-            partials[s0] = result[0][3:5]  # the tail and batch-UIPC sums
+            partials[s0] = result[3:5]  # the tail and batch-UIPC sums
             return result
 
         monkeypatch.setattr(FleetStepper, "_step_chunk", recording)
@@ -1117,8 +1297,8 @@ class TestThreadedStep:
         try:
             profiler.reset()
             profiled = threaded_day("jittered", threaded_surrogate)
-            for phase in ("loads", "gather", "tails", "aggregate", "monitor",
-                          "chunks"):
+            for phase in ("loads", "draw", "gather", "tails", "aggregate",
+                          "monitor", "chunks"):
                 assert profiler.calls(f"fleet.step.{phase}") == 12, phase
         finally:
             disable_profiling()
