@@ -50,7 +50,8 @@ and likewise ``benchmarks/test_core_scaling.py`` with
 Absolute wall times are machine-dependent; the guard therefore compares
 each fresh number against the committed baseline *ratio-wise* and is
 meant to run on runners comparable to the ones that produced the
-baseline.  Exits 1 on any regression beyond the margin, 0 otherwise.
+baseline.  A fresh payload equal to its baseline fails: the benchmark did
+not rewrite it.  Exits 1 on any regression beyond the margin, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -303,6 +304,12 @@ def main(argv: list[str] | None = None) -> int:
         if fresh is None:
             failures.append(f"{label}: fresh payload {fresh_path} missing "
                             "(did the benchmark run?)")
+            continue
+        if fresh == baseline:
+            # A benchmark that fails before it writes leaves the committed
+            # record in place, which would then pass against itself.
+            failures.append(f"{label}: fresh payload {fresh_path} equals "
+                            "the baseline (did the benchmark write it?)")
             continue
         checker(baseline, fresh, args.max_regression, failures)
         compared += 1

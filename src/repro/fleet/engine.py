@@ -166,7 +166,11 @@ def monitor_transition_vec(
     violation.fill(0)
     compliant += 1
     compliant *= slack
-    np.copyto(mode, _B_MODE, where=compliant >= config.engage_windows)
+    # Engage by arithmetic, valid only while _B_MODE == 1: a masked copy
+    # is several times slower where the mask is mixed.
+    engaged = compliant >= config.engage_windows
+    mode *= ~engaged
+    mode += engaged
     mode *= slack
 
     # The gathered servers: mid-throttle ones count down with their state

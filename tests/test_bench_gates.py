@@ -4,7 +4,8 @@ A probe times nine alternating (baseline, variant) day pairs and gates a
 98 % lower confidence bound on the median paired ratio, so it fails only
 when the data show the overhead above its budget.  The cold surrogate
 fit is gated on its CPU seconds, which do not depend on the worker
-count, and never on its wall time, which does.
+count, and never on its wall time, which does.  A fresh payload equal to
+its baseline fails: the benchmark never rewrote it.
 """
 
 import importlib.util
@@ -101,3 +102,19 @@ class TestSurrogateFitGate:
     def test_a_baseline_without_fit_cpu_skips_the_gate(self):
         costlier = dict(self.TWO_WORKERS, surrogate_fit_cpu_s=8.0)
         assert self.failures(dict(surrogate_fit_s=4.0), costlier) == []
+
+
+class TestUnwrittenPayload:
+    """A benchmark that fails before it writes leaves the committed record,
+    so the checker would compare that record with itself."""
+
+    @pytest.mark.parametrize("label, record", [
+        ("fleet", "BENCH_fleet.json"), ("core", "BENCH_core.json"),
+    ])
+    def test_fresh_equal_to_baseline_fails(self, label, record, capsys):
+        path = str(ROOT / "benchmarks" / "results" / record)
+        assert checker.main([f"--baseline-{label}", path,
+                             f"--fresh-{label}", path]) == 1
+        [line] = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.strip().startswith(f"{label}:")]
+        assert "equals the baseline" in line

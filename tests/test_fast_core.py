@@ -4,15 +4,19 @@ The exhaustive equivalence proof lives in the two-way differential sweep
 against ``ReferenceCore`` (``tests/test_check_reference.py``); this file
 covers the FastCore-specific surface: the per-µop event log (pinned by
 digest, since the reference keeps none), the observer wiring (invariant
-checker, sampler entry points), and the event-horizon structure itself via
+checker, sampler entry points), the event-horizon structure itself via
 seeded property loops (plain ``repro.util.rng`` seeding — no hypothesis, so
-failures replay exactly).
+failures replay exactly), and the loop expanded from its per-thread
+template (bytecode contract, source shown in tracebacks).
 """
 
 import dataclasses
 import hashlib
+import inspect
 import json
+import linecache
 import random
+import traceback
 
 import pytest
 
@@ -347,3 +351,53 @@ class TestObserverProtocol:
     @pytest.mark.parametrize("max_cycles", list(OBSERVER_PROTOCOL))
     def test_observers_and_deadline(self, max_cycles):
         assert _observed_run(max_cycles) == OBSERVER_PROTOCOL[max_cycles]
+
+
+#: Locals every dispatch slot reads.  CPython encodes a local past slot
+#: 255 with an extra ``EXTENDED_ARG`` on every access.
+HOT_LOCALS = (
+    "cycle", "ready", "op", "is_mem", "seq", "i", "dbudget", "rob_total",
+    "lsq_total",
+) + tuple(f"{name}{t}" for t in (0, 1)
+          for name in ("i", "ru", "lu", "ring", "ops", "fe", "sq"))
+
+
+class TestExpandedLoop:
+    """``_simulate_until`` is expanded from its per-thread template at
+    import: the bytecode contract the loop's speed rests on, and the
+    expanded source that tracebacks, profilers and ``inspect`` show."""
+
+    def test_no_cell_variables(self):
+        # A comprehension or closure over a loop local makes it a cell
+        # (``LOAD_DEREF`` on every read) on Python 3.11.
+        code = FastCore._simulate_until.__code__
+        assert code.co_cellvars == ()
+        assert code.co_freevars == ()
+
+    @pytest.mark.parametrize("name", HOT_LOCALS)
+    def test_hot_local_below_slot_256(self, name):
+        assert FastCore._simulate_until.__code__.co_varnames.index(name) < 256
+
+    def test_no_placeholder_survives(self):
+        # An unexpanded ``{o}`` compiles as a set of the name ``o``; one in
+        # a string literal would stay in a constant.
+        code = FastCore._simulate_until.__code__
+        assert "o" not in code.co_varnames + code.co_names
+        assert [c for c in code.co_consts
+                if isinstance(c, str) and ("{t}" in c or "{o}" in c)] == []
+
+    def test_traceback_shows_the_expanded_line(self):
+        core = FastCore(CoreConfig(), _traces(random.Random(3), 2))
+        with pytest.raises(RuntimeError) as info:
+            core.run(100, max_cycles=0)
+        last = traceback.extract_tb(info.value.__traceback__)[-1]
+        assert last.name == "_simulate_until"
+        assert last.line == "raise RuntimeError("
+
+    def test_source_survives_checkcache(self):
+        linecache.checkcache()
+        source = inspect.getsource(FastCore._simulate_until)
+        assert source.startswith("def _simulate_until(")
+        assert "ru1" in source
+        assert "{t}" not in source and "{o}" not in source
+        assert FastCore._simulate_until.__qualname__ == "FastCore._simulate_until"
